@@ -379,11 +379,11 @@ func BenchmarkSweepParallel(b *testing.B) {
 
 // BenchmarkSweepBatched measures the batched lockstep sweep executor
 // on the same 8-scenario matrix as BenchmarkSweepParallel: scenarios
-// grouped by platform, packed into lanes, and stepped together through
-// the fused structure-of-arrays thermal kernel on pooled engines. The
-// cells/sec metric is the comparison point — the PR-4 target is ≥2×
-// BenchmarkSweepParallel — and the output bytes are pinned identical
-// to the sequential path by the mobisim differential tests.
+// grouped by thermal topology, packed into lanes, and stepped together
+// through the fused structure-of-arrays thermal kernel on pooled
+// engines. The cells/sec metric is the comparison point — the PR-4
+// target is ≥2× BenchmarkSweepParallel — and the output bytes are
+// pinned identical to per-cell runs by the mobisim differential tests.
 func BenchmarkSweepBatched(b *testing.B) {
 	for _, width := range []int{4, 8} {
 		b.Run("width-"+itoa(width), benchkit.SweepBatched(width))
@@ -392,8 +392,8 @@ func BenchmarkSweepBatched(b *testing.B) {
 
 // BenchmarkSweepSequentialBaseline is BenchmarkSweepParallel's matrix
 // through the same facade entry point the batched benchmark uses
-// (RunSweep, batching disabled), isolating the executor difference
-// from any facade overhead for benchdiff comparisons.
+// (RunSweep at width 1), isolating the lane-width difference from any
+// facade overhead for benchdiff comparisons.
 func BenchmarkSweepSequentialBaseline(b *testing.B) {
 	benchkit.SweepParallel(1)(b)
 }

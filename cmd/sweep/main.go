@@ -12,7 +12,7 @@
 //	sweep -governors appaware,ipa -format csv       # arm comparison as CSV
 //	sweep -platforms nexus6p -workloads paper.io -governors stepwise,none
 //	sweep -platform-spec testdata/platforms/smalldie.json -platforms smalldie -workloads gen-bursty -governors none
-//	sweep -batch -1                                 # batched lockstep executor (default width)
+//	sweep -batch -1                                 # lockstep batches of the default width
 //	sweep -warm-start -replicates 8                 # fork limit cells from shared-prefix snapshots
 //	sweep -cache-dir ~/.cache/mobisim               # memoize cells in the daemon's disk cache
 //	sweep -daemon http://localhost:8377             # submit to a running simd daemon
@@ -51,7 +51,7 @@ func main() {
 		duration     = flag.Float64("duration", 120, "simulated seconds per scenario")
 		seed         = flag.Int64("seed", 1, "base seed for per-replicate seed derivation")
 		workers      = flag.Int("workers", 0, "pool workers (0 = GOMAXPROCS)")
-		batch        = flag.Int("batch", 0, "lockstep batch width: scenarios stepped together through the fused SoA kernel (0 = sequential engines, -1 = default width)")
+		batch        = flag.Int("batch", 0, "lockstep batch width: scenarios stepped together through the fused SoA kernel (0 = one lane per unit, each engine stepping alone; -1 = default width)")
 		warmStart    = flag.Bool("warm-start", false, "group limit-aware cells by prefix content key, simulate each group's shared warm-up once, and fork members from an engine snapshot (output bytes are identical either way)")
 		cacheDir     = flag.String("cache-dir", "", "content-addressed result cache root shared with the simd daemon; cached cells are served from disk instead of resimulated (output bytes are identical either way)")
 		daemonURL    = flag.String("daemon", "", "base URL of a running simd daemon; the sweep is submitted as a job and the daemon's result bytes are emitted verbatim (json only, retried with backoff across daemon restarts)")

@@ -258,8 +258,9 @@ func (g *Governor) timeToThreshold(pdW, fromK, thresholdK, horizonS float64) (fl
 	return g.params.TimeToThreshold(pdW, fromK, thresholdK, horizonS)
 }
 
-// limit returns the active thermal limit for the engine's platform.
-func (g *Governor) limit(e *sim.Engine) float64 {
+// LimitK returns the thermal limit (Kelvin) the governor enforces on
+// the engine's platform: its configured limit, else the platform's.
+func (g *Governor) LimitK(e *sim.Engine) float64 {
 	if g.cfg.ThermalLimitK != 0 {
 		return g.cfg.ThermalLimitK
 	}
@@ -285,7 +286,7 @@ func (g *Governor) Control(nowS float64, e *sim.Engine) {
 		return
 	}
 	g.predictions++
-	limitK := g.limit(e)
+	limitK := g.LimitK(e)
 	tempK := e.SensorTempK()
 
 	chipViolation := an.Class == stability.Runaway ||

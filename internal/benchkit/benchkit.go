@@ -41,9 +41,9 @@ func SweepMatrix() mobisim.Matrix {
 	}
 }
 
-// SweepParallel returns the sequential-engine sweep benchmark: the
-// matrix executed one engine per scenario on a worker pool of the
-// given width. It reports cells/sec, the sweep throughput headline.
+// SweepParallel returns the width-1 sweep benchmark: the matrix
+// executed one lane per unit, each engine stepping alone, on a worker
+// pool of the given size. It reports cells/sec, the sweep throughput headline.
 func SweepParallel(workers int) func(b *testing.B) {
 	return sweepBench(mobisim.SweepConfig{Workers: workers})
 }
@@ -101,7 +101,7 @@ func WarmSweepMatrix() mobisim.Matrix {
 
 // SweepWarm returns the warm-start sweep benchmark: the replicate-heavy
 // matrix with prefix grouping and fork-from-snapshot enabled, forks
-// running batched at the given lane width (0 = scalar forks).
+// running at the given lane width (0 = one lane).
 func SweepWarm(width int) func(b *testing.B) {
 	return sweepBenchOn(WarmSweepMatrix(), 4, WarmSweepCells,
 		mobisim.SweepConfig{Workers: 1, BatchWidth: width, WarmStart: true})

@@ -240,3 +240,22 @@ func TestBatchRejectsMixedTopology(t *testing.T) {
 		t.Fatal("mixed-topology batch should be rejected")
 	}
 }
+
+// TestStepsToControllerTick pins the tick countdown the warm-start
+// sentinel paces its checkpoints by: the appaware controller ticks on
+// the first step and then every 100 steps (0.1 s at 1 ms), and an
+// engine without a controller reports -1.
+func TestStepsToControllerTick(t *testing.T) {
+	e := buildBatchTestEngine(t, "odroid", 1, armAppAware)
+	for _, tc := range []struct{ run, want int }{{0, 0}, {1, 99}, {98, 1}, {1, 0}, {1, 99}} {
+		if err := e.RunSteps(tc.run); err != nil {
+			t.Fatal(err)
+		}
+		if got := e.StepsToControllerTick(); got != tc.want {
+			t.Fatalf("after %d more steps (t=%v): StepsToControllerTick = %d, want %d", tc.run, e.Now(), got, tc.want)
+		}
+	}
+	if got := buildBatchTestEngine(t, "odroid", 1, armIPA).StepsToControllerTick(); got != -1 {
+		t.Errorf("engine without a controller: StepsToControllerTick = %d, want -1", got)
+	}
+}

@@ -206,8 +206,8 @@ type Engine struct {
 	sampleBuf   Sample
 	maxTempSeen float64
 
-	// fast holds the flat index-addressed caches of the batched step
-	// path (see batch.go); empty until the engine joins a BatchEngine.
+	// fast holds the flat index-addressed caches the step runs on
+	// (see step.go).
 	fast fastPath
 }
 
@@ -278,6 +278,7 @@ func New(cfg Config) (*Engine, error) {
 		RailW:     make([]float64, power.NumRails),
 		FreqHz:    make([]uint64, len(domainIDs)),
 	}
+	e.initFast()
 	return e, nil
 }
 
@@ -445,276 +446,27 @@ func (e *Engine) Run(durationS float64) error {
 }
 
 // RunSteps advances the simulation by exactly steps fixed integration
-// steps — the batched fast path sweep runners use to amortize the call
-// overhead and skip duration-to-step rounding. RunSteps(0) is a no-op.
+// steps — the fast path sweep runners use to amortize the call overhead
+// and skip duration-to-step rounding. RunSteps(0) is a no-op. Each step
+// is stepPre, the thermal network's RK4 step, then stepPost (step.go).
+// The loop is allocation-free in steady state: every per-step quantity
+// lives in a reused, index-addressed engine buffer, and map views of
+// any of them are only materialized by API accessors at the boundary.
 func (e *Engine) RunSteps(steps int) error {
 	if steps < 0 {
 		return fmt.Errorf("sim: step count must be >= 0, got %d", steps)
 	}
 	for i := 0; i < steps; i++ {
-		if err := e.step(); err != nil {
+		if err := e.stepPre(); err != nil {
+			return fmt.Errorf("sim: t=%.3fs: %w", e.now, err)
+		}
+		if err := e.plat.Net.Step(e.cfg.StepS, e.powers); err != nil {
+			return fmt.Errorf("sim: t=%.3fs: %w", e.now, err)
+		}
+		if err := e.stepPost(); err != nil {
 			return fmt.Errorf("sim: t=%.3fs: %w", e.now, err)
 		}
 	}
-	return nil
-}
-
-// step advances one fixed time step. The loop is allocation-free in
-// steady state: every per-step quantity lives in a reused,
-// index-addressed engine buffer, and map views of any of them are only
-// materialized by API accessors at the boundary.
-func (e *Engine) step() error {
-	dt := e.cfg.StepS
-	now := e.now
-
-	// 1. Application demand.
-	totalGPUDemand := 0.0
-	anyTouch := false
-	for i, a := range e.apps {
-		d := a.App.Demand(now)
-		if err := e.sched.SetDemand(a.PID, d.CPUHz); err != nil {
-			return err
-		}
-		e.gpuDemand[i] = 0
-		if d.GPUHz > 0 {
-			e.gpuDemand[i] = d.GPUHz
-			totalGPUDemand += d.GPUHz
-		}
-		if d.Touch {
-			anyTouch = true
-		}
-	}
-	if anyTouch {
-		for i := range e.touched {
-			e.touched[i] = true
-		}
-	}
-
-	// 2. CPUfreq governors on their own periods.
-	for _, id := range domainIDs {
-		gov := e.cfg.Governors[id]
-		if now+1e-12 < e.nextGovS[id] {
-			continue
-		}
-		util, load := e.lastUtil[id], e.lastLoad[id]
-		if e.utilTime[id] > 0 {
-			util = e.utilAccum[id] / e.utilTime[id]
-			load = e.loadAccum[id] / e.utilTime[id]
-		}
-		dom := e.plat.Domain(id)
-		freq := gov.Decide(governor.Input{
-			NowS:        now,
-			UtilCores:   util,
-			MaxCoreLoad: load,
-			OnlineCores: e.plat.OnlineCores(id),
-			Touch:       e.touched[id],
-		}, dom)
-		dom.Request(now, freq)
-		e.utilAccum[id], e.loadAccum[id], e.utilTime[id] = 0, 0, 0
-		e.touched[id] = false
-		e.nextGovS[id] = now + gov.IntervalS()
-	}
-
-	// 3. Thermal governor on its period, acting on the sensed temperature.
-	if e.cfg.Thermal != nil && now+1e-12 >= e.nextThermS {
-		sensedK := e.SensorTempK()
-		for i, id := range domainIDs {
-			nodeK, err := e.plat.Net.Temperature(e.plat.Node(id))
-			if err != nil {
-				return err
-			}
-			e.thermStates[i].UtilCores = e.lastUtil[id]
-			e.thermStates[i].TempK = nodeK
-			e.thermStates[i].OnlineCores = e.plat.OnlineCores(id)
-		}
-		e.cfg.Thermal.Control(now, sensedK, e.thermStates)
-		e.nextThermS = now + e.cfg.Thermal.IntervalS()
-	}
-
-	// 4. Custom controller (the paper's governor) on its period.
-	if e.cfg.Controller != nil && now+1e-12 >= e.nextCtrlS {
-		e.cfg.Controller.Control(now, e)
-		e.nextCtrlS = now + e.cfg.Controller.IntervalS()
-	}
-
-	// 5. CPU scheduling under current capacities, into the reusable
-	// assignment (no per-step capacity map, no per-step result maps).
-	if err := e.sched.AssignInto(
-		sched.Capacity{FreqHz: e.plat.Domain(platform.DomLittle).CurrentHz(), Cores: e.plat.OnlineCores(platform.DomLittle)},
-		sched.Capacity{FreqHz: e.plat.Domain(platform.DomBig).CurrentHz(), Cores: e.plat.OnlineCores(platform.DomBig)},
-		&e.assign,
-	); err != nil {
-		return err
-	}
-	res := &e.assign
-
-	// 6. GPU sharing: proportional to demand under the single GPU queue.
-	gpuFreq := float64(e.plat.Domain(platform.DomGPU).CurrentHz())
-	for i := range e.gpuAchieved {
-		e.gpuAchieved[i] = 0
-	}
-	gpuGrantTotal := 0.0
-	if totalGPUDemand > 0 && gpuFreq > 0 {
-		scale := 1.0
-		if totalGPUDemand > gpuFreq {
-			scale = gpuFreq / totalGPUDemand
-		}
-		// Accumulate in app-spec order: float addition is not
-		// associative, and same-seed runs must be bitwise identical.
-		for i := range e.apps {
-			d := e.gpuDemand[i]
-			if d == 0 {
-				continue
-			}
-			g := d * scale
-			e.gpuAchieved[i] = g
-			gpuGrantTotal += g
-		}
-	}
-
-	// 7. Per-domain power at current temperatures.
-	utilCores := [3]float64{
-		res.UtilCores(sched.Little),
-		res.UtilCores(sched.Big),
-		0,
-	}
-	if gpuFreq > 0 {
-		utilCores[platform.DomGPU] = gpuGrantTotal / gpuFreq
-	}
-	// Busiest-core load per CPU domain: each task occupies up to Threads
-	// cores, each busy for achieved/(threads*freq) of the step. The GPU's
-	// single queue makes its load equal to its utilization.
-	maxLoad := [3]float64{}
-	for _, a := range e.apps {
-		task, ok := e.sched.Task(a.PID)
-		if !ok {
-			continue
-		}
-		var domID platform.DomainID
-		switch task.Cluster {
-		case sched.Little:
-			domID = platform.DomLittle
-		case sched.Big:
-			domID = platform.DomBig
-		default:
-			continue
-		}
-		freq := float64(e.plat.Domain(domID).CurrentHz())
-		if freq <= 0 {
-			continue
-		}
-		perCore := res.AchievedHz(a.PID) / (float64(task.Threads) * freq)
-		if perCore > 1 {
-			perCore = 1
-		}
-		if perCore > maxLoad[domID] {
-			maxLoad[domID] = perCore
-		}
-	}
-
-	var sample power.Sample
-	sample.TimeS = now
-	totalAchievedHz := gpuGrantTotal
-	for _, a := range e.apps {
-		totalAchievedHz += res.AchievedHz(a.PID)
-	}
-	domDynamic := [3]float64{}
-	for i := range e.powers {
-		e.powers[i] = 0
-	}
-	for _, id := range domainIDs {
-		dom := e.plat.Domain(id)
-		model := e.plat.Model(id)
-		opp := dom.CurrentOPP()
-		nodeK, err := e.plat.Net.Temperature(e.plat.Node(id))
-		if err != nil {
-			return err
-		}
-		dyn := model.Dynamic(opp, utilCores[id])
-		tot := dyn + model.IdleW + model.Leakage.Power(opp.VoltageV, nodeK)
-		domDynamic[id] = dyn
-		sample.W[e.plat.Rail(id)] += tot
-		e.powers[e.plat.Node(id)] += tot
-		load := maxLoad[id]
-		if id == platform.DomGPU {
-			load = utilCores[id]
-		}
-		e.lastUtil[id] = utilCores[id]
-		e.lastLoad[id] = load
-		e.utilAccum[id] += utilCores[id] * dt
-		e.loadAccum[id] += load * dt
-		e.utilTime[id] += dt
-	}
-	memW := e.plat.MemPower(totalAchievedHz)
-	sample.W[power.RailMem] += memW
-	if memID, ok := e.plat.NodeByName("mem"); ok {
-		e.powers[memID] += memW
-	}
-	dynTotal := memW
-	for _, id := range domainIDs {
-		dynTotal += domDynamic[id] + e.plat.Model(id).IdleW
-	}
-	e.dynWindow.Push(dynTotal)
-
-	// 8. Per-task power attribution: cluster dynamic power split by busy
-	// share, GPU dynamic power split by achieved GPU rate.
-	for i, a := range e.apps {
-		task, ok := e.sched.Task(a.PID)
-		if !ok {
-			continue
-		}
-		var p float64
-		switch task.Cluster {
-		case sched.Little:
-			p += domDynamic[platform.DomLittle] * res.BusyShare(a.PID)
-		case sched.Big:
-			p += domDynamic[platform.DomBig] * res.BusyShare(a.PID)
-		}
-		if gpuGrantTotal > 0 {
-			p += domDynamic[platform.DomGPU] * e.gpuAchieved[i] / gpuGrantTotal
-		}
-		e.taskPower[a.PID].Push(p)
-	}
-
-	// 9. Accounting: meter, DAQ, thermal integration, residency.
-	if err := e.meter.Record(sample, dt); err != nil {
-		return err
-	}
-	if e.cfg.DAQ != nil {
-		if err := e.cfg.DAQ.Observe(now, dt, sample.Total()); err != nil {
-			return err
-		}
-	}
-	if err := e.plat.Net.Step(dt, e.powers); err != nil {
-		return err
-	}
-	for _, id := range domainIDs {
-		e.plat.Domain(id).Advance(now, dt)
-	}
-
-	// 10. Applications consume their grants.
-	for i, a := range e.apps {
-		a.App.Advance(now, dt, workload.Resources{
-			CPUSpeedHz: res.AchievedHz(a.PID),
-			GPUSpeedHz: e.gpuAchieved[i],
-		})
-	}
-
-	// 11. Observation: publish one sample per trace period. The sample
-	// is built (and the platform sensor read) whether or not observers
-	// are attached, so the observer set never perturbs the dynamics.
-	if maxK, _, err := e.plat.Net.MaxTemperature(); err == nil && maxK > e.maxTempSeen {
-		e.maxTempSeen = maxK
-	}
-	if now+1e-12 >= e.nextTraceS {
-		if err := e.publishSample(now, sample); err != nil {
-			return err
-		}
-		e.nextTraceS = now + e.cfg.TracePeriodS
-	}
-
-	e.stepCount++
-	e.now = float64(e.stepCount) * dt
 	return nil
 }
 

@@ -360,12 +360,22 @@ func (e *Engine) Restore(blob []byte) error {
 	return nil
 }
 
-// ControllerTickPending reports whether the custom controller will run
-// a control decision on the engine's next step. The sweep warm-start
-// sentinel snapshots immediately before pending ticks: between two
-// controller actions, cells that differ only in the controller's
-// thermal limit are bit-identical, so a checkpoint taken here is a
-// valid fork point for every cell whose controller has not acted yet.
-func (e *Engine) ControllerTickPending() bool {
-	return e.cfg.Controller != nil && e.now+1e-12 >= e.nextCtrlS
+// StepsToControllerTick returns how many steps the engine takes before
+// its custom controller's next decision is pending: 0 when it runs on
+// the next step, -1 when the engine has no controller. It evaluates the
+// step loop's own tick test at each upcoming step time, so a run of that
+// many steps stops exactly at the tick. The sweep warm-start sentinel
+// snapshots right before ticks: between two controller actions, cells
+// that differ only in the controller's thermal limit are bit-identical,
+// so a checkpoint taken there is a valid fork point for every cell
+// whose controller has not acted yet.
+func (e *Engine) StepsToControllerTick() int {
+	if e.cfg.Controller == nil {
+		return -1
+	}
+	n := 0
+	for float64(e.stepCount+uint64(n))*e.cfg.StepS+1e-12 < e.nextCtrlS {
+		n++
+	}
+	return n
 }

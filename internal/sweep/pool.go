@@ -3,8 +3,6 @@ package sweep
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 )
 
 // Result is one completed scenario with its extracted metrics.
@@ -46,73 +44,26 @@ func (p *Pool) Run(ctx context.Context, scenarios []Scenario) ([]Result, error) 
 	if len(scenarios) == 0 {
 		return nil, nil
 	}
-	workers := p.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(scenarios) {
-		workers = len(scenarios)
-	}
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		cancel()
-	}
-
-	jobs := make(chan int)
 	results := make([]Result, len(scenarios))
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				if ctx.Err() != nil {
-					return
-				}
-				sc := scenarios[i]
-				m, err := p.RunFunc(ctx, sc)
-				if err != nil {
-					fail(fmt.Errorf("sweep: scenario %d (%s, seed %d): %w", sc.Index, sc.Key(), sc.Seed, err))
-					return
-				}
-				results[i] = Result{Scenario: sc, Metrics: m}
-				if p.OnResult != nil {
-					p.OnResult(results[i])
-				}
-			}
-		}()
-	}
-feed:
+	tasks := make([]func(ctx context.Context) error, len(scenarios))
 	for i := range scenarios {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break feed
+		i := i
+		tasks[i] = func(ctx context.Context) error {
+			sc := scenarios[i]
+			m, err := p.RunFunc(ctx, sc)
+			if err != nil {
+				return fmt.Errorf("sweep: scenario %d (%s, seed %d): %w", sc.Index, sc.Key(), sc.Seed, err)
+			}
+			results[i] = Result{Scenario: sc, Metrics: m}
+			if p.OnResult != nil {
+				p.OnResult(results[i])
+			}
+			return nil
 		}
 	}
-	close(jobs)
-	wg.Wait()
-
-	mu.Lock()
-	err := firstErr
-	mu.Unlock()
-	if err != nil {
+	pool := &TaskPool{Workers: p.Workers}
+	if err := pool.Run(ctx, tasks); err != nil {
 		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("sweep: canceled: %w", err)
 	}
 	return results, nil
 }

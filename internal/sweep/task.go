@@ -7,15 +7,13 @@ import (
 	"sync"
 )
 
-// TaskPool executes opaque work items on a fixed worker set with the
-// ordering, cancellation and first-error semantics shared by Pool,
-// BatchPool and GroupPool: tasks write their results into caller-owned
-// slots (each task owns disjoint output positions, so results are
-// independent of worker interleaving), the first task error cancels the
-// rest, and context cancellation stops feeding promptly. It is the
-// execution substrate the scenario pools layer their unit shapes on,
-// and the one consumers with custom units (the explore evaluator's
-// mixed warm-pack/cold-batch work lists) use directly.
+// TaskPool executes opaque work items on a fixed worker set: tasks
+// write their results into caller-owned slots (each task owns disjoint
+// output positions, so results are independent of worker interleaving),
+// the first task error cancels the rest, and context cancellation stops
+// feeding promptly. It is the one worker substrate of the repository:
+// Pool layers per-scenario tasks on it, and the mobisim sweep and
+// explore executors run one task per planned batch unit.
 type TaskPool struct {
 	// Workers is the concurrency; <= 0 uses GOMAXPROCS.
 	Workers int

@@ -124,6 +124,12 @@ func (s *Sensor) Read(nowS float64) (float64, error) {
 	return s.lastValue, nil
 }
 
+// Held returns the reading (Kelvin) the sensor currently holds — the
+// value the last Read returned — without sampling: unlike Read it never
+// advances the sample clock or the noise stream. It is 0 before the
+// first Read.
+func (s *Sensor) Held() float64 { return s.lastValue }
+
 // ReadCelsius is Read converted to degrees Celsius.
 func (s *Sensor) ReadCelsius(nowS float64) (float64, error) {
 	k, err := s.Read(nowS)

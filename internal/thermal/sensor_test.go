@@ -62,18 +62,24 @@ func TestSensorZeroOrderHold(t *testing.T) {
 	if err := n.SetTemperature(id, 310); err != nil {
 		t.Fatal(err)
 	}
+	if h := s.Held(); h != 0 {
+		t.Errorf("held before the first read = %v, want 0", h)
+	}
 	v0, _ := s.Read(0)
 	// Change the truth mid-period; the sensor must hold its sample.
 	if err := n.SetTemperature(id, 340); err != nil {
 		t.Fatal(err)
+	}
+	if h := s.Held(); h != v0 {
+		t.Errorf("held = %v, want the last read %v", h, v0)
 	}
 	vHeld, _ := s.Read(0.5)
 	if vHeld != v0 {
 		t.Errorf("mid-period read = %v, want held %v", vHeld, v0)
 	}
 	vNew, _ := s.Read(1.0)
-	if vNew != 340 {
-		t.Errorf("post-period read = %v, want 340", vNew)
+	if vNew != 340 || s.Held() != 340 {
+		t.Errorf("post-period read = %v, held %v, want 340", vNew, s.Held())
 	}
 }
 

@@ -7,17 +7,20 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/stability"
-	"repro/internal/sweep"
 )
 
-// DefaultBatchWidth is the lane count batched sweeps pack to when
-// SweepConfig.BatchWidth is left at BatchAuto, re-exported from the
-// expansion engine.
-const DefaultBatchWidth = sweep.DefaultBatchWidth
+// DefaultBatchWidth is the lane width PlanBatchUnits and
+// BatchRunner.RunUnit use when given a width <= 0 — the explore
+// evaluator's and the simd daemon's default, and the width
+// RunSweepBatched fills in. Eight lanes put one structure-of-arrays row
+// per thermal node on exactly one 64-byte cache line (and match the
+// fused kernel's specialized width). RunSweep itself reads a
+// SweepConfig.BatchWidth <= 0 as one lane per unit.
+const DefaultBatchWidth = 8
 
-// RunSweepBatched is RunSweep on the batched lockstep executor with
-// the default batch width — the convenience entry point for callers
-// that do not tune SweepConfig.BatchWidth themselves.
+// RunSweepBatched is RunSweep with SweepConfig.BatchWidth defaulted to
+// DefaultBatchWidth — the convenience entry point for callers that do
+// not tune the lane width themselves.
 func RunSweepBatched(ctx context.Context, m Matrix, cfg SweepConfig) (*SweepOutput, error) {
 	if cfg.BatchWidth == 0 {
 		cfg.BatchWidth = DefaultBatchWidth
@@ -25,30 +28,9 @@ func RunSweepBatched(ctx context.Context, m Matrix, cfg SweepConfig) (*SweepOutp
 	return RunSweep(ctx, m, cfg)
 }
 
-// batchRunner executes batches of same-platform scenarios on pooled,
-// reusable lockstep engines. One runner serves a whole sweep: the
-// free-listed BatchEngine shells (and their fused-kernel buffers) are
-// recycled across every batch the sweep's workers execute instead of
-// being constructed per matrix cell.
-type batchRunner struct {
-	pool sim.BatchPool
-}
-
-// run is the sweep.BatchRunFunc: map each expanded sweep point to its
-// facade scenario and run the batch through the shared lockstep spec
-// runner.
-func (r *batchRunner) run(ctx context.Context, batch []sweep.Scenario) ([]map[string]float64, error) {
-	specs := make([]Scenario, len(batch))
-	for i, sc := range batch {
-		specs[i] = warmSpec(sc)
-	}
-	return runLockstepSpecs(ctx, &r.pool, specs, batchRunOptions{})
-}
-
 // batchRunOptions is the internal form of BatchRunOptions: execution
-// knobs threaded through the spec-level runners. The zero value is the
-// classic configuration — no observers, ctx polled only between
-// stages — so the sweep executors pay nothing for the seam.
+// knobs threaded through the spec-level runners. The zero value — no
+// observers, ctx polled only between stages — is what RunSweep uses.
 type batchRunOptions struct {
 	ctxCheckSteps int
 	observer      func(i int) Observer
@@ -63,7 +45,7 @@ func (o batchRunOptions) observerFor(i int) Observer {
 	return o.observer(i)
 }
 
-// newBatchLane builds one lane engine exactly like the sequential path
+// newBatchLane builds one lane engine exactly like RunScenarioMetrics
 // does (recording disabled), attaching obs when non-nil. Observers
 // never perturb the simulated dynamics, so an observed lane stays
 // byte-identical to an unobserved one.
@@ -99,17 +81,15 @@ func advanceChunked(ctx context.Context, advance func(int) error, steps, chunk i
 	return nil
 }
 
-// runLockstepSpecs executes one batch of facade scenarios on a pooled
-// lockstep engine: build one constant-memory engine per lane, couple
-// them on a BatchEngine from the pool, advance all lanes together, and
-// extract per-lane metrics. Each lane is built exactly like the
-// sequential path's RunScenarioMetrics builds its engine, and lanes
-// never interact, so the metric sets are bitwise-identical to
-// sequential runs. All lanes must share a thermal topology with equal
-// parameter values (the pool rejects mixed batches) and span the same
-// step count; callers group accordingly. The sweep executors and the
-// explore evaluator both terminate here, so every consumer inherits the
-// pooled-engine, no-per-cell-construction hot path.
+// runLockstepSpecs executes one cold unit of facade scenarios on a
+// pooled lockstep engine: build one constant-memory engine per lane,
+// couple them on a BatchEngine from the pool, advance all lanes
+// together, and extract per-lane metrics. Each lane is built exactly
+// like RunScenarioMetrics builds its engine, and lanes never interact,
+// so the metric sets are bitwise-identical to RunScenarioMetrics runs.
+// All lanes must share a thermal topology with equal parameter values
+// (the pool rejects mixed batches) and span the same step count;
+// PlanBatchUnits groups accordingly.
 func runLockstepSpecs(ctx context.Context, pool *sim.BatchPool, specs []Scenario, opt batchRunOptions) ([]map[string]float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

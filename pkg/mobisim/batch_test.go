@@ -1,9 +1,10 @@
 package mobisim
 
-// Differential and determinism tests for the batched sweep executor:
-// the sequential per-scenario path is the oracle, and the batched
-// path must reproduce its serialized output byte for byte — across
-// platforms, batch widths, worker counts and GOMAXPROCS settings.
+// Differential and determinism tests for the sweep executor: every
+// cell run alone through RunScenarioMetrics and folded through
+// AggregateCells is the oracle, and RunSweep must reproduce its
+// serialized output byte for byte — across platforms, batch widths,
+// warm start, worker counts and GOMAXPROCS settings.
 
 import (
 	"bytes"
@@ -39,42 +40,69 @@ func encodeSweep(t *testing.T, out *SweepOutput) (jsonB, csvB []byte) {
 	return j.Bytes(), c.Bytes()
 }
 
+// cellOracle is the sweep executor's independent reference: every
+// cell of m simulated alone through RunScenarioMetrics, folded through
+// AggregateCells with raw results included.
+func cellOracle(t *testing.T, m Matrix) (jsonB, csvB []byte) {
+	t.Helper()
+	cells, err := ExpandCells(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics := make([]map[string]float64, len(cells))
+	for i, c := range cells {
+		if metrics[i], err = RunScenarioMetrics(context.Background(), c.Spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, err := AggregateCells(cells, metrics, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return encodeSweep(t, out)
+}
+
+// assertSweepMatchesOracle byte-compares RunSweep's JSON and CSV at
+// widths 0, 1, 3 and 8, with warm start off and on, against the
+// per-cell oracle, and returns the oracle's JSON.
+func assertSweepMatchesOracle(t *testing.T, m Matrix, workers int) []byte {
+	t.Helper()
+	wantJSON, wantCSV := cellOracle(t, m)
+	for _, warm := range []bool{false, true} {
+		for _, width := range []int{0, 1, 3, 8} {
+			out, err := RunSweep(context.Background(), m, SweepConfig{Workers: workers, BatchWidth: width, WarmStart: warm, IncludeRaw: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotJSON, gotCSV := encodeSweep(t, out)
+			if !bytes.Equal(gotJSON, wantJSON) {
+				t.Errorf("width %d warm %v: JSON differs from the per-cell oracle:\n--- sweep ---\n%s\n--- oracle ---\n%s", width, warm, gotJSON, wantJSON)
+			}
+			if !bytes.Equal(gotCSV, wantCSV) {
+				t.Errorf("width %d warm %v: CSV differs from the per-cell oracle:\n--- sweep ---\n%s\n--- oracle ---\n%s", width, warm, gotCSV, wantCSV)
+			}
+		}
+	}
+	return wantJSON
+}
+
 // TestBatchedSweepMatchesSequential is the executor differential: for
-// every batch width — including width 1, the degenerate single-lane
-// batch — the batched sweep's JSON and CSV bytes must equal the
-// sequential path's on the nexus6p + odroid-xu3 matrix.
+// every batch width — including 0 and 1, one lane per unit — with warm
+// start off and on, the sweep's JSON and CSV bytes must equal the
+// per-cell oracle's on the nexus6p + odroid-xu3 matrix.
 func TestBatchedSweepMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run simulation")
 	}
 	m := dualPlatformMatrix()
-	run := func(cfg SweepConfig) *SweepOutput {
-		t.Helper()
-		cfg.IncludeRaw = true
-		out, err := RunSweep(context.Background(), m, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	wantJSON, wantCSV := encodeSweep(t, run(SweepConfig{Workers: 1}))
-	for _, width := range []int{1, 3, 8} {
-		gotJSON, gotCSV := encodeSweep(t, run(SweepConfig{Workers: 1, BatchWidth: width}))
-		if !bytes.Equal(gotJSON, wantJSON) {
-			t.Errorf("width %d: batched JSON differs from sequential:\n--- batched ---\n%s\n--- sequential ---\n%s", width, gotJSON, wantJSON)
-		}
-		if !bytes.Equal(gotCSV, wantCSV) {
-			t.Errorf("width %d: batched CSV differs from sequential:\n--- batched ---\n%s\n--- sequential ---\n%s", width, gotCSV, wantCSV)
-		}
-	}
+	wantJSON := assertSweepMatchesOracle(t, m, 1)
 	// RunSweepBatched is RunSweep with the default width filled in.
 	out, err := RunSweepBatched(context.Background(), m, SweepConfig{Workers: 1, IncludeRaw: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotJSON, _ := encodeSweep(t, out)
-	if !bytes.Equal(gotJSON, wantJSON) {
-		t.Error("RunSweepBatched output differs from sequential")
+	if gotJSON, _ := encodeSweep(t, out); !bytes.Equal(gotJSON, wantJSON) {
+		t.Error("RunSweepBatched output differs from the per-cell oracle")
 	}
 }
 

@@ -261,8 +261,8 @@ func expandScenarios(m sweep.Matrix) ([]sweep.Scenario, error) {
 
 // RunScenarioMetrics runs one scenario in constant memory (recording
 // disabled, background kernels model-only) and returns its scalar
-// metrics. It is the sweep pool's unit of work, exported so external
-// pools can reuse it.
+// metrics. Every batched executor is byte-identical to it per cell;
+// it stays exported so external pools can run single cells.
 func RunScenarioMetrics(ctx context.Context, spec Scenario, opts ...Option) (map[string]float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -327,32 +327,37 @@ type SweepConfig struct {
 	Workers int
 	// IncludeRaw retains raw per-scenario results in the output.
 	IncludeRaw bool
-	// BatchWidth switches the sweep onto the batched lockstep executor:
-	// scenarios are grouped by platform, packed into batches of at most
-	// BatchWidth lanes, and stepped together through the fused
-	// structure-of-arrays kernel on pooled, reusable engines. 0 keeps
-	// the sequential per-scenario path (the oracle the batched path is
-	// differentially tested against); widths above 1 trade a larger
-	// per-worker working set for fused-kernel throughput, with 8
-	// (DefaultBatchWidth) the sweet spot on typical L1 sizes. Output
-	// bytes are identical for every width, including 0.
+	// BatchWidth is the lockstep lane count: PlanBatchUnits packs
+	// cells sharing a thermal topology and duration into units of at
+	// most BatchWidth lanes, stepped together through the fused
+	// structure-of-arrays kernel on pooled, reusable engines. <= 0
+	// means 1, one lane per unit, where each engine steps alone;
+	// widths above 1 trade a larger per-worker working set for
+	// fused-kernel throughput, with 8 (DefaultBatchWidth) the sweet
+	// spot on typical L1 sizes. Output bytes are identical for every
+	// width.
 	BatchWidth int
-	// WarmStart groups limit-aware cells by prefix content key
-	// (Scenario.PrefixKey), simulates each group's shared warm-up
-	// prefix once, snapshots the engine, and forks every member from
-	// the restored state instead of re-simulating the prefix per cell
-	// — the big win on replicate-heavy matrices sweeping the limits
-	// axis. Cells that do not group (limit-agnostic arms, singleton
-	// groups) run on the cold path selected by BatchWidth. Output
-	// bytes are identical with and without WarmStart (the sweep tests
-	// pin this); only execution cost changes.
+	// WarmStart plans limit-aware cells sharing a prefix content key
+	// (Scenario.PrefixKey) into warm units: each group's lowest-limit
+	// sentinel simulates the shared warm-up, its engine is
+	// snapshotted, and every other member forks from the restored
+	// state instead of re-simulating the prefix — the big win on
+	// replicate-heavy matrices sweeping the limits axis. A warm unit
+	// advances up to BatchWidth sentinels in lockstep and forks members
+	// BatchWidth at a time. Cells that do not group (limit-agnostic
+	// arms, singleton groups) run in cold units. Output bytes are
+	// identical with and without WarmStart (the sweep tests pin this);
+	// only execution cost changes.
 	WarmStart bool
 }
 
 // RunSweep expands the matrix and executes it on the parallel worker
-// pool, streaming per-scenario aggregates (scenario runs are
-// constant-memory: no trace series are materialized). It stops early
-// on the first scenario error or on context cancellation.
+// pool: PlanBatchUnits partitions the expanded cells into units and
+// each unit runs as one sweep.TaskPool task through
+// BatchRunner.RunUnit, the same seam the explore evaluator and the
+// simd daemon use. Scenario runs are constant-memory (no trace series
+// are materialized). It stops early on the first unit error or on
+// context cancellation.
 func RunSweep(ctx context.Context, m Matrix, cfg SweepConfig) (*SweepOutput, error) {
 	m.Normalize()
 	if err := m.Validate(); err != nil {
@@ -362,18 +367,34 @@ func RunSweep(ctx context.Context, m Matrix, cfg SweepConfig) (*SweepOutput, err
 	if err != nil {
 		return nil, fmt.Errorf("mobisim: %w", err)
 	}
-	var results []sweep.Result
-	if cfg.WarmStart {
-		results, err = runWarmSweep(ctx, scenarios, cfg)
-	} else if cfg.BatchWidth > 0 {
-		runner := &batchRunner{}
-		pool := &sweep.BatchPool{Workers: cfg.Workers, Width: cfg.BatchWidth, RunFunc: runner.run}
-		results, err = pool.Run(ctx, scenarios)
-	} else {
-		pool := &sweep.Pool{Workers: cfg.Workers, RunFunc: runSweepScenario}
-		results, err = pool.Run(ctx, scenarios)
+	specs := make([]Scenario, len(scenarios))
+	for i, sc := range scenarios {
+		specs[i] = warmSpec(sc)
 	}
+	width := max(cfg.BatchWidth, 1)
+	units, err := PlanBatchUnits(specs, width, cfg.WarmStart)
 	if err != nil {
+		return nil, err
+	}
+	var runner BatchRunner
+	results := make([]sweep.Result, len(scenarios))
+	tasks := make([]func(ctx context.Context) error, len(units))
+	for ui := range units {
+		u := units[ui]
+		tasks[ui] = func(ctx context.Context) error {
+			metrics, err := runner.RunUnit(ctx, specs, u, width, BatchRunOptions{})
+			if err != nil {
+				first := scenarios[u.Idx[0]]
+				return fmt.Errorf("sweep: unit of %d starting at scenario %d (%s): %w", len(u.Idx), first.Index, first.Key(), err)
+			}
+			for k, i := range u.Idx {
+				results[i] = sweep.Result{Scenario: scenarios[i], Metrics: metrics[k]}
+			}
+			return nil
+		}
+	}
+	pool := &sweep.TaskPool{Workers: cfg.Workers}
+	if err := pool.Run(ctx, tasks); err != nil {
 		return nil, err
 	}
 	return buildSweepOutput(results, cfg.IncludeRaw)
@@ -413,19 +434,6 @@ func buildSweepOutput(results []sweep.Result, includeRaw bool) (*SweepOutput, er
 		}
 	}
 	return out, nil
-}
-
-// runSweepScenario adapts one expanded sweep point to the facade's
-// constant-memory scenario runner.
-func runSweepScenario(ctx context.Context, sc sweep.Scenario) (map[string]float64, error) {
-	return RunScenarioMetrics(ctx, Scenario{
-		Platform:  sc.Platform,
-		Workload:  sc.Workload,
-		Governor:  sc.Governor,
-		LimitC:    sc.LimitC,
-		DurationS: sc.DurationS,
-		Seed:      sc.Seed,
-	})
 }
 
 // EncodeJSON writes the sweep output as indented JSON — the stable

@@ -13,107 +13,42 @@ import (
 	"repro/internal/thermal"
 )
 
-// Content-addressed prefix warm-start (SweepConfig.WarmStart).
+// Content-addressed prefix warm start (SweepConfig.WarmStart, the
+// explore evaluator, the simd daemon's warm units).
 //
-// Sweep cells that differ only in the thermal limit follow bitwise-
-// identical trajectories until the limit-aware governor's first
-// limit-dependent control action: a control tick that takes no action
-// mutates nothing that depends on the limit, and the time of the first
-// action is monotone in the limit (a lower limit is crossed no later
-// than a higher one). The warm executor exploits this:
+// Cells that differ only in the thermal limit follow bitwise-identical
+// trajectories until the limit-aware governor's first limit-dependent
+// control action: a control tick that takes no action mutates nothing
+// that depends on the limit. While the sensor reads below the lowest
+// limit in a group, the first action's time is monotone in the limit (a
+// lower limit is crossed no later than a higher one). The warm executor
+// exploits this:
 //
-//  1. Cells are grouped by PrefixKey — the content hash of everything
-//     but the limit (plus equal duration, required so one fork step
-//     count serves the whole group).
+//  1. PlanBatchUnits groups limit-aware cells by PrefixKey — the
+//     content hash of everything but the limit — within a thermal
+//     topology and duration, so one fork step count serves a group.
 //  2. Each group's sentinel — the member with the lowest effective
-//     limit — runs first, snapshotting its state once per control
-//     interval while it has not yet acted. Any checkpoint taken before
-//     the sentinel's first event is a state every member shares (no
-//     member can act before the sentinel), so the checkpoint cadence
-//     is a cost knob, not a correctness one. Under a batched
-//     configuration, the sentinels of several groups advance together
-//     as lanes of one lockstep engine.
-//  3. Every other member is built fresh, restored from its group's
-//     checkpoint, and only simulates the remaining steps — scalar or
-//     packed onto the batched lockstep executor, mirroring the cold
-//     paths.
-//  4. If a sentinel never acts, no member of its group ever acts and
-//     all members are bitwise-identical runs: they share the
-//     sentinel's metrics without simulating at all.
+//     limit — runs the full horizon, snapshotting its state right
+//     before each control tick. Its checkpoint becomes final at the
+//     first tick where it acts or where its sensor reads at or above
+//     its own limit: past that tick a member with a higher limit may
+//     act first, so only states before it are shared by every member.
+//     The sentinels of a unit's groups advance together as lanes of
+//     one lockstep engine.
+//  3. If the checkpoint became final, every other member is built
+//     fresh, restored from it, and simulates only the remaining steps,
+//     packed onto lockstep engines like cold cells.
+//  4. Otherwise no member ever acts, and all members are
+//     bitwise-identical runs: they share the sentinel's metrics
+//     without simulating at all.
 //
 // Because forked members replay the exact remaining step count from a
 // bitwise-exact restored state, warm-start output is byte-identical to
-// the cold executors for every matrix (the sweep tests pin this).
-
-// warmPlan is the partition of an expanded sweep for the warm executor.
-type warmPlan struct {
-	// groups are the warm groups (>= 2 members sharing a prefix), each
-	// in expansion order; groupPos holds the members' positions in the
-	// expanded scenario slice.
-	groups   [][]sweep.Scenario
-	groupPos [][]int
-	// coldPos are the positions of everything else — limit-agnostic
-	// arms and groupless limit-aware cells — in expansion order.
-	coldPos []int
-}
-
-// warmGroupKey identifies one warm group: the prefix content hash plus
-// the fields the executor additionally requires to agree — equal
-// duration (one fork step count per group) and the literal platform
-// name (batch lanes are packed per name).
-type warmGroupKey struct {
-	prefix    uint64
-	durationS float64
-	platform  string
-}
-
-// planWarmStart partitions the expanded scenarios into warm groups and
-// cold cells. Only limit-aware arms are groupable; a group needs at
-// least two members to be worth a sentinel.
-func planWarmStart(scenarios []sweep.Scenario) (*warmPlan, error) {
-	byKey := make(map[warmGroupKey][]int)
-	var order []warmGroupKey
-	for i, sc := range scenarios {
-		if !limitAware(sc.Governor) {
-			continue
-		}
-		prefix, err := warmSpec(sc).PrefixKey()
-		if err != nil {
-			return nil, fmt.Errorf("mobisim: warm-start plan: scenario %d (%s): %w", sc.Index, sc.Key(), err)
-		}
-		key := warmGroupKey{prefix: prefix, durationS: sc.DurationS, platform: sc.Platform}
-		if _, seen := byKey[key]; !seen {
-			order = append(order, key)
-		}
-		byKey[key] = append(byKey[key], i)
-	}
-	plan := &warmPlan{}
-	grouped := make(map[int]bool, len(scenarios))
-	for _, key := range order {
-		pos := byKey[key]
-		if len(pos) < 2 {
-			continue
-		}
-		group := make([]sweep.Scenario, len(pos))
-		for k, p := range pos {
-			group[k] = scenarios[p]
-			grouped[p] = true
-		}
-		plan.groups = append(plan.groups, group)
-		plan.groupPos = append(plan.groupPos, pos)
-	}
-	for i := range scenarios {
-		if !grouped[i] {
-			plan.coldPos = append(plan.coldPos, i)
-		}
-	}
-	return plan, nil
-}
+// cold runs for every matrix (the sweep tests pin this).
 
 // warmSpec maps one expanded sweep point to the facade scenario the
-// executor actually runs — the same mapping the cold paths use
-// (runSweepScenario, batchRunner), so the content keys address the
-// simulated cell, not a variant of it.
+// executor runs, so the content keys address the simulated cell, not a
+// variant of it.
 func warmSpec(sc sweep.Scenario) Scenario {
 	return Scenario{
 		Platform:     sc.Platform,
@@ -126,109 +61,23 @@ func warmSpec(sc sweep.Scenario) Scenario {
 	}
 }
 
-// runWarmSweep executes an expanded sweep under the warm-start policy:
-// cold cells ride the existing sequential or batched executor, warm
-// groups ride the group pool, and results land by expansion position so
-// aggregation sees exactly what the cold executors produce.
-func runWarmSweep(ctx context.Context, scenarios []sweep.Scenario, cfg SweepConfig) ([]sweep.Result, error) {
-	plan, err := planWarmStart(scenarios)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]sweep.Result, len(scenarios))
-
-	if len(plan.coldPos) > 0 {
-		cold := make([]sweep.Scenario, len(plan.coldPos))
-		for i, p := range plan.coldPos {
-			cold[i] = scenarios[p]
-		}
-		var coldResults []sweep.Result
-		if cfg.BatchWidth > 0 {
-			runner := &batchRunner{}
-			pool := &sweep.BatchPool{Workers: cfg.Workers, Width: cfg.BatchWidth, RunFunc: runner.run}
-			coldResults, err = pool.Run(ctx, cold)
-		} else {
-			pool := &sweep.Pool{Workers: cfg.Workers, RunFunc: runSweepScenario}
-			coldResults, err = pool.Run(ctx, cold)
-		}
-		if err != nil {
-			return nil, err
-		}
-		for i, p := range plan.coldPos {
-			results[p] = coldResults[i]
-		}
-	}
-
-	if len(plan.groups) > 0 {
-		// Pack consecutive groups sharing a platform and duration into
-		// one work unit each, so a batched runner can advance their
-		// sentinels together as lanes of one lockstep engine. Scalar
-		// runs use packs of one group; the pack size never changes
-		// output bytes, only execution grouping.
-		packWidth := 1
-		if cfg.BatchWidth > 0 {
-			packWidth = cfg.BatchWidth
-		}
-		var packs [][]sweep.Scenario
-		var packPos [][]int
-		for g := 0; g < len(plan.groups); {
-			key := warmPackKey(plan.groups[g][0])
-			var pack []sweep.Scenario
-			var pos []int
-			n := 0
-			for ; g < len(plan.groups) && n < packWidth && warmPackKey(plan.groups[g][0]) == key; g, n = g+1, n+1 {
-				pack = append(pack, plan.groups[g]...)
-				pos = append(pos, plan.groupPos[g]...)
-			}
-			packs = append(packs, pack)
-			packPos = append(packPos, pos)
-		}
-		runner := &warmRunner{batchWidth: cfg.BatchWidth}
-		pool := &sweep.GroupPool{Workers: cfg.Workers, RunFunc: runner.run}
-		packMetrics, err := pool.Run(ctx, packs)
-		if err != nil {
-			return nil, err
-		}
-		for g, pos := range packPos {
-			for k, p := range pos {
-				results[p] = sweep.Result{Scenario: scenarios[p], Metrics: packMetrics[g][k]}
-			}
-		}
-	}
-	return results, nil
-}
-
-// packKey is the pack-compatibility key: groups may share a lockstep
-// sentinel batch only on the same platform and duration.
-type packKey struct {
-	platform  string
-	durationS float64
-}
-
-func warmPackKey(sc sweep.Scenario) packKey {
-	return packKey{platform: sc.Platform, durationS: sc.DurationS}
-}
-
-// warmRunner executes warm packs: sentinel, checkpoint, fork. One
-// runner serves a whole sweep; its BatchEngine pool recycles lockstep
-// shells across every pack's sentinel and fork stages exactly like the
-// cold batched executor recycles them across batches.
-type warmRunner struct {
-	batchWidth int
-	pool       sim.BatchPool
-}
-
 // sentinelRun is one group's shared-prefix simulation in flight.
 type sentinelRun struct {
-	facade   *Engine
-	aware    *AppAwareGovernor
+	facade *Engine
+	aware  *AppAwareGovernor
+	// limitK is the limit the sentinel's governor enforces.
+	limitK   float64
 	ckpt     []byte
 	ckptStep int
-	acted    bool
+	// ticking marks a sentinel whose last advance was one control tick.
+	ticking bool
+	// final marks the checkpoint final: the sentinel acted, or its
+	// sensor read at or above limitK, at the tick after it.
+	final bool
 }
 
-// snapshotInto refreshes the sentinel's checkpoint (reusing both the
-// scratch writer and the checkpoint buffer) unless it has acted.
+// snapshotInto refreshes the sentinel's checkpoint, reusing both the
+// scratch writer and the checkpoint buffer.
 func (s *sentinelRun) snapshotInto(w *snapbin.Writer, step int) error {
 	w.Reset()
 	if err := s.facade.Sim().SnapshotTo(w); err != nil {
@@ -239,24 +88,11 @@ func (s *sentinelRun) snapshotInto(w *snapbin.Writer, step int) error {
 	return nil
 }
 
-// run is the sweep.GroupRunFunc. A pack holds one or more prefix
-// groups on one platform with one duration; metric sets come back in
-// pack order.
-func (r *warmRunner) run(ctx context.Context, pack []sweep.Scenario) ([]map[string]float64, error) {
-	specs := make([]Scenario, len(pack))
-	for i, sc := range pack {
-		specs[i] = warmSpec(sc)
-	}
-	return runWarmSpecs(ctx, &r.pool, specs, r.batchWidth, batchRunOptions{})
-}
-
-// runWarmSpecs executes one pack of facade scenarios under the warm-
-// start policy: sentinel, checkpoint, fork. A pack holds one or more
-// prefix groups sharing a thermal topology and duration; metric sets
-// come back in pack order. The sweep warm executor and the explore
-// evaluator both terminate here, so both inherit the same byte-exact
-// fork-from-snapshot contract.
-func runWarmSpecs(ctx context.Context, pool *sim.BatchPool, specs []Scenario, batchWidth int, opt batchRunOptions) ([]map[string]float64, error) {
+// runWarmSpecs executes one warm unit of facade scenarios: sentinel,
+// checkpoint, fork. A unit holds one or more prefix groups sharing a
+// thermal topology and duration; metric sets come back in unit order.
+// width bounds how many forked members step in lockstep together.
+func runWarmSpecs(ctx context.Context, pool *sim.BatchPool, specs []Scenario, width int, opt batchRunOptions) ([]map[string]float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -265,11 +101,10 @@ func runWarmSpecs(ctx context.Context, pool *sim.BatchPool, specs []Scenario, ba
 		return nil, err
 	}
 
-	// Sentinel stage: the lowest-limit member of every subgroup runs
-	// the full horizon, checkpointing once per control interval until
-	// its first event. Batched configurations advance all sentinels in
-	// lockstep; scalar configurations run them one by one (a pack then
-	// holds exactly one group).
+	// Sentinel stage: the lowest-limit member of every group runs the
+	// full horizon, all groups in lockstep on one pooled batch engine
+	// held across the whole horizon (each RunSteps call gathers from
+	// the lane engines, so mid-run lane snapshots stay coherent).
 	sentinels := make([]*sentinelRun, len(subs))
 	lanes := make([]*sim.Engine, len(subs))
 	for si, sub := range subs {
@@ -281,64 +116,58 @@ func runWarmSpecs(ctx context.Context, pool *sim.BatchPool, specs []Scenario, ba
 		if aware == nil {
 			return nil, fmt.Errorf("mobisim: warm group sentinel %d (governor %q) is not appaware", sub[0], specs[sub[0]].Governor)
 		}
-		sentinels[si] = &sentinelRun{facade: eng, aware: aware}
 		lanes[si] = eng.Sim()
+		sentinels[si] = &sentinelRun{facade: eng, aware: aware, limitK: aware.LimitK(lanes[si])}
 	}
 	steps := int(math.Round(specs[0].DurationS / lanes[0].StepS()))
-	span := int(math.Round(sentinels[0].aware.IntervalS() / lanes[0].StepS()))
-	if span < 1 {
-		span = 1
+	be, err := pool.Get(lanes)
+	if err != nil {
+		return nil, err
 	}
-
-	// Multi-lane packs advance in lockstep on one pooled batch engine,
-	// held across the whole horizon (each RunSteps call gathers from the
-	// lane engines, so mid-run lane snapshots stay coherent).
-	advance := func(n int) error { return lanes[0].RunSteps(n) }
-	if len(lanes) > 1 {
-		be, err := pool.Get(lanes)
-		if err != nil {
-			return nil, err
-		}
-		defer pool.Put(be)
-		advance = be.RunSteps
-	}
+	defer pool.Put(be)
 	var w snapbin.Writer
 	for done := 0; done < steps; {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		// Advance to the next control tick of any sentinel still
+		// tracking its checkpoint; at a tick, checkpoint and take the
+		// tick alone so its outcome is known before the next one.
 		n := steps - done
-		allActed := true
 		for _, s := range sentinels {
-			if s.acted {
+			if s.final {
 				continue
 			}
-			allActed = false
-			if err := s.snapshotInto(&w, done); err != nil {
-				return nil, err
+			k := s.facade.Sim().StepsToControllerTick()
+			if k == 0 {
+				if err := s.snapshotInto(&w, done); err != nil {
+					return nil, err
+				}
+				s.ticking = true
+				k = 1
 			}
+			n = min(n, k)
 		}
-		if !allActed && n > span {
-			// Only pace by control intervals while a checkpoint is
-			// still being tracked; once every sentinel has acted the
-			// rest of the horizon runs in one call.
-			n = span
-		}
-		if opt.ctxCheckSteps > 0 && n > opt.ctxCheckSteps {
+		if opt.ctxCheckSteps > 0 {
 			// Cancellation-latency cap: without it the post-event tail
-			// (and a pathologically long control interval) would run to
-			// the horizon between ctx polls. Chunking never changes the
-			// trajectory; a finer checkpoint cadence is a cost knob.
-			n = opt.ctxCheckSteps
+			// would run to the horizon between ctx polls. Chunking
+			// never changes the trajectory.
+			n = min(n, opt.ctxCheckSteps)
 		}
-		if err := advance(n); err != nil {
+		if err := be.RunSteps(n); err != nil {
 			return nil, err
 		}
 		done += n
 		for _, s := range sentinels {
-			if !s.acted && s.aware.EventCount() > 0 {
-				s.acted = true
+			if !s.ticking {
+				continue
 			}
+			s.ticking = false
+			// The sensor still holds the reading the governor took at
+			// the tick. A tick that took no reading decided nothing
+			// limit-dependent, so whatever the sensor holds then can
+			// only raise a false alarm, which costs a fork.
+			s.final = s.aware.EventCount() > 0 || s.facade.Sim().Platform().Sensor.Held() >= s.limitK
 		}
 	}
 
@@ -347,14 +176,14 @@ func runWarmSpecs(ctx context.Context, pool *sim.BatchPool, specs []Scenario, ba
 		out[sub[0]] = sentinels[si].facade.Metrics()
 	}
 
-	// Fork stage, per subgroup: members of never-acting groups share
-	// the sentinel's metrics outright (their runs would be bitwise-
-	// identical); members of acting groups restore the group's
-	// checkpoint and simulate the remaining steps.
+	// Fork stage, per group: members of groups whose checkpoint never
+	// became final share the sentinel's metrics outright (their runs
+	// would be bitwise-identical); the others restore the checkpoint
+	// and simulate the remaining steps, width members at a time.
 	for si, sub := range subs {
 		s := sentinels[si]
 		members := sub[1:]
-		if !s.acted {
+		if !s.final {
 			for _, oi := range members {
 				m := make(map[string]float64, len(out[sub[0]]))
 				for k, v := range out[sub[0]] {
@@ -365,39 +194,16 @@ func runWarmSpecs(ctx context.Context, pool *sim.BatchPool, specs []Scenario, ba
 			continue
 		}
 		forkSteps := steps - s.ckptStep
-		if batchWidth <= 0 {
-			for _, oi := range members {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				eng, err := newBatchLane(specs[oi], opt.observerFor(oi))
-				if err != nil {
-					return nil, err
-				}
-				if err := eng.Restore(s.ckpt); err != nil {
-					return nil, err
-				}
-				if err := advanceChunked(ctx, eng.RunSteps, forkSteps, opt.ctxCheckSteps); err != nil {
-					return nil, err
-				}
-				out[oi] = eng.Metrics()
-			}
-			continue
-		}
-		for start := 0; start < len(members); start += batchWidth {
+		for start := 0; start < len(members); start += width {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			end := start + batchWidth
-			if end > len(members) {
-				end = len(members)
-			}
-			chunk := members[start:end]
+			chunk := members[start:min(start+width, len(members))]
 			facades := make([]*Engine, len(chunk))
 			forkLanes := make([]*sim.Engine, len(chunk))
 			// Forked lanes share one stability memo exactly like cold
-			// batched lanes: they restart from a common state and feed
-			// the analysis bitwise-equal inputs until their limits
+			// lanes: they restart from a common state and feed the
+			// analysis bitwise-equal inputs until their limits
 			// diverge them.
 			shared := stability.NewTransientCache()
 			for i, oi := range chunk {
@@ -412,26 +218,26 @@ func runWarmSpecs(ctx context.Context, pool *sim.BatchPool, specs []Scenario, ba
 				facades[i] = eng
 				forkLanes[i] = eng.Sim()
 			}
-			be, err := pool.Get(forkLanes)
+			fbe, err := pool.Get(forkLanes)
 			if err != nil {
 				return nil, err
 			}
-			if err := advanceChunked(ctx, be.RunSteps, forkSteps, opt.ctxCheckSteps); err != nil {
+			if err := advanceChunked(ctx, fbe.RunSteps, forkSteps, opt.ctxCheckSteps); err != nil {
 				return nil, err
 			}
 			for i, oi := range chunk {
 				out[oi] = facades[i].Metrics()
 			}
-			pool.Put(be)
+			pool.Put(fbe)
 		}
 	}
 	return out, nil
 }
 
-// partitionWarmSpecs splits a pack into its prefix subgroups, each
+// partitionWarmSpecs splits a warm unit into its prefix groups, each
 // ordered by effective thermal limit ascending (sentinel first).
-// Subgroup membership is re-derived from the same content keys the
-// planner used, so a pack of several groups partitions exactly as
+// Group membership is re-derived from the same content keys the
+// planner used, so a unit of several groups partitions exactly as
 // planned.
 func partitionWarmSpecs(specs []Scenario) ([][]int, error) {
 	byKey := make(map[uint64][]int)
@@ -446,7 +252,7 @@ func partitionWarmSpecs(specs []Scenario) ([][]int, error) {
 		}
 		byKey[prefix] = append(byKey[prefix], i)
 	}
-	// Named-platform defaults are memoized per name so a pack does not
+	// Named-platform defaults are memoized per name so a unit does not
 	// rebuild the same platform per member.
 	effLimit := make([]float64, len(specs))
 	defaults := make(map[string]float64)

@@ -4,15 +4,14 @@ import (
 	"bytes"
 	"context"
 	"testing"
-
-	"repro/internal/sweep"
 )
 
 // TestWarmStartByteIdentity is the warm executor's contract test: for
 // matrices covering the fork path (limits the sentinel crosses early),
-// the never-acts full-copy path, and mixed governor arms, the warm
-// sweep output must be byte-identical to the cold output — scalar and
-// batched, including raw per-cell metrics.
+// the never-acts full-copy path, and mixed governor arms, every
+// RunSweep configuration — warm start off and on, at every width — must
+// be byte-identical to the per-cell oracle, including raw per-cell
+// metrics.
 func TestWarmStartByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run simulation")
@@ -55,118 +54,198 @@ func TestWarmStartByteIdentity(t *testing.T) {
 	for name, m := range matrices {
 		m := m
 		t.Run(name, func(t *testing.T) {
-			run := func(cfg SweepConfig) *SweepOutput {
+			assertSweepMatchesOracle(t, m, 2)
+		})
+	}
+}
+
+// TestWarmStartLimitAtPrewarm pins the sentinel's safety check. Both
+// platforms prewarm to a temperature their lowest limit here sits at
+// (Odroid 50 °C, Nexus 36 °C), so the lowest-limit sentinel starts on
+// or above its limit, where the governor's time-to-limit prediction
+// looks for a cooling crossing and never acts, while the next limit up
+// acts early. Its metrics must not be copied to that group; members
+// fork from the last checkpoint before the tick that read the sensor at
+// or above the sentinel's limit, and the warm output equals the cold
+// output byte for byte.
+func TestWarmStartLimitAtPrewarm(t *testing.T) {
+	matrices := map[string]Matrix{
+		"odroid-50": {
+			Platforms:  []string{PlatformOdroidXU3},
+			Workloads:  []string{"3dmark+bml"},
+			Governors:  []string{GovAppAware},
+			LimitsC:    []float64{50, 52, 58, 60},
+			Replicates: 2,
+			DurationS:  3,
+			BaseSeed:   1000904,
+		},
+		"nexus6p-36": {
+			Platforms:  []string{PlatformNexus6P},
+			Workloads:  []string{"3dmark+bml"},
+			Governors:  []string{GovAppAware},
+			LimitsC:    []float64{36, 38},
+			Replicates: 2,
+			DurationS:  3,
+			BaseSeed:   1000904,
+		},
+	}
+	for name, m := range matrices {
+		m := m
+		t.Run(name, func(t *testing.T) {
+			run := func(cfg SweepConfig) []byte {
 				t.Helper()
-				cfg.IncludeRaw = true
+				cfg.Workers, cfg.IncludeRaw = 2, true
 				out, err := RunSweep(context.Background(), m, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return out
+				j, _ := encodeSweep(t, out)
+				return j
 			}
-			coldJSON, coldCSV := encodeSweep(t, run(SweepConfig{Workers: 2}))
-
-			warmJSON, warmCSV := encodeSweep(t, run(SweepConfig{Workers: 2, WarmStart: true}))
-			if !bytes.Equal(coldJSON, warmJSON) {
-				t.Errorf("warm scalar JSON differs from cold:\ncold:\n%s\nwarm:\n%s", coldJSON, warmJSON)
-			}
-			if !bytes.Equal(coldCSV, warmCSV) {
-				t.Errorf("warm scalar CSV differs from cold")
-			}
-
-			warmBatchJSON, warmBatchCSV := encodeSweep(t, run(SweepConfig{Workers: 2, WarmStart: true, BatchWidth: DefaultBatchWidth}))
-			if !bytes.Equal(coldJSON, warmBatchJSON) {
-				t.Errorf("warm batched JSON differs from cold:\ncold:\n%s\nwarm:\n%s", coldJSON, warmBatchJSON)
-			}
-			if !bytes.Equal(coldCSV, warmBatchCSV) {
-				t.Errorf("warm batched CSV differs from cold")
-			}
-
-			// Worker-count independence holds on the warm path too.
-			serialJSON, _ := encodeSweep(t, run(SweepConfig{Workers: 1, WarmStart: true, BatchWidth: 3}))
-			if !bytes.Equal(coldJSON, serialJSON) {
-				t.Errorf("warm output depends on worker count or batch width")
+			cold := run(SweepConfig{BatchWidth: 1})
+			for _, width := range []int{1, 8} {
+				if warm := run(SweepConfig{BatchWidth: width, WarmStart: true}); !bytes.Equal(warm, cold) {
+					t.Errorf("width %d: warm output differs from cold:\ncold:\n%s\nwarm:\n%s", width, cold, warm)
+				}
 			}
 		})
 	}
 }
 
-// TestWarmStartPlan pins the grouping policy: limit-aware cells group
-// across the limits axis per replicate, limit-agnostic and singleton
-// cells stay cold, and every expansion position is covered exactly
-// once.
+// TestWarmStartPlan pins PlanBatchUnits' grouping policy over a matrix
+// mixing platforms, governor arms, limits, replicates and durations:
+// every cell is covered exactly once; warm units hold only appaware
+// cells, each sharing its prefix and duration with another cell of the
+// unit and with no cell outside it; cold units have at most width lanes
+// and never mix thermal topologies or durations.
 func TestWarmStartPlan(t *testing.T) {
-	m := Matrix{
-		Platforms:  []string{PlatformOdroidXU3},
-		Workloads:  []string{"3dmark+bml"},
-		Governors:  []string{GovAppAware, GovIPA},
-		LimitsC:    []float64{55, 60, 65},
-		Replicates: 2,
-		DurationS:  1,
-		BaseSeed:   1,
-	}
-	m.Normalize()
-	scenarios, err := expandScenarios(m.sweepMatrix())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 2 replicates * 3 limits appaware + 2 replicates * 1 collapsed ipa.
-	if len(scenarios) != 8 {
-		t.Fatalf("expansion has %d scenarios, want 8", len(scenarios))
-	}
-	plan, err := planWarmStart(scenarios)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plan.groups) != 2 {
-		t.Fatalf("plan has %d warm groups, want 2 (one per replicate)", len(plan.groups))
-	}
-	covered := make(map[int]int)
-	for g, pos := range plan.groupPos {
-		if len(pos) != 3 {
-			t.Errorf("group %d has %d members, want 3 (the limits axis)", g, len(pos))
+	var specs []Scenario
+	for _, durationS := range []float64{1, 2} {
+		m := Matrix{
+			Platforms:  []string{PlatformOdroidXU3, PlatformNexus6P},
+			Workloads:  []string{"3dmark+bml"},
+			Governors:  []string{GovAppAware, GovNone},
+			LimitsC:    []float64{55, 60, 65},
+			Replicates: 2,
+			DurationS:  durationS,
+			BaseSeed:   1,
 		}
-		seed := scenarios[pos[0]].Seed
-		for _, p := range pos {
-			covered[p]++
-			if !limitAware(scenarios[p].Governor) {
-				t.Errorf("limit-agnostic scenario %d landed in a warm group", p)
+		cells, err := ExpandCells(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cells {
+			specs = append(specs, c.Spec)
+		}
+	}
+	// A prefix group is one prefix at one duration: PrefixKey leaves
+	// the duration out, but one fork step count must serve a group.
+	type groupKey struct {
+		prefix    uint64
+		durationS float64
+	}
+	groups := make([]groupKey, len(specs))
+	topos := make([]uint64, len(specs))
+	for i, spec := range specs {
+		pk, err := spec.PrefixKey()
+		if err != nil {
+			t.Fatal(err)
+		}
+		groups[i] = groupKey{pk, spec.DurationS}
+		if topos[i], err = thermalTopoKey(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, warm := range []bool{false, true} {
+		for _, width := range []int{1, 3, 8} {
+			units, err := PlanBatchUnits(specs, width, warm)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if scenarios[p].Seed != seed {
-				t.Errorf("group %d mixes seeds %d and %d", g, seed, scenarios[p].Seed)
+			covered := make([]int, len(specs))
+			unitOf := make(map[groupKey]int)
+			warmCells := 0
+			for ui, u := range units {
+				if len(u.Idx) == 0 {
+					t.Fatalf("width %d warm %v: unit %d is empty", width, warm, ui)
+				}
+				for _, i := range u.Idx {
+					covered[i]++
+				}
+				if u.Warm {
+					if !warm {
+						t.Errorf("width %d: warm unit %d planned with warm start off", width, ui)
+					}
+					inUnit := make(map[groupKey]int)
+					for _, i := range u.Idx {
+						if !limitAware(specs[i].Governor) {
+							t.Errorf("width %d: limit-agnostic cell %d in warm unit %d", width, i, ui)
+						}
+						inUnit[groups[i]]++
+						if prev, ok := unitOf[groups[i]]; ok && prev != ui {
+							t.Errorf("width %d: prefix group of cell %d split across warm units %d and %d", width, i, prev, ui)
+						}
+						unitOf[groups[i]] = ui
+					}
+					for _, i := range u.Idx {
+						if inUnit[groups[i]] < 2 {
+							t.Errorf("width %d: cell %d shares its prefix with no other cell of warm unit %d", width, i, ui)
+						}
+					}
+					if len(inUnit) > width {
+						t.Errorf("width %d: warm unit %d packs %d prefix groups", width, ui, len(inUnit))
+					}
+					warmCells += len(u.Idx)
+					continue
+				}
+				if len(u.Idx) > width {
+					t.Errorf("width %d warm %v: cold unit %d has %d lanes", width, warm, ui, len(u.Idx))
+				}
+				first := u.Idx[0]
+				for _, i := range u.Idx {
+					if topos[i] != topos[first] || specs[i].DurationS != specs[first].DurationS {
+						t.Errorf("width %d warm %v: cold unit %d mixes cells %d and %d of different topology or duration", width, warm, ui, first, i)
+					}
+				}
 			}
-		}
-	}
-	for _, p := range plan.coldPos {
-		covered[p]++
-		if limitAware(scenarios[p].Governor) {
-			t.Errorf("appaware scenario %d (limit %g) fell off the warm plan", p, scenarios[p].LimitC)
-		}
-	}
-	for i := range scenarios {
-		if covered[i] != 1 {
-			t.Errorf("scenario %d covered %d times, want exactly once", i, covered[i])
+			for i, n := range covered {
+				if n != 1 {
+					t.Errorf("width %d warm %v: cell %d covered %d times, want exactly once", width, warm, i, n)
+				}
+			}
+			// 2 durations x 2 platforms x 2 replicates x 3 limits.
+			if want := 24; warm && warmCells != want {
+				t.Errorf("width %d: warm units hold %d cells, want all %d appaware cells", width, warmCells, want)
+			}
 		}
 	}
 
 	// A single-limit matrix yields singleton prefix groups: everything
-	// stays cold, and warm-start degenerates to the cold executor.
-	single := m
-	single.LimitsC = []float64{55}
-	single.Normalize()
-	scenarios, err = expandScenarios(single.sweepMatrix())
+	// stays cold, and warm start degenerates to the cold executor.
+	cells, err := ExpandCells(Matrix{
+		Platforms:  []string{PlatformOdroidXU3},
+		Workloads:  []string{"3dmark+bml"},
+		Governors:  []string{GovAppAware},
+		LimitsC:    []float64{55},
+		Replicates: 2,
+		DurationS:  1,
+		BaseSeed:   1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err = planWarmStart(scenarios)
+	single := make([]Scenario, len(cells))
+	for i, c := range cells {
+		single[i] = c.Spec
+	}
+	units, err := PlanBatchUnits(single, 8, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.groups) != 0 {
-		t.Errorf("single-limit matrix formed %d warm groups, want 0", len(plan.groups))
-	}
-	if len(plan.coldPos) != len(scenarios) {
-		t.Errorf("cold set has %d cells, want all %d", len(plan.coldPos), len(scenarios))
+	for ui, u := range units {
+		if u.Warm {
+			t.Errorf("single-limit matrix planned warm unit %d", ui)
+		}
 	}
 }
 
@@ -185,30 +264,5 @@ func TestWarmStartCancellation(t *testing.T) {
 	}
 	if _, err := RunSweep(ctx, m, SweepConfig{WarmStart: true}); err == nil {
 		t.Error("canceled context should abort the warm sweep")
-	}
-}
-
-// TestGroupPoolContract pins the group pool's error handling: empty
-// groups and mismatched metric counts are rejected.
-func TestGroupPoolContract(t *testing.T) {
-	ctx := context.Background()
-	sc := sweep.Scenario{Platform: "p", Workload: "w", Governor: "g", DurationS: 1}
-	ok := func(_ context.Context, group []sweep.Scenario) ([]map[string]float64, error) {
-		return make([]map[string]float64, len(group)), nil
-	}
-	pool := &sweep.GroupPool{RunFunc: ok}
-	if _, err := pool.Run(ctx, [][]sweep.Scenario{{}}); err == nil {
-		t.Error("empty group should be rejected")
-	}
-	short := func(context.Context, []sweep.Scenario) ([]map[string]float64, error) {
-		return nil, nil
-	}
-	pool = &sweep.GroupPool{RunFunc: short}
-	if _, err := pool.Run(ctx, [][]sweep.Scenario{{sc}}); err == nil {
-		t.Error("metric-count mismatch should be rejected")
-	}
-	pool = &sweep.GroupPool{}
-	if _, err := pool.Run(ctx, [][]sweep.Scenario{{sc}}); err == nil {
-		t.Error("missing RunFunc should be rejected")
 	}
 }
