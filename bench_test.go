@@ -12,6 +12,7 @@ package repro_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/appaware"
@@ -475,6 +476,15 @@ func BenchmarkEngineStepForked(b *testing.B) {
 // ns/lane-step metric is directly comparable to BenchmarkEngineStep.
 func BenchmarkBatchEngineStep(b *testing.B) {
 	benchkit.BatchEngineStep(8)(b)
+}
+
+// BenchmarkBatchNetworkStep measures the fused thermal RK4 step alone
+// at widths 4 (one padded 8-lane block), 8 (one full block) and 16
+// (two blocks). CI gates every width at 0 allocs/op.
+func BenchmarkBatchNetworkStep(b *testing.B) {
+	for _, width := range []int{4, 8, 16} {
+		b.Run(fmt.Sprintf("width-%d", width), benchkit.BatchNetworkStep(width))
+	}
 }
 
 // BenchmarkBatchEngineStepObserved is BenchmarkBatchEngineStep with a

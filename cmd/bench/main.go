@@ -68,6 +68,8 @@ func main() {
 		{"EngineStep", benchkit.EngineStep},
 		{"EngineStepForked", benchkit.ForkedEngineStep},
 		{"BatchEngineStep/width-8", benchkit.BatchEngineStep(8)},
+		{"BatchEngineStep/width-4", benchkit.BatchEngineStep(4)},
+		{"BatchNetworkStep/width-8", benchkit.BatchNetworkStep(8)},
 		{"BatchEngineStepObserved/width-8", benchkit.BatchEngineStepObserved(8)},
 		{"ExploreCandidateStep/width-8", benchkit.ExploreCandidateStep(8)},
 	}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/platform"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/thermal"
 	"repro/internal/workload"
 	"repro/pkg/mobisim"
 )
@@ -239,6 +240,40 @@ func BatchEngineStep(width int) func(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if err := be.RunSteps(1); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*width), "ns/lane-step")
+	}
+}
+
+// BatchNetworkStep returns the thermal-kernel benchmark: width Odroid
+// thermal networks (distinct seeds, prewarmed to 50 °C) under a fixed
+// packed power injection, advanced one BatchNetwork.Step per
+// iteration. It isolates the RK4 layer of BatchEngineStep; CI gates it
+// at 0 allocs/op. Widths that are not a multiple of 8 run padded
+// 8-lane blocks, so ns/lane-step shows what a partial unit costs.
+func BatchNetworkStep(width int) func(b *testing.B) {
+	return func(b *testing.B) {
+		nets := make([]*thermal.Network, width)
+		for i := range nets {
+			plat := platform.OdroidXU3(int64(i + 1))
+			if err := plat.Prewarm(50); err != nil {
+				b.Fatal(err)
+			}
+			nets[i] = plat.Net
+		}
+		bn, err := thermal.NewBatchNetwork(nets)
+		if err != nil {
+			b.Fatal(err)
+		}
+		packed := make([]float64, bn.NumNodes()*width)
+		for x := range packed {
+			packed[x] = 0.25 * float64(x%7)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := bn.Step(0.001, packed); err != nil {
 				b.Fatal(err)
 			}
 		}

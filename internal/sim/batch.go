@@ -1,15 +1,17 @@
 // Batched lockstep execution: BatchEngine steps B independent engines
-// together, so a scenario sweep pays the expensive O(m²) thermal kernel
-// once per batch (cache-hot, over structure-of-arrays state) instead of
-// once per engine.
+// together, so a scenario sweep integrates the thermal networks of
+// eight lanes per call of thermal.BatchNetwork's packed RK4 kernel
+// instead of one network per Network.Step.
 //
 // Every lane runs the engine's own stepPre and stepPost (step.go); only
-// the thermal integration between them is fused across lanes. Lanes
-// never interact, and the fused kernel performs each lane's float64
-// operations in the same order as Network.Step, so a batched lane is
-// bitwise-identical to the engine stepped alone (TestBatchMatchesScalar,
-// the sweep goldens). A one-lane batch needs no fused kernel and steps
-// its engine directly.
+// the thermal integration between them is fused across lanes. Each
+// lane's stepPre output powers go straight into its slot of the
+// kernel's block-of-8 layout. Lanes never interact, and the kernel
+// performs each lane's float64 operations in the same order as
+// Network.Step, so a batched lane is bitwise-identical to the engine
+// stepped alone at every width (TestBatchMatchesScalar, the sweep
+// goldens). A one-lane batch needs no fused kernel and steps its
+// engine directly.
 package sim
 
 import (
@@ -34,11 +36,10 @@ import (
 // immediately; the failing step may then be partially applied across
 // lanes, so a failed batch should be discarded, not resumed.
 type BatchEngine struct {
-	lanes  []*Engine
-	bnet   *thermal.BatchNetwork
-	nets   []*thermal.Network
-	powers []float64 // node-major packed injection: [node*B + lane]
-	stepS  float64
+	lanes []*Engine
+	bnet  *thermal.BatchNetwork
+	nets  []*thermal.Network
+	stepS float64
 }
 
 // NewBatchEngine couples the given engines into one lockstep batch.
@@ -78,11 +79,6 @@ func (b *BatchEngine) Reset(lanes []*Engine) error {
 		} else if err := b.bnet.Rebind(b.nets); err != nil {
 			return err
 		}
-		if need := b.bnet.NumNodes() * len(lanes); cap(b.powers) < need {
-			b.powers = make([]float64, need)
-		} else {
-			b.powers = b.powers[:need]
-		}
 	}
 	b.lanes = append(b.lanes[:0], lanes...)
 	b.stepS = step
@@ -107,10 +103,10 @@ func (b *BatchEngine) Run(durationS float64) error {
 }
 
 // RunSteps advances every lane by exactly steps fixed integration
-// steps. Per step, each lane runs its pre-thermal phases, the fused
-// kernel integrates all lanes' thermal networks in one pass, and each
-// lane runs its post-thermal phases. Steady-state execution performs
-// zero allocations.
+// steps. Per step, each lane runs its pre-thermal phases and stages
+// its node powers, the fused kernel integrates all lanes' thermal
+// networks, and each lane runs its post-thermal phases. Steady-state
+// execution performs zero allocations.
 func (b *BatchEngine) RunSteps(steps int) error {
 	if len(b.lanes) == 1 {
 		return b.lanes[0].RunSteps(steps)
@@ -122,17 +118,14 @@ func (b *BatchEngine) RunSteps(steps int) error {
 	// been written externally (Prewarm, SetTemperature) since the last
 	// fused step. Within the run the kernel keeps both sides coherent.
 	b.bnet.Gather()
-	B := len(b.lanes)
 	for s := 0; s < steps; s++ {
 		for li, e := range b.lanes {
 			if err := e.stepPre(); err != nil {
 				return fmt.Errorf("sim: lane %d t=%.3fs: %w", li, e.now, err)
 			}
-			for i, w := range e.powers {
-				b.powers[i*B+li] = w
-			}
+			b.bnet.SetLanePowers(li, e.powers)
 		}
-		if err := b.bnet.Step(b.stepS, b.powers); err != nil {
+		if err := b.bnet.Advance(b.stepS); err != nil {
 			return fmt.Errorf("sim: batch thermal step: %w", err)
 		}
 		for li, e := range b.lanes {

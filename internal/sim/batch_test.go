@@ -8,6 +8,7 @@ package sim_test
 // pins the batched path to the original implementation.
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -30,10 +31,31 @@ const (
 	armNone
 )
 
-// buildBatchTestEngine assembles one odroid or nexus scenario for the
-// given seed and arm, mirroring the sweeps' constant-memory setup but
-// with recording enabled so traces can be compared.
+// buildBatchTestEngine assembles one odroid, nexus or tricluster
+// scenario for the given seed and arm, mirroring the sweeps'
+// constant-memory setup but with recording enabled so traces can be
+// compared. The platform is prewarmed to 50 °C.
 func buildBatchTestEngine(t *testing.T, platName string, seed int64, arm batchArm) *sim.Engine {
+	t.Helper()
+	return newTestEngine(t, batchTestConfig(t, platName, seed, arm))
+}
+
+// newTestEngine builds cfg and prewarms its platform to 50 °C.
+func newTestEngine(t *testing.T, cfg sim.Config) *sim.Engine {
+	t.Helper()
+	eng, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cfg.Platform.Prewarm(50); err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+// batchTestConfig is buildBatchTestEngine's config, for tests that
+// adjust it before building.
+func batchTestConfig(t *testing.T, platName string, seed int64, arm batchArm) sim.Config {
 	t.Helper()
 	var plat *platform.Platform
 	switch platName {
@@ -41,6 +63,14 @@ func buildBatchTestEngine(t *testing.T, platName string, seed int64, arm batchAr
 		plat = platform.OdroidXU3(seed)
 	case "nexus":
 		plat = platform.Nexus6P(seed)
+	case "tricluster":
+		spec, err := platform.LoadSpecFile("../../testdata/platforms/tricluster.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plat, err = spec.Compile(seed); err != nil {
+			t.Fatal(err)
+		}
 	default:
 		t.Fatalf("unknown platform %q", platName)
 	}
@@ -93,14 +123,7 @@ func buildBatchTestEngine(t *testing.T, platName string, seed int64, arm batchAr
 	case armNone:
 		cfg.Thermal = thermgov.None{}
 	}
-	eng, err := sim.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := plat.Prewarm(50); err != nil {
-		t.Fatal(err)
-	}
-	return eng
+	return cfg
 }
 
 // compareLane asserts a batched lane ended bitwise-identical to its
@@ -140,23 +163,37 @@ func compareLane(t *testing.T, name string, scalar, batched *sim.Engine) {
 
 // TestBatchMatchesScalar is the batched path's oracle test: lanes with
 // distinct seeds and thermal arms, stepped in lockstep, must match
-// solo scalar runs bitwise. Widths 1..4 cover the degenerate
-// single-lane batch and interacting multi-lane packing.
+// solo scalar runs bitwise. The widths cover the single-lane batch,
+// partial 8-lane kernel blocks (2, 3, 4, 7), one padded block after a
+// full one (9) and two full blocks (16), on all three topologies the
+// sweep benchmark runs.
 func TestBatchMatchesScalar(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run simulation")
 	}
 	const durationS = 3
 	steps := int(durationS * 1000)
-	cases := []struct {
-		name string
-		plat string
-		arms []batchArm
-	}{
-		{"odroid-ipa-appaware-none", "odroid", []batchArm{armIPA, armAppAware, armNone}},
-		{"odroid-width4", "odroid", []batchArm{armAppAware, armAppAware, armIPA, armNone}},
-		{"nexus-stepwise-none", "nexus", []batchArm{armStepwise, armNone}},
-		{"odroid-width1", "odroid", []batchArm{armAppAware}},
+	type batchCase struct {
+		name  string
+		plat  string
+		arms  []batchArm
+		steps int
+	}
+	cases := []batchCase{
+		{"odroid-ipa-appaware-none", "odroid", []batchArm{armIPA, armAppAware, armNone}, steps},
+		{"odroid-width4", "odroid", []batchArm{armAppAware, armAppAware, armIPA, armNone}, steps},
+		{"nexus-stepwise-none", "nexus", []batchArm{armStepwise, armNone}, steps},
+		{"odroid-width1", "odroid", []batchArm{armAppAware}, steps},
+	}
+	allArms := []batchArm{armIPA, armStepwise, armAppAware, armNone}
+	for _, plat := range []string{"odroid", "nexus", "tricluster"} {
+		for _, width := range []int{2, 4, 7, 9, 16} {
+			arms := make([]batchArm, width)
+			for i := range arms {
+				arms[i] = allArms[(i+width)%len(allArms)]
+			}
+			cases = append(cases, batchCase{fmt.Sprintf("%s-lanes%d", plat, width), plat, arms, 1500})
+		}
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -168,7 +205,7 @@ func TestBatchMatchesScalar(t *testing.T) {
 				lanes[i] = buildBatchTestEngine(t, tc.plat, seed, arm)
 			}
 			for _, e := range scalars {
-				if err := e.RunSteps(steps); err != nil {
+				if err := e.RunSteps(tc.steps); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -176,7 +213,7 @@ func TestBatchMatchesScalar(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := be.RunSteps(steps); err != nil {
+			if err := be.RunSteps(tc.steps); err != nil {
 				t.Fatal(err)
 			}
 			for i := range lanes {
@@ -258,4 +295,43 @@ func TestStepsToControllerTick(t *testing.T) {
 	if got := buildBatchTestEngine(t, "odroid", 1, armIPA).StepsToControllerTick(); got != -1 {
 		t.Errorf("engine without a controller: StepsToControllerTick = %d, want -1", got)
 	}
+}
+
+// TestBatchEngineRunValidates covers BatchEngine's argument checks and
+// pins Run's duration-to-step conversion to Engine.Run's.
+func TestBatchEngineRunValidates(t *testing.T) {
+	if _, err := sim.NewBatchEngine(nil); err == nil {
+		t.Error("empty batch should be rejected")
+	}
+	coarse := batchTestConfig(t, "odroid", 2, armNone)
+	coarse.StepS = 0.002
+	mixed := []*sim.Engine{buildBatchTestEngine(t, "odroid", 1, armNone), newTestEngine(t, coarse)}
+	if _, err := sim.NewBatchEngine(mixed); err == nil {
+		t.Error("lanes with different step sizes should be rejected")
+	}
+
+	lanes := []*sim.Engine{buildBatchTestEngine(t, "odroid", 1, armIPA), buildBatchTestEngine(t, "odroid", 2, armNone)}
+	be, err := sim.NewBatchEngine(lanes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := be.Lanes(); len(got) != 2 || got[0] != lanes[0] || got[1] != lanes[1] {
+		t.Fatalf("Lanes() = %v, want the engines in lane order", got)
+	}
+	for _, d := range []float64{0, -1, math.NaN(), math.Inf(1), 1e300} {
+		if err := be.Run(d); err == nil {
+			t.Errorf("Run(%v) should be rejected", d)
+		}
+	}
+	if err := be.RunSteps(-1); err == nil {
+		t.Error("negative step count should be rejected")
+	}
+	solo := buildBatchTestEngine(t, "odroid", 1, armIPA)
+	if err := solo.Run(0.25); err != nil {
+		t.Fatal(err)
+	}
+	if err := be.Run(0.25); err != nil {
+		t.Fatal(err)
+	}
+	compareLane(t, "run", solo, lanes[0])
 }

@@ -3,47 +3,53 @@ package thermal
 import (
 	"fmt"
 	"math"
+	"unsafe"
 )
 
-// couple is one directed nonzero conductance entry of the shared
-// matrix, in the row-major order the scalar derivative kernel walks.
-// Keeping the order identical is what makes the batched kernel
-// bitwise-equal to the scalar one: per lane, every node accumulates
-// exactly the same terms in exactly the same sequence.
-type couple struct {
-	i, j int
-	g    float64
-}
-
-// BatchNetwork steps B same-topology networks in lockstep through
-// structure-of-arrays state: temperatures, RK4 slopes and stage vectors
-// are packed node-major (index i*B + lane), so one pass over the shared
-// conductance structure serves every lane with lane-contiguous inner
-// loops. The per-lane arithmetic — term order, stage combinations, the
-// final capacitance division — mirrors Network.stepInto exactly, so a
-// batched lane is bitwise-identical to the same network stepped alone
-// (the differential test in this package pins that).
+// BatchNetwork steps B same-topology networks in lockstep. Lanes are
+// packed into blocks of eight, and each block is stored node-major: in
+// block k, node i of lane l lives at k*m*8 + i*8 + l, so node i's eight
+// lanes form one 64-byte lane row (the buffers are 64-byte aligned, one
+// lane row per cache line). One call of the 8-lane RK4 kernel
+// (kernel.go) integrates a whole block: packed SSE2 assembly on amd64,
+// the portable Go kernel elsewhere. Every width runs that kernel; a
+// partial last block is padded with lanes that hold ambient temperature
+// under zero power, which stay exactly at ambient and whose results go
+// to a sink.
 //
-// The batch holds live references to the member networks: Step gathers
-// their temperatures, integrates, and scatters the results back, so
-// interleaved per-lane reads (sensors, governors) always see current
-// state. A BatchNetwork is not safe for concurrent use, and the member
-// networks must not be stepped independently while batched (nothing
-// breaks, but those steps would not be fused).
+// Per lane, the kernel performs Network.stepInto's float64 operations
+// in the same order (the rules are listed in kernel.go), so a batched
+// lane is bitwise-identical to the same network stepped alone; the
+// differential tests in this package pin that for the assembly and the
+// portable kernel alike.
+//
+// The batch holds live references to the member networks: Gather
+// reads their temperatures, and the kernel's final pass writes each
+// step's results straight back into their storage, so interleaved
+// per-lane reads (sensors, governors) always see current state. A
+// BatchNetwork is not safe for concurrent use, and the member networks
+// must not be stepped independently while batched (nothing breaks, but
+// those steps would not be fused).
 type BatchNetwork struct {
 	nets  []*Network
 	m     int // nodes per network
 	lanes int // B
 
 	// Shared topology, validated bitwise-equal across lanes.
-	ambient  float64
-	capc     []float64 // len m
-	gAmb     []float64 // len m
-	pairs    []couple  // row-major directed nonzero conductances
-	rowStart []int     // pairs index range of row i: [rowStart[i], rowStart[i+1])
+	ambient float64
+	rows    []nodeRow // len m
+	pairs   []couple  // row-major nonzero conductances
 
-	// Node-major SoA state and scratch, len m*lanes.
-	temps, k1, k2, k3, k4, stage []float64
+	// Block-of-8 state, len ceil(B/8)*m*8: temperatures and the staged
+	// per-node power injection. scratch is the kernel's scratch for
+	// one block, reused by every block.
+	temps, powers, scratch []float64
+
+	// outs[k][l] is where the kernel writes lane 8k+l's temperatures:
+	// the member network's own storage, or sink for padding lanes.
+	// len(outs) is the block count.
+	outs [][8][]float64
+	sink []float64
 }
 
 // NewBatchNetwork couples the given networks into one lockstep batch.
@@ -79,33 +85,56 @@ func (bn *BatchNetwork) Rebind(nets []*Network) error {
 
 	bn.nets = append(bn.nets[:0], nets...)
 	bn.ambient = proto.ambient
-	bn.capc = append(bn.capc[:0], proto.capc...)
-	bn.gAmb = append(bn.gAmb[:0], proto.gAmb...)
+	bn.rows = bn.rows[:0]
 	bn.pairs = bn.pairs[:0]
-	bn.rowStart = bn.rowStart[:0]
 	for i := 0; i < m; i++ {
-		bn.rowStart = append(bn.rowStart, len(bn.pairs))
-		row := proto.g[i*m : i*m+m]
-		for j, g := range row {
+		first := len(bn.pairs)
+		for j, g := range proto.g[i*m : i*m+m] {
 			if g != 0 {
-				bn.pairs = append(bn.pairs, couple{i: i, j: j, g: g})
+				bn.pairs = append(bn.pairs, couple{j: j, g: g})
 			}
 		}
+		bn.rows = append(bn.rows, nodeRow{gAmb: proto.gAmb[i], capc: proto.capc[i], n: len(bn.pairs) - first})
 	}
-	bn.rowStart = append(bn.rowStart, len(bn.pairs))
 
 	if bn.m != m || bn.lanes != len(nets) {
 		bn.m, bn.lanes = m, len(nets)
-		size := m * len(nets)
-		bn.temps = make([]float64, size)
-		bn.k1 = make([]float64, size)
-		bn.k2 = make([]float64, size)
-		bn.k3 = make([]float64, size)
-		bn.k4 = make([]float64, size)
-		bn.stage = make([]float64, size)
+		blocks := (len(nets) + 7) / 8
+		bn.temps = alignedFloats(blocks * m * 8)
+		bn.powers = alignedFloats(blocks * m * 8)
+		bn.scratch = alignedFloats(kernelScratch * m * 8)
+		bn.outs = make([][8][]float64, blocks)
+		bn.sink = make([]float64, m)
+	} else {
+		// Padding lanes must inject zero power; a same-shape rebind
+		// keeps the buffers, so clear them.
+		clear(bn.powers)
+	}
+	for b := 0; b < len(bn.outs)*8; b++ {
+		dst := bn.sink
+		if b < len(nets) {
+			dst = nets[b].temps
+		}
+		bn.outs[b/8][b%8] = dst
 	}
 	bn.Gather()
 	return nil
+}
+
+// alignedFloats returns a zeroed length-n slice whose first element is
+// 64-byte aligned, so every lane row of a block sits in one cache line
+// (and satisfies the SSE2 kernel's 16-byte alignment). Go's heap never
+// moves objects, so the alignment holds for the slice's lifetime.
+func alignedFloats(n int) []float64 {
+	buf := make([]float64, n+7)
+	off := int(-uintptr(unsafe.Pointer(&buf[0])) & 63 / 8)
+	return buf[off : off+n : off+n]
+}
+
+// slot returns the index of node 0 of lane b in the block layout; node
+// i of the lane is at slot(b) + i*8.
+func (bn *BatchNetwork) slot(b int) int {
+	return b/8*bn.m*8 + b%8
 }
 
 // sameTopology reports why two networks cannot share a batch. Plain
@@ -138,133 +167,75 @@ func (bn *BatchNetwork) Lanes() int { return bn.lanes }
 func (bn *BatchNetwork) NumNodes() int { return bn.m }
 
 // Gather pulls every member network's current temperatures into the
-// packed SoA state. Call it once before a run of Step calls; Step
+// packed block state, and sets the padding lanes of a partial last
+// block to ambient. Call it once before a run of Step calls; Step
 // itself keeps the packed state and the member networks in sync, so
 // re-gathering per step is only needed if a lane's temperatures were
 // mutated externally (SetTemperature, Prewarm) since the last Step.
 func (bn *BatchNetwork) Gather() {
-	B := bn.lanes
 	for b, n := range bn.nets {
-		for i, t := range n.temps {
-			bn.temps[i*B+b] = t
+		x := bn.slot(b)
+		for _, t := range n.temps {
+			bn.temps[x] = t
+			x += 8
 		}
 	}
+	for b := bn.lanes; b < len(bn.outs)*8; b++ {
+		for i, x := 0, bn.slot(b); i < bn.m; i, x = i+1, x+8 {
+			bn.temps[x] = bn.ambient
+		}
+	}
+}
+
+// SetLanePowers stages lane b's per-node power injection (watts) for
+// the next Advance. powers must hold NumNodes values. This is how a
+// lockstep engine feeds the kernel without building a node-major
+// copy first.
+func (bn *BatchNetwork) SetLanePowers(b int, powers []float64) {
+	x := bn.slot(b)
+	for i := 0; i < bn.m; i++ {
+		bn.powers[x] = powers[i]
+		x += 8
+	}
+}
+
+// Advance steps every lane by dt seconds under the powers staged with
+// SetLanePowers, and writes the results back to the member networks.
+// It integrates from the packed state (sync it with Gather after any
+// external temperature write). Advance performs no allocations.
+func (bn *BatchNetwork) Advance(dt float64) error {
+	if dt <= 0 || math.IsNaN(dt) {
+		return fmt.Errorf("thermal: step dt must be positive, got %v", dt)
+	}
+	bn.advance(dt, rk4Block8)
+	return nil
 }
 
 // Step advances every lane by dt seconds under the packed per-node
 // power injection (node-major: powers[i*Lanes()+lane], in watts), the
-// batched counterpart of Network.Step. It integrates from the packed
-// SoA state (sync it with Gather after any external temperature write)
-// and scatters the results back to the member networks, so interleaved
-// per-lane reads always see current state. Step performs no
-// allocations.
+// batched counterpart of Network.Step. It is SetLanePowers for every
+// lane followed by Advance. Step performs no allocations.
 func (bn *BatchNetwork) Step(dt float64, powers []float64) error {
 	if len(powers) != bn.m*bn.lanes {
 		return fmt.Errorf("thermal: got %d powers for %d nodes × %d lanes", len(powers), bn.m, bn.lanes)
 	}
-	if dt <= 0 || math.IsNaN(dt) {
-		return fmt.Errorf("thermal: step dt must be positive, got %v", dt)
-	}
-	bn.stepInto(dt, powers)
 	B := bn.lanes
-	for b, n := range bn.nets {
-		for i := range n.temps {
-			n.temps[i] = bn.temps[i*B+b]
+	for b := 0; b < B; b++ {
+		x := bn.slot(b)
+		for i := 0; i < bn.m; i++ {
+			bn.powers[x] = powers[i*B+b]
+			x += 8
 		}
 	}
-	return nil
+	return bn.Advance(dt)
 }
 
-// stepInto is the fused classic RK4 update over all lanes, mirroring
-// Network.stepInto stage for stage.
-func (bn *BatchNetwork) stepInto(dt float64, powers []float64) {
-	n := bn.m * bn.lanes
-	// Explicit length-n reslices let the compiler hoist every stage
-	// loop's bounds check.
-	temps, stage := bn.temps[:n], bn.stage[:n]
-	k1, k2, k3, k4 := bn.k1[:n], bn.k2[:n], bn.k3[:n], bn.k4[:n]
-
-	bn.derivs(k1, temps, powers)
-	for x := range temps {
-		stage[x] = temps[x] + 0.5*dt*k1[x]
-	}
-	bn.derivs(k2, stage, powers)
-	for x := range temps {
-		stage[x] = temps[x] + 0.5*dt*k2[x]
-	}
-	bn.derivs(k3, stage, powers)
-	for x := range temps {
-		stage[x] = temps[x] + dt*k3[x]
-	}
-	bn.derivs(k4, stage, powers)
-	for x := range temps {
-		temps[x] = temps[x] + dt/6*(k1[x]+2*k2[x]+2*k3[x]+k4[x])
-	}
-}
-
-// derivs fills dst with dT/dt for all lanes at once. Per lane and node
-// the accumulation sequence matches Network.derivs exactly: injected
-// power, minus the ambient term, minus each row-major nonzero coupling
-// in ascending j order, divided by the capacitance last. Only the
-// iteration is restructured — power/ambient terms for all lanes, then
-// the shared sparse coupling list with a lane-contiguous inner loop —
-// so the matrix walk and the zero-skip branches are paid once per
-// batch instead of once per lane.
-func (bn *BatchNetwork) derivs(dst, temps, powers []float64) {
-	if bn.lanes == 8 {
-		bn.derivs8(dst, temps, powers)
-		return
-	}
-	B := bn.lanes
-	amb := bn.ambient
-	for i := 0; i < bn.m; i++ {
-		off := i * B
-		ga, cc := bn.gAmb[i], bn.capc[i]
-		d, t, p := dst[off:off+B], temps[off:off+B], powers[off:off+B]
-		for b := 0; b < B; b++ {
-			d[b] = p[b] - ga*(t[b]-amb)
-		}
-		// All of row i's couplings accumulate while its lane row is
-		// cache-hot (one row is B float64s — a cache line at B = 8).
-		for _, c := range bn.pairs[bn.rowStart[i]:bn.rowStart[i+1]] {
-			jo := c.j * B
-			g := c.g
-			tj := temps[jo : jo+B]
-			for b := 0; b < B; b++ {
-				d[b] -= g * (t[b] - tj[b])
-			}
-		}
-		for b := 0; b < B; b++ {
-			d[b] /= cc
-		}
-	}
-}
-
-// derivs8 is derivs specialized for the default batch width of 8 lanes
-// (one lane row = one 64-byte cache line): the fixed-size array views
-// let the compiler drop every inner-loop bounds check and fully unroll.
-// The arithmetic is identical to the generic kernel, term for term.
-func (bn *BatchNetwork) derivs8(dst, temps, powers []float64) {
-	const B = 8
-	amb := bn.ambient
-	for i := 0; i < bn.m; i++ {
-		off := i * B
-		ga, cc := bn.gAmb[i], bn.capc[i]
-		d := (*[B]float64)(dst[off:])
-		t := (*[B]float64)(temps[off:])
-		p := (*[B]float64)(powers[off:])
-		for b := 0; b < B; b++ {
-			d[b] = p[b] - ga*(t[b]-amb)
-		}
-		for _, c := range bn.pairs[bn.rowStart[i]:bn.rowStart[i+1]] {
-			g := c.g
-			tj := (*[B]float64)(temps[c.j*B:])
-			for b := 0; b < B; b++ {
-				d[b] -= g * (t[b] - tj[b])
-			}
-		}
-		for b := 0; b < B; b++ {
-			d[b] /= cc
-		}
+// advance runs kernel over every block; the kernel writes each lane's
+// new temperatures back to its network.
+func (bn *BatchNetwork) advance(dt float64, kernel func(t, p, scratch []float64, rows []nodeRow, pairs []couple, out *[8][]float64, amb, dt float64)) {
+	size := bn.m * 8
+	for k := range bn.outs {
+		o := k * size
+		kernel(bn.temps[o:o+size], bn.powers[o:o+size], bn.scratch, bn.rows, bn.pairs, &bn.outs[k], bn.ambient, dt)
 	}
 }

@@ -38,9 +38,10 @@ func buildTestNetwork(t testing.TB, ambientK float64) *Network {
 // TestBatchNetworkMatchesScalar pins the fused kernel bitwise against
 // Network.Step: lanes with distinct temperatures and powers, stepped
 // together, must match the same networks stepped alone, sample for
-// sample, across widths including the specialized width 8.
+// sample, across widths that fill one 8-lane kernel block, part of one,
+// and more than one.
 func TestBatchNetworkMatchesScalar(t *testing.T) {
-	for _, lanes := range []int{1, 3, 8} {
+	for _, lanes := range []int{1, 3, 8, 9, 16} {
 		scalar := make([]*Network, lanes)
 		batched := make([]*Network, lanes)
 		for b := 0; b < lanes; b++ {

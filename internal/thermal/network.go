@@ -13,6 +13,21 @@
 // the simulation engine's hot loop run allocation-free; the
 // differential golden test in internal/sim pins it bitwise against the
 // original slice-of-slices implementation.
+//
+// BatchNetwork steps many same-topology networks in lockstep through
+// one 8-lane RK4 kernel. Lanes are packed into blocks of eight, stored
+// node-major within a block so one node's eight lanes fill one 64-byte
+// lane row; a partial last block is padded with lanes held at ambient
+// under zero power. On amd64 the kernel is packed SSE2 assembly (two
+// lanes per instruction; SSE2 is in the amd64 baseline, so there is no
+// CPU detection). Every other architecture runs the portable Go kernel,
+// which is compiled everywhere so the tests can pin the assembly, the
+// portable kernel and Network.Step to each other bit for bit. The rules
+// that keep a batched lane bitwise-equal to the scalar step are listed
+// in kernel.go: the scalar term order per node, (0.5*dt)*k and dt*k
+// stage updates, dt/6 computed once, the slope sum
+// ((k1+2*k2)+2*k3)+k4, and no fused multiply-add or reciprocal
+// multiply.
 package thermal
 
 import (

@@ -3,6 +3,8 @@ package thermal
 import (
 	"math"
 	"testing"
+
+	"repro/internal/snapbin"
 )
 
 func sensorFixture(t *testing.T, cfg SensorConfig) (*Network, *Sensor, NodeID) {
@@ -181,5 +183,52 @@ func TestSensorNameAndNode(t *testing.T) {
 	}
 	if s.Node() != id {
 		t.Errorf("node = %v, want %v", s.Node(), id)
+	}
+}
+
+// TestSensorStateRoundTrip pins the sensor's snapshot codec: a sensor
+// restored from saved state continues the original's reading sequence
+// exactly (noise stream, dropouts, held value and counters), and a
+// truncated state is rejected.
+func TestSensorStateRoundTrip(t *testing.T) {
+	cfg := SensorConfig{Name: "tsens", PeriodS: 0.01, NoiseStdK: 0.3, ResolutionK: 0.05, DropProb: 0.2, Seed: 11}
+	net, orig, id := sensorFixture(t, cfg)
+	cfg.Node = id
+	fork, err := NewSensor(net, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := net.SetTemperature(id, 320); err != nil {
+		t.Fatal(err)
+	}
+	now := 0.0
+	for ; now < 0.5; now += 0.001 {
+		if _, err := orig.Read(now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var w snapbin.Writer
+	orig.SaveState(&w)
+	if err := fork.LoadState(snapbin.NewReader(w.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	for ; now < 1; now += 0.001 {
+		a, err := orig.Read(now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := fork.Read(now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("t=%.3f: restored sensor read %v, original %v", now, b, a)
+		}
+	}
+	if orig.Drops() != fork.Drops() || orig.Drops() == 0 {
+		t.Fatalf("drops: original %d, restored %d", orig.Drops(), fork.Drops())
+	}
+	if err := fork.LoadState(snapbin.NewReader(w.Bytes()[:10])); err == nil {
+		t.Fatal("truncated sensor state should be rejected")
 	}
 }
