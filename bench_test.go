@@ -28,6 +28,7 @@ import (
 	"repro/internal/sweep"
 	"repro/internal/thermal"
 	"repro/internal/workload"
+	"repro/pkg/mobisim"
 )
 
 const benchSeed = 1
@@ -337,11 +338,11 @@ func BenchmarkAblationLimitSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepParallel measures the scenario-sweep pool: the same
-// 8-scenario 3DMark+BML limit matrix executed serially and on 4
-// workers. On multi-core hardware the 4-worker run should complete
-// >1.8× faster; the determinism invariant guarantees both report
-// identical metrics.
+// BenchmarkSweepParallel measures the worker pool under
+// mobisim.RunScenarios: the same 8-scenario 3DMark+BML limit matrix
+// executed at width 1 (one engine per unit) on 1 and on 4 workers. On
+// multi-core hardware the 4-worker run should complete >1.8× faster;
+// the determinism invariant guarantees both report identical metrics.
 func BenchmarkSweepParallel(b *testing.B) {
 	matrix := sweep.Matrix{
 		Platforms:  []string{experiments.PlatformOdroid},
@@ -356,13 +357,23 @@ func BenchmarkSweepParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	specs := make([]mobisim.Scenario, len(scenarios))
+	for i, sc := range scenarios {
+		specs[i] = mobisim.Scenario{
+			Platform: sc.Platform, Workload: sc.Workload, Governor: sc.Governor,
+			LimitC: sc.LimitC, DurationS: sc.DurationS, Seed: sc.Seed, ModelOnlyBML: true,
+		}
+	}
 	for _, workers := range []int{1, 4} {
 		b.Run("workers-"+itoa(workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				pool := &sweep.Pool{Workers: workers, RunFunc: experiments.RunScenario}
-				results, err := pool.Run(context.Background(), scenarios)
+				metrics, err := mobisim.RunScenarios(context.Background(), specs, mobisim.SweepConfig{Workers: workers, BatchWidth: 1})
 				if err != nil {
 					b.Fatal(err)
+				}
+				results := make([]sweep.Result, len(scenarios))
+				for k, sc := range scenarios {
+					results[k] = sweep.Result{Scenario: sc, Metrics: metrics[k]}
 				}
 				summaries, err := sweep.Aggregate(results)
 				if err != nil {
@@ -418,18 +429,11 @@ func BenchmarkSweepWarmColdBaseline(b *testing.B) {
 	benchkit.SweepWarmColdBaseline(8)(b)
 }
 
-// BenchmarkDaemonSweepCold measures the simd daemon's compute path end
-// to end: the replicate-heavy matrix submitted over HTTP to an
-// in-process server, simulated, encoded, and fetched. Each iteration
-// shifts the base seed so its cells miss the cache.
-func BenchmarkDaemonSweepCold(b *testing.B) {
-	benchkit.DaemonSweepCold(b)
-}
-
-// BenchmarkDaemonSweepColdBatched is the cold daemon benchmark on the
-// batched lockstep executor (width 8, the daemon default). Result
-// bytes are identical to the scalar run's; cold cells/sec against
-// BenchmarkDaemonSweepCold is the PR-10 headline.
+// BenchmarkDaemonSweepColdBatched measures the simd daemon's compute
+// path end to end at its default width of 8: the replicate-heavy
+// matrix submitted over HTTP to an in-process server, simulated as
+// lockstep units, encoded, and fetched. Each iteration shifts the base
+// seed so its cells miss the cache.
 func BenchmarkDaemonSweepColdBatched(b *testing.B) {
 	benchkit.DaemonSweepColdBatched(b)
 }

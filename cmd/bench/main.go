@@ -81,7 +81,6 @@ func main() {
 			entry{"SweepBatched/width-8", benchkit.SweepBatched(8)},
 			entry{"SweepWarmColdBaseline/width-8", benchkit.SweepWarmColdBaseline(8)},
 			entry{"SweepWarm/batched-8", benchkit.SweepWarm(8)},
-			entry{"DaemonSweepCold", benchkit.DaemonSweepCold},
 			entry{"DaemonSweepColdBatched", benchkit.DaemonSweepColdBatched},
 			entry{"DaemonSweepWarm", benchkit.DaemonSweepWarm},
 		)

@@ -1,7 +1,8 @@
 // Command simd is the sweep-as-a-service daemon: it serves the /v1
-// job API over HTTP, deduplicates in-flight cells across jobs, and
-// memoizes per-cell results in a content-addressed two-tier cache so
-// a resubmitted matrix is answered from disk byte-for-byte instead of
+// job API over HTTP, deduplicates in-flight cells across jobs, runs
+// cache misses as lockstep batch units of -batch lanes, and memoizes
+// per-cell results in a content-addressed two-tier cache so a
+// resubmitted matrix is answered from disk byte-for-byte instead of
 // resimulated.
 //
 // Usage:
@@ -9,7 +10,7 @@
 //	simd                                  # serve on :8377, memory-only cache
 //	simd -addr :8080 -cache-dir /var/lib/simd
 //	simd -queue 64 -jobs 4 -cell-workers 8
-//	simd -batch 0                         # scalar per-cell engines (batched lockstep is the default)
+//	simd -batch 1                         # one lane per unit (the default width is 8)
 //	simd -platform-spec specs/smalldie.json  # extra -platforms names
 //
 // SIGINT/SIGTERM starts a graceful drain: new submissions are refused
@@ -36,11 +37,11 @@ import (
 func main() {
 	var (
 		addr         = flag.String("addr", ":8377", "HTTP listen address")
-		cacheDir     = flag.String("cache-dir", "", "on-disk result cache root (empty = memory-only, no prefix snapshots)")
+		cacheDir     = flag.String("cache-dir", "", "on-disk result cache root (empty = memory-only)")
 		queueCap     = flag.Int("queue", 16, "pending-job queue capacity; a full queue answers 429")
 		jobWorkers   = flag.Int("jobs", 2, "jobs executed concurrently")
 		cellWorkers  = flag.Int("cell-workers", 0, "per-job cell concurrency (0 = GOMAXPROCS)")
-		batchWidth   = flag.Int("batch", -1, "lockstep lane width for cache-miss cells (-1 = default width, 0 = scalar per-cell engines); responses are byte-identical either way")
+		batchWidth   = flag.Int("batch", -1, "lockstep lane width for cache-miss cells (<= 0 = default width); responses are byte-identical at every width")
 		memCache     = flag.Int("mem-cache", simd.DefaultMemCacheCap, "in-memory cache tier capacity in cells")
 		maxBody      = flag.Int64("max-body", 1<<20, "job submission body limit in bytes")
 		platformSpec = flag.String("platform-spec", "", "comma-separated platform spec JSON files to register; their names become valid platform values in submitted jobs")
@@ -91,16 +92,12 @@ func main() {
 	if *cacheDir != "" {
 		cacheNote = "cache at " + *cacheDir
 	}
-	batchNote := "scalar cells"
-	if *batchWidth != 0 {
-		w := *batchWidth
-		if w < 0 {
-			w = mobisim.DefaultBatchWidth
-		}
-		batchNote = fmt.Sprintf("lockstep batches of %d", w)
+	width := *batchWidth
+	if width <= 0 {
+		width = mobisim.DefaultBatchWidth
 	}
-	fmt.Fprintf(os.Stderr, "simd: listening on %s (%s, queue %d, %d job workers, %s)\n",
-		*addr, cacheNote, *queueCap, *jobWorkers, batchNote)
+	fmt.Fprintf(os.Stderr, "simd: listening on %s (%s, queue %d, %d job workers, lockstep batches of %d)\n",
+		*addr, cacheNote, *queueCap, *jobWorkers, width)
 
 	select {
 	case err := <-serveErr:

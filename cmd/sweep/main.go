@@ -14,7 +14,7 @@
 //	sweep -platform-spec testdata/platforms/smalldie.json -platforms smalldie -workloads gen-bursty -governors none
 //	sweep -batch -1                                 # lockstep batches of the default width
 //	sweep -warm-start -replicates 8                 # fork limit cells from shared-prefix snapshots
-//	sweep -cache-dir ~/.cache/mobisim               # memoize cells in the daemon's disk cache
+//	sweep -cache-dir ~/.cache/mobisim -batch -1     # memoize cells in the daemon's disk cache
 //	sweep -daemon http://localhost:8377             # submit to a running simd daemon
 //	sweep -cpuprofile cpu.out -memprofile mem.out   # profile the sweep hot path
 package main
@@ -53,7 +53,7 @@ func main() {
 		workers      = flag.Int("workers", 0, "pool workers (0 = GOMAXPROCS)")
 		batch        = flag.Int("batch", 0, "lockstep batch width: scenarios stepped together through the fused SoA kernel (0 = one lane per unit, each engine stepping alone; -1 = default width)")
 		warmStart    = flag.Bool("warm-start", false, "group limit-aware cells by prefix content key, simulate each group's shared warm-up once, and fork members from an engine snapshot (output bytes are identical either way)")
-		cacheDir     = flag.String("cache-dir", "", "content-addressed result cache root shared with the simd daemon; cached cells are served from disk instead of resimulated (output bytes are identical either way)")
+		cacheDir     = flag.String("cache-dir", "", "content-addressed result cache root shared with the simd daemon; cached cells are served from disk instead of resimulated, and misses run on the daemon's executor at -batch lanes with prefix warm-start (output bytes are identical either way)")
 		daemonURL    = flag.String("daemon", "", "base URL of a running simd daemon; the sweep is submitted as a job and the daemon's result bytes are emitted verbatim (json only, retried with backoff across daemon restarts)")
 		format       = flag.String("format", "json", "output format: json or csv")
 		raw          = flag.Bool("raw", false, "include raw per-scenario results (json only)")
@@ -79,12 +79,6 @@ func main() {
 		fatal(err)
 	}
 
-	// The cache path runs cells through the daemon's scheduler, which
-	// the batch/warm-start executors bypass — the combinations would
-	// silently ignore one flag, so refuse them.
-	if *cacheDir != "" && (*batch != 0 || *warmStart) {
-		fatal(fmt.Errorf("-cache-dir is incompatible with -batch and -warm-start (the cache scheduler replaces those executors)"))
-	}
 	if *daemonURL != "" {
 		if *cacheDir != "" || *batch != 0 || *warmStart {
 			fatal(fmt.Errorf("-daemon is incompatible with -cache-dir, -batch and -warm-start (the daemon schedules cells itself)"))
@@ -167,12 +161,14 @@ func main() {
 	if width > 0 {
 		mode = fmt.Sprintf(", lockstep batches of %d", width)
 	}
-	if *warmStart {
-		mode += ", prefix warm-start"
-	}
 	// The disk cache degrades instead of gating the sweep: an unusable
 	// -cache-dir warns and runs uncached rather than aborting.
 	cache := openCacheOrWarn(*cacheDir, os.Stderr)
+	// A cached sweep runs its misses on the daemon's executor, which
+	// always plans prefix warm units.
+	if *warmStart || cache != nil {
+		mode += ", prefix warm-start"
+	}
 	if cache != nil {
 		mode += ", result cache at " + *cacheDir
 	}
@@ -206,19 +202,19 @@ func main() {
 	}
 
 	start := time.Now()
+	cfg := mobisim.SweepConfig{Workers: nWorkers, IncludeRaw: *raw, BatchWidth: width, WarmStart: *warmStart}
 	var out *mobisim.SweepOutput
 	if cache != nil {
 		var stats simd.RunStats
-		out, stats, err = simd.RunSweepCached(ctx, matrix, nWorkers, *raw, cache)
+		out, stats, err = simd.RunSweepCached(ctx, matrix, cfg, cache)
 		stopCPUProfile()
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "sweep: done in %.1fs (%d/%d cells from cache, %d computed, %d warm-started)\n",
-			time.Since(start).Seconds(), stats.CacheHits(), stats.Total,
-			stats.ByOrigin[simd.OriginComputed], stats.ByOrigin[simd.OriginComputedWarm])
+		fmt.Fprintf(os.Stderr, "sweep: done in %.1fs (%d/%d cells from cache, %d computed)\n",
+			time.Since(start).Seconds(), stats.CacheHits(), stats.Total, stats.Computed())
 	} else {
-		out, err = mobisim.RunSweep(ctx, matrix, mobisim.SweepConfig{Workers: nWorkers, IncludeRaw: *raw, BatchWidth: width, WarmStart: *warmStart})
+		out, err = mobisim.RunSweep(ctx, matrix, cfg)
 		stopCPUProfile()
 		if err != nil {
 			fatal(err)

@@ -16,34 +16,27 @@ import (
 	"repro/pkg/mobisim"
 )
 
-// DaemonSweepCold measures the daemon's compute path end to end: the
-// replicate-heavy matrix submitted to an in-process simd server over
-// HTTP, simulated, aggregated, encoded, and fetched. Every iteration
+// DaemonSweepColdBatched measures the daemon's compute path end to
+// end at width 8, the daemon's default: the replicate-heavy matrix
+// submitted to an in-process simd server over HTTP, simulated as
+// lockstep units, aggregated, encoded, and fetched. Every iteration
 // shifts the base seed so its cells miss the cache. Reports cells/sec.
-// Cells run on scalar per-cell engines (the -batch 0 configuration).
-func DaemonSweepCold(b *testing.B) { daemonSweepBench(b, false, 0) }
+func DaemonSweepColdBatched(b *testing.B) { daemonSweepBench(b, false) }
 
-// DaemonSweepColdBatched is DaemonSweepCold on the batched lockstep
-// executor at width 8 — the daemon's default configuration. The result
-// bytes are identical to the scalar run's (pinned by the simd batch
-// tests); cold cells/sec against DaemonSweepCold is the PR-10
-// headline.
-func DaemonSweepColdBatched(b *testing.B) { daemonSweepBench(b, false, 8) }
-
-// DaemonSweepWarm is DaemonSweepCold's cache-hit counterpart: the
-// matrix is primed once outside the timer, then every timed
+// DaemonSweepWarm is DaemonSweepColdBatched's cache-hit counterpart:
+// the matrix is primed once outside the timer, then every timed
 // resubmission must be answered entirely from the cache (the bench
 // fails on any recomputation). Cold vs warm is the daemon's headline
 // speedup.
-func DaemonSweepWarm(b *testing.B) { daemonSweepBench(b, true, 0) }
+func DaemonSweepWarm(b *testing.B) { daemonSweepBench(b, true) }
 
-func daemonSweepBench(b *testing.B, warm bool, batchWidth int) {
+func daemonSweepBench(b *testing.B, warm bool) {
 	dir, err := os.MkdirTemp("", "simd-bench-")
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	srv, err := simd.NewServer(simd.Config{CacheDir: dir, JobWorkers: 1, BatchWidth: batchWidth})
+	srv, err := simd.NewServer(simd.Config{CacheDir: dir, JobWorkers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

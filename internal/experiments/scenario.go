@@ -1,11 +1,8 @@
 package experiments
 
 import (
-	"context"
-
 	"repro/internal/appaware"
 	"repro/internal/sim"
-	"repro/internal/sweep"
 	"repro/internal/workload"
 	"repro/pkg/mobisim"
 )
@@ -25,7 +22,7 @@ const (
 	GovNone     = mobisim.GovNone
 )
 
-// Metric names RunScenario reports. Not every scenario produces every
+// Metric names the scenario runs report. Not every scenario produces every
 // metric: frame-rate metrics follow the foreground workload, and
 // bml_iterations appears only for "+bml" mixes.
 const (
@@ -116,20 +113,4 @@ func (s ScenarioSpec) Run() (*ScenarioRun, error) {
 // power aggregates every run reports plus workload-specific scores.
 func (r *ScenarioRun) Metrics() map[string]float64 {
 	return r.facade.Metrics()
-}
-
-// RunScenario adapts a sweep.Scenario to a concrete simulation: it is
-// this repo's sweep.RunFunc. Runs are constant-memory (no trace series
-// are materialized; every metric comes from streaming accumulators).
-// Cancellation is at scenario granularity — a canceled context stops
-// the scenario before it starts.
-func RunScenario(ctx context.Context, sc sweep.Scenario) (map[string]float64, error) {
-	return mobisim.RunScenarioMetrics(ctx, mobisim.Scenario{
-		Platform:  sc.Platform,
-		Workload:  sc.Workload,
-		Governor:  sc.Governor,
-		LimitC:    sc.LimitC,
-		DurationS: sc.DurationS,
-		Seed:      sc.Seed,
-	})
 }

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/sweep"
+	"repro/pkg/mobisim"
 )
 
 // SweepPoint is one point of the thermal-limit trade-off study.
@@ -29,10 +29,11 @@ type SweepPoint struct {
 // conclusion proposes: any new governor can be dropped into the same
 // scenario and compared against these curves.
 //
-// It is a thin wrapper over the sweep pool running one scenario per
-// limit across GOMAXPROCS workers; every limit reuses the same seed (a
-// paired design), and the engine's determinism makes the output
-// identical to the original serial loop, point for point.
+// It is a thin wrapper over mobisim.RunScenarios at the default batch
+// width with prefix warm start, across GOMAXPROCS workers. Every limit
+// reuses the same seed (a paired design), and every executor is
+// bitwise-identical to a sequential run, so the output matches the
+// original serial loop point for point.
 //
 // One sentinel differs from the original loop: a limit of exactly 0 °C
 // now selects the platform's default thermal limit (the sweep-wide
@@ -48,31 +49,34 @@ func LimitSweepParallel(ctx context.Context, limitsC []float64, durationS float6
 	if len(limitsC) == 0 {
 		return nil, fmt.Errorf("experiments: sweep needs at least one limit")
 	}
-	scenarios := make([]sweep.Scenario, len(limitsC))
+	specs := make([]mobisim.Scenario, len(limitsC))
 	for i, limitC := range limitsC {
-		scenarios[i] = sweep.Scenario{
-			Index:     i,
-			Platform:  PlatformOdroid,
-			Workload:  "3dmark+bml",
-			Governor:  GovAppAware,
-			LimitC:    limitC,
-			DurationS: durationS,
-			Seed:      seed,
+		specs[i] = mobisim.Scenario{
+			Platform:     PlatformOdroid,
+			Workload:     "3dmark+bml",
+			Governor:     GovAppAware,
+			LimitC:       limitC,
+			DurationS:    durationS,
+			Seed:         seed,
+			ModelOnlyBML: true,
 		}
 	}
-	pool := &sweep.Pool{Workers: workers, RunFunc: RunScenario}
-	results, err := pool.Run(ctx, scenarios)
+	metrics, err := mobisim.RunScenarios(ctx, specs, mobisim.SweepConfig{
+		Workers:    workers,
+		BatchWidth: mobisim.DefaultBatchWidth,
+		WarmStart:  true,
+	})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]SweepPoint, len(results))
-	for i, r := range results {
+	out := make([]SweepPoint, len(metrics))
+	for i, m := range metrics {
 		out[i] = SweepPoint{
-			LimitC:        r.Scenario.LimitC,
-			GT1FPS:        r.Metrics[MetricGT1FPS],
-			PeakC:         r.Metrics[MetricPeakC],
-			Migrations:    int(r.Metrics[MetricMigrations]),
-			BMLIterations: uint64(r.Metrics[MetricBMLIterations]),
+			LimitC:        limitsC[i],
+			GT1FPS:        m[MetricGT1FPS],
+			PeakC:         m[MetricPeakC],
+			Migrations:    int(m[MetricMigrations]),
+			BMLIterations: uint64(m[MetricBMLIterations]),
 		}
 	}
 	return out, nil

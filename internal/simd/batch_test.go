@@ -31,10 +31,10 @@ func batchMatrix() mobisim.Matrix {
 	}
 }
 
-// TestServerBatchedByteIdentityMatrix is the tentpole invariant matrix:
-// at every lane width the batched daemon's result body is byte-identical
-// to the scalar daemon's and to an in-process RunSweep — cold, with a
-// half-warm cache (hit/miss interleaving), and fully cached.
+// TestServerBatchedByteIdentityMatrix is the executor's invariant
+// matrix: at every lane width the daemon's result body is
+// byte-identical to an in-process RunSweep — cold, with a half-warm
+// cache (hit/miss interleaving), and fully cached.
 func TestServerBatchedByteIdentityMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
@@ -66,7 +66,7 @@ func TestServerBatchedByteIdentityMatrix(t *testing.T) {
 			}
 			sst := srv.sched.Stats()
 			if sst.Batched == 0 {
-				t.Error("batched executor ran no units; the scalar path answered the job")
+				t.Error("the executor ran no lockstep units")
 			}
 			if sst.BatchLanes != uint64(cells) {
 				t.Errorf("batch lanes: %d, want every one of %d cold cells", sst.BatchLanes, cells)
@@ -103,10 +103,8 @@ func TestServerBatchedByteIdentityMatrix(t *testing.T) {
 }
 
 // sseCellPayloads fetches a completed job's event replay and returns
-// its cell-event payloads indexed by cell, with the origin field
-// cleared: the batched executor legitimately reports "computed" where
-// the scalar disk-snapshot path reports "computed-warm", and sample
-// events are best-effort, so equivalence is over everything else.
+// its cell-event payloads indexed by cell. Sample events are
+// best-effort, so equivalence is over the cell events alone.
 func sseCellPayloads(t *testing.T, ts *httptest.Server, id string, cells int) []cellEvent {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/events")
@@ -137,7 +135,6 @@ func sseCellPayloads(t *testing.T, ts *httptest.Server, id string, cells int) []
 		if ev.Index < 0 || ev.Index >= cells {
 			t.Fatalf("cell event index %d out of range", ev.Index)
 		}
-		ev.Origin = ""
 		out[ev.Index] = ev
 		seen++
 	}
@@ -148,9 +145,9 @@ func sseCellPayloads(t *testing.T, ts *httptest.Server, id string, cells int) []
 }
 
 // TestServerBatchedSSEEquivalence pins the event-feed contract: modulo
-// origin labels and best-effort sample drops, the batched daemon's cell
-// event stream is equivalent to the scalar daemon's — same keys, same
-// metrics, one event per cell — and batched lanes do stream samples.
+// best-effort sample drops, the cell event stream of a width-4 daemon
+// is equivalent to a width-1 daemon's — same keys, origins and metrics,
+// one event per cell — and lockstep lanes do stream samples.
 func TestServerBatchedSSEEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
@@ -165,21 +162,21 @@ func TestServerBatchedSSEEquivalence(t *testing.T) {
 		waitState(t, ts, st.ID, JobDone)
 		return srv, ts, st.ID
 	}
-	scalarSrv, scalarTS, scalarID := run(0)
-	defer scalarSrv.Shutdown(context.Background())
+	narrowSrv, narrowTS, narrowID := run(1)
+	defer narrowSrv.Shutdown(context.Background())
 	batchSrv, batchTS, batchID := run(4)
 	defer batchSrv.Shutdown(context.Background())
 	if batchSrv.sched.Stats().Batched == 0 {
 		t.Fatal("batched server ran no units")
 	}
 
-	scalar := sseCellPayloads(t, scalarTS, scalarID, cells)
+	narrow := sseCellPayloads(t, narrowTS, narrowID, cells)
 	batched := sseCellPayloads(t, batchTS, batchID, cells)
-	for i := range scalar {
-		sj, _ := json.Marshal(scalar[i])
+	for i := range narrow {
+		nj, _ := json.Marshal(narrow[i])
 		bj, _ := json.Marshal(batched[i])
-		if !bytes.Equal(sj, bj) {
-			t.Errorf("cell %d event differs:\nscalar:  %s\nbatched: %s", i, sj, bj)
+		if !bytes.Equal(nj, bj) {
+			t.Errorf("cell %d event differs:\nwidth 1: %s\nwidth 4: %s", i, nj, bj)
 		}
 	}
 
@@ -194,7 +191,7 @@ func TestServerBatchedSSEEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	tapped := make([]int, len(expanded))
-	_, _, err = sched.RunCellsBatched(context.Background(), expanded, 4, 2, nil, func(i int) SampleFunc {
+	_, _, err = sched.RunCells(context.Background(), expanded, 4, 2, nil, func(i int) SampleFunc {
 		return func(Sample) { tapped[i]++ }
 	})
 	if err != nil {
@@ -220,8 +217,7 @@ func TestServerBatchedCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 
 	// Lane publishes funnel through cache writes one at a time, so write
-	// latency staggers completions and widens the kill window exactly as
-	// it does for the scalar path.
+	// latency staggers completions and widens the kill window.
 	inj := faultfs.NewInjector(nil).Add(faultfs.Rule{
 		Op: faultfs.OpCreate, PathContains: "cellkey",
 		Latency: 25 * time.Millisecond, LatencyOnly: true,

@@ -1,10 +1,12 @@
 // Package simd is the sweep-as-a-service daemon behind cmd/simd: a
 // long-running HTTP server that accepts Matrix/Scenario specs as jobs,
-// expands them into content-addressed cells (mobisim.Cell), runs them
-// on the existing internal/sweep worker pool through a singleflight
-// scheduler, and never recomputes a cell whose CellKey it has seen —
-// results live in a two-tier cache (in-memory LRU over an on-disk
-// store) shared with the one-shot CLI via `sweep -cache-dir`.
+// expands them into content-addressed cells (mobisim.Cell), and runs
+// them through a singleflight scheduler that plans each job's cache
+// misses into lockstep batch units (mobisim.PlanBatchUnits) — the same
+// units every other executor in the repository runs. It never
+// recomputes a cell whose CellKey it has seen: results live in a
+// two-tier cache (in-memory LRU over an on-disk store) shared with the
+// one-shot CLI via `sweep -cache-dir`.
 //
 // The load-bearing invariant is byte-identity: a cache-hit response is
 // byte-identical to a cold run of the same cell, because the cache
@@ -48,11 +50,9 @@ const (
 // recomputation, not to a crashed daemon.
 const (
 	cellMagic = "simd-cell/1\n"
-	snapMagic = "simd-snap/1\n"
 	// decode bounds: a corrupt length field must not drive allocation.
-	maxCellMetrics    = 1 << 12
-	maxMetricNameLen  = 1 << 10
-	maxSnapshotLength = 1 << 30
+	maxCellMetrics   = 1 << 12
+	maxMetricNameLen = 1 << 10
 )
 
 // DefaultMemCacheCap bounds the in-memory result tier when the caller
@@ -67,8 +67,6 @@ type CacheStats struct {
 	Stores         uint64 `json:"stores"`
 	StoreErrors    uint64 `json:"store_errors"`
 	CorruptEntries uint64 `json:"corrupt_entries"`
-	SnapshotHits   uint64 `json:"snapshot_hits"`
-	SnapshotStores uint64 `json:"snapshot_stores"`
 	MemEntries     int    `json:"mem_entries"`
 }
 
@@ -82,13 +80,11 @@ func (s CacheStats) HitRate() float64 {
 }
 
 // Cache is the two-tier content-addressed result cache: an in-memory
-// LRU over an optional on-disk store keyed by CellKey, plus an on-disk
-// prefix-snapshot store keyed by PrefixKey so uncached cells can
-// warm-start from checkpoints recorded by earlier runs. All methods
-// are safe for concurrent use.
+// LRU over an optional on-disk store keyed by CellKey. All methods are
+// safe for concurrent use.
 type Cache struct {
 	fs  faultfs.FS
-	dir string // "" = memory-only (and no snapshot store)
+	dir string // "" = memory-only
 	cap int
 
 	mu    sync.Mutex
@@ -97,7 +93,6 @@ type Cache struct {
 
 	memHits, diskHits, misses  atomic.Uint64
 	stores, storeErrs, corrupt atomic.Uint64
-	snapHits, snapStores       atomic.Uint64
 }
 
 type cacheEntry struct {
@@ -106,15 +101,14 @@ type cacheEntry struct {
 }
 
 // NewCache opens (creating if needed) a cache rooted at dir; an empty
-// dir keeps the cache memory-only and disables the snapshot store.
-// capacity bounds the memory tier (<= 0 uses DefaultMemCacheCap).
+// dir keeps the cache memory-only. capacity bounds the memory tier
+// (<= 0 uses DefaultMemCacheCap).
 //
 // The disk layout is versioned by the mobisim content-key domain
-// strings: cell results live under dir/<CellKeyDomain> and prefix
-// snapshots under dir/<PrefixKeyDomain> (NUL terminator stripped,
-// slashes as path separators), so a domain bump in mobisim retires the
-// old directories automatically — stale entries can never be read
-// under a new hash schema.
+// string: cell results live under dir/<CellKeyDomain> (NUL terminator
+// stripped, slashes as path separators), so a domain bump in mobisim
+// retires the old directory automatically — stale entries can never be
+// read under a new hash schema.
 func NewCache(dir string, capacity int) (*Cache, error) {
 	return NewCacheFS(nil, dir, capacity)
 }
@@ -131,10 +125,8 @@ func NewCacheFS(fsys faultfs.FS, dir string, capacity int) (*Cache, error) {
 	}
 	c := &Cache{fs: fsys, dir: dir, cap: capacity, lru: list.New(), byKey: make(map[uint64]*list.Element)}
 	if dir != "" {
-		for _, d := range []string{c.cellDir(), c.snapDir()} {
-			if err := fsys.MkdirAll(d, 0o755); err != nil {
-				return nil, fmt.Errorf("simd: cache dir: %w", err)
-			}
+		if err := fsys.MkdirAll(c.cellDir(), 0o755); err != nil {
+			return nil, fmt.Errorf("simd: cache dir: %w", err)
 		}
 	}
 	return c, nil
@@ -147,19 +139,10 @@ func domainDir(root, domain string) string {
 }
 
 func (c *Cache) cellDir() string { return domainDir(c.dir, mobisim.CellKeyDomain) }
-func (c *Cache) snapDir() string { return domainDir(c.dir, mobisim.PrefixKeyDomain) }
 
 func (c *Cache) cellPath(key uint64) string {
 	return filepath.Join(c.cellDir(), fmt.Sprintf("%016x.cell", key))
 }
-
-func (c *Cache) snapPath(prefix uint64) string {
-	return filepath.Join(c.snapDir(), fmt.Sprintf("%016x.snap", prefix))
-}
-
-// SnapshotsEnabled reports whether the prefix-snapshot store is
-// available (it is disk-backed only).
-func (c *Cache) SnapshotsEnabled() bool { return c.dir != "" }
 
 // Dir returns the on-disk store root ("" for memory-only).
 func (c *Cache) Dir() string { return c.dir }
@@ -193,6 +176,18 @@ func (c *Cache) Get(key uint64) (map[string]float64, Tier) {
 	}
 	c.misses.Add(1)
 	return nil, TierMiss
+}
+
+// peek returns a copy of the key's memory-tier entry without counting
+// a lookup or touching the LRU order.
+func (c *Cache) peek(key uint64) (map[string]float64, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.byKey[key]
+	if !ok {
+		return nil, false
+	}
+	return copyMetrics(el.Value.(*cacheEntry).metrics), true
 }
 
 // Put stores the metrics under key in both tiers. A disk write failure
@@ -240,64 +235,8 @@ func (c *Cache) Stats() CacheStats {
 		Stores:         c.stores.Load(),
 		StoreErrors:    c.storeErrs.Load(),
 		CorruptEntries: c.corrupt.Load(),
-		SnapshotHits:   c.snapHits.Load(),
-		SnapshotStores: c.snapStores.Load(),
 		MemEntries:     entries,
 	}
-}
-
-// PrefixSnapshot is a reusable warm-start checkpoint of a prefix
-// group: the engine state Blob at step Step of a run whose effective
-// thermal limit was LimitC, taken before that run's first
-// limit-dependent control action. By the warm-start monotonicity
-// argument (pkg/mobisim/warmstart.go), the checkpoint is bitwise-valid
-// for any cell of the same prefix group whose effective limit is
-// >= LimitC and whose horizon is >= Step steps.
-type PrefixSnapshot struct {
-	LimitC float64
-	Step   int
-	Blob   []byte
-}
-
-// GetSnapshot loads the prefix group's stored checkpoint; ok is false
-// when the store is disabled, the entry is absent, or it is corrupt.
-func (c *Cache) GetSnapshot(prefix uint64) (PrefixSnapshot, bool) {
-	if c.dir == "" {
-		return PrefixSnapshot{}, false
-	}
-	data, err := c.fs.ReadFile(c.snapPath(prefix))
-	if err != nil {
-		if !errors.Is(err, os.ErrNotExist) {
-			c.corrupt.Add(1)
-		}
-		return PrefixSnapshot{}, false
-	}
-	snap, err := decodeSnapshot(data)
-	if err != nil {
-		c.corrupt.Add(1)
-		return PrefixSnapshot{}, false
-	}
-	c.snapHits.Add(1)
-	return snap, true
-}
-
-// PutSnapshot stores a checkpoint for the prefix group unless one
-// already exists (first writer wins: the reuse gate in the scheduler
-// compares against the stored limit, so a stable entry beats a
-// ping-ponging one).
-func (c *Cache) PutSnapshot(prefix uint64, snap PrefixSnapshot) error {
-	if c.dir == "" {
-		return nil
-	}
-	if _, err := c.fs.Stat(c.snapPath(prefix)); err == nil {
-		return nil
-	}
-	if err := writeFileAtomic(c.fs, c.snapPath(prefix), encodeSnapshot(snap)); err != nil {
-		c.storeErrs.Add(1)
-		return fmt.Errorf("simd: snapshot put %016x: %w", prefix, err)
-	}
-	c.snapStores.Add(1)
-	return nil
 }
 
 // encodeCell renders a metric set canonically: magic, count, then
@@ -358,39 +297,6 @@ func decodeCell(data []byte) (map[string]float64, error) {
 		return nil, errCorrupt
 	}
 	return m, nil
-}
-
-// encodeSnapshot renders a prefix checkpoint: magic, limit bits, step,
-// blob length, blob.
-func encodeSnapshot(s PrefixSnapshot) []byte {
-	buf := []byte(snapMagic)
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.LimitC))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.Step))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(s.Blob)))
-	return append(buf, s.Blob...)
-}
-
-// decodeSnapshot strictly parses encodeSnapshot's format.
-func decodeSnapshot(data []byte) (PrefixSnapshot, error) {
-	rest, ok := strings.CutPrefix(string(data), snapMagic)
-	if !ok {
-		return PrefixSnapshot{}, errCorrupt
-	}
-	b := []byte(rest)
-	if len(b) < 24 {
-		return PrefixSnapshot{}, errCorrupt
-	}
-	limit := math.Float64frombits(binary.LittleEndian.Uint64(b))
-	step := binary.LittleEndian.Uint64(b[8:])
-	blobLen := binary.LittleEndian.Uint64(b[16:])
-	b = b[24:]
-	if step > maxSnapshotLength || blobLen > maxSnapshotLength || uint64(len(b)) != blobLen {
-		return PrefixSnapshot{}, errCorrupt
-	}
-	if math.IsNaN(limit) || math.IsInf(limit, 0) {
-		return PrefixSnapshot{}, errCorrupt
-	}
-	return PrefixSnapshot{LimitC: limit, Step: int(step), Blob: append([]byte(nil), b...)}, nil
 }
 
 // writeFileAtomic writes via a temp file in the target directory and

@@ -1,7 +1,6 @@
 package simd
 
 import (
-	"bytes"
 	"math"
 	"os"
 	"path/filepath"
@@ -79,27 +78,21 @@ func TestCacheRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCacheMemoryOnly pins that an empty dir disables disk and
-// snapshots but keeps the memory tier working.
+// TestCacheMemoryOnly pins that an empty dir disables disk but keeps
+// the memory tier working.
 func TestCacheMemoryOnly(t *testing.T) {
 	c, err := NewCache("", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.SnapshotsEnabled() {
-		t.Error("memory-only cache reports snapshots enabled")
+	if c.Dir() != "" {
+		t.Errorf("memory-only cache reports dir %q", c.Dir())
 	}
 	if err := c.Put(1, map[string]float64{"x": 1}); err != nil {
 		t.Fatal(err)
 	}
 	if _, tier := c.Get(1); tier != TierMemory {
 		t.Error("memory-only put not readable")
-	}
-	if _, ok := c.GetSnapshot(1); ok {
-		t.Error("memory-only snapshot get: want miss")
-	}
-	if err := c.PutSnapshot(1, PrefixSnapshot{LimitC: 1, Blob: []byte("x")}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -187,44 +180,6 @@ func TestCacheCorruptEntry(t *testing.T) {
 	}
 }
 
-// TestSnapshotStore pins the prefix-snapshot round trip, the
-// first-writer-wins overwrite rule, and corrupt-snapshot rejection.
-func TestSnapshotStore(t *testing.T) {
-	c, err := NewCache(t.TempDir(), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const prefix = 7
-	if _, ok := c.GetSnapshot(prefix); ok {
-		t.Fatal("empty store returned a snapshot")
-	}
-	first := PrefixSnapshot{LimitC: 58.5, Step: 1200, Blob: []byte("engine-state-blob")}
-	if err := c.PutSnapshot(prefix, first); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := c.GetSnapshot(prefix)
-	if !ok || got.LimitC != first.LimitC || got.Step != first.Step || !bytes.Equal(got.Blob, first.Blob) {
-		t.Fatalf("round trip: got %+v ok=%v", got, ok)
-	}
-	// Second writer loses.
-	if err := c.PutSnapshot(prefix, PrefixSnapshot{LimitC: 99, Step: 1, Blob: []byte("other")}); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := c.GetSnapshot(prefix); got.LimitC != first.LimitC {
-		t.Errorf("first-writer-wins violated: limit %v", got.LimitC)
-	}
-	// Corruption is a miss.
-	if err := os.WriteFile(c.snapPath(prefix), []byte(snapMagic+"short"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.GetSnapshot(prefix); ok {
-		t.Error("corrupt snapshot served")
-	}
-	if c.Stats().CorruptEntries == 0 {
-		t.Error("corrupt snapshot not counted")
-	}
-}
-
 // TestCacheLayoutVersioned pins the on-disk layout contract: paths
 // derive from the mobisim content-key domain strings, so a domain bump
 // retires the store automatically.
@@ -240,12 +195,5 @@ func TestCacheLayoutVersioned(t *testing.T) {
 	wantCell := filepath.Join(dir, filepath.FromSlash(strings.TrimSuffix(mobisim.CellKeyDomain, "\x00")), "00000000000000ab.cell")
 	if _, err := os.Stat(wantCell); err != nil {
 		t.Errorf("cell entry not at domain-derived path %s: %v", wantCell, err)
-	}
-	if err := c.PutSnapshot(0xcd, PrefixSnapshot{LimitC: 1, Step: 1, Blob: []byte("b")}); err != nil {
-		t.Fatal(err)
-	}
-	wantSnap := filepath.Join(dir, filepath.FromSlash(strings.TrimSuffix(mobisim.PrefixKeyDomain, "\x00")), "00000000000000cd.snap")
-	if _, err := os.Stat(wantSnap); err != nil {
-		t.Errorf("snapshot entry not at domain-derived path %s: %v", wantSnap, err)
 	}
 }

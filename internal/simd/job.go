@@ -285,7 +285,7 @@ func (j *Job) Status() JobStatus {
 		Cells:     len(j.Spec.Cells),
 		Completed: j.completed,
 		CacheHits: j.origins[OriginMemCache] + j.origins[OriginDiskCache],
-		Computed:  j.origins[OriginComputed] + j.origins[OriginComputedWarm],
+		Computed:  j.origins[OriginComputed],
 		Deduped:   j.origins[OriginDeduped],
 		Error:     j.errMsg,
 		CreatedAt: j.created.UTC().Format(time.RFC3339Nano),

@@ -3,7 +3,6 @@ package simd
 import (
 	"context"
 
-	"repro/internal/sweep"
 	"repro/pkg/mobisim"
 )
 
@@ -20,87 +19,33 @@ func (s RunStats) CacheHits() int {
 	return s.ByOrigin[OriginMemCache] + s.ByOrigin[OriginDiskCache]
 }
 
-// Computed counts cells that were actually simulated (cold or
-// warm-started).
-func (s RunStats) Computed() int {
-	return s.ByOrigin[OriginComputed] + s.ByOrigin[OriginComputedWarm]
-}
+// Computed counts cells that were actually simulated.
+func (s RunStats) Computed() int { return s.ByOrigin[OriginComputed] }
 
 // Deduped counts cells that attached to another caller's in-flight
 // computation.
 func (s RunStats) Deduped() int { return s.ByOrigin[OriginDeduped] }
 
-// runCells executes every cell through the scheduler on a sweep worker
-// pool, returning metric sets in cell order. onCell, when non-nil, is
-// invoked once per completed cell in completion order from worker
-// goroutines (it must be concurrency-safe); tapFor, when non-nil,
-// supplies the per-cell sample tap.
-func runCells(ctx context.Context, sched *Scheduler, cells []mobisim.Cell, workers int, onCell func(i int, origin Origin, metrics map[string]float64), tapFor func(i int) SampleFunc) ([]map[string]float64, RunStats, error) {
-	origins := make([]Origin, len(cells))
-	// The pool dispatches by scenario; Index carries the slice position
-	// so the RunFunc and completion hook address cells[i] directly. The
-	// remaining fields only label pool error messages.
-	scs := make([]sweep.Scenario, len(cells))
-	for i, c := range cells {
-		scs[i] = sweep.Scenario{
-			Index:     i,
-			Platform:  c.Spec.Platform,
-			Workload:  c.Spec.Workload,
-			Governor:  c.Spec.Governor,
-			LimitC:    c.Spec.LimitC,
-			DurationS: c.Spec.DurationS,
-			Replicate: c.Replicate,
-			Seed:      c.Spec.Seed,
-		}
-	}
-	pool := &sweep.Pool{Workers: workers, RunFunc: func(ctx context.Context, sc sweep.Scenario) (map[string]float64, error) {
-		i := sc.Index
-		var tap SampleFunc
-		if tapFor != nil {
-			tap = tapFor(i)
-		}
-		m, origin, err := sched.RunCell(ctx, cells[i], tap)
-		if err != nil {
-			return nil, err
-		}
-		origins[i] = origin
-		return m, nil
-	}}
-	if onCell != nil {
-		pool.OnResult = func(r sweep.Result) {
-			onCell(r.Scenario.Index, origins[r.Scenario.Index], r.Metrics)
-		}
-	}
-	results, err := pool.Run(ctx, scs)
-	if err != nil {
-		return nil, RunStats{}, err
-	}
-	metrics := make([]map[string]float64, len(cells))
-	stats := RunStats{Total: len(cells), ByOrigin: make(map[Origin]int)}
-	for i, r := range results {
-		metrics[i] = r.Metrics
-		stats.ByOrigin[origins[i]]++
-	}
-	return metrics, stats, nil
-}
-
 // RunSweepCached is the cache-aware counterpart of mobisim.RunSweep:
 // it expands the matrix into content-addressed cells, serves each from
-// the cache where possible (populating it otherwise), and folds the
-// metric sets through the same aggregation tail RunSweep uses — so its
-// output is byte-identical to RunSweep for every matrix, hit or miss.
-// It backs `sweep -cache-dir`, sharing the on-disk store with the
-// daemon.
-func RunSweepCached(ctx context.Context, m mobisim.Matrix, workers int, includeRaw bool, cache *Cache) (*mobisim.SweepOutput, RunStats, error) {
+// the cache where possible (populating it otherwise), runs the misses
+// through Scheduler.RunCells — the daemon's executor — at
+// cfg.BatchWidth lanes (<= 0 means 1) on cfg.Workers workers, and folds
+// the metric sets through the same aggregation tail RunSweep uses, so
+// its output is byte-identical to RunSweep for every matrix, hit or
+// miss. Misses always plan prefix warm units, like the daemon;
+// cfg.WarmStart changes nothing. It backs `sweep -cache-dir`, sharing
+// the on-disk store with the daemon.
+func RunSweepCached(ctx context.Context, m mobisim.Matrix, cfg mobisim.SweepConfig, cache *Cache) (*mobisim.SweepOutput, RunStats, error) {
 	cells, err := mobisim.ExpandCells(m)
 	if err != nil {
 		return nil, RunStats{}, err
 	}
 	sched := NewScheduler(ctx, cache)
-	metrics, stats, err := runCells(ctx, sched, cells, workers, nil, nil)
+	metrics, stats, err := sched.RunCells(ctx, cells, max(cfg.BatchWidth, 1), cfg.Workers, nil, nil)
 	if err != nil {
 		return nil, stats, err
 	}
-	out, err := mobisim.AggregateCells(cells, metrics, includeRaw)
+	out, err := mobisim.AggregateCells(cells, metrics, cfg.IncludeRaw)
 	return out, stats, err
 }

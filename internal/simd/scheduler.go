@@ -2,8 +2,7 @@ package simd
 
 import (
 	"context"
-	"fmt"
-	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -15,11 +14,8 @@ import (
 type Origin string
 
 const (
-	// OriginComputed is a cold simulation run.
+	// OriginComputed is a simulation run by this caller's job.
 	OriginComputed Origin = "computed"
-	// OriginComputedWarm is a simulation run warm-started from a cached
-	// prefix snapshot.
-	OriginComputedWarm Origin = "computed-warm"
 	// OriginMemCache is an in-memory cache hit.
 	OriginMemCache Origin = "mem-cache"
 	// OriginDiskCache is an on-disk cache hit.
@@ -40,7 +36,8 @@ type Sample struct {
 
 // SampleFunc receives a cell's observer samples after the cell
 // completes. Cache hits deliver no samples (nothing was simulated),
-// and warm-started cells deliver only post-fork samples.
+// cells forked from a warm unit's checkpoint deliver only post-fork
+// samples, and cells that reuse their sentinel's run deliver none.
 type SampleFunc func(Sample)
 
 // maxFlightSamples bounds the per-flight sample buffer; a pathological
@@ -48,29 +45,26 @@ type SampleFunc func(Sample)
 // never to unbounded memory.
 const maxFlightSamples = 1 << 16
 
-// ctxCheckSteps is the cancellation-poll granularity of non-appaware
-// runs; chunked RunSteps is byte-identical to one Run call, so the
-// chunk size is a latency knob only.
+// ctxCheckSteps is the cancellation-poll granularity of unit runs;
+// chunked stepping is byte-identical to one Run call, so the chunk size
+// is a latency knob only.
 const ctxCheckSteps = 4096
 
 // SchedulerStats is an atomic snapshot of the scheduler counters.
-// Computed counts every simulated cell regardless of executor;
-// WarmComputed the subset warm-started from a disk prefix snapshot;
-// Deduped the waiters actually served by another caller's flight.
-// Batched counts lockstep units the batched executor ran and
-// BatchLanes the cells that rode them as lanes, so
+// Computed counts every simulated cell; Deduped the waiters actually
+// served by another caller's flight. Batched counts the lockstep units
+// run and BatchLanes the cells that rode them as lanes, so
 // BatchLanes/Batched is the realized mean lane width.
 type SchedulerStats struct {
-	Computed     uint64 `json:"computed"`
-	WarmComputed uint64 `json:"warm_computed"`
-	Deduped      uint64 `json:"deduped"`
-	Batched      uint64 `json:"batched"`
-	BatchLanes   uint64 `json:"batch_lanes"`
-	Inflight     int    `json:"inflight"`
+	Computed   uint64 `json:"computed"`
+	Deduped    uint64 `json:"deduped"`
+	Batched    uint64 `json:"batched"`
+	BatchLanes uint64 `json:"batch_lanes"`
+	Inflight   int    `json:"inflight"`
 }
 
 // Scheduler runs content-addressed cells at most once at a time per
-// CellKey: concurrent RunCell calls for the same key — from any job —
+// CellKey: concurrent RunCells calls sharing a key — from any job —
 // share one in-flight computation (singleflight), and completed keys
 // are served from the cache. Safe for concurrent use.
 type Scheduler struct {
@@ -80,13 +74,12 @@ type Scheduler struct {
 	mu      sync.Mutex
 	flights map[uint64]*flight
 
-	computed     atomic.Uint64
-	warmComputed atomic.Uint64
-	deduped      atomic.Uint64
-	batched      atomic.Uint64
-	batchLanes   atomic.Uint64
+	computed   atomic.Uint64
+	deduped    atomic.Uint64
+	batched    atomic.Uint64
+	batchLanes atomic.Uint64
 
-	// batch is the shared lockstep runner behind RunCellsBatched; its
+	// batch is the shared lockstep runner behind RunCells; its
 	// engine-shell free list persists across jobs.
 	batch mobisim.BatchRunner
 }
@@ -100,10 +93,9 @@ type flight struct {
 	mu   sync.Mutex
 	refs int
 
-	// Written only by the compute goroutine before close(done); read by
+	// Written only by the unit goroutine before close(done); read by
 	// waiters after <-done (the close is the happens-before edge).
 	metrics map[string]float64
-	warm    bool
 	samples []Sample
 	err     error
 }
@@ -124,64 +116,221 @@ func (s *Scheduler) Stats() SchedulerStats {
 	inflight := len(s.flights)
 	s.mu.Unlock()
 	return SchedulerStats{
-		Computed:     s.computed.Load(),
-		WarmComputed: s.warmComputed.Load(),
-		Deduped:      s.deduped.Load(),
-		Batched:      s.batched.Load(),
-		BatchLanes:   s.batchLanes.Load(),
-		Inflight:     inflight,
+		Computed:   s.computed.Load(),
+		Deduped:    s.deduped.Load(),
+		Batched:    s.batched.Load(),
+		BatchLanes: s.batchLanes.Load(),
+		Inflight:   inflight,
 	}
 }
 
-// RunCell returns the cell's metric set, from the cache when the key
-// is known, from another caller's in-flight run when one exists, and
-// by simulating otherwise. The returned map is the caller's to keep.
-// tap, when non-nil, receives the run's observer samples (in time
-// order, after completion) for computed and deduped origins.
+// RunCells executes cells through the singleflight scheduler: each cell
+// is served from the cache when its key is known, from another caller's
+// in-flight run when one exists, and otherwise simulated — the misses
+// this call leads are planned with mobisim.PlanBatchUnits into lockstep
+// units of at most width lanes (width <= 0 selects
+// mobisim.DefaultBatchWidth), limit-aware cells sharing a warm-up
+// prefix forking from an in-memory sentinel checkpoint, and run on at
+// most workers units at a time (<= 0 uses GOMAXPROCS). The returned
+// metrics are in cell order and each map is the caller's to keep.
 //
-// Cancellation is per caller: a canceled ctx detaches this waiter, and
-// the underlying computation is aborted only when its last waiter
-// detaches, so one client canceling a job never kills a cell another
-// job is waiting on.
-func (s *Scheduler) RunCell(ctx context.Context, cell mobisim.Cell, tap SampleFunc) (map[string]float64, Origin, error) {
+// onCell, when non-nil, fires once per cell in cell order as results
+// become available. tapFor, when non-nil, supplies the per-cell tap
+// that receives a computed or deduped cell's observer samples, in time
+// order, after completion; sample delivery is best-effort (see
+// SampleFunc).
+//
+// Cancellation is per caller: a canceled ctx detaches this caller, and
+// a unit is aborted only when every one of its cells has lost its last
+// waiter, so one client canceling a job never kills a cell another job
+// is waiting on. Lanes never interact and chunked stepping is
+// trajectory-identical, so every metric set is bitwise-identical to a
+// cold RunSweep of the same cell.
+func (s *Scheduler) RunCells(ctx context.Context, cells []mobisim.Cell, width, workers int, onCell func(i int, origin Origin, metrics map[string]float64), tapFor func(i int) SampleFunc) ([]map[string]float64, RunStats, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, "", err
+		return nil, RunStats{}, err
 	}
-	if m, tier := s.cache.Get(cell.Key); tier != TierMiss {
+	metrics := make([]map[string]float64, len(cells))
+	origins := make([]Origin, len(cells))
+
+	// Phase 1: resolve each cell against the cache, joining a flight for
+	// every miss. The first joiner of a key — here or in any concurrent
+	// job — leads it; duplicates within this job follow their own lead.
+	// Cancellation is deliberately not polled between joins: every led
+	// flight must reach phase 2 so a cross-job follower that attaches in
+	// the window always has a computation coming (phase 3 then unwinds a
+	// canceled caller through the ordinary last-waiter-detach path).
+	type pending struct {
+		i      int // position in cells
+		fl     *flight
+		leader bool
+	}
+	var pend []pending
+	var leaderIdx []int // pend positions of the leaders, in join order
+	for i := range cells {
+		m, tier := s.cache.Get(cells[i].Key)
+		if tier == TierMiss {
+			fl, leader, cached := s.join(cells[i].Key)
+			if fl != nil {
+				if leader {
+					leaderIdx = append(leaderIdx, len(pend))
+				}
+				pend = append(pend, pending{i: i, fl: fl, leader: leader})
+				continue
+			}
+			m, tier = cached, TierMemory
+		}
+		origins[i] = OriginMemCache
 		if tier == TierDisk {
-			return m, OriginDiskCache, nil
+			origins[i] = OriginDiskCache
 		}
-		return m, OriginMemCache, nil
-	}
-	fl, leader := s.join(cell.Key)
-	if leader {
-		go s.compute(fl, cell)
-	}
-	if err := awaitFlight(ctx, fl); err != nil {
-		s.leave(cell.Key, fl)
-		return nil, "", err
-	}
-	s.leave(cell.Key, fl)
-	if fl.err != nil {
-		return nil, "", fl.err
-	}
-	if tap != nil {
-		for i := range fl.samples {
-			tap(fl.samples[i])
+		metrics[i] = m
+		if onCell != nil {
+			onCell(i, origins[i], m)
 		}
 	}
-	origin := OriginComputed
-	switch {
-	case !leader:
-		// Counted at receipt, not at join: a waiter that detaches before
-		// the flight completes was never served a deduped result and must
-		// not drift the counter.
-		s.deduped.Add(1)
-		origin = OriginDeduped
-	case fl.warm:
-		origin = OriginComputedWarm
+
+	// Phase 2: plan the led cells into units and launch them. Warm
+	// sentinels checkpoint in memory, so warm grouping is unconditional.
+	if len(leaderIdx) > 0 {
+		specs := make([]mobisim.Scenario, len(leaderIdx))
+		keys := make([]uint64, len(leaderIdx))
+		flights := make([]*flight, len(leaderIdx))
+		for k, pi := range leaderIdx {
+			specs[k] = cells[pend[pi].i].Spec
+			keys[k] = cells[pend[pi].i].Key
+			flights[k] = pend[pi].fl
+		}
+		units, err := mobisim.PlanBatchUnits(specs, width, true)
+		if err != nil {
+			// A plan failure (key derivation) fails every led flight so no
+			// cross-job waiter hangs; phase 3 surfaces the error here too.
+			for k := range flights {
+				s.publish(keys[k], flights[k], nil, err)
+			}
+		} else {
+			s.launchUnits(specs, keys, flights, units, width, workers)
+		}
 	}
-	return copyMetrics(fl.metrics), origin, nil
+
+	// Phase 3: collect, waiting on each flight like any follower does.
+	// After the caller is canceled, a completed flight is still consumed
+	// (awaitFlight), so finished work is never discarded.
+	var firstErr error
+	for _, p := range pend {
+		if firstErr != nil {
+			s.leave(cells[p.i].Key, p.fl)
+			continue
+		}
+		if err := awaitFlight(ctx, p.fl); err != nil {
+			s.leave(cells[p.i].Key, p.fl)
+			firstErr = err
+			continue
+		}
+		s.leave(cells[p.i].Key, p.fl)
+		if p.fl.err != nil {
+			firstErr = p.fl.err
+			continue
+		}
+		if tapFor != nil {
+			if tap := tapFor(p.i); tap != nil {
+				for k := range p.fl.samples {
+					tap(p.fl.samples[k])
+				}
+			}
+		}
+		origin := OriginComputed
+		if !p.leader {
+			// Counted at receipt, not at join: a waiter that detaches
+			// before the flight completes was never served a deduped
+			// result and must not drift the counter.
+			s.deduped.Add(1)
+			origin = OriginDeduped
+		}
+		origins[p.i] = origin
+		metrics[p.i] = copyMetrics(p.fl.metrics)
+		if onCell != nil {
+			onCell(p.i, origin, metrics[p.i])
+		}
+	}
+	if firstErr != nil {
+		return nil, RunStats{}, firstErr
+	}
+	stats := RunStats{Total: len(cells), ByOrigin: make(map[Origin]int)}
+	for i := range cells {
+		stats.ByOrigin[origins[i]]++
+	}
+	return metrics, stats, nil
+}
+
+// launchUnits runs planned units on detached goroutines bounded by a
+// workers-wide semaphore, publishing each unit's outcome into its
+// member flights. Units derive their context from the scheduler base —
+// not the submitting job — so a unit outlives a canceled caller while
+// any cross-job waiter remains; a per-unit watcher cancels it once
+// every member flight is done or abandoned (each flight context ends
+// either way), after which the next poll aborts the unit within
+// ctxCheckSteps steps.
+func (s *Scheduler) launchUnits(specs []mobisim.Scenario, keys []uint64, flights []*flight, units []mobisim.BatchPlanUnit, width, workers int) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	sem := make(chan struct{}, workers)
+	for _, u := range units {
+		u := u
+		uctx, ucancel := context.WithCancel(s.base)
+		ufl := make([]*flight, len(u.Idx))
+		for k, li := range u.Idx {
+			ufl[k] = flights[li]
+		}
+		go func() {
+			for _, fl := range ufl {
+				<-fl.ctx.Done()
+			}
+			ucancel()
+		}()
+		go func() {
+			defer ucancel()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			s.runUnit(uctx, specs, keys, flights, u, width)
+		}()
+	}
+}
+
+// runUnit executes one unit and publishes per-lane outcomes. Lane
+// observers record into their flight's sample buffer; close(done) in
+// publish is the happens-before edge to waiters.
+func (s *Scheduler) runUnit(ctx context.Context, specs []mobisim.Scenario, keys []uint64, flights []*flight, u mobisim.BatchPlanUnit, width int) {
+	opt := mobisim.BatchRunOptions{
+		CtxCheckSteps: ctxCheckSteps,
+		Observer: func(i int) mobisim.Observer {
+			fl := flights[i]
+			return observerFunc(func(smp *mobisim.Sample) error {
+				if len(fl.samples) < maxFlightSamples {
+					fl.samples = append(fl.samples, Sample{
+						TimeS:    smp.TimeS,
+						MaxTempC: thermal.ToCelsius(smp.MaxTempK),
+						SensorC:  thermal.ToCelsius(smp.SensorK),
+						TotalW:   smp.TotalW,
+					})
+				}
+				return nil
+			})
+		},
+	}
+	out, err := s.batch.RunUnit(ctx, specs, u, width, opt)
+	if err != nil {
+		for _, li := range u.Idx {
+			s.publish(keys[li], flights[li], nil, err)
+		}
+		return
+	}
+	s.batched.Add(1)
+	s.batchLanes.Add(uint64(len(u.Idx)))
+	for k, li := range u.Idx {
+		s.publish(keys[li], flights[li], out[k], nil)
+	}
 }
 
 // awaitFlight blocks until the flight completes or ctx is canceled.
@@ -205,27 +354,33 @@ func awaitFlight(ctx context.Context, fl *flight) error {
 }
 
 // join attaches the caller to the key's flight, creating it (and
-// electing the caller leader) when none is in flight.
-func (s *Scheduler) join(key uint64) (*flight, bool) {
+// electing the caller leader) when none is in flight. A flight that
+// completed since the caller's cache miss stored its metrics in the
+// memory tier before it retired (see publish), so before electing a
+// leader join looks there again and returns the metrics instead of a
+// flight; otherwise that window would simulate the cell twice.
+func (s *Scheduler) join(key uint64) (*flight, bool, map[string]float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if fl, ok := s.flights[key]; ok {
 		fl.mu.Lock()
 		fl.refs++
 		fl.mu.Unlock()
-		return fl, false
+		return fl, false, nil
+	}
+	if m, ok := s.cache.peek(key); ok {
+		return nil, false, m
 	}
 	ctx, cancel := context.WithCancel(s.base)
 	fl := &flight{ctx: ctx, cancel: cancel, done: make(chan struct{}), refs: 1}
 	s.flights[key] = fl
-	return fl, true
+	return fl, true, nil
 }
 
-// leave detaches one waiter; the last one out cancels the compute
-// context and retires the flight. A later RunCell for the same key
-// then starts fresh — if it races a still-unwinding compute, both
-// produce identical bytes by content addressing, so the race is
-// benign.
+// leave detaches one waiter; the last one out cancels the flight
+// context and retires the flight. A later RunCells for the same key
+// then starts fresh — if it races a still-unwinding unit, both produce
+// identical bytes by content addressing, so the race is benign.
 func (s *Scheduler) leave(key uint64, fl *flight) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -241,30 +396,12 @@ func (s *Scheduler) leave(key uint64, fl *flight) {
 	}
 }
 
-// compute runs the cell, publishes the outcome to waiters, stores a
-// success in the cache, and retires the flight.
-func (s *Scheduler) compute(fl *flight, cell mobisim.Cell) {
-	record := func(smp Sample) {
-		if len(fl.samples) < maxFlightSamples {
-			fl.samples = append(fl.samples, smp)
-		}
-	}
-	metrics, warm, err := s.computeCell(fl.ctx, cell, record)
-	s.publish(cell.Key, fl, metrics, warm, err)
-}
-
 // publish completes a leader flight: outcome fields, counters, the
-// cache store, the done broadcast, and flight retirement. Both the
-// scalar compute goroutine and the batched unit executor terminate
-// here, so cross-job waiters observe a batched cell exactly like a
-// scalar one.
-func (s *Scheduler) publish(key uint64, fl *flight, metrics map[string]float64, warm bool, err error) {
-	fl.metrics, fl.warm, fl.err = metrics, warm, err
+// cache store, the done broadcast, and flight retirement.
+func (s *Scheduler) publish(key uint64, fl *flight, metrics map[string]float64, err error) {
+	fl.metrics, fl.err = metrics, err
 	if err == nil {
 		s.computed.Add(1)
-		if warm {
-			s.warmComputed.Add(1)
-		}
 		// A disk write failure degrades to recomputation later; the
 		// memory tier and this flight's waiters still have the result.
 		_ = s.cache.Put(key, metrics)
@@ -282,150 +419,3 @@ func (s *Scheduler) publish(key uint64, fl *flight, metrics map[string]float64, 
 type observerFunc func(*mobisim.Sample) error
 
 func (f observerFunc) OnSample(smp *mobisim.Sample) error { return f(smp) }
-
-// newEngine builds the cell's engine with recording disabled (the
-// daemon never serves traces) and the sample tap attached. Observers
-// never perturb the simulated dynamics, so the tap cannot break
-// byte-identity with an unobserved cold run.
-func newEngine(spec mobisim.Scenario, record func(Sample)) (*mobisim.Engine, error) {
-	obs := observerFunc(func(smp *mobisim.Sample) error {
-		record(Sample{
-			TimeS:    smp.TimeS,
-			MaxTempC: thermal.ToCelsius(smp.MaxTempK),
-			SensorC:  thermal.ToCelsius(smp.SensorK),
-			TotalW:   smp.TotalW,
-		})
-		return nil
-	})
-	return mobisim.New(spec, mobisim.WithoutRecording(), mobisim.WithObserver(obs))
-}
-
-// computeCell simulates one cell. Appaware cells participate in the
-// prefix-snapshot store when the cache has one: a usable snapshot
-// warm-starts the run (warm=true), and a cold sentinel run records a
-// pre-event checkpoint for the next cell of its prefix group. All
-// paths step the same total count from the same state, so their
-// metrics are byte-identical to Engine.Run on a fresh engine — the PR 6
-// warm-start invariant the sweep tests pin.
-func (s *Scheduler) computeCell(ctx context.Context, cell mobisim.Cell, record func(Sample)) (map[string]float64, bool, error) {
-	eng, err := newEngine(cell.Spec, record)
-	if err != nil {
-		return nil, false, err
-	}
-	stepS := eng.Sim().StepS()
-	steps := int(math.Round(cell.Spec.DurationS / stepS))
-	aware := eng.AppAware()
-	if aware == nil || !s.cache.SnapshotsEnabled() {
-		if err := runChunked(ctx, eng, steps, ctxCheckSteps); err != nil {
-			return nil, false, err
-		}
-		return eng.Metrics(), false, nil
-	}
-
-	prefix, err := cell.Spec.PrefixKey()
-	if err != nil {
-		// CellKey resolved at expansion, so this cannot normally happen;
-		// degrade to a plain cold run rather than failing the cell.
-		if err := runChunked(ctx, eng, steps, ctxCheckSteps); err != nil {
-			return nil, false, err
-		}
-		return eng.Metrics(), false, nil
-	}
-
-	// The reuse gate mirrors the warm-start monotonicity argument: a
-	// checkpoint taken before its producing run's first limit-dependent
-	// action is valid for any same-prefix cell whose effective limit is
-	// >= the producer's (it acts no earlier) and whose horizon covers
-	// the checkpoint step.
-	effLimit := thermal.ToCelsius(eng.Platform().ThermalLimitK())
-	if cell.Spec.LimitC != 0 {
-		effLimit = cell.Spec.LimitC
-	}
-	if snap, ok := s.cache.GetSnapshot(prefix); ok && effLimit >= snap.LimitC && steps >= snap.Step {
-		if err := eng.Restore(snap.Blob); err == nil {
-			if err := runChunked(ctx, eng, steps-snap.Step, ctxCheckSteps); err != nil {
-				return nil, false, err
-			}
-			return eng.Metrics(), true, nil
-		}
-		// A structurally unusable blob (schema drift inside an otherwise
-		// well-formed file) falls back to a cold sentinel run on a fresh
-		// engine; Restore may have part-mutated this one.
-		if eng, err = newEngine(cell.Spec, record); err != nil {
-			return nil, false, err
-		}
-		aware = eng.AppAware()
-	}
-	return s.runSentinel(ctx, eng, aware, prefix, effLimit, steps, stepS)
-}
-
-// runSentinel runs the cell cold while checkpointing once per control
-// interval until the governor's first event, then stores the last
-// pre-event checkpoint in the snapshot store for future same-prefix
-// cells. The interval pacing only changes RunSteps chunking, never the
-// trajectory.
-func (s *Scheduler) runSentinel(ctx context.Context, eng *mobisim.Engine, aware *mobisim.AppAwareGovernor, prefix uint64, effLimit float64, steps int, stepS float64) (map[string]float64, bool, error) {
-	span := int(math.Round(aware.IntervalS() / stepS))
-	if span < 1 {
-		span = 1
-	}
-	var ckpt []byte
-	ckptStep := -1
-	acted := false
-	for done := 0; done < steps; {
-		if err := ctx.Err(); err != nil {
-			return nil, false, err
-		}
-		n := steps - done
-		if !acted {
-			blob, err := eng.Snapshot()
-			if err != nil {
-				return nil, false, fmt.Errorf("simd: sentinel snapshot: %w", err)
-			}
-			ckpt, ckptStep = blob, done
-			if n > span {
-				n = span
-			}
-		}
-		if n > ctxCheckSteps {
-			// Cancellation-latency cap, load-bearing for the post-event
-			// tail: without it the whole remaining horizon ran as one
-			// RunSteps call and DELETE-cancel, last-waiter detach and hard
-			// shutdown could not abort the cell until it finished. Chunking
-			// is byte-identical (see ctxCheckSteps); a finer checkpoint
-			// cadence under an oversized control interval is a cost knob.
-			n = ctxCheckSteps
-		}
-		if err := eng.RunSteps(n); err != nil {
-			return nil, false, err
-		}
-		done += n
-		if !acted && aware.EventCount() > 0 {
-			acted = true
-		}
-	}
-	if ckptStep >= 0 {
-		// Best-effort: a full store never fails the cell.
-		_ = s.cache.PutSnapshot(prefix, PrefixSnapshot{LimitC: effLimit, Step: ckptStep, Blob: ckpt})
-	}
-	return eng.Metrics(), false, nil
-}
-
-// runChunked advances the engine by exactly `steps` steps in chunks,
-// polling ctx between chunks.
-func runChunked(ctx context.Context, eng *mobisim.Engine, steps, chunk int) error {
-	for done := 0; done < steps; {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		n := steps - done
-		if n > chunk {
-			n = chunk
-		}
-		if err := eng.RunSteps(n); err != nil {
-			return err
-		}
-		done += n
-	}
-	return nil
-}

@@ -33,6 +33,22 @@ func coldMetrics(t *testing.T, spec mobisim.Scenario) map[string]float64 {
 	return eng.Metrics()
 }
 
+// runCell runs one cell through RunCells at width 1 and reports the
+// origin its onCell hook saw.
+func runCell(ctx context.Context, sched *Scheduler, cell mobisim.Cell, tap SampleFunc) (map[string]float64, Origin, error) {
+	var origin Origin
+	var tapFor func(int) SampleFunc
+	if tap != nil {
+		tapFor = func(int) SampleFunc { return tap }
+	}
+	metrics, _, err := sched.RunCells(ctx, []mobisim.Cell{cell}, 1, 1,
+		func(_ int, o Origin, _ map[string]float64) { origin = o }, tapFor)
+	if err != nil {
+		return nil, "", err
+	}
+	return metrics[0], origin, nil
+}
+
 func newTestScheduler(t *testing.T) (*Scheduler, *Cache) {
 	t.Helper()
 	cache, err := NewCache(t.TempDir(), 64)
@@ -58,7 +74,7 @@ func TestSchedulerColdThenCached(t *testing.T) {
 	want := coldMetrics(t, cell.Spec)
 
 	var samples []Sample
-	m1, origin, err := sched.RunCell(context.Background(), cell, func(s Sample) { samples = append(samples, s) })
+	m1, origin, err := runCell(context.Background(), sched, cell, func(s Sample) { samples = append(samples, s) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +88,7 @@ func TestSchedulerColdThenCached(t *testing.T) {
 		t.Error("computed cell delivered no observer samples")
 	}
 
-	m2, origin, err := sched.RunCell(context.Background(), cell, func(s Sample) { t.Error("cache hit delivered samples") })
+	m2, origin, err := runCell(context.Background(), sched, cell, func(s Sample) { t.Error("cache hit delivered samples") })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +97,7 @@ func TestSchedulerColdThenCached(t *testing.T) {
 	}
 
 	fresh := NewScheduler(context.Background(), mustReopen(t, cache))
-	m3, origin, err := fresh.RunCell(context.Background(), cell, nil)
+	m3, origin, err := runCell(context.Background(), fresh, cell, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +118,7 @@ func mustReopen(t *testing.T, c *Cache) *Cache {
 	return fresh
 }
 
-// TestSchedulerSingleflight is the dedup contract: concurrent RunCell
+// TestSchedulerSingleflight is the dedup contract: concurrent RunCells
 // calls for one CellKey share a single computation — the simulation
 // runs exactly once, every waiter gets bitwise-identical metrics, and
 // the joiners are counted as deduped.
@@ -126,7 +142,7 @@ func TestSchedulerSingleflight(t *testing.T) {
 	}
 	results := make(chan res, 4)
 	run := func() {
-		m, o, err := sched.RunCell(context.Background(), cell, nil)
+		m, o, err := runCell(context.Background(), sched, cell, nil)
 		results <- res{m, o, err}
 	}
 	go run()
@@ -172,85 +188,6 @@ func TestSchedulerSingleflight(t *testing.T) {
 	}
 }
 
-// TestSchedulerWarmStartFromSnapshot pins the cross-run prefix
-// warm-start: an appaware sentinel run stores a checkpoint, and a
-// same-prefix higher-limit cell on a *fresh* scheduler warm-starts
-// from disk — with metrics byte-identical to its cold run.
-func TestSchedulerWarmStartFromSnapshot(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation")
-	}
-	base := mobisim.Scenario{
-		Platform: mobisim.PlatformOdroidXU3, Workload: "3dmark+bml",
-		Governor: mobisim.GovAppAware, DurationS: 3, Seed: 1,
-	}
-	low, high := base, base
-	low.LimitC, high.LimitC = 52, 70
-	lowCell, highCell := mustCell(t, low), mustCell(t, high)
-
-	sched, cache := newTestScheduler(t)
-	if _, origin, err := sched.RunCell(context.Background(), lowCell, nil); err != nil || origin != OriginComputed {
-		t.Fatalf("sentinel run: origin %s err %v", origin, err)
-	}
-	if cache.Stats().SnapshotStores == 0 {
-		t.Fatal("sentinel run stored no prefix snapshot")
-	}
-
-	fresh := NewScheduler(context.Background(), mustReopen(t, cache))
-	got, origin, err := fresh.RunCell(context.Background(), highCell, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if origin != OriginComputedWarm {
-		t.Fatalf("same-prefix cell origin: %s, want %s", origin, OriginComputedWarm)
-	}
-	if want := coldMetrics(t, highCell.Spec); !metricsBitwiseEqual(got, want) {
-		t.Fatalf("warm-started metrics differ from cold run:\ngot  %v\nwant %v", got, want)
-	}
-
-	// The gate must refuse the snapshot for a lower limit than the
-	// producer's: that cell may act before the checkpoint.
-	lower := base
-	lower.LimitC = 45
-	lowerCell := mustCell(t, lower)
-	if _, origin, err = fresh.RunCell(context.Background(), lowerCell, nil); err != nil || origin != OriginComputed {
-		t.Fatalf("below-gate cell origin: %s err %v, want cold compute", origin, err)
-	}
-}
-
-// TestSchedulerCorruptSnapshotBlob pins the fallback: a structurally
-// valid snapshot entry whose engine blob is garbage must not fail the
-// cell — Restore's error sends it down the cold sentinel path with
-// correct metrics.
-func TestSchedulerCorruptSnapshotBlob(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation")
-	}
-	sched, cache := newTestScheduler(t)
-	spec := mobisim.Scenario{
-		Platform: mobisim.PlatformOdroidXU3, Workload: "3dmark",
-		Governor: mobisim.GovAppAware, LimitC: 70, DurationS: 1, Seed: 2,
-	}
-	cell := mustCell(t, spec)
-	prefix, err := cell.Spec.PrefixKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cache.PutSnapshot(prefix, PrefixSnapshot{LimitC: 1, Step: 10, Blob: []byte("not an engine snapshot")}); err != nil {
-		t.Fatal(err)
-	}
-	got, origin, err := sched.RunCell(context.Background(), cell, nil)
-	if err != nil {
-		t.Fatalf("corrupt snapshot blob failed the cell: %v", err)
-	}
-	if origin != OriginComputed {
-		t.Errorf("origin: %s, want cold compute fallback", origin)
-	}
-	if want := coldMetrics(t, cell.Spec); !metricsBitwiseEqual(got, want) {
-		t.Error("fallback metrics differ from cold run")
-	}
-}
-
 // TestSchedulerCancellation pins per-waiter cancellation: a canceled
 // caller detaches with its context's error, and once the last waiter
 // is gone the flight is retired.
@@ -269,7 +206,7 @@ func TestSchedulerCancellation(t *testing.T) {
 	var runErr error
 	go func() {
 		defer wg.Done()
-		_, _, runErr = sched.RunCell(ctx, cell, nil)
+		_, _, runErr = runCell(ctx, sched, cell, nil)
 	}()
 	deadline := time.Now().Add(10 * time.Second)
 	for sched.Stats().Inflight == 0 {
@@ -281,7 +218,7 @@ func TestSchedulerCancellation(t *testing.T) {
 	cancel()
 	wg.Wait()
 	if runErr == nil {
-		t.Fatal("canceled RunCell returned no error")
+		t.Fatal("canceled RunCells returned no error")
 	}
 	deadline = time.Now().Add(10 * time.Second)
 	for sched.Stats().Inflight != 0 {
@@ -292,5 +229,31 @@ func TestSchedulerCancellation(t *testing.T) {
 	}
 	if got := sched.Stats().Computed; got != 0 {
 		t.Errorf("canceled flight counted as computed: %d", got)
+	}
+}
+
+// TestJoinAfterPublishServesMemoryTier pins the window between a
+// caller's cache miss and its join: when another caller's flight
+// publishes and retires inside it, the join must hand back the
+// published metrics instead of electing a leader for a second
+// simulation of the same key.
+func TestJoinAfterPublishServesMemoryTier(t *testing.T) {
+	sched, cache := newTestScheduler(t)
+	const key = 42
+	if _, tier := cache.Get(key); tier != TierMiss {
+		t.Fatal("fresh cache hit")
+	}
+	fl, leader, _ := sched.join(key)
+	if !leader {
+		t.Fatal("first joiner not elected leader")
+	}
+	sched.publish(key, fl, map[string]float64{"x": 1}, nil)
+
+	late, leader, m := sched.join(key)
+	if late != nil || leader || m["x"] != 1 {
+		t.Fatalf("join after publish: flight %v, leader %v, metrics %v; want the published metrics", late, leader, m)
+	}
+	if st := sched.Stats(); st.Computed != 1 || st.Inflight != 0 {
+		t.Errorf("scheduler stats: %+v", st)
 	}
 }

@@ -30,13 +30,13 @@ type Config struct {
 	// CellWorkers is the per-job cell concurrency (default 0 =
 	// GOMAXPROCS).
 	CellWorkers int
-	// BatchWidth routes each job's cache-miss cells through the batched
-	// lockstep executor with this lane width. 0 keeps the scalar
-	// per-cell path; < 0 selects mobisim.DefaultBatchWidth. Responses
-	// are byte-identical either way — the width is a throughput knob.
+	// BatchWidth is the lane width of the lockstep units each job's
+	// cache-miss cells run in; <= 0 selects mobisim.DefaultBatchWidth,
+	// and 1 steps every engine alone. Responses are byte-identical at
+	// every width — the width is a throughput knob.
 	BatchWidth int
 	// CacheDir roots the on-disk result cache; empty keeps the cache
-	// memory-only (and disables prefix snapshots).
+	// memory-only.
 	CacheDir string
 	// MemCacheCap bounds the in-memory cache tier (default
 	// DefaultMemCacheCap).
@@ -105,7 +105,7 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 1 << 20
 	}
-	if cfg.BatchWidth < 0 {
+	if cfg.BatchWidth <= 0 {
 		cfg.BatchWidth = mobisim.DefaultBatchWidth
 	}
 	if cfg.FS == nil {
@@ -368,14 +368,7 @@ func (s *Server) runJob(job *Job) {
 			}
 		}
 	}
-	var metrics []map[string]float64
-	var stats RunStats
-	var err error
-	if s.cfg.BatchWidth > 0 {
-		metrics, stats, err = s.sched.RunCellsBatched(job.Context(), job.Spec.Cells, s.cfg.BatchWidth, s.cfg.CellWorkers, onCell, tapFor)
-	} else {
-		metrics, stats, err = runCells(job.Context(), s.sched, job.Spec.Cells, s.cfg.CellWorkers, onCell, tapFor)
-	}
+	metrics, stats, err := s.sched.RunCells(job.Context(), job.Spec.Cells, s.cfg.BatchWidth, s.cfg.CellWorkers, onCell, tapFor)
 	if err != nil {
 		job.Fail(err)
 		s.journalEnd(job)

@@ -7,6 +7,14 @@ import (
 	"repro/internal/stats"
 )
 
+// Result is one completed scenario with its extracted metrics.
+type Result struct {
+	// Scenario is the point that was run.
+	Scenario Scenario
+	// Metrics maps metric names to scalar values.
+	Metrics map[string]float64
+}
+
 // Stat summarizes one metric across the seed replicates of a cell.
 type Stat struct {
 	Mean float64

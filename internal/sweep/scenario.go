@@ -1,16 +1,15 @@
 // Package sweep is the parallel scenario-sweep engine: it expands a
-// declarative parameter matrix into fully-specified scenarios, fans
-// them out across a worker pool of independent simulations, and folds
-// the per-scenario metrics back into statistical summaries.
+// declarative parameter matrix into fully-specified scenarios, runs
+// work items on TaskPool, the repository's one worker substrate, and
+// folds the per-scenario metrics back into statistical summaries.
 //
 // The package is deliberately simulation-agnostic: scenarios carry only
-// axis values (platform, workload, governor arm, thermal limit, seed)
-// and a RunFunc supplied by the caller — in this repo,
-// experiments.RunScenario — turns one scenario into a metric set. The
-// engine relies on the simulator's determinism invariant (same seed ⇒
-// bitwise-identical run), so results never depend on worker
-// interleaving: a pool with N workers produces byte-identical output to
-// a serial pass.
+// axis values (platform, workload, governor arm, thermal limit, seed),
+// and the caller — in this repo, mobisim.RunScenarios — turns them into
+// pool tasks. Tasks write disjoint result slots and the simulator is
+// deterministic (same seed ⇒ bitwise-identical run), so results never
+// depend on worker interleaving: a pool with N workers produces
+// byte-identical output to a serial pass.
 package sweep
 
 import (
@@ -20,8 +19,8 @@ import (
 
 // Scenario is one fully-specified simulation point of a sweep matrix.
 type Scenario struct {
-	// Index is the scenario's position in the expanded matrix; the pool
-	// reports results in Index order regardless of completion order.
+	// Index is the scenario's position in the expanded matrix; results
+	// are reported in Index order regardless of completion order.
 	Index int
 	// Platform names the device model ("odroid-xu3", "nexus6p").
 	Platform string

@@ -12,8 +12,8 @@ import (
 // output positions, so results are independent of worker interleaving),
 // the first task error cancels the rest, and context cancellation stops
 // feeding promptly. It is the one worker substrate of the repository:
-// Pool layers per-scenario tasks on it, and the mobisim sweep and
-// explore executors run one task per planned batch unit.
+// mobisim.RunScenarios runs one task per planned batch unit for every
+// sweep, search and limit study.
 type TaskPool struct {
 	// Workers is the concurrency; <= 0 uses GOMAXPROCS.
 	Workers int

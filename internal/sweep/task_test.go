@@ -2,9 +2,13 @@ package sweep
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"reflect"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestTaskPoolRunsEveryTask(t *testing.T) {
@@ -73,4 +77,208 @@ func TestTaskPoolCancellation(t *testing.T) {
 		t.Fatal("canceled context not reported")
 	}
 	_ = ran // a task may or may not start; only the error contract is pinned
+}
+
+// fakeMatrix expands a small deterministic scenario set for pool tests.
+func fakeMatrix(t *testing.T, cells, replicates int) []Scenario {
+	t.Helper()
+	limits := make([]float64, cells)
+	for i := range limits {
+		limits[i] = 50 + float64(i)
+	}
+	m := Matrix{
+		Platforms:  []string{"fake"},
+		Workloads:  []string{"fake"},
+		Governors:  []string{"fake"},
+		LimitsC:    limits,
+		Replicates: replicates,
+		DurationS:  1,
+		BaseSeed:   7,
+	}
+	scs, err := m.Scenarios()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return scs
+}
+
+// fakeRun is a deterministic pure function of the scenario, standing in
+// for a simulation.
+func fakeRun(_ context.Context, sc Scenario) (map[string]float64, error) {
+	return map[string]float64{
+		"metric_a": sc.LimitC * float64(sc.Seed%1000),
+		"metric_b": float64(sc.Index),
+	}, nil
+}
+
+// runScenarios runs one task per scenario on the pool, each writing its
+// own result slot, the way every executor in the repository uses it.
+func runScenarios(ctx context.Context, pool *TaskPool, scenarios []Scenario, run func(context.Context, Scenario) (map[string]float64, error)) ([]Result, error) {
+	results := make([]Result, len(scenarios))
+	tasks := make([]func(ctx context.Context) error, len(scenarios))
+	for i := range scenarios {
+		i := i
+		tasks[i] = func(ctx context.Context) error {
+			m, err := run(ctx, scenarios[i])
+			if err != nil {
+				return err
+			}
+			results[i] = Result{Scenario: scenarios[i], Metrics: m}
+			return nil
+		}
+	}
+	if err := pool.Run(ctx, tasks); err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
+func TestPoolParityAcrossWorkerCounts(t *testing.T) {
+	scenarios := fakeMatrix(t, 5, 3)
+	serial, err := runScenarios(context.Background(), &TaskPool{Workers: 1}, scenarios, fakeRun)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{2, 4, 8, 0} {
+		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
+			got, err := runScenarios(context.Background(), &TaskPool{Workers: workers}, scenarios, fakeRun)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(serial, got) {
+				t.Fatalf("results differ from serial run:\nserial: %+v\ngot:    %+v", serial, got)
+			}
+			// Byte-identical aggregated output, the pool's core contract.
+			a, err := Aggregate(serial)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := Aggregate(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			aj, err := json.Marshal(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bj, err := json.Marshal(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(aj) != string(bj) {
+				t.Fatalf("aggregates not byte-identical:\n%s\nvs\n%s", aj, bj)
+			}
+		})
+	}
+}
+
+func TestPoolRunsConcurrently(t *testing.T) {
+	// Sleep-bound tasks parallelize even on a single CPU: 8 tasks of
+	// 50 ms each finish in ~2 rounds on 4 workers, far under the 400 ms
+	// a serial pass needs.
+	sleep := func(ctx context.Context, sc Scenario) (map[string]float64, error) {
+		select {
+		case <-time.After(50 * time.Millisecond):
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		return map[string]float64{"m": 1}, nil
+	}
+	start := time.Now()
+	if _, err := runScenarios(context.Background(), &TaskPool{Workers: 4}, fakeMatrix(t, 8, 1), sleep); err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed > 350*time.Millisecond {
+		t.Errorf("8×50ms tasks on 4 workers took %v; pool is not concurrent", elapsed)
+	}
+}
+
+func TestPoolErrorPropagation(t *testing.T) {
+	scenarios := fakeMatrix(t, 8, 1)
+	sentinel := errors.New("scenario exploded")
+	var started atomic.Int32
+	run := func(ctx context.Context, sc Scenario) (map[string]float64, error) {
+		started.Add(1)
+		if sc.Index == 2 {
+			return nil, sentinel
+		}
+		// Successes are slow enough for the cancellation to land before
+		// the queue tail is fed.
+		select {
+		case <-time.After(20 * time.Millisecond):
+		case <-ctx.Done():
+		}
+		return map[string]float64{"m": 1}, nil
+	}
+	_, err := runScenarios(context.Background(), &TaskPool{Workers: 2}, scenarios, run)
+	if !errors.Is(err, sentinel) {
+		t.Fatalf("want the task error, got %v", err)
+	}
+	// The pool stops feeding after the failure: with 2 workers and an
+	// immediate error on the third task, the tail never starts.
+	if n := started.Load(); int(n) == len(scenarios) {
+		t.Errorf("all %d tasks started despite early failure", n)
+	}
+}
+
+func TestPoolContextCancellation(t *testing.T) {
+	scenarios := fakeMatrix(t, 8, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	var started atomic.Int32
+	run := func(ctx context.Context, sc Scenario) (map[string]float64, error) {
+		if started.Add(1) == 2 {
+			cancel() // cancel mid-run, from inside a task
+		}
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-time.After(5 * time.Second):
+			return map[string]float64{"m": 1}, nil
+		}
+	}
+	done := make(chan struct{})
+	var err error
+	go func() {
+		_, err = runScenarios(ctx, &TaskPool{Workers: 2}, scenarios, run)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("pool did not return after cancellation")
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	if n := started.Load(); int(n) == len(scenarios) {
+		t.Errorf("all %d tasks started despite cancellation", n)
+	}
+}
+
+func TestPoolEdgeCases(t *testing.T) {
+	t.Run("empty scenarios", func(t *testing.T) {
+		res, err := runScenarios(context.Background(), &TaskPool{Workers: 4}, nil, fakeRun)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res) != 0 {
+			t.Fatalf("want no results, got %v", res)
+		}
+	})
+	t.Run("more workers than scenarios", func(t *testing.T) {
+		res, err := runScenarios(context.Background(), &TaskPool{Workers: 64}, fakeMatrix(t, 2, 1), fakeRun)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res) != 2 || res[1].Metrics == nil {
+			t.Fatalf("want 2 results, got %+v", res)
+		}
+	})
+	t.Run("pre-canceled context", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := runScenarios(ctx, &TaskPool{Workers: 2}, fakeMatrix(t, 4, 1), fakeRun); !errors.Is(err, context.Canceled) {
+			t.Fatalf("want context.Canceled, got %v", err)
+		}
+	})
 }

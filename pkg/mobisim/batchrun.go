@@ -5,21 +5,22 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
+	"repro/internal/sweep"
 )
 
 // Exported batch-execution seam.
 //
-// The sweep executors, the explore evaluator and the simd daemon all
-// need the same two things to run cells fast: a planner that partitions
-// fully-resolved scenarios into lockstep-compatible units (equal
-// thermal topology and step count, prefix warm-start subgrouping for
-// limit-aware cells), and a runner that executes one unit on pooled
-// batch engines with byte-exact output. PlanBatchUnits and BatchRunner
-// export that surface so external executors — the daemon's cache-miss
-// path foremost — reuse the spec-level runners instead of duplicating
-// them. Nothing reachable through this API can change output bytes:
-// unit shape, lane width, observers and context-poll cadence are all
-// wall-clock knobs.
+// Every executor in the repository runs cells the same way: a planner
+// partitions fully-resolved scenarios into lockstep-compatible units
+// (equal thermal topology and step count, prefix warm-start subgrouping
+// for limit-aware cells), and a runner executes one unit on pooled
+// batch engines with byte-exact output. RunScenarios is that loop over
+// a sweep.TaskPool, behind RunSweep, the explore evaluator and
+// experiments.LimitSweep; PlanBatchUnits and BatchRunner export its two
+// halves for the simd daemon, which runs the units through its own
+// singleflight scheduler. Nothing reachable through this API can change
+// output bytes: unit shape, lane width, warm start, worker count,
+// observers and context-poll cadence are all wall-clock knobs.
 
 // BatchPlanUnit is one executable unit of a batch plan: positions into
 // the planned scenario slice, all sharing a thermal topology and step
@@ -166,4 +167,50 @@ func (r *BatchRunner) RunUnit(ctx context.Context, specs []Scenario, u BatchPlan
 		return runWarmSpecs(ctx, &r.pool, sub, width, o)
 	}
 	return runLockstepSpecs(ctx, &r.pool, sub, o)
+}
+
+// RunScenarios runs fully-resolved scenarios and returns their metric
+// sets in spec order, each bitwise-identical to a sequential
+// RunScenarioMetrics of the same scenario. PlanBatchUnits partitions
+// the specs into units of at most cfg.BatchWidth lanes (<= 0 means 1),
+// with prefix warm units when cfg.WarmStart is set, and every unit runs
+// as one sweep.TaskPool task on cfg.Workers workers. cfg.IncludeRaw is
+// ignored. It stops early on the first unit error or on context
+// cancellation.
+func RunScenarios(ctx context.Context, specs []Scenario, cfg SweepConfig) ([]map[string]float64, error) {
+	var r BatchRunner
+	return r.runScenarios(ctx, specs, cfg)
+}
+
+// runScenarios is RunScenarios on this runner's engine pool, so a
+// caller running many batches (the explore evaluator, once per
+// generation) recycles engine shells across them.
+func (r *BatchRunner) runScenarios(ctx context.Context, specs []Scenario, cfg SweepConfig) ([]map[string]float64, error) {
+	width := max(cfg.BatchWidth, 1)
+	units, err := PlanBatchUnits(specs, width, cfg.WarmStart)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]map[string]float64, len(specs))
+	tasks := make([]func(ctx context.Context) error, len(units))
+	for ui := range units {
+		u := units[ui]
+		tasks[ui] = func(ctx context.Context) error {
+			metrics, err := r.RunUnit(ctx, specs, u, width, BatchRunOptions{})
+			if err != nil {
+				s := specs[u.Idx[0]]
+				return fmt.Errorf("mobisim: unit of %d starting at scenario %d (%s|%s|%s|%g, seed %d): %w",
+					len(u.Idx), u.Idx[0], s.Platform, s.Workload, s.Governor, s.LimitC, s.Seed, err)
+			}
+			for k, i := range u.Idx {
+				out[i] = metrics[k]
+			}
+			return nil
+		}
+	}
+	pool := &sweep.TaskPool{Workers: cfg.Workers}
+	if err := pool.Run(ctx, tasks); err != nil {
+		return nil, err
+	}
+	return out, nil
 }

@@ -38,15 +38,12 @@ const (
 	prefixKeyDomain = "mobisim/prefixkey/v1\x00"
 )
 
-// CellKeyDomain and PrefixKeyDomain export the versioned domain
-// strings, so external stores (the simd daemon's on-disk result cache,
-// shard protocols) can derive their layout from the same version the
-// hashes are computed under: bumping a domain here automatically
-// retires every store location derived from it.
-const (
-	CellKeyDomain   = cellKeyDomain
-	PrefixKeyDomain = prefixKeyDomain
-)
+// CellKeyDomain exports the versioned cell-key domain string, so
+// external stores (the simd daemon's on-disk result cache, shard
+// protocols) can derive their layout from the same version the hashes
+// are computed under: bumping the domain here automatically retires
+// every store location derived from it.
+const CellKeyDomain = cellKeyDomain
 
 // CellKey returns the scenario's content hash: a stable 64-bit key over
 // the normalized scenario and its fully-resolved platform content. It

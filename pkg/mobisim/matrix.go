@@ -351,13 +351,12 @@ type SweepConfig struct {
 	WarmStart bool
 }
 
-// RunSweep expands the matrix and executes it on the parallel worker
-// pool: PlanBatchUnits partitions the expanded cells into units and
-// each unit runs as one sweep.TaskPool task through
-// BatchRunner.RunUnit, the same seam the explore evaluator and the
-// simd daemon use. Scenario runs are constant-memory (no trace series
-// are materialized). It stops early on the first unit error or on
-// context cancellation.
+// RunSweep expands the matrix and executes it through RunScenarios:
+// PlanBatchUnits partitions the expanded cells into units and each unit
+// runs as one sweep.TaskPool task through BatchRunner.RunUnit, the same
+// seam the explore evaluator and the simd daemon use. Scenario runs are
+// constant-memory (no trace series are materialized). It stops early
+// on the first unit error or on context cancellation.
 func RunSweep(ctx context.Context, m Matrix, cfg SweepConfig) (*SweepOutput, error) {
 	m.Normalize()
 	if err := m.Validate(); err != nil {
@@ -371,31 +370,13 @@ func RunSweep(ctx context.Context, m Matrix, cfg SweepConfig) (*SweepOutput, err
 	for i, sc := range scenarios {
 		specs[i] = warmSpec(sc)
 	}
-	width := max(cfg.BatchWidth, 1)
-	units, err := PlanBatchUnits(specs, width, cfg.WarmStart)
+	metrics, err := RunScenarios(ctx, specs, cfg)
 	if err != nil {
 		return nil, err
 	}
-	var runner BatchRunner
 	results := make([]sweep.Result, len(scenarios))
-	tasks := make([]func(ctx context.Context) error, len(units))
-	for ui := range units {
-		u := units[ui]
-		tasks[ui] = func(ctx context.Context) error {
-			metrics, err := runner.RunUnit(ctx, specs, u, width, BatchRunOptions{})
-			if err != nil {
-				first := scenarios[u.Idx[0]]
-				return fmt.Errorf("sweep: unit of %d starting at scenario %d (%s): %w", len(u.Idx), first.Index, first.Key(), err)
-			}
-			for k, i := range u.Idx {
-				results[i] = sweep.Result{Scenario: scenarios[i], Metrics: metrics[k]}
-			}
-			return nil
-		}
-	}
-	pool := &sweep.TaskPool{Workers: cfg.Workers}
-	if err := pool.Run(ctx, tasks); err != nil {
-		return nil, err
+	for i, sc := range scenarios {
+		results[i] = sweep.Result{Scenario: sc, Metrics: metrics[i]}
 	}
 	return buildSweepOutput(results, cfg.IncludeRaw)
 }

@@ -193,19 +193,21 @@ func (e *cellEvaluator) evaluate(ctx context.Context, gen int, pts []explore.Poi
 	}
 
 	if len(misses) > 0 {
+		specs := make([]Scenario, len(misses))
+		for i, mj := range misses {
+			specs[i] = mj.spec
+		}
 		var results []map[string]float64
 		var err error
 		if e.cfg.Runner != nil {
-			specs := make([]Scenario, len(misses))
-			for i, mj := range misses {
-				specs[i] = mj.spec
-			}
 			results, err = e.cfg.Runner.RunScenarios(ctx, specs)
 			if err == nil && len(results) != len(misses) {
 				err = fmt.Errorf("mobisim: optimize runner returned %d metric sets for %d cells", len(results), len(misses))
 			}
 		} else {
-			results, err = e.runCells(ctx, misses)
+			// The evaluator's own engine pool recycles engine shells
+			// across generations.
+			results, err = e.runner.runScenarios(ctx, specs, SweepConfig{Workers: e.cfg.Workers, BatchWidth: e.width, WarmStart: !e.cfg.NoWarmStart})
 		}
 		if err != nil {
 			return nil, err
@@ -248,48 +250,6 @@ func (e *cellEvaluator) evaluate(ctx context.Context, gen int, pts []explore.Poi
 		evals[pi] = ev
 	}
 	return evals, nil
-}
-
-// runCells simulates the generation's deduplicated misses through the
-// exported batch seam: PlanBatchUnits groups cells by thermal-topology
-// compatibility (only topology-equal lanes may share a lockstep batch)
-// with limit-aware cells sharing a warm-up prefix as warm-start packs,
-// and all units execute on the shared worker pool writing disjoint
-// result slots. Grouping changes wall-clock only: every executor is
-// byte-exact, so the returned metrics are independent of unit shape
-// and worker interleaving.
-func (e *cellEvaluator) runCells(ctx context.Context, jobs []missJob) ([]map[string]float64, error) {
-	out := make([]map[string]float64, len(jobs))
-	specs := make([]Scenario, len(jobs))
-	for i, j := range jobs {
-		specs[i] = j.spec
-	}
-	units, err := PlanBatchUnits(specs, e.width, !e.cfg.NoWarmStart)
-	if err != nil {
-		return nil, err
-	}
-	tasks := make([]func(ctx context.Context) error, len(units))
-	for ui := range units {
-		u := units[ui]
-		tasks[ui] = func(ctx context.Context) error {
-			metrics, err := e.runner.RunUnit(ctx, specs, u, e.width, BatchRunOptions{})
-			if err != nil {
-				return err
-			}
-			if len(metrics) != len(u.Idx) {
-				return fmt.Errorf("mobisim: optimize unit returned %d metric sets for %d cells", len(metrics), len(u.Idx))
-			}
-			for k, ji := range u.Idx {
-				out[ji] = metrics[k]
-			}
-			return nil
-		}
-	}
-	pool := &sweep.TaskPool{Workers: e.cfg.Workers}
-	if err := pool.Run(ctx, tasks); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // thermalTopoKey hashes the platform content that must be equal for
