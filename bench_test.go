@@ -25,7 +25,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stability"
-	"repro/internal/sweep"
 	"repro/internal/thermal"
 	"repro/internal/workload"
 	"repro/pkg/mobisim"
@@ -339,51 +338,32 @@ func BenchmarkAblationLimitSweep(b *testing.B) {
 }
 
 // BenchmarkSweepParallel measures the worker pool under
-// mobisim.RunScenarios: the same 8-scenario 3DMark+BML limit matrix
+// mobisim.RunSweep: the same 8-scenario 3DMark+BML limit matrix
 // executed at width 1 (one engine per unit) on 1 and on 4 workers. On
 // multi-core hardware the 4-worker run should complete >1.8× faster;
 // the determinism invariant guarantees both report identical metrics.
 func BenchmarkSweepParallel(b *testing.B) {
-	matrix := sweep.Matrix{
-		Platforms:  []string{experiments.PlatformOdroid},
+	matrix := mobisim.Matrix{
+		Platforms:  []string{mobisim.PlatformOdroidXU3},
 		Workloads:  []string{"3dmark+bml"},
-		Governors:  []string{experiments.GovAppAware},
+		Governors:  []string{mobisim.GovAppAware},
 		LimitsC:    []float64{52, 58, 64, 70},
 		Replicates: 2,
 		DurationS:  10,
 		BaseSeed:   benchSeed,
 	}
-	scenarios, err := matrix.Scenarios()
-	if err != nil {
-		b.Fatal(err)
-	}
-	specs := make([]mobisim.Scenario, len(scenarios))
-	for i, sc := range scenarios {
-		specs[i] = mobisim.Scenario{
-			Platform: sc.Platform, Workload: sc.Workload, Governor: sc.Governor,
-			LimitC: sc.LimitC, DurationS: sc.DurationS, Seed: sc.Seed, ModelOnlyBML: true,
-		}
-	}
 	for _, workers := range []int{1, 4} {
 		b.Run("workers-"+itoa(workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				metrics, err := mobisim.RunScenarios(context.Background(), specs, mobisim.SweepConfig{Workers: workers, BatchWidth: 1})
+				out, err := mobisim.RunSweep(context.Background(), matrix, mobisim.SweepConfig{Workers: workers, BatchWidth: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
-				results := make([]sweep.Result, len(scenarios))
-				for k, sc := range scenarios {
-					results[k] = sweep.Result{Scenario: sc, Metrics: metrics[k]}
+				if len(out.Summaries) != 4 {
+					b.Fatalf("want 4 cells, got %d", len(out.Summaries))
 				}
-				summaries, err := sweep.Aggregate(results)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(summaries) != 4 {
-					b.Fatalf("want 4 cells, got %d", len(summaries))
-				}
-				b.ReportMetric(summaries[0].Metrics[experiments.MetricPeakC].Mean, "peakC-tight")
-				b.ReportMetric(summaries[3].Metrics[experiments.MetricPeakC].Mean, "peakC-loose")
+				b.ReportMetric(out.Summaries[0].Metrics[mobisim.MetricPeakC].Mean, "peakC-tight")
+				b.ReportMetric(out.Summaries[3].Metrics[mobisim.MetricPeakC].Mean, "peakC-loose")
 			}
 		})
 	}

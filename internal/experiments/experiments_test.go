@@ -22,9 +22,9 @@ const seed = 1
 func TestNexusAppLookup(t *testing.T) {
 	spec := func(name string) mobisim.Scenario {
 		return mobisim.Scenario{
-			Platform:  PlatformNexus,
+			Platform:  mobisim.PlatformNexus6P,
 			Workload:  name,
-			Governor:  GovNone,
+			Governor:  mobisim.GovNone,
 			DurationS: 1,
 			Seed:      seed,
 		}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/thermal"
 	"repro/internal/workload"
+	"repro/pkg/mobisim"
 )
 
 // seedStyleOdroidGovernors is a frozen copy of the board's stock
@@ -138,22 +139,23 @@ func TestLimitSweepParallelParity(t *testing.T) {
 	}
 }
 
-// TestRunScenarioValidates covers the scenario builder's error paths.
+// TestRunScenarioValidates covers the facade builder's error paths
+// for the scenarios the experiments assemble.
 func TestRunScenarioValidates(t *testing.T) {
 	tests := []struct {
 		name string
-		spec ScenarioSpec
+		spec mobisim.Scenario
 	}{
-		{"unknown platform", ScenarioSpec{Platform: "pixel9", Workload: "3dmark", Governor: GovNone, DurationS: 1, Seed: 1}},
-		{"unknown workload", ScenarioSpec{Platform: PlatformOdroid, Workload: "quake", Governor: GovNone, DurationS: 1, Seed: 1}},
-		{"unknown governor", ScenarioSpec{Platform: PlatformOdroid, Workload: "3dmark", Governor: "psychic", DurationS: 1, Seed: 1}},
-		{"zero duration", ScenarioSpec{Platform: PlatformOdroid, Workload: "3dmark", Governor: GovNone, Seed: 1}},
-		{"stepwise is nexus-calibrated", ScenarioSpec{Platform: PlatformOdroid, Workload: "3dmark", Governor: GovStepwise, DurationS: 1, Seed: 1}},
-		{"ipa is odroid-calibrated", ScenarioSpec{Platform: PlatformNexus, Workload: "paper.io", Governor: GovIPA, DurationS: 1, Seed: 1}},
+		{"unknown platform", mobisim.Scenario{Platform: "pixel9", Workload: "3dmark", Governor: mobisim.GovNone, DurationS: 1, Seed: 1}},
+		{"unknown workload", mobisim.Scenario{Platform: mobisim.PlatformOdroidXU3, Workload: "quake", Governor: mobisim.GovNone, DurationS: 1, Seed: 1}},
+		{"unknown governor", mobisim.Scenario{Platform: mobisim.PlatformOdroidXU3, Workload: "3dmark", Governor: "psychic", DurationS: 1, Seed: 1}},
+		{"zero duration", mobisim.Scenario{Platform: mobisim.PlatformOdroidXU3, Workload: "3dmark", Governor: mobisim.GovNone, Seed: 1}},
+		{"stepwise is nexus-calibrated", mobisim.Scenario{Platform: mobisim.PlatformOdroidXU3, Workload: "3dmark", Governor: mobisim.GovStepwise, DurationS: 1, Seed: 1}},
+		{"ipa is odroid-calibrated", mobisim.Scenario{Platform: mobisim.PlatformNexus6P, Workload: "paper.io", Governor: mobisim.GovIPA, DurationS: 1, Seed: 1}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := tt.spec.Run(); err == nil {
+			if _, err := mobisim.New(tt.spec); err == nil {
 				t.Fatalf("spec %+v should be rejected", tt.spec)
 			}
 		})
@@ -168,40 +170,39 @@ func TestScenarioMetricsShape(t *testing.T) {
 	}
 	tests := []struct {
 		name   string
-		spec   ScenarioSpec
+		spec   mobisim.Scenario
 		want   []string
 		absent []string
 	}{
 		{
 			name: "odroid 3dmark+bml appaware",
-			spec: ScenarioSpec{Platform: PlatformOdroid, Workload: "3dmark+bml", Governor: GovAppAware, LimitC: 60, DurationS: 2, Seed: 1},
-			want: []string{MetricPeakC, MetricAvgPowerW, MetricMigrations, MetricGT1FPS, MetricGT2FPS, MetricBMLIterations},
+			spec: mobisim.Scenario{Platform: mobisim.PlatformOdroidXU3, Workload: "3dmark+bml", Governor: mobisim.GovAppAware, LimitC: 60, DurationS: 2, Seed: 1},
+			want: []string{mobisim.MetricPeakC, mobisim.MetricAvgPowerW, mobisim.MetricMigrations, mobisim.MetricGT1FPS, mobisim.MetricGT2FPS, mobisim.MetricBMLIterations},
 		},
 		{
 			name:   "odroid nenamark ipa",
-			spec:   ScenarioSpec{Platform: PlatformOdroid, Workload: "nenamark", Governor: GovIPA, DurationS: 2, Seed: 1},
-			want:   []string{MetricPeakC, MetricScore, MetricMedianFPS},
-			absent: []string{MetricBMLIterations, MetricGT1FPS},
+			spec:   mobisim.Scenario{Platform: mobisim.PlatformOdroidXU3, Workload: "nenamark", Governor: mobisim.GovIPA, DurationS: 2, Seed: 1},
+			want:   []string{mobisim.MetricPeakC, mobisim.MetricScore, mobisim.MetricMedianFPS},
+			absent: []string{mobisim.MetricBMLIterations, mobisim.MetricGT1FPS},
 		},
 		{
 			name:   "nexus paper.io stepwise",
-			spec:   ScenarioSpec{Platform: PlatformNexus, Workload: "paper.io", Governor: GovStepwise, DurationS: 2, Seed: 1},
-			want:   []string{MetricPeakC, MetricMedianFPS},
-			absent: []string{MetricBMLIterations},
+			spec:   mobisim.Scenario{Platform: mobisim.PlatformNexus6P, Workload: "paper.io", Governor: mobisim.GovStepwise, DurationS: 2, Seed: 1},
+			want:   []string{mobisim.MetricPeakC, mobisim.MetricMedianFPS},
+			absent: []string{mobisim.MetricBMLIterations},
 		},
 		{
 			name: "nexus facebook none",
-			spec: ScenarioSpec{Platform: PlatformNexus, Workload: "facebook", Governor: GovNone, DurationS: 2, Seed: 1},
-			want: []string{MetricPeakC, MetricMedianFPS},
+			spec: mobisim.Scenario{Platform: mobisim.PlatformNexus6P, Workload: "facebook", Governor: mobisim.GovNone, DurationS: 2, Seed: 1},
+			want: []string{mobisim.MetricPeakC, mobisim.MetricMedianFPS},
 		},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			run, err := tt.spec.Run()
+			m, err := mobisim.RunScenarioMetrics(context.Background(), tt.spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			m := run.Metrics()
 			for _, name := range tt.want {
 				if _, ok := m[name]; !ok {
 					t.Errorf("metric %s missing from %v", name, m)

@@ -52,9 +52,9 @@ func LimitSweepParallel(ctx context.Context, limitsC []float64, durationS float6
 	specs := make([]mobisim.Scenario, len(limitsC))
 	for i, limitC := range limitsC {
 		specs[i] = mobisim.Scenario{
-			Platform:     PlatformOdroid,
+			Platform:     mobisim.PlatformOdroidXU3,
 			Workload:     "3dmark+bml",
-			Governor:     GovAppAware,
+			Governor:     mobisim.GovAppAware,
 			LimitC:       limitC,
 			DurationS:    durationS,
 			Seed:         seed,
@@ -73,10 +73,10 @@ func LimitSweepParallel(ctx context.Context, limitsC []float64, durationS float6
 	for i, m := range metrics {
 		out[i] = SweepPoint{
 			LimitC:        limitsC[i],
-			GT1FPS:        m[MetricGT1FPS],
-			PeakC:         m[MetricPeakC],
-			Migrations:    int(m[MetricMigrations]),
-			BMLIterations: uint64(m[MetricBMLIterations]),
+			GT1FPS:        m[mobisim.MetricGT1FPS],
+			PeakC:         m[mobisim.MetricPeakC],
+			Migrations:    int(m[mobisim.MetricMigrations]),
+			BMLIterations: uint64(m[mobisim.MetricBMLIterations]),
 		}
 	}
 	return out, nil

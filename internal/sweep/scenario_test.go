@@ -1,136 +1,200 @@
-package sweep
+package sweep_test
+
+// The matrix expansion lives in pkg/mobisim; these tests pin the order
+// and seeding that the sweeps built on TaskPool and DeriveSeed rely on.
+// They sit in an external test package because pkg/mobisim imports
+// this package.
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
+
+	"repro/internal/sweep"
+	"repro/pkg/mobisim"
 )
 
+// TestMatrixScenariosExpansion pins the expansion's counts and per-cell
+// labels: Index is the position, every cell carries the matrix
+// duration, replicates are the innermost axis, and the closed-form
+// sizes agree with the expansion.
 func TestMatrixScenariosExpansion(t *testing.T) {
 	tests := []struct {
-		name string
-		m    Matrix
-		want int
+		name       string
+		m          mobisim.Matrix
+		size, want int
 	}{
 		{
 			name: "single cell",
-			m: Matrix{
-				Platforms: []string{"odroid-xu3"}, Workloads: []string{"3dmark+bml"},
-				Governors: []string{"appaware"}, LimitsC: []float64{60},
+			m: mobisim.Matrix{
+				Platforms: []string{mobisim.PlatformOdroidXU3}, Workloads: []string{"3dmark+bml"},
+				Governors: []string{mobisim.GovAppAware}, LimitsC: []float64{60},
 				Replicates: 1, DurationS: 10, BaseSeed: 1,
 			},
-			want: 1,
+			size: 1, want: 1,
 		},
 		{
 			name: "limits by replicates",
-			m: Matrix{
-				Platforms: []string{"odroid-xu3"}, Workloads: []string{"3dmark+bml"},
-				Governors: []string{"appaware"}, LimitsC: []float64{52, 58, 64, 70},
+			m: mobisim.Matrix{
+				Platforms: []string{mobisim.PlatformOdroidXU3}, Workloads: []string{"3dmark+bml"},
+				Governors: []string{mobisim.GovAppAware}, LimitsC: []float64{52, 58, 64, 70},
 				Replicates: 3, DurationS: 10, BaseSeed: 1,
 			},
-			want: 12,
+			size: 12, want: 12,
 		},
 		{
-			name: "full cartesian",
-			m: Matrix{
-				Platforms: []string{"odroid-xu3", "nexus6p"}, Workloads: []string{"3dmark", "3dmark+bml", "nenamark"},
-				Governors: []string{"appaware", "ipa"}, LimitsC: []float64{55, 65},
+			name: "full cartesian", // the agnostic arm's limits collapse
+			m: mobisim.Matrix{
+				Platforms: []string{mobisim.PlatformOdroidXU3, mobisim.PlatformNexus6P}, Workloads: []string{"3dmark", "3dmark+bml", "nenamark"},
+				Governors: []string{mobisim.GovAppAware, mobisim.GovNone}, LimitsC: []float64{55, 65},
 				Replicates: 2, DurationS: 10, BaseSeed: 1,
 			},
-			want: 48,
+			size: 48, want: 36, // 2 x 3 x (2 limits + 1 collapsed) x 2
 		},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			scs, err := tt.m.Scenarios()
+			cells, err := mobisim.ExpandCells(tt.m)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(scs) != tt.want {
-				t.Fatalf("want %d scenarios, got %d", tt.want, len(scs))
+			if len(cells) != tt.want {
+				t.Fatalf("want %d cells, got %d", tt.want, len(cells))
 			}
-			if got := tt.m.Size(); got != tt.want {
-				t.Errorf("Size() = %d, want %d", got, tt.want)
+			if got := tt.m.ExpandedSize(); got != tt.want {
+				t.Errorf("ExpandedSize() = %d, want %d", got, tt.want)
 			}
-			for i, sc := range scs {
-				if sc.Index != i {
-					t.Fatalf("scenario %d has Index %d", i, sc.Index)
+			if got := tt.m.Size(); got != tt.size {
+				t.Errorf("Size() = %d, want %d", got, tt.size)
+			}
+			for i, c := range cells {
+				if c.Index != i {
+					t.Fatalf("cell %d has Index %d", i, c.Index)
 				}
-				if sc.DurationS != tt.m.DurationS {
-					t.Fatalf("scenario %d duration %v, want %v", i, sc.DurationS, tt.m.DurationS)
+				if c.Spec.DurationS != tt.m.DurationS {
+					t.Fatalf("cell %d duration %v, want %v", i, c.Spec.DurationS, tt.m.DurationS)
 				}
-				if sc.Replicate != i%tt.m.Replicates {
-					t.Fatalf("scenario %d replicate %d; replicates must be the innermost axis", i, sc.Replicate)
+				if c.Replicate != i%tt.m.Replicates {
+					t.Fatalf("cell %d replicate %d; replicates must be the innermost axis", i, c.Replicate)
 				}
 			}
 		})
 	}
 }
 
+// TestMatrixScenariosOrdering pins the expansion order byte for byte:
+// limit-aware arms first as one block (platform → workload → governor
+// → limit → replicate), then the limit-agnostic arms as a tail with
+// the limits axis collapsed to 0, whatever order the governors axis
+// lists them in. Every replicate shares its seed across cells (the
+// paired design), and two expansions agree exactly.
 func TestMatrixScenariosOrdering(t *testing.T) {
-	m := Matrix{
-		Platforms:  []string{"p1", "p2"},
-		Workloads:  []string{"w1"},
-		Governors:  []string{"g1", "g2"},
-		LimitsC:    []float64{50, 60},
-		Replicates: 2,
-		DurationS:  1,
-		BaseSeed:   7,
+	label := func(c mobisim.Cell) string {
+		return fmt.Sprintf("%s|%s|%s|%g|r%d", c.Spec.Platform, c.Spec.Workload, c.Spec.Governor, c.Spec.LimitC, c.Replicate)
 	}
-	scs, err := m.Scenarios()
-	if err != nil {
-		t.Fatal(err)
+	tests := []struct {
+		name string
+		m    mobisim.Matrix
+		want []string
+	}{
+		{
+			name: "aware only",
+			m: mobisim.Matrix{
+				Platforms: []string{mobisim.PlatformOdroidXU3}, Workloads: []string{"3dmark", "nenamark"},
+				Governors: []string{mobisim.GovAppAware}, LimitsC: []float64{60, 50},
+				Replicates: 2, DurationS: 1, BaseSeed: 7,
+			},
+			want: []string{
+				"odroid-xu3|3dmark|appaware|60|r0", "odroid-xu3|3dmark|appaware|60|r1",
+				"odroid-xu3|3dmark|appaware|50|r0", "odroid-xu3|3dmark|appaware|50|r1",
+				"odroid-xu3|nenamark|appaware|60|r0", "odroid-xu3|nenamark|appaware|60|r1",
+				"odroid-xu3|nenamark|appaware|50|r0", "odroid-xu3|nenamark|appaware|50|r1",
+			},
+		},
+		{
+			name: "agnostic only",
+			m: mobisim.Matrix{
+				Platforms: []string{mobisim.PlatformOdroidXU3}, Workloads: []string{"3dmark"},
+				Governors: []string{mobisim.GovNone, mobisim.GovIPA}, LimitsC: []float64{60, 50},
+				Replicates: 2, DurationS: 1, BaseSeed: 7,
+			},
+			want: []string{
+				"odroid-xu3|3dmark|none|0|r0", "odroid-xu3|3dmark|none|0|r1",
+				"odroid-xu3|3dmark|ipa|0|r0", "odroid-xu3|3dmark|ipa|0|r1",
+			},
+		},
+		{
+			name: "mixed, agnostic arm listed first",
+			m: mobisim.Matrix{
+				Platforms: []string{mobisim.PlatformOdroidXU3, mobisim.PlatformNexus6P}, Workloads: []string{"3dmark"},
+				Governors: []string{mobisim.GovNone, mobisim.GovAppAware}, LimitsC: []float64{55, 65},
+				Replicates: 2, DurationS: 1, BaseSeed: 7,
+			},
+			want: []string{
+				"odroid-xu3|3dmark|appaware|55|r0", "odroid-xu3|3dmark|appaware|55|r1",
+				"odroid-xu3|3dmark|appaware|65|r0", "odroid-xu3|3dmark|appaware|65|r1",
+				"nexus6p|3dmark|appaware|55|r0", "nexus6p|3dmark|appaware|55|r1",
+				"nexus6p|3dmark|appaware|65|r0", "nexus6p|3dmark|appaware|65|r1",
+				"odroid-xu3|3dmark|none|0|r0", "odroid-xu3|3dmark|none|0|r1",
+				"nexus6p|3dmark|none|0|r0", "nexus6p|3dmark|none|0|r1",
+			},
+		},
 	}
-	// Platform-major: the first half is p1, the second half p2.
-	if scs[0].Platform != "p1" || scs[len(scs)-1].Platform != "p2" {
-		t.Errorf("platform ordering broken: first %q, last %q", scs[0].Platform, scs[len(scs)-1].Platform)
-	}
-	// Replicate-minor: adjacent scenarios differ only in replicate.
-	if scs[0].Key() != scs[1].Key() {
-		t.Errorf("scenarios 0 and 1 should share a cell, got %q vs %q", scs[0].Key(), scs[1].Key())
-	}
-	if scs[0].Replicate != 0 || scs[1].Replicate != 1 {
-		t.Errorf("replicates not innermost: got %d, %d", scs[0].Replicate, scs[1].Replicate)
-	}
-	// Limits vary before governors.
-	if scs[2].LimitC != 60 || scs[2].Governor != "g1" {
-		t.Errorf("limit should vary before governor: scenario 2 is %+v", scs[2])
-	}
-	// Paired design: the same replicate shares its seed across cells.
-	for _, sc := range scs {
-		want := DeriveSeed(m.BaseSeed, sc.Replicate)
-		if sc.Seed != want {
-			t.Fatalf("scenario %d seed %d, want DeriveSeed(%d, %d) = %d",
-				sc.Index, sc.Seed, m.BaseSeed, sc.Replicate, want)
-		}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			cells, err := mobisim.ExpandCells(tt.m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]string, len(cells))
+			for i, c := range cells {
+				got[i] = label(c)
+				if want := sweep.DeriveSeed(tt.m.BaseSeed, c.Replicate); c.Spec.Seed != want {
+					t.Errorf("cell %d seed %d, want sweep.DeriveSeed(%d, %d) = %d", i, c.Spec.Seed, tt.m.BaseSeed, c.Replicate, want)
+				}
+			}
+			if !reflect.DeepEqual(got, tt.want) {
+				t.Fatalf("expansion order:\ngot  %q\nwant %q", got, tt.want)
+			}
+			again, err := mobisim.ExpandCells(tt.m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(cells, again) {
+				t.Fatal("two expansions of one matrix differ")
+			}
+		})
 	}
 }
 
 func TestMatrixScenariosValidation(t *testing.T) {
-	valid := Matrix{
-		Platforms: []string{"p"}, Workloads: []string{"w"},
-		Governors: []string{"g"}, LimitsC: []float64{60},
+	valid := mobisim.Matrix{
+		Platforms: []string{mobisim.PlatformOdroidXU3}, Workloads: []string{"3dmark+bml"},
+		Governors: []string{mobisim.GovAppAware}, LimitsC: []float64{60},
 		Replicates: 1, DurationS: 1,
 	}
 	tests := []struct {
 		name  string
-		bust  func(*Matrix)
+		bust  func(*mobisim.Matrix)
 		valid bool
 	}{
-		{"valid", func(*Matrix) {}, true},
-		{"no platforms", func(m *Matrix) { m.Platforms = nil }, false},
-		{"no workloads", func(m *Matrix) { m.Workloads = nil }, false},
-		{"no governors", func(m *Matrix) { m.Governors = nil }, false},
-		{"no limits", func(m *Matrix) { m.LimitsC = nil }, false},
-		{"zero replicates", func(m *Matrix) { m.Replicates = 0 }, false},
-		{"negative replicates", func(m *Matrix) { m.Replicates = -1 }, false},
-		{"zero duration", func(m *Matrix) { m.DurationS = 0 }, false},
-		{"negative duration", func(m *Matrix) { m.DurationS = -5 }, false},
+		{"valid", func(*mobisim.Matrix) {}, true},
+		{"no platforms", func(m *mobisim.Matrix) { m.Platforms = nil }, false},
+		{"no workloads", func(m *mobisim.Matrix) { m.Workloads = nil }, false},
+		{"no governors", func(m *mobisim.Matrix) { m.Governors = nil }, false},
+		{"no limits", func(m *mobisim.Matrix) { m.LimitsC = nil }, false},
+		{"zero replicates", func(m *mobisim.Matrix) { m.Replicates = 0 }, false},
+		{"negative replicates", func(m *mobisim.Matrix) { m.Replicates = -1 }, false},
+		{"zero duration", func(m *mobisim.Matrix) { m.DurationS = 0 }, false},
+		{"negative duration", func(m *mobisim.Matrix) { m.DurationS = -5 }, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			m := valid
 			tt.bust(&m)
-			_, err := m.Scenarios()
+			// Validate, not ExpandCells: expansion normalizes first,
+			// filling a missing replicate count or limits axis.
+			err := m.Validate()
 			if tt.valid && err != nil {
 				t.Fatalf("valid matrix rejected: %v", err)
 			}
@@ -138,57 +202,5 @@ func TestMatrixScenariosValidation(t *testing.T) {
 				t.Fatal("invalid matrix accepted")
 			}
 		})
-	}
-}
-
-func TestDeriveSeedStability(t *testing.T) {
-	// Golden values pin the derivation across refactors: a silent change
-	// would reshuffle every recorded sweep.
-	golden := []struct {
-		base      int64
-		replicate int
-		want      int64
-	}{
-		{1, 0, -7995527694508729151},
-		{1, 1, -4689498862643123097},
-		{1, 2, -534904783426661026},
-		{42, 0, -4767286540954276203},
-		{-3, 0, -621772950581698083},
-	}
-	for _, g := range golden {
-		if got := DeriveSeed(g.base, g.replicate); got != g.want {
-			t.Errorf("DeriveSeed(%d, %d) = %d, want %d", g.base, g.replicate, got, g.want)
-		}
-	}
-	// Distinctness across replicates and bases.
-	seen := make(map[int64]string)
-	for base := int64(0); base < 8; base++ {
-		for r := 0; r < 8; r++ {
-			s := DeriveSeed(base, r)
-			key := fmt.Sprintf("base %d replicate %d", base, r)
-			if prev, dup := seen[s]; dup {
-				t.Fatalf("seed collision: %s and %s both derive %d", prev, key, s)
-			}
-			seen[s] = key
-		}
-	}
-	// Stability: two expansions of the same matrix agree.
-	m := Matrix{
-		Platforms: []string{"p"}, Workloads: []string{"w"},
-		Governors: []string{"g"}, LimitsC: []float64{50, 60},
-		Replicates: 3, DurationS: 1, BaseSeed: 99,
-	}
-	a, err := m.Scenarios()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := m.Scenarios()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("expansion not deterministic at %d: %+v vs %+v", i, a[i], b[i])
-		}
 	}
 }

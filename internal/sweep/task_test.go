@@ -52,6 +52,15 @@ func TestTaskPoolFirstError(t *testing.T) {
 			if i == 3 {
 				return boom
 			}
+			// Tasks after the failing one hold their worker until the
+			// failure cancels the run, so a worker that is slow to
+			// report the error cannot let the other drain the feed.
+			if i > 3 {
+				select {
+				case <-ctx.Done():
+				case <-time.After(5 * time.Second):
+				}
+			}
 			return nil
 		}
 	}
@@ -79,51 +88,37 @@ func TestTaskPoolCancellation(t *testing.T) {
 	_ = ran // a task may or may not start; only the error contract is pinned
 }
 
-// fakeMatrix expands a small deterministic scenario set for pool tests.
-func fakeMatrix(t *testing.T, cells, replicates int) []Scenario {
-	t.Helper()
-	limits := make([]float64, cells)
-	for i := range limits {
-		limits[i] = 50 + float64(i)
+// fakeItems returns n work-item indices for pool tests.
+func fakeItems(n int) []int {
+	items := make([]int, n)
+	for i := range items {
+		items[i] = i
 	}
-	m := Matrix{
-		Platforms:  []string{"fake"},
-		Workloads:  []string{"fake"},
-		Governors:  []string{"fake"},
-		LimitsC:    limits,
-		Replicates: replicates,
-		DurationS:  1,
-		BaseSeed:   7,
-	}
-	scs, err := m.Scenarios()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return scs
+	return items
 }
 
-// fakeRun is a deterministic pure function of the scenario, standing in
-// for a simulation.
-func fakeRun(_ context.Context, sc Scenario) (map[string]float64, error) {
+// fakeRun is a deterministic pure function of the item, standing in
+// for a simulation seeded per replicate.
+func fakeRun(_ context.Context, i int) (map[string]float64, error) {
 	return map[string]float64{
-		"metric_a": sc.LimitC * float64(sc.Seed%1000),
-		"metric_b": float64(sc.Index),
+		"metric_a": float64(50+i) * float64(DeriveSeed(7, i%3)%1000),
+		"metric_b": float64(i),
 	}, nil
 }
 
-// runScenarios runs one task per scenario on the pool, each writing its
-// own result slot, the way every executor in the repository uses it.
-func runScenarios(ctx context.Context, pool *TaskPool, scenarios []Scenario, run func(context.Context, Scenario) (map[string]float64, error)) ([]Result, error) {
-	results := make([]Result, len(scenarios))
-	tasks := make([]func(ctx context.Context) error, len(scenarios))
-	for i := range scenarios {
+// runItems runs one task per item on the pool, each writing its own
+// result slot, the way every executor in the repository uses it.
+func runItems(ctx context.Context, pool *TaskPool, items []int, run func(context.Context, int) (map[string]float64, error)) ([]map[string]float64, error) {
+	results := make([]map[string]float64, len(items))
+	tasks := make([]func(ctx context.Context) error, len(items))
+	for i := range items {
 		i := i
 		tasks[i] = func(ctx context.Context) error {
-			m, err := run(ctx, scenarios[i])
+			m, err := run(ctx, items[i])
 			if err != nil {
 				return err
 			}
-			results[i] = Result{Scenario: scenarios[i], Metrics: m}
+			results[i] = m
 			return nil
 		}
 	}
@@ -134,39 +129,31 @@ func runScenarios(ctx context.Context, pool *TaskPool, scenarios []Scenario, run
 }
 
 func TestPoolParityAcrossWorkerCounts(t *testing.T) {
-	scenarios := fakeMatrix(t, 5, 3)
-	serial, err := runScenarios(context.Background(), &TaskPool{Workers: 1}, scenarios, fakeRun)
+	items := fakeItems(15)
+	serial, err := runItems(context.Background(), &TaskPool{Workers: 1}, items, fakeRun)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8, 0} {
 		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
-			got, err := runScenarios(context.Background(), &TaskPool{Workers: workers}, scenarios, fakeRun)
+			got, err := runItems(context.Background(), &TaskPool{Workers: workers}, items, fakeRun)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(serial, got) {
 				t.Fatalf("results differ from serial run:\nserial: %+v\ngot:    %+v", serial, got)
 			}
-			// Byte-identical aggregated output, the pool's core contract.
-			a, err := Aggregate(serial)
+			// Byte-identical serialized output, the pool's core contract.
+			aj, err := json.Marshal(serial)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := Aggregate(got)
-			if err != nil {
-				t.Fatal(err)
-			}
-			aj, err := json.Marshal(a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bj, err := json.Marshal(b)
+			bj, err := json.Marshal(got)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if string(aj) != string(bj) {
-				t.Fatalf("aggregates not byte-identical:\n%s\nvs\n%s", aj, bj)
+				t.Fatalf("results not byte-identical:\n%s\nvs\n%s", aj, bj)
 			}
 		})
 	}
@@ -176,7 +163,7 @@ func TestPoolRunsConcurrently(t *testing.T) {
 	// Sleep-bound tasks parallelize even on a single CPU: 8 tasks of
 	// 50 ms each finish in ~2 rounds on 4 workers, far under the 400 ms
 	// a serial pass needs.
-	sleep := func(ctx context.Context, sc Scenario) (map[string]float64, error) {
+	sleep := func(ctx context.Context, i int) (map[string]float64, error) {
 		select {
 		case <-time.After(50 * time.Millisecond):
 		case <-ctx.Done():
@@ -185,7 +172,7 @@ func TestPoolRunsConcurrently(t *testing.T) {
 		return map[string]float64{"m": 1}, nil
 	}
 	start := time.Now()
-	if _, err := runScenarios(context.Background(), &TaskPool{Workers: 4}, fakeMatrix(t, 8, 1), sleep); err != nil {
+	if _, err := runItems(context.Background(), &TaskPool{Workers: 4}, fakeItems(8), sleep); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed > 350*time.Millisecond {
@@ -194,12 +181,12 @@ func TestPoolRunsConcurrently(t *testing.T) {
 }
 
 func TestPoolErrorPropagation(t *testing.T) {
-	scenarios := fakeMatrix(t, 8, 1)
+	items := fakeItems(8)
 	sentinel := errors.New("scenario exploded")
 	var started atomic.Int32
-	run := func(ctx context.Context, sc Scenario) (map[string]float64, error) {
+	run := func(ctx context.Context, i int) (map[string]float64, error) {
 		started.Add(1)
-		if sc.Index == 2 {
+		if i == 2 {
 			return nil, sentinel
 		}
 		// Successes are slow enough for the cancellation to land before
@@ -210,22 +197,22 @@ func TestPoolErrorPropagation(t *testing.T) {
 		}
 		return map[string]float64{"m": 1}, nil
 	}
-	_, err := runScenarios(context.Background(), &TaskPool{Workers: 2}, scenarios, run)
+	_, err := runItems(context.Background(), &TaskPool{Workers: 2}, items, run)
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("want the task error, got %v", err)
 	}
 	// The pool stops feeding after the failure: with 2 workers and an
 	// immediate error on the third task, the tail never starts.
-	if n := started.Load(); int(n) == len(scenarios) {
+	if n := started.Load(); int(n) == len(items) {
 		t.Errorf("all %d tasks started despite early failure", n)
 	}
 }
 
 func TestPoolContextCancellation(t *testing.T) {
-	scenarios := fakeMatrix(t, 8, 1)
+	items := fakeItems(8)
 	ctx, cancel := context.WithCancel(context.Background())
 	var started atomic.Int32
-	run := func(ctx context.Context, sc Scenario) (map[string]float64, error) {
+	run := func(ctx context.Context, i int) (map[string]float64, error) {
 		if started.Add(1) == 2 {
 			cancel() // cancel mid-run, from inside a task
 		}
@@ -239,7 +226,7 @@ func TestPoolContextCancellation(t *testing.T) {
 	done := make(chan struct{})
 	var err error
 	go func() {
-		_, err = runScenarios(ctx, &TaskPool{Workers: 2}, scenarios, run)
+		_, err = runItems(ctx, &TaskPool{Workers: 2}, items, run)
 		close(done)
 	}()
 	select {
@@ -250,14 +237,14 @@ func TestPoolContextCancellation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	if n := started.Load(); int(n) == len(scenarios) {
+	if n := started.Load(); int(n) == len(items) {
 		t.Errorf("all %d tasks started despite cancellation", n)
 	}
 }
 
 func TestPoolEdgeCases(t *testing.T) {
 	t.Run("empty scenarios", func(t *testing.T) {
-		res, err := runScenarios(context.Background(), &TaskPool{Workers: 4}, nil, fakeRun)
+		res, err := runItems(context.Background(), &TaskPool{Workers: 4}, nil, fakeRun)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,18 +253,18 @@ func TestPoolEdgeCases(t *testing.T) {
 		}
 	})
 	t.Run("more workers than scenarios", func(t *testing.T) {
-		res, err := runScenarios(context.Background(), &TaskPool{Workers: 64}, fakeMatrix(t, 2, 1), fakeRun)
+		res, err := runItems(context.Background(), &TaskPool{Workers: 64}, fakeItems(2), fakeRun)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res) != 2 || res[1].Metrics == nil {
+		if len(res) != 2 || res[1] == nil {
 			t.Fatalf("want 2 results, got %+v", res)
 		}
 	})
 	t.Run("pre-canceled context", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if _, err := runScenarios(ctx, &TaskPool{Workers: 2}, fakeMatrix(t, 4, 1), fakeRun); !errors.Is(err, context.Canceled) {
+		if _, err := runItems(ctx, &TaskPool{Workers: 2}, fakeItems(4), fakeRun); !errors.Is(err, context.Canceled) {
 			t.Fatalf("want context.Canceled, got %v", err)
 		}
 	})

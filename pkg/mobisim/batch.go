@@ -11,22 +11,13 @@ import (
 
 // DefaultBatchWidth is the lane width PlanBatchUnits and
 // BatchRunner.RunUnit use when given a width <= 0 — the explore
-// evaluator's and the simd daemon's default, and the width
-// RunSweepBatched fills in. Eight lanes put one structure-of-arrays row
-// per thermal node on exactly one 64-byte cache line (and match the
-// fused kernel's specialized width). RunSweep itself reads a
-// SweepConfig.BatchWidth <= 0 as one lane per unit.
+// evaluator's and the simd daemon's default. Eight lanes put one
+// structure-of-arrays row per thermal node on exactly one 64-byte cache
+// line (and match the fused kernel's specialized width). RunSweep
+// itself reads a SweepConfig.BatchWidth <= 0 as one lane per unit, so
+// callers that want lockstep lanes pass
+// SweepConfig{BatchWidth: DefaultBatchWidth}.
 const DefaultBatchWidth = 8
-
-// RunSweepBatched is RunSweep with SweepConfig.BatchWidth defaulted to
-// DefaultBatchWidth — the convenience entry point for callers that do
-// not tune the lane width themselves.
-func RunSweepBatched(ctx context.Context, m Matrix, cfg SweepConfig) (*SweepOutput, error) {
-	if cfg.BatchWidth == 0 {
-		cfg.BatchWidth = DefaultBatchWidth
-	}
-	return RunSweep(ctx, m, cfg)
-}
 
 // batchRunOptions is the internal form of BatchRunOptions: execution
 // knobs threaded through the spec-level runners. The zero value — no

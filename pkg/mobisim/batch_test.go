@@ -64,8 +64,8 @@ func cellOracle(t *testing.T, m Matrix) (jsonB, csvB []byte) {
 
 // assertSweepMatchesOracle byte-compares RunSweep's JSON and CSV at
 // widths 0, 1, 3 and 8, with warm start off and on, against the
-// per-cell oracle, and returns the oracle's JSON.
-func assertSweepMatchesOracle(t *testing.T, m Matrix, workers int) []byte {
+// per-cell oracle.
+func assertSweepMatchesOracle(t *testing.T, m Matrix, workers int) {
 	t.Helper()
 	wantJSON, wantCSV := cellOracle(t, m)
 	for _, warm := range []bool{false, true} {
@@ -83,7 +83,6 @@ func assertSweepMatchesOracle(t *testing.T, m Matrix, workers int) []byte {
 			}
 		}
 	}
-	return wantJSON
 }
 
 // TestBatchedSweepMatchesSequential is the executor differential: for
@@ -95,15 +94,7 @@ func TestBatchedSweepMatchesSequential(t *testing.T) {
 		t.Skip("multi-run simulation")
 	}
 	m := dualPlatformMatrix()
-	wantJSON := assertSweepMatchesOracle(t, m, 1)
-	// RunSweepBatched is RunSweep with the default width filled in.
-	out, err := RunSweepBatched(context.Background(), m, SweepConfig{Workers: 1, IncludeRaw: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotJSON, _ := encodeSweep(t, out); !bytes.Equal(gotJSON, wantJSON) {
-		t.Error("RunSweepBatched output differs from the per-cell oracle")
-	}
+	assertSweepMatchesOracle(t, m, 1)
 }
 
 // TestBatchedSweepBytesIdenticalAcrossGOMAXPROCS mirrors the

@@ -17,7 +17,7 @@ import (
 // refactor: a run driven through pkg/mobisim must reproduce the same
 // metrics as the pre-refactor hand-rolled wiring, bitwise. The
 // "frozen" helpers below are literal copies of the wiring that used to
-// live in internal/experiments (RunNexusApp and ScenarioSpec.Run)
+// live in internal/experiments (RunNexusApp and its scenario runner)
 // before it was ported onto this facade; they must never be updated to
 // track production code.
 
@@ -105,7 +105,7 @@ func frozenNexusRun(t *testing.T, app string, throttle bool, durationS float64, 
 	return eng, fg
 }
 
-// frozenOdroidAppAwareRun is the pre-refactor ScenarioSpec.Run wiring
+// frozenOdroidAppAwareRun is the pre-refactor scenario-runner wiring
 // for the odroid-xu3 / 3dmark+bml / appaware arm with model-only BML.
 func frozenOdroidAppAwareRun(t *testing.T, limitC, durationS float64, seed int64) (*sim.Engine, *workload.ThreeDMark, *workload.BML, *appaware.Governor) {
 	t.Helper()

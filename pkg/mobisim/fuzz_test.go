@@ -163,6 +163,13 @@ var matrixSeedCorpus = []string{
 	`{"platforms":["odroid-xu3"],"workloads":["3dmark"],"governors":["none"],"limits_c":[1e999],"duration_s":1}`,
 	`{"platforms":["odroid-xu3"],"workloads":["3dmark"],"governors":["appaware"],"limits_c":[1e999],"duration_s":1}`,
 	`{"platforms":["odroid-xu3"],"workloads":["3dmark"],"governors":["none"],"duration_s":1e999}`,
+	// Repeated axis values would run identical cells and fold them into
+	// one summary as fake replicates; 0 and -0 are one limit.
+	`{"platforms":["odroid-xu3","odroid-xu3"],"workloads":["3dmark"],"governors":["none"],"duration_s":1}`,
+	`{"platforms":["odroid-xu3"],"workloads":["3dmark","3dmark"],"governors":["none"],"duration_s":1}`,
+	`{"platforms":["odroid-xu3"],"workloads":["3dmark"],"governors":["none","appaware","none"],"duration_s":1}`,
+	`{"platforms":["odroid-xu3"],"workloads":["3dmark"],"governors":["appaware"],"limits_c":[0,-0],"duration_s":1}`,
+	`{"platforms":["odroid-xu3"],"workloads":["3dmark"],"governors":["none"],"limits_c":[60,60],"duration_s":1}`,
 }
 
 func FuzzParseMatrix(f *testing.F) {
@@ -194,8 +201,36 @@ func FuzzParseMatrix(f *testing.F) {
 		// spec through Validate (New for every cell would make the
 		// harness quadratic; per-cell Validate is what RunSweep relies
 		// on, and FuzzParseScenario covers Validate→New parity).
-		if n := m.ExpandedSize(); n <= 0 || n > MaxMatrixScenarios {
+		n := m.ExpandedSize()
+		if n <= 0 || n > MaxMatrixScenarios {
 			t.Fatalf("accepted matrix has out-of-bounds expansion %d\nmatrix: %+v", n, m)
+		}
+		if n > 256 {
+			return
+		}
+		// Small matrices expand for real: the closed-form size is the
+		// cell count, and every summary row folds exactly Replicates
+		// cells (a repeated axis value would fold more).
+		cells, err := ExpandCells(m)
+		if err != nil {
+			t.Fatalf("accepted matrix fails to expand: %v\nmatrix: %+v", err, m)
+		}
+		if len(cells) != n {
+			t.Fatalf("ExpandCells gave %d cells, ExpandedSize %d\nmatrix: %+v", len(cells), n, m)
+		}
+		metrics := make([]map[string]float64, len(cells))
+		for i := range metrics {
+			metrics[i] = map[string]float64{"index": float64(i)}
+		}
+		agg, err := AggregateCells(cells, metrics, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range agg.Summaries {
+			if s.Replicates != m.Replicates {
+				t.Fatalf("summary %s/%s/%s/%g folds %d results, want %d\nmatrix: %+v",
+					s.Platform, s.Workload, s.Governor, s.LimitC, s.Replicates, m.Replicates, m)
+			}
 		}
 	})
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 
 	"repro/internal/sweep"
 )
@@ -80,27 +81,41 @@ func (m Matrix) expandedSize() float64 {
 // governor, limit) combination the expansion will run must itself be a
 // valid scenario, so a sweep can never fail mid-run on a cell the
 // engine rejects (e.g. a platform-incompatible governor arm or an
-// absolute-zero appaware limit). The expansion size is bounded by
-// MaxMatrixScenarios.
+// absolute-zero appaware limit). An axis may not repeat a value: the
+// repeat would run identical cells and fold them into one summary as
+// fake replicates. The expansion size is bounded by MaxMatrixScenarios.
+// Nothing here materializes the expansion.
 func (m Matrix) Validate() error {
-	// The scalar axis/replicate/duration rules live in the expansion
-	// engine; the facade layers its per-cell probes and the
-	// collapsed-size bound below on top. The sweep-level check runs on
-	// a limit-collapsed copy (its scalar rules don't depend on limit
-	// values, only on the axis being non-empty), so no matrix is ever
-	// rejected for its raw limits-axis product — the authoritative size
-	// check is the collapsed one below, which counts what RunSweep's
-	// expansion actually executes. Nothing here materializes the
-	// expansion: RunSweep expands exactly once, after Validate.
-	sm := m.sweepMatrix()
-	if len(sm.LimitsC) > 0 {
-		sm.LimitsC = []float64{0}
+	switch {
+	case len(m.Platforms) == 0:
+		return fmt.Errorf("mobisim: matrix needs at least one platform")
+	case len(m.Workloads) == 0:
+		return fmt.Errorf("mobisim: matrix needs at least one workload")
+	case len(m.Governors) == 0:
+		return fmt.Errorf("mobisim: matrix needs at least one governor")
+	case len(m.LimitsC) == 0:
+		return fmt.Errorf("mobisim: matrix needs at least one thermal limit")
+	case m.Replicates < 1:
+		return fmt.Errorf("mobisim: matrix needs at least one replicate, got %d", m.Replicates)
+	case !(m.DurationS > 0) || math.IsInf(m.DurationS, 0): // rejects NaN too
+		return fmt.Errorf("mobisim: matrix duration must be positive and finite, got %v", m.DurationS)
 	}
-	if err := sm.Validate(); err != nil {
-		return fmt.Errorf("mobisim: %w", err)
-	}
+	// The bound counts what the expansion executes, after the limits
+	// axis collapses for limit-agnostic arms.
 	if size := m.expandedSize(); size > MaxMatrixScenarios {
 		return fmt.Errorf("mobisim: matrix expands to %.0f scenarios, exceeding the %d-scenario bound", size, MaxMatrixScenarios)
+	}
+	if v, ok := duplicate(m.Platforms); ok {
+		return fmt.Errorf("mobisim: matrix repeats platform %q", v)
+	}
+	if v, ok := duplicate(m.Workloads); ok {
+		return fmt.Errorf("mobisim: matrix repeats workload %q", v)
+	}
+	if v, ok := duplicate(m.Governors); ok {
+		return fmt.Errorf("mobisim: matrix repeats governor %q", v)
+	}
+	if v, ok := duplicate(m.LimitsC); ok {
+		return fmt.Errorf("mobisim: matrix repeats limit %v", v)
 	}
 	// The limits axis is checked directly, not only through the per-cell
 	// probes below: limit-agnostic matrices collapse the axis before
@@ -117,14 +132,7 @@ func (m Matrix) Validate() error {
 		}
 	}
 	for _, g := range m.Governors {
-		known := false
-		for _, k := range KnownGovernors() {
-			if g == k {
-				known = true
-				break
-			}
-		}
-		if !known {
+		if !slices.Contains(KnownGovernors(), g) {
 			return fmt.Errorf("mobisim: unknown governor arm %q in matrix", g)
 		}
 	}
@@ -149,24 +157,25 @@ func (m Matrix) Validate() error {
 	return nil
 }
 
-// sweepMatrix converts to the internal expansion engine's matrix.
-func (m Matrix) sweepMatrix() sweep.Matrix {
-	return sweep.Matrix{
-		Platforms:  m.Platforms,
-		Workloads:  m.Workloads,
-		Governors:  m.Governors,
-		LimitsC:    m.LimitsC,
-		Replicates: m.Replicates,
-		DurationS:  m.DurationS,
-		BaseSeed:   m.BaseSeed,
+// duplicate returns the first value xs repeats. Values compare with
+// ==, so 0 and -0 are one limit.
+func duplicate[T comparable](xs []T) (T, bool) {
+	seen := make(map[T]bool, len(xs))
+	for _, x := range xs {
+		if seen[x] {
+			return x, true
+		}
+		seen[x] = true
 	}
+	var zero T
+	return zero, false
 }
 
 // Size returns the number of scenarios the matrix expands into before
 // limit-axis collapsing.
 func (m Matrix) Size() int {
 	m.Normalize()
-	return m.sweepMatrix().Size()
+	return len(m.Platforms) * len(m.Workloads) * len(m.Governors) * len(m.LimitsC) * m.Replicates
 }
 
 // ExpandedSize returns the number of scenarios RunSweep will actually
@@ -222,41 +231,47 @@ func (m Matrix) JSON() ([]byte, error) {
 	return append(out, '\n'), nil
 }
 
-// expandScenarios expands the matrix, collapsing the limits axis for
-// limit-agnostic governor arms: only appaware reads LimitC, so sweeping
-// limits under ipa/stepwise/none would run bitwise-identical duplicate
-// simulations and emit duplicate summary rows.
-func expandScenarios(m sweep.Matrix) ([]sweep.Scenario, error) {
-	var aware, agnostic []string
-	for _, g := range m.Governors {
-		if limitAware(g) {
-			aware = append(aware, g)
-		} else {
-			agnostic = append(agnostic, g)
+// expand cartesian-expands a normalized, validated matrix into cells,
+// replicates innermost. Only appaware reads LimitC, so sweeping limits
+// under ipa/stepwise/none would run bitwise-identical duplicate
+// simulations: the limit-aware arms come first as one block in
+// platform → workload → governor → limit → replicate order, and the
+// limit-agnostic arms follow as a tail with the limits axis collapsed
+// to 0, the platform default. Every replicate r across all parameter
+// cells shares the seed DeriveSeed(BaseSeed, r), giving the sweep a
+// paired design: points that differ only in a parameter axis see
+// identical random streams.
+func (m Matrix) expand() []Cell {
+	cells := make([]Cell, 0, int(m.expandedSize()))
+	for _, aware := range []bool{true, false} {
+		limits := m.LimitsC
+		if !aware {
+			limits = []float64{0}
+		}
+		for _, p := range m.Platforms {
+			for _, w := range m.Workloads {
+				for _, g := range m.Governors {
+					if limitAware(g) != aware {
+						continue
+					}
+					for _, l := range limits {
+						for r := 0; r < m.Replicates; r++ {
+							cells = append(cells, Cell{
+								Index: len(cells),
+								Spec: Scenario{
+									Platform: p, Workload: w, Governor: g, LimitC: l,
+									DurationS: m.DurationS, Seed: sweep.DeriveSeed(m.BaseSeed, r),
+									ModelOnlyBML: true,
+								},
+								Replicate: r,
+							})
+						}
+					}
+				}
+			}
 		}
 	}
-	if len(aware) == 0 || len(agnostic) == 0 {
-		if len(agnostic) > 0 {
-			m.LimitsC = []float64{0} // platform default; one cell per arm
-		}
-		return m.Scenarios()
-	}
-	awareM, agnosticM := m, m
-	awareM.Governors = aware
-	agnosticM.Governors = agnostic
-	agnosticM.LimitsC = []float64{0}
-	scenarios, err := awareM.Scenarios()
-	if err != nil {
-		return nil, err
-	}
-	tail, err := agnosticM.Scenarios()
-	if err != nil {
-		return nil, err
-	}
-	for i := range tail {
-		tail[i].Index = len(scenarios) + i
-	}
-	return append(scenarios, tail...), nil
+	return cells
 }
 
 // RunScenarioMetrics runs one scenario in constant memory (recording
@@ -362,59 +377,16 @@ func RunSweep(ctx context.Context, m Matrix, cfg SweepConfig) (*SweepOutput, err
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	scenarios, err := expandScenarios(m.sweepMatrix())
-	if err != nil {
-		return nil, fmt.Errorf("mobisim: %w", err)
-	}
-	specs := make([]Scenario, len(scenarios))
-	for i, sc := range scenarios {
-		specs[i] = warmSpec(sc)
+	cells := m.expand()
+	specs := make([]Scenario, len(cells))
+	for i, c := range cells {
+		specs[i] = c.Spec
 	}
 	metrics, err := RunScenarios(ctx, specs, cfg)
 	if err != nil {
 		return nil, err
 	}
-	results := make([]sweep.Result, len(scenarios))
-	for i, sc := range scenarios {
-		results[i] = sweep.Result{Scenario: sc, Metrics: metrics[i]}
-	}
-	return buildSweepOutput(results, cfg.IncludeRaw)
-}
-
-// buildSweepOutput folds raw per-scenario results into the sweep's
-// serialization contract. RunSweep and AggregateCells both terminate
-// here, so a cell set aggregated externally (the simd daemon, a shard
-// merger) produces byte-identical output to an in-process sweep.
-func buildSweepOutput(results []sweep.Result, includeRaw bool) (*SweepOutput, error) {
-	summaries, err := sweep.Aggregate(results)
-	if err != nil {
-		return nil, err
-	}
-
-	out := &SweepOutput{}
-	for _, s := range summaries {
-		ms := make(map[string]SweepStat, len(s.Metrics))
-		for name, st := range s.Metrics {
-			ms[name] = SweepStat{Mean: st.Mean, Min: st.Min, Max: st.Max, P50: st.P50, P95: st.P95}
-		}
-		out.Summaries = append(out.Summaries, SweepSummary{
-			Platform: s.Platform, Workload: s.Workload, Governor: s.Governor,
-			LimitC: s.LimitC, DurationS: s.DurationS, Replicates: s.Replicates,
-			Metrics:     ms,
-			MetricNames: append([]string(nil), s.MetricNames...),
-		})
-	}
-	if includeRaw {
-		for _, r := range results {
-			out.Results = append(out.Results, SweepResult{
-				Index: r.Scenario.Index, Platform: r.Scenario.Platform,
-				Workload: r.Scenario.Workload, Governor: r.Scenario.Governor,
-				LimitC: r.Scenario.LimitC, Replicate: r.Scenario.Replicate,
-				Seed: r.Scenario.Seed, Metrics: r.Metrics,
-			})
-		}
-	}
-	return out, nil
+	return AggregateCells(cells, metrics, cfg.IncludeRaw)
 }
 
 // EncodeJSON writes the sweep output as indented JSON — the stable

@@ -77,6 +77,37 @@ func TestMatrixRoundTripAndValidation(t *testing.T) {
 			t.Errorf("limit-aware matrix with limit %v should be rejected", v)
 		}
 	}
+	// Non-finite durations, the size bound, and repeated axis values:
+	// a repeat would run identical cells and fold them into one summary
+	// as fake replicates. Values compare with ==, so 0 and -0 repeat.
+	// The empty-axis and non-positive checks are pinned by
+	// TestMatrixScenariosValidation in internal/sweep.
+	for _, tc := range []struct {
+		name string
+		bust func(*Matrix)
+	}{
+		{"NaN duration", func(m *Matrix) { m.DurationS = math.NaN() }},
+		{"oversized expansion", func(m *Matrix) { m.Replicates = MaxMatrixScenarios }},
+		{"repeated platform", func(m *Matrix) { m.Platforms = []string{PlatformOdroidXU3, PlatformOdroidXU3} }},
+		{"repeated workload", func(m *Matrix) { m.Workloads = []string{"3dmark+bml", "3dmark", "3dmark+bml"} }},
+		{"repeated governor", func(m *Matrix) { m.Governors = []string{GovAppAware, GovAppAware} }},
+		{"repeated agnostic governor", func(m *Matrix) { m.Governors = []string{GovNone, GovAppAware, GovNone} }},
+		{"repeated limit", func(m *Matrix) { m.LimitsC = []float64{55, 65, 55} }},
+		{"zero and negative zero limits", func(m *Matrix) { m.LimitsC = []float64{0, math.Copysign(0, -1)} }},
+		{"repeated limit on agnostic arms", func(m *Matrix) { m.Governors = []string{GovNone}; m.LimitsC = []float64{60, 60} }},
+	} {
+		bad = goldenMatrix()
+		tc.bust(&bad)
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%s: matrix %+v should be rejected", tc.name, bad)
+		}
+	}
+	// The duplicate bug end to end: two copies of one platform used to
+	// run and report one summary with "replicates": 2.
+	dup := []byte(`{"platforms":["odroid-xu3","odroid-xu3"],"workloads":["3dmark"],"governors":["none"],"duration_s":1}`)
+	if _, err := ParseMatrix(dup); err == nil {
+		t.Error("ParseMatrix accepted a repeated platform")
+	}
 	// Limit collapsing: agnostic arms sweep one cell regardless of limits.
 	collapsed := goldenMatrix()
 	collapsed.Governors = []string{GovIPA, GovNone}

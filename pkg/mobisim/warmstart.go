@@ -9,7 +9,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/snapbin"
 	"repro/internal/stability"
-	"repro/internal/sweep"
 	"repro/internal/thermal"
 )
 
@@ -45,21 +44,6 @@ import (
 // Because forked members replay the exact remaining step count from a
 // bitwise-exact restored state, warm-start output is byte-identical to
 // cold runs for every matrix (the sweep tests pin this).
-
-// warmSpec maps one expanded sweep point to the facade scenario the
-// executor runs, so the content keys address the simulated cell, not a
-// variant of it.
-func warmSpec(sc sweep.Scenario) Scenario {
-	return Scenario{
-		Platform:     sc.Platform,
-		Workload:     sc.Workload,
-		Governor:     sc.Governor,
-		LimitC:       sc.LimitC,
-		DurationS:    sc.DurationS,
-		Seed:         sc.Seed,
-		ModelOnlyBML: true,
-	}
-}
 
 // sentinelRun is one group's shared-prefix simulation in flight.
 type sentinelRun struct {
