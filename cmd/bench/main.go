@@ -70,6 +70,8 @@ func main() {
 		{"BatchEngineStep/width-8", benchkit.BatchEngineStep(8)},
 		{"BatchEngineStep/width-4", benchkit.BatchEngineStep(4)},
 		{"BatchNetworkStep/width-8", benchkit.BatchNetworkStep(8)},
+		{"LeakageExp/width-1", benchkit.LeakageExp(1)},
+		{"LeakageExp/width-8", benchkit.LeakageExp(8)},
 		{"BatchEngineStepObserved/width-8", benchkit.BatchEngineStepObserved(8)},
 		{"ExploreCandidateStep/width-8", benchkit.ExploreCandidateStep(8)},
 	}

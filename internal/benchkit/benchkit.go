@@ -13,6 +13,7 @@ import (
 	"repro/internal/appaware"
 	"repro/internal/governor"
 	"repro/internal/platform"
+	"repro/internal/power"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/thermal"
@@ -278,6 +279,52 @@ func BatchNetworkStep(width int) func(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*width), "ns/lane-step")
+	}
+}
+
+// LeakageExp returns the leakage-layer benchmark: width Odroid lanes
+// (distinct seeds, prewarmed to 50 °C), each iteration staging the
+// three domains' leakage exponents at the node temperatures, one
+// power.ExpInto over all 3·width of them, and each domain's leakage
+// power — the leakage work of one BatchEngine step (stepPre's staging,
+// the fused exponentials, stepPower's PowerExp). CI gates it at 0
+// allocs/op.
+func LeakageExp(width int) func(b *testing.B) {
+	return func(b *testing.B) {
+		type domain struct {
+			leak         power.LeakageParams
+			volts, tempK float64
+		}
+		var doms []domain
+		for l := 0; l < width; l++ {
+			plat := platform.OdroidXU3(int64(l + 1))
+			if err := plat.Prewarm(50); err != nil {
+				b.Fatal(err)
+			}
+			for _, id := range platform.DomainIDs() {
+				tempK, err := plat.Net.Temperature(plat.Node(id))
+				if err != nil {
+					b.Fatal(err)
+				}
+				doms = append(doms, domain{plat.Model(id).Leakage, plat.Domain(id).CurrentOPP().VoltageV, tempK})
+			}
+		}
+		lk := make([]float64, len(doms))
+		total := 0.0
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for j, d := range doms {
+				lk[j] = d.leak.Exponent(d.tempK)
+			}
+			power.ExpInto(lk, lk)
+			for j, d := range doms {
+				total += d.leak.PowerExp(d.volts, d.tempK, lk[j])
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*width), "ns/lane-step")
+		if !(total > 0) {
+			b.Fatalf("leakage power sums to %v", total)
+		}
 	}
 }
 

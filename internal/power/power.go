@@ -26,10 +26,25 @@ type LeakageParams struct {
 // Power returns the leakage power at supply voltage v (volts) and
 // temperature t (Kelvin).
 func (l LeakageParams) Power(v, t float64) float64 {
+	return l.PowerExp(v, t, math.Exp(l.Exponent(t)))
+}
+
+// Exponent returns -Q/t, the exponent of the leakage's Arrhenius
+// factor at temperature t (Kelvin). Callers that evaluate many
+// factors at once stage exponents and exponentiate them together with
+// ExpInto.
+func (l LeakageParams) Exponent(t float64) float64 { return -l.Q / t }
+
+// PowerExp returns the leakage power at supply voltage v and
+// temperature t given e = exp(Exponent(t)); Power(v, t) is
+// PowerExp(v, t, math.Exp(Exponent(t))) bit for bit. The explicit
+// conversion rounds the product even where PowerExp is inlined, so
+// no compiler target fuses it into the caller's sum.
+func (l LeakageParams) PowerExp(v, t, e float64) float64 {
 	if t <= 0 {
 		return 0
 	}
-	return l.K * v * t * t * math.Exp(-l.Q/t)
+	return float64(l.K * v * t * t * e)
 }
 
 // DomainModel computes power for one frequency domain (cluster or GPU).
@@ -74,7 +89,12 @@ func (m *DomainModel) Dynamic(opp dvfs.OPP, util float64) float64 {
 // Total returns dynamic + idle + leakage power at the OPP, aggregate
 // utilization and temperature (Kelvin).
 func (m *DomainModel) Total(opp dvfs.OPP, util, tempK float64) float64 {
-	return m.Dynamic(opp, util) + m.IdleW + m.Leakage.Power(opp.VoltageV, tempK)
+	return m.totalExp(opp, util, tempK, math.Exp(m.Leakage.Exponent(tempK)))
+}
+
+// totalExp is Total given the leakage factor e = exp(Exponent(tempK)).
+func (m *DomainModel) totalExp(opp dvfs.OPP, util, tempK, e float64) float64 {
+	return m.Dynamic(opp, util) + m.IdleW + m.Leakage.PowerExp(opp.VoltageV, tempK, e)
 }
 
 // MaxFreqWithinBudget returns the highest OPP in table whose estimated
@@ -82,11 +102,14 @@ func (m *DomainModel) Total(opp dvfs.OPP, util, tempK float64) float64 {
 // If even the lowest OPP exceeds the budget, the lowest OPP is returned
 // (a domain cannot be clocked below its table). This is the inversion
 // the IPA governor performs when converting granted power to frequency.
+// The leakage factor depends on temperature alone, so it is evaluated
+// once for the whole table.
 func (m *DomainModel) MaxFreqWithinBudget(table *dvfs.Table, util, tempK, budgetW float64) dvfs.OPP {
 	best := table.Min()
+	e := math.Exp(m.Leakage.Exponent(tempK))
 	for i := 0; i < table.Len(); i++ {
 		opp := table.At(i)
-		if m.Total(opp, util, tempK) <= budgetW {
+		if m.totalExp(opp, util, tempK, e) <= budgetW {
 			best = opp
 		}
 	}

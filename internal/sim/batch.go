@@ -3,12 +3,14 @@
 // eight lanes per call of thermal.BatchNetwork's packed RK4 kernel
 // instead of one network per Network.Step.
 //
-// Every lane runs the engine's own stepPre and stepPost (step.go); only
-// the thermal integration between them is fused across lanes. Each
-// lane's stepPre output powers go straight into its slot of the
-// kernel's block-of-8 layout. Lanes never interact, and the kernel
-// performs each lane's float64 operations in the same order as
-// Network.Step, so a batched lane is bitwise-identical to the engine
+// Every lane runs the engine's own stepPre, stepPower and stepPost
+// (step.go); only the leakage exponentials and the thermal integration
+// between them are fused across lanes. Each lane's stepPower output
+// powers go straight into its slot of the kernel's block-of-8 layout.
+// Lanes never interact, and both kernels perform each lane's float64
+// operations exactly as the scalar code does (power.ExpInto is
+// math.Exp bit for bit; the RK4 kernel keeps Network.Step's operation
+// order), so a batched lane is bitwise-identical to the engine
 // stepped alone at every width (TestBatchMatchesScalar, the sweep
 // goldens). A one-lane batch needs no fused kernel and steps its
 // engine directly.
@@ -17,8 +19,10 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
+	"repro/internal/power"
 	"repro/internal/thermal"
 )
 
@@ -40,6 +44,9 @@ type BatchEngine struct {
 	bnet  *thermal.BatchNetwork
 	nets  []*thermal.Network
 	stepS float64
+	// lk is per-step scratch: lane li's three leakage exponents at
+	// [3*li, 3*li+3), exponentiated in place by one power.ExpInto.
+	lk []float64
 }
 
 // NewBatchEngine couples the given engines into one lockstep batch.
@@ -82,6 +89,7 @@ func (b *BatchEngine) Reset(lanes []*Engine) error {
 	}
 	b.lanes = append(b.lanes[:0], lanes...)
 	b.stepS = step
+	b.lk = slices.Grow(b.lk[:0], 3*len(lanes))[:3*len(lanes)]
 	return nil
 }
 
@@ -103,10 +111,12 @@ func (b *BatchEngine) Run(durationS float64) error {
 }
 
 // RunSteps advances every lane by exactly steps fixed integration
-// steps. Per step, each lane runs its pre-thermal phases and stages
-// its node powers, the fused kernel integrates all lanes' thermal
-// networks, and each lane runs its post-thermal phases. Steady-state
-// execution performs zero allocations.
+// steps. Per step, each lane runs stepPre and stages its three leakage
+// exponents, one power.ExpInto exponentiates all 3·B of them, each
+// lane runs stepPower and stages its node powers, the fused kernel
+// integrates all lanes' thermal networks, and each lane runs its
+// post-thermal phases. Steady-state execution performs zero
+// allocations.
 func (b *BatchEngine) RunSteps(steps int) error {
 	if len(b.lanes) == 1 {
 		return b.lanes[0].RunSteps(steps)
@@ -118,9 +128,16 @@ func (b *BatchEngine) RunSteps(steps int) error {
 	// been written externally (Prewarm, SetTemperature) since the last
 	// fused step. Within the run the kernel keeps both sides coherent.
 	b.bnet.Gather()
+	lk := b.lk
 	for s := 0; s < steps; s++ {
 		for li, e := range b.lanes {
-			if err := e.stepPre(); err != nil {
+			if err := e.stepPre(lk[3*li : 3*li+3]); err != nil {
+				return fmt.Errorf("sim: lane %d t=%.3fs: %w", li, e.now, err)
+			}
+		}
+		power.ExpInto(lk, lk)
+		for li, e := range b.lanes {
+			if err := e.stepPower(lk[3*li : 3*li+3]); err != nil {
 				return fmt.Errorf("sim: lane %d t=%.3fs: %w", li, e.now, err)
 			}
 			b.bnet.SetLanePowers(li, e.powers)

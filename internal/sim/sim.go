@@ -448,16 +448,23 @@ func (e *Engine) Run(durationS float64) error {
 // RunSteps advances the simulation by exactly steps fixed integration
 // steps — the fast path sweep runners use to amortize the call overhead
 // and skip duration-to-step rounding. RunSteps(0) is a no-op. Each step
-// is stepPre, the thermal network's RK4 step, then stepPost (step.go).
-// The loop is allocation-free in steady state: every per-step quantity
-// lives in a reused, index-addressed engine buffer, and map views of
-// any of them are only materialized by API accessors at the boundary.
+// is stepPre, one power.ExpInto over the three staged leakage
+// exponents, stepPower, the thermal network's RK4 step, then stepPost
+// (step.go). The loop is allocation-free in steady state: every
+// per-step quantity lives in a reused, index-addressed engine buffer
+// or on the stack, and map views of any of them are only materialized
+// by API accessors at the boundary.
 func (e *Engine) RunSteps(steps int) error {
 	if steps < 0 {
 		return fmt.Errorf("sim: step count must be >= 0, got %d", steps)
 	}
+	var lk [3]float64
 	for i := 0; i < steps; i++ {
-		if err := e.stepPre(); err != nil {
+		if err := e.stepPre(lk[:]); err != nil {
+			return fmt.Errorf("sim: t=%.3fs: %w", e.now, err)
+		}
+		power.ExpInto(lk[:], lk[:])
+		if err := e.stepPower(lk[:]); err != nil {
 			return fmt.Errorf("sim: t=%.3fs: %w", e.now, err)
 		}
 		if err := e.plat.Net.Step(e.cfg.StepS, e.powers); err != nil {

@@ -1,10 +1,13 @@
-// The engine's one step, split around the thermal integration so the
-// scalar engine and the lockstep BatchEngine run the same code:
-// Engine.RunSteps is stepPre, the lane's own Network.Step, then
-// stepPost; a BatchEngine runs stepPre on every lane, one fused
-// BatchNetwork step, then stepPost on every lane. The frozen
-// pre-refactor step loop in frozen_diff_test.go is the oracle both
-// paths are pinned to bit for bit.
+// The engine's one step, split around the leakage exponentials and the
+// thermal integration so the scalar engine and the lockstep
+// BatchEngine run the same code: stepPre stages each domain's leakage
+// exponent, one power.ExpInto call exponentiates every staged exponent
+// (three for an Engine, 3·B for a B-lane batch), stepPower turns them
+// into node powers, the thermal network integrates (the lane's own
+// Network.Step, or one fused BatchNetwork step for a batch), and
+// stepPost finishes the step. The frozen pre-refactor step loop in
+// frozen_diff_test.go is the oracle both paths are pinned to bit for
+// bit.
 package sim
 
 import (
@@ -43,9 +46,11 @@ type fastPath struct {
 	windows []*stats.Window
 	epoch   uint64
 
-	// sample carries the per-step power reading from stepPre to
-	// stepPost.
-	sample power.Sample
+	// sample carries the per-step power reading from stepPower to
+	// stepPost; gpuGrant carries phase 6's total GPU grant from stepPre
+	// to stepPower.
+	sample   power.Sample
+	gpuGrant float64
 
 	// Scheduling memo. One step's assignment is a pure function of the
 	// task demands/placements and the cluster capacities, and those
@@ -109,14 +114,13 @@ func (fp *fastPath) refreshTasks(e *Engine) {
 	fp.sigValid = false
 }
 
-// stepPre runs one step's phases up to — and excluding — the
-// thermal integration: demand, CPUfreq governors, thermal governor,
-// controller, scheduling, GPU sharing, power, attribution, metering.
-// It leaves the per-node power injection in e.powers and the power
-// sample in e.fast.sample for stepPost.
-func (e *Engine) stepPre() error {
+// stepPre runs one step's phases up to the power model: demand,
+// CPUfreq governors, thermal governor, controller, scheduling, GPU
+// sharing. It then stages each domain's leakage exponent at the
+// current node temperature in lk[id] (len(lk) >= 3) for the caller to
+// exponentiate in place before stepPower.
+func (e *Engine) stepPre(lk []float64) error {
 	fp := &e.fast
-	dt := e.cfg.StepS
 	now := e.now
 	if fp.epoch != e.sched.Epoch() {
 		// The task set changed between steps, behind the engine's back.
@@ -242,7 +246,6 @@ func (e *Engine) stepPre() error {
 			fp.sigValid = false
 		}
 	}
-	res := &e.assign
 
 	// 6. GPU sharing: proportional to demand under the single GPU queue.
 	gpuFreq := float64(fp.doms[platform.DomGPU].CurrentHz())
@@ -267,6 +270,26 @@ func (e *Engine) stepPre() error {
 			gpuGrantTotal += g
 		}
 	}
+	fp.gpuGrant = gpuGrantTotal
+
+	for _, id := range domainIDs {
+		lk[id] = fp.models[id].Leakage.Exponent(fp.temps[fp.nodes[id]])
+	}
+	return nil
+}
+
+// stepPower runs the phases between stepPre and the thermal
+// integration — per-domain power, attribution, metering — given each
+// domain's leakage factor exp(Exponent) in lk[id]. It leaves the
+// per-node power injection in e.powers and the power sample in
+// e.fast.sample for stepPost.
+func (e *Engine) stepPower(lk []float64) error {
+	fp := &e.fast
+	dt := e.cfg.StepS
+	now := e.now
+	res := &e.assign
+	gpuFreq := float64(fp.doms[platform.DomGPU].CurrentHz())
+	gpuGrantTotal := fp.gpuGrant
 
 	// 7. Per-domain power at current temperatures.
 	utilCores := [3]float64{
@@ -320,7 +343,7 @@ func (e *Engine) stepPre() error {
 		opp := fp.doms[id].CurrentOPP()
 		nodeK := fp.temps[fp.nodes[id]]
 		dyn := model.Dynamic(opp, utilCores[id])
-		tot := dyn + model.IdleW + model.Leakage.Power(opp.VoltageV, nodeK)
+		tot := dyn + model.IdleW + model.Leakage.PowerExp(opp.VoltageV, nodeK, lk[id])
 		domDynamic[id] = dyn
 		sample.W[fp.rails[id]] += tot
 		e.powers[fp.nodes[id]] += tot
