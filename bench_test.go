@@ -473,9 +473,9 @@ func BenchmarkBatchNetworkStep(b *testing.B) {
 
 // BenchmarkLeakageExp measures the power layer's leakage alone:
 // staging every domain's exponent, one packed power.ExpInto and the
-// per-domain leakage power, at width 1 (three values, one padded
-// 8-lane block) and width 8 (three full blocks). CI gates both widths
-// at 0 allocs/op.
+// per-domain leakage power, at width 1 (three values, a tail left to
+// math.Exp) and width 8 (three full 8-lane blocks). CI gates both
+// widths at 0 allocs/op.
 func BenchmarkLeakageExp(b *testing.B) {
 	for _, width := range []int{1, 8} {
 		b.Run(fmt.Sprintf("width-%d", width), benchkit.LeakageExp(width))

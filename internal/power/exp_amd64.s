@@ -1,22 +1,21 @@
 #include "textflag.h"
 
-// Packed 8-lane forms of Go's amd64 math.Exp (math/exp_amd64.s, after
+// A packed 8-lane form of Go's amd64 math.Exp (math/exp_amd64.s, after
 // Shibata, "Efficient evaluation methods of elementary functions
 // suitable for SIMD computation", ISC'10). math.Exp runs one of two
 // operation sequences, chosen once per process: an SSE2 one and, when
-// the CPU has AVX and FMA, one with fused multiply-adds. expSSE2 and
-// expFMA replay those two sequences operation for operation, so each
-// lane rounds exactly where the scalar code does.
+// the CPU has AVX and FMA, one with fused multiply-adds. expFMA replays
+// the FMA sequence operation for operation, so each lane rounds exactly
+// where the scalar code does; hosts on the SSE2 sequence call math.Exp.
 //
-// Both kernels take the in-range path only: for -708 <= x <= 709 the
+// The kernel takes the in-range path only: for -708 <= x <= 709 the
 // scaled exponent k+1023 stays within [2, 2046], so math.Exp's
 // overflow, denormal and not-finite branches are never taken and the
 // final multiply by 2^k is exact. A block with any lane outside that
 // range (NaN included) ends the call; the caller evaluates it with
 // math.Exp.
 
-// BCAST4 stores the float64 v four times from off: one 32-byte row,
-// read whole by the AVX kernel and as its first 16 bytes by SSE2.
+// BCAST4 stores the float64 v four times from off: one 32-byte row.
 #define BCAST4(off, v) \
 	DATA expconst<>+(off)(SB)/8, v; \
 	DATA expconst<>+(off+8)(SB)/8, v; \
@@ -61,200 +60,12 @@ GLOBL expconst<>(SB), RODATA|NOPTR, $512
 #define TWO expconst<>+448(SB)
 #define BIAS expconst<>+480(SB)
 
-// SSE2 helpers over the four lane pairs x = X0..X3, with one scratch
-// register per pair (X4..X7) and the constant in X12.
-
-// LOAD2 loads lanes off/8 and off/8+1 of the block at (SI)(AX*8) into
-// x, one 8-byte load per lane: the caller writes its inputs one
-// float64 at a time, and a wider load spanning several of those
-// stores could not be forwarded from them.
-#define LOAD2(off, x) \
-	MOVSD off(SI)(AX*8), x; \
-	MOVHPD off+8(SI)(AX*8), x
-
-// INRANGE ANDs (LO <= x) && (x <= HI) for one pair into X4.
-#define INRANGE(x) \
-	MOVAPD X12, X5; \
-	CMPPD x, X5, $2; \
-	ANDPD X5, X4; \
-	MOVAPD x, X5; \
-	CMPPD X13, X5, $2; \
-	ANDPD X5, X4
-
-// KSTEP: k = round(x*log2e) as an integer in ki and as a float in kf.
-#define KSTEP(x, kf, ki) \
-	MOVAPD x, kf; \
-	MULPD X12, kf; \
-	CVTPD2PL kf, ki; \
-	CVTPL2PD ki, kf
-
-// POLY: p = p*r + c.
-#define POLY(c) \
-	MOVAPD c, X12; \
-	MULPD X0, X4; \
-	ADDPD X12, X4; \
-	MULPD X1, X5; \
-	ADDPD X12, X5; \
-	MULPD X2, X6; \
-	ADDPD X12, X6; \
-	MULPD X3, X7; \
-	ADDPD X12, X7
-
-// SQUARE: r = r*(2+r), the double-angle step, for every pair.
-#define SQUARE \
-	MOVAPD X12, X4; \
-	ADDPD X0, X4; \
-	MULPD X4, X0; \
-	MOVAPD X12, X5; \
-	ADDPD X1, X5; \
-	MULPD X5, X1; \
-	MOVAPD X12, X6; \
-	ADDPD X2, X6; \
-	MULPD X6, X2; \
-	MOVAPD X12, X7; \
-	ADDPD X3, X7; \
-	MULPD X7, X3
-
-// SCALE: x *= 2^k, building 2^k from the integer k pair in ki.
-#define SCALE(x, ki) \
-	PADDL X12, ki; \
-	PUNPCKLLQ ki, ki; \
-	PSLLQ $52, ki; \
-	MULPD ki, x
-
-// func expSSE2(dst, src []float64) int
-//
-// The SSE2 sequence of math.Exp, two lanes per XMM register: every
-// MULPD/ADDPD/SUBPD is the scalar MULSD/ADDSD/SUBSD on each lane, and
-// CVTPD2PL/CVTPL2PD (CVTPD2DQ/CVTDQ2PD) round under the same MXCSR
-// mode as the scalar CVTSD2SL/CVTSL2SD. SSE2 only, so no feature
-// check is needed.
-//
-// Registers:
-//	SI  src          DI  dst          AX  values done     CX  blocks left
-//	X0-X3 x, then r, then the result  X4-X7 k as floats, then p
-//	X8-X11 k as integers              X12 constant        X13 HI / scratch
-TEXT ·expSSE2(SB), NOSPLIT, $0-56
-	MOVQ dst_base+0(FP), DI
-	MOVQ src_base+24(FP), SI
-	MOVQ src_len+32(FP), CX
-	SHRQ $3, CX
-	XORQ AX, AX
-
-sse2block:
-	TESTQ CX, CX
-	JZ sse2done
-	LOAD2(0, X0)
-	LOAD2(16, X1)
-	LOAD2(32, X2)
-	LOAD2(48, X3)
-
-	// Every lane must satisfy LO <= x <= HI; NaN fails both.
-	MOVAPD LO, X12
-	MOVAPD HI, X13
-	MOVAPD X12, X4
-	CMPPD X0, X4, $2
-	MOVAPD X0, X5
-	CMPPD X13, X5, $2
-	ANDPD X5, X4
-	INRANGE(X1)
-	INRANGE(X2)
-	INRANGE(X3)
-	MOVMSKPD X4, BX
-	CMPQ BX, $3
-	JNE sse2done
-
-	// k = round(x*log2e)
-	MOVAPD LOG2E, X12
-	KSTEP(X0, X4, X8)
-	KSTEP(X1, X5, X9)
-	KSTEP(X2, X6, X10)
-	KSTEP(X3, X7, X11)
-
-	// x -= k*ln2u
-	MOVAPD LN2U, X12
-	MOVAPD X4, X13
-	MULPD X12, X13
-	SUBPD X13, X0
-	MOVAPD X5, X13
-	MULPD X12, X13
-	SUBPD X13, X1
-	MOVAPD X6, X13
-	MULPD X12, X13
-	SUBPD X13, X2
-	MOVAPD X7, X13
-	MULPD X12, X13
-	SUBPD X13, X3
-
-	// x -= k*ln2l
-	MOVAPD LN2L, X12
-	MULPD X12, X4
-	SUBPD X4, X0
-	MULPD X12, X5
-	SUBPD X5, X1
-	MULPD X12, X6
-	SUBPD X6, X2
-	MULPD X12, X7
-	SUBPD X7, X3
-
-	// r = x/16
-	MOVAPD SIXTEENTH, X12
-	MULPD X12, X0
-	MULPD X12, X1
-	MULPD X12, X2
-	MULPD X12, X3
-
-	// Taylor series: p = c8, then p = p*r + c down to 1.
-	MOVAPD C8, X4
-	MOVAPD X4, X5
-	MOVAPD X4, X6
-	MOVAPD X4, X7
-	POLY(C7)
-	POLY(C6)
-	POLY(C5)
-	POLY(C4)
-	POLY(C3)
-	POLY(HALF)
-	POLY(ONE)
-
-	// r = r*p, then four double-angle steps r = r*(2+r).
-	MULPD X4, X0
-	MULPD X5, X1
-	MULPD X6, X2
-	MULPD X7, X3
-	MOVAPD TWO, X12
-	SQUARE
-	SQUARE
-	SQUARE
-	SQUARE
-
-	// r + 1, scaled by 2^k.
-	MOVAPD ONE, X12
-	ADDPD X12, X0
-	ADDPD X12, X1
-	ADDPD X12, X2
-	ADDPD X12, X3
-	MOVAPD BIAS, X12
-	SCALE(X0, X8)
-	SCALE(X1, X9)
-	SCALE(X2, X10)
-	SCALE(X3, X11)
-
-	MOVUPD X0, (DI)(AX*8)
-	MOVUPD X1, 16(DI)(AX*8)
-	MOVUPD X2, 32(DI)(AX*8)
-	MOVUPD X3, 48(DI)(AX*8)
-	ADDQ $8, AX
-	DECQ CX
-	JMP sse2block
-
-sse2done:
-	MOVQ AX, ret+48(FP)
-	RET
-
 // FMA helpers over the two lane quads x = Y0, Y1.
 
-// LOAD4 is LOAD2 for four lanes, through the scratch register t.
+// LOAD4 loads lanes off/8 to off/8+3 of the block at (SI)(AX*8) into
+// y, through the scratch register t, one 8-byte load per lane: the
+// caller writes its inputs one float64 at a time, and a wider load
+// spanning several of those stores could not be forwarded from them.
 #define LOAD4(off, x, y, t) \
 	VMOVSD off(SI)(AX*8), x; \
 	VMOVHPD off+8(SI)(AX*8), x, x; \
@@ -283,9 +94,11 @@ sse2done:
 //
 // The FMA sequence of math.Exp, four lanes per YMM register: the
 // scalar VFNMADD231SD/VFMADD213SD become their packed forms and every
-// other step is the packed SSE2 kernel's. AVX and FMA3 only; the
-// caller selects this kernel only when math.Exp itself runs the FMA
-// sequence, which Go enables only when the CPU and OS support both.
+// other MULSD/ADDSD/CVTSD2SL/CVTSL2SD its VMULPD/VADDPD/VCVTPD2DQ/
+// VCVTDQ2PD counterpart, rounding under the same MXCSR mode. AVX and
+// FMA3 only, no AVX2 integer ops; the caller selects this kernel only
+// when math.Exp itself runs the FMA sequence, which Go enables only
+// when the CPU and OS support both.
 //
 // Registers:
 //	SI  src          DI  dst          AX  values done     CX  blocks left

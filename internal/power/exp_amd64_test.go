@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// Go replicas of the two operation sequences of math.Exp's amd64
-// assembly, one float64 rounding per instruction, valid for
-// -708 <= x <= 709. The SSE2 replica rounds every product explicitly so
-// no compiler target can fuse it; the FMA replica fuses exactly where
-// the assembly does, through math.FMA.
+// A Go replica of the FMA operation sequence of math.Exp's amd64
+// assembly, the one expFMA replays, one float64 rounding per
+// instruction, valid for -708 <= x <= 709: it fuses exactly where the
+// assembly does, through math.FMA, and rounds every other product
+// explicitly so no compiler target can fuse it.
 
 const (
 	expLog2e = 1.4426950408889634073599246810018920
@@ -30,22 +30,6 @@ func expScale(r, k float64) float64 {
 	return r * math.Float64frombits(uint64(int64(k)+1023)<<52)
 }
 
-func expSSE2Ref(x float64) float64 {
-	k := math.RoundToEven(float64(x * expLog2e))
-	r := float64(x - float64(k*expLn2U))
-	r = float64(r - float64(k*expLn2L))
-	r = float64(r * 0.0625)
-	p := expTaylor[0]
-	for _, c := range expTaylor[1:] {
-		p = float64(float64(p*r) + c)
-	}
-	r = float64(r * p)
-	for i := 0; i < 4; i++ {
-		r = float64(r * float64(2+r))
-	}
-	return expScale(float64(r+1), k)
-}
-
 func expFMARef(x float64) float64 {
 	k := math.RoundToEven(float64(x * expLog2e))
 	r := math.FMA(-k, expLn2U, x)
@@ -62,19 +46,14 @@ func expFMARef(x float64) float64 {
 	return expScale(math.FMA(r, float64(r+2), 1), k)
 }
 
-// checkKernels pins each packed kernel to its replica, lane by lane,
-// on every full 8-value block of src, and checks a kernel stops at the
-// first block holding an out-of-range value.
+// checkKernels pins expFMA to its replica, lane by lane, on every full
+// 8-value block of src, and checks it stops at the first block holding
+// an out-of-range value. The kernel runs only where math.Exp runs the
+// FMA sequence, so only there is the CPU known to have AVX and FMA.
 func checkKernels(t *testing.T, src []float64) {
 	t.Helper()
-	type kernel struct {
-		name string
-		run  func(dst, src []float64) int
-		ref  func(float64) float64
-	}
-	kernels := []kernel{{"sse2", expSSE2, expSSE2Ref}}
-	if useFMA {
-		kernels = append(kernels, kernel{"fma", expFMA, expFMARef})
+	if !useFMA {
+		return
 	}
 	full := len(src) &^ 7
 	stop := full
@@ -84,50 +63,45 @@ func checkKernels(t *testing.T, src []float64) {
 			break
 		}
 	}
-	for _, k := range kernels {
-		dst := make([]float64, len(src))
-		if got := k.run(dst, src); got != stop {
-			t.Fatalf("%s kernel wrote %d of %v, want %d", k.name, got, src, stop)
-		}
-		for i, x := range src[:stop] {
-			if want := k.ref(x); math.Float64bits(dst[i]) != math.Float64bits(want) {
-				t.Fatalf("%s kernel: exp(%v) = %v (%#x), replica %v (%#x)",
-					k.name, x, dst[i], math.Float64bits(dst[i]), want, math.Float64bits(want))
-			}
+	dst := make([]float64, len(src))
+	if got := expFMA(dst, src); got != stop {
+		t.Fatalf("expFMA wrote %d of %v, want %d", got, src, stop)
+	}
+	for i, x := range src[:stop] {
+		if want := expFMARef(x); math.Float64bits(dst[i]) != math.Float64bits(want) {
+			t.Fatalf("expFMA: exp(%v) = %v (%#x), replica %v (%#x)",
+				x, dst[i], math.Float64bits(dst[i]), want, math.Float64bits(want))
 		}
 	}
 }
 
-// TestExpProbe pins the kernel choice: the probe must separate the two
-// sequences, math.Exp must run one of them, and useFMA must name the
-// one it runs.
+// TestExpProbe pins the kernel choice: the FMA replica must give
+// probeFMABits at the probe, math.Exp must give one of the two
+// sequences' results there, and useFMA must name the one it gives.
+// Under GODEBUG=cpu.fma=off on an FMA host, math.Exp runs the SSE2
+// sequence, which pins probeSSE2Bits as that sequence's result.
 func TestExpProbe(t *testing.T) {
-	fma, sse2 := expFMARef(probe), expSSE2Ref(probe)
-	if fma == sse2 {
-		t.Fatalf("replicas agree on the probe %v: %v", probe, fma)
+	if got := math.Float64bits(expFMARef(probe)); got != probeFMABits {
+		t.Fatalf("FMA replica at the probe = %#x, probeFMABits = %#x", got, uint64(probeFMABits))
 	}
-	if math.Float64bits(fma) != probeFMABits {
-		t.Fatalf("FMA replica at the probe = %#x, probeFMABits = %#x", math.Float64bits(fma), uint64(probeFMABits))
-	}
-	got := math.Exp(probe)
-	switch {
-	case got == fma && !useFMA, got == sse2 && useFMA:
-		t.Fatalf("math.Exp(probe) = %v but useFMA = %v", got, useFMA)
-	case got != fma && got != sse2:
-		t.Fatalf("math.Exp(probe) = %v matches neither sequence (fma %v, sse2 %v)", got, fma, sse2)
+	switch got := math.Float64bits(math.Exp(probe)); {
+	case got != probeFMABits && got != probeSSE2Bits:
+		t.Fatalf("math.Exp(probe) = %#x matches neither sequence (fma %#x, sse2 %#x)",
+			got, uint64(probeFMABits), uint64(probeSSE2Bits))
+	case (got == probeFMABits) != useFMA:
+		t.Fatalf("math.Exp(probe) = %#x but useFMA = %v", got, useFMA)
 	}
 }
 
-// TestExpReplicasMatchMathExp keeps the replicas honest: the one for
-// the sequence this host's math.Exp runs must reproduce it.
-func TestExpReplicasMatchMathExp(t *testing.T) {
-	ref := expSSE2Ref
-	if useFMA {
-		ref = expFMARef
+// TestExpReplicaMatchesMathExp keeps the replica honest: where
+// math.Exp runs the FMA sequence, the replica must reproduce it.
+func TestExpReplicaMatchesMathExp(t *testing.T) {
+	if !useFMA {
+		t.Skip("math.Exp runs the SSE2 sequence on this host")
 	}
 	for i := 0; i <= 20000; i++ {
 		x := -708 + 1417*float64(i)/20000
-		if got, want := ref(x), math.Exp(x); math.Float64bits(got) != math.Float64bits(want) {
+		if got, want := expFMARef(x), math.Exp(x); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("replica exp(%v) = %v, math.Exp %v", x, got, want)
 		}
 	}

@@ -8,7 +8,7 @@ import (
 
 // expSpecials are the edge inputs every ExpInto check mixes in: signed
 // zeros and infinities, NaN, the overflow threshold, both ends of the
-// kernels' range, the denormal range below it, and -17, on which Go's
+// kernel's range, the denormal range below it, and -17, on which Go's
 // two amd64 math.Exp sequences round differently.
 var expSpecials = []float64{
 	0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
@@ -79,8 +79,8 @@ func TestExpIntoSpecials(t *testing.T) {
 }
 
 // FuzzExpInto checks ExpInto against math.Exp bit for bit at lengths
-// 0–17 (empty, partial blocks, full blocks and tails), and each packed
-// kernel against its Go replica.
+// 0–17 (empty, partial blocks, full blocks and tails), and the packed
+// kernel, where it runs, against its Go replica.
 func FuzzExpInto(f *testing.F) {
 	for seed := int64(0); seed < 36; seed++ {
 		f.Add(seed, uint8(seed%18))
