@@ -399,7 +399,7 @@ func BenchmarkSweepSequentialBaseline(b *testing.B) {
 // pinned identical to cold by the mobisim warm-start tests.
 func BenchmarkSweepWarm(b *testing.B) {
 	b.Run("batched-8", benchkit.SweepWarm(8))
-	b.Run("scalar", benchkit.SweepWarm(0))
+	b.Run("scalar", benchkit.SweepWarm(1))
 }
 
 // BenchmarkSweepWarmColdBaseline is the cold counterpart of
@@ -410,7 +410,7 @@ func BenchmarkSweepWarmColdBaseline(b *testing.B) {
 }
 
 // BenchmarkDaemonSweepColdBatched measures the simd daemon's compute
-// path end to end at its default width of 8: the replicate-heavy
+// path end to end at width 8 (DefaultBatchWidth): the replicate-heavy
 // matrix submitted over HTTP to an in-process server, simulated as
 // lockstep units, encoded, and fetched. Each iteration shifts the base
 // seed so its cells miss the cache.

@@ -12,6 +12,7 @@
 //	explore -spec search.json -seed 9                # same spec, different trajectory
 //	explore -spec search.json -generations 64        # deeper search
 //	explore -spec search.json -format csv            # flat per-candidate rows
+//	explore -spec search.json -batch 1               # one lane per unit (0, the default, lets the planner choose)
 //	explore -spec search.json -cache-dir ~/.cache/mobisim  # share the simd result cache
 //	explore -spec search.json -daemon http://localhost:8377  # evaluate cells on a simd daemon
 package main
@@ -40,7 +41,7 @@ func main() {
 		neighbors    = flag.Int("neighbors", 0, "override the spec's neighbors per generation")
 		patience     = flag.Int("patience", 0, "override the spec's convergence patience")
 		workers      = flag.Int("workers", 0, "evaluation workers (0 = GOMAXPROCS; never changes output bytes)")
-		batch        = flag.Int("batch", 0, "lockstep batch width for candidate evaluation (0 = default width; never changes output bytes)")
+		batch        = flag.Int("batch", 0, "lockstep batch width for candidate evaluation (0 = planner's choice: fill the workers, then up to 8 lanes per unit; never changes output bytes)")
 		noWarmStart  = flag.Bool("no-warm-start", false, "disable prefix-snapshot warm-start grouping (output bytes are identical either way)")
 		cacheDir     = flag.String("cache-dir", "", "content-addressed result cache root shared with the simd daemon; cached cells skip simulation (trajectory bytes are identical either way)")
 		daemonURL    = flag.String("daemon", "", "base URL of a running simd daemon; cache-miss cells are evaluated remotely per generation, retried with backoff across daemon restarts (trajectory bytes are identical either way)")

@@ -10,7 +10,7 @@
 //	simd                                  # serve on :8377, memory-only cache
 //	simd -addr :8080 -cache-dir /var/lib/simd
 //	simd -queue 64 -jobs 4 -cell-workers 8
-//	simd -batch 1                         # one lane per unit (the default width is 8)
+//	simd -batch 1                         # one lane per unit (the default lets the planner choose)
 //	simd -platform-spec specs/smalldie.json  # extra -platforms names
 //
 // SIGINT/SIGTERM starts a graceful drain: new submissions are refused
@@ -41,7 +41,7 @@ func main() {
 		queueCap     = flag.Int("queue", 16, "pending-job queue capacity; a full queue answers 429")
 		jobWorkers   = flag.Int("jobs", 2, "jobs executed concurrently")
 		cellWorkers  = flag.Int("cell-workers", 0, "per-job cell concurrency (0 = GOMAXPROCS)")
-		batchWidth   = flag.Int("batch", -1, "lockstep lane width for cache-miss cells (<= 0 = default width); responses are byte-identical at every width")
+		batchWidth   = flag.Int("batch", 0, "lockstep lane width for cache-miss cells (0 = planner's choice: fill the job's workers, without -cell-workers its share of the CPUs among running jobs, then up to 8 lanes per unit); responses are byte-identical at every width")
 		memCache     = flag.Int("mem-cache", simd.DefaultMemCacheCap, "in-memory cache tier capacity in cells")
 		maxBody      = flag.Int64("max-body", 1<<20, "job submission body limit in bytes")
 		platformSpec = flag.String("platform-spec", "", "comma-separated platform spec JSON files to register; their names become valid platform values in submitted jobs")
@@ -92,12 +92,12 @@ func main() {
 	if *cacheDir != "" {
 		cacheNote = "cache at " + *cacheDir
 	}
-	width := *batchWidth
-	if width <= 0 {
-		width = mobisim.DefaultBatchWidth
+	widthNote := "planner-chosen lockstep batches"
+	if *batchWidth != 0 {
+		widthNote = fmt.Sprintf("lockstep batches of %d", *batchWidth)
 	}
-	fmt.Fprintf(os.Stderr, "simd: listening on %s (%s, queue %d, %d job workers, lockstep batches of %d)\n",
-		*addr, cacheNote, *queueCap, *jobWorkers, width)
+	fmt.Fprintf(os.Stderr, "simd: listening on %s (%s, queue %d, %d job workers, %s)\n",
+		*addr, cacheNote, *queueCap, *jobWorkers, widthNote)
 
 	select {
 	case err := <-serveErr:

@@ -12,9 +12,9 @@
 //	sweep -governors appaware,ipa -format csv       # arm comparison as CSV
 //	sweep -platforms nexus6p -workloads paper.io -governors stepwise,none
 //	sweep -platform-spec testdata/platforms/smalldie.json -platforms smalldie -workloads gen-bursty -governors none
-//	sweep -batch -1                                 # lockstep batches of the default width
+//	sweep -batch 1                                  # one lane per unit, each engine stepping alone
 //	sweep -warm-start -replicates 8                 # fork limit cells from shared-prefix snapshots
-//	sweep -cache-dir ~/.cache/mobisim -batch -1     # memoize cells in the daemon's disk cache
+//	sweep -cache-dir ~/.cache/mobisim               # memoize cells in the daemon's disk cache
 //	sweep -daemon http://localhost:8377             # submit to a running simd daemon
 //	sweep -cpuprofile cpu.out -memprofile mem.out   # profile the sweep hot path
 package main
@@ -51,7 +51,7 @@ func main() {
 		duration     = flag.Float64("duration", 120, "simulated seconds per scenario")
 		seed         = flag.Int64("seed", 1, "base seed for per-replicate seed derivation")
 		workers      = flag.Int("workers", 0, "pool workers (0 = GOMAXPROCS)")
-		batch        = flag.Int("batch", 0, "lockstep batch width: scenarios stepped together through the fused SoA kernel (0 = one lane per unit, each engine stepping alone; -1 = default width)")
+		batch        = flag.Int("batch", 0, "lockstep batch width: scenarios stepped together through the fused SoA kernel (0 = planner's choice: fill the workers, then up to 8 lanes per unit; 1 = each engine stepping alone); output bytes are identical at every width")
 		warmStart    = flag.Bool("warm-start", false, "group limit-aware cells by prefix content key, simulate each group's shared warm-up once, and fork members from an engine snapshot (output bytes are identical either way)")
 		cacheDir     = flag.String("cache-dir", "", "content-addressed result cache root shared with the simd daemon; cached cells are served from disk instead of resimulated, and misses run on the daemon's executor at -batch lanes with prefix warm-start (output bytes are identical either way)")
 		daemonURL    = flag.String("daemon", "", "base URL of a running simd daemon; the sweep is submitted as a job and the daemon's result bytes are emitted verbatim (json only, retried with backoff across daemon restarts)")
@@ -153,13 +153,9 @@ func main() {
 	if nWorkers > size {
 		nWorkers = size // the pool clamps too; keep the banner honest
 	}
-	width := *batch
-	if width < 0 {
-		width = mobisim.DefaultBatchWidth
-	}
-	mode := ""
-	if width > 0 {
-		mode = fmt.Sprintf(", lockstep batches of %d", width)
+	mode := ", planner-chosen lockstep batches"
+	if *batch != 0 {
+		mode = fmt.Sprintf(", lockstep batches of %d", *batch)
 	}
 	// The disk cache degrades instead of gating the sweep: an unusable
 	// -cache-dir warns and runs uncached rather than aborting.
@@ -202,7 +198,7 @@ func main() {
 	}
 
 	start := time.Now()
-	cfg := mobisim.SweepConfig{Workers: nWorkers, IncludeRaw: *raw, BatchWidth: width, WarmStart: *warmStart}
+	cfg := mobisim.SweepConfig{Workers: nWorkers, IncludeRaw: *raw, BatchWidth: *batch, WarmStart: *warmStart}
 	var out *mobisim.SweepOutput
 	if cache != nil {
 		var stats simd.RunStats

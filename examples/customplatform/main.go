@@ -63,7 +63,7 @@ func main() {
 		BaseSeed:   1,
 	}
 	matrix.Normalize()
-	out, err := mobisim.RunSweep(context.Background(), matrix, mobisim.SweepConfig{BatchWidth: mobisim.DefaultBatchWidth})
+	out, err := mobisim.RunSweep(context.Background(), matrix, mobisim.SweepConfig{})
 	if err != nil {
 		fatal(err)
 	}

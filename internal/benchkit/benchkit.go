@@ -47,7 +47,7 @@ func SweepMatrix() mobisim.Matrix {
 // executed one lane per unit, each engine stepping alone, on a worker
 // pool of the given size. It reports cells/sec, the sweep throughput headline.
 func SweepParallel(workers int) func(b *testing.B) {
-	return sweepBench(mobisim.SweepConfig{Workers: workers})
+	return sweepBench(mobisim.SweepConfig{Workers: workers, BatchWidth: 1})
 }
 
 // SweepBatched returns the batched lockstep sweep benchmark: the same
@@ -103,7 +103,7 @@ func WarmSweepMatrix() mobisim.Matrix {
 
 // SweepWarm returns the warm-start sweep benchmark: the replicate-heavy
 // matrix with prefix grouping and fork-from-snapshot enabled, forks
-// running at the given lane width (0 = one lane).
+// running at the given lane width.
 func SweepWarm(width int) func(b *testing.B) {
 	return sweepBenchOn(WarmSweepMatrix(), 4, WarmSweepCells,
 		mobisim.SweepConfig{Workers: 1, BatchWidth: width, WarmStart: true})

@@ -17,7 +17,7 @@ import (
 )
 
 // DaemonSweepColdBatched measures the daemon's compute path end to
-// end at width 8, the daemon's default: the replicate-heavy matrix
+// end at width 8 (DefaultBatchWidth): the replicate-heavy matrix
 // submitted to an in-process simd server over HTTP, simulated as
 // lockstep units, aggregated, encoded, and fetched. Every iteration
 // shifts the base seed so its cells miss the cache. Reports cells/sec.
@@ -36,7 +36,7 @@ func daemonSweepBench(b *testing.B, warm bool) {
 		b.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	srv, err := simd.NewServer(simd.Config{CacheDir: dir, JobWorkers: 1})
+	srv, err := simd.NewServer(simd.Config{CacheDir: dir, JobWorkers: 1, BatchWidth: mobisim.DefaultBatchWidth})
 	if err != nil {
 		b.Fatal(err)
 	}

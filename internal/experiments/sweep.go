@@ -29,8 +29,8 @@ type SweepPoint struct {
 // conclusion proposes: any new governor can be dropped into the same
 // scenario and compared against these curves.
 //
-// It is a thin wrapper over mobisim.RunScenarios at the default batch
-// width with prefix warm start, across GOMAXPROCS workers. Every limit
+// It is a thin wrapper over mobisim.RunScenarios at the planner's
+// batch width with prefix warm start, across GOMAXPROCS workers. Every limit
 // reuses the same seed (a paired design), and every executor is
 // bitwise-identical to a sequential run, so the output matches the
 // original serial loop point for point.
@@ -61,11 +61,7 @@ func LimitSweepParallel(ctx context.Context, limitsC []float64, durationS float6
 			ModelOnlyBML: true,
 		}
 	}
-	metrics, err := mobisim.RunScenarios(ctx, specs, mobisim.SweepConfig{
-		Workers:    workers,
-		BatchWidth: mobisim.DefaultBatchWidth,
-		WarmStart:  true,
-	})
+	metrics, err := mobisim.RunScenarios(ctx, specs, mobisim.SweepConfig{Workers: workers, WarmStart: true})
 	if err != nil {
 		return nil, err
 	}

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -47,7 +49,7 @@ func TestServerBatchedByteIdentityMatrix(t *testing.T) {
 	half := m
 	half.LimitsC = []float64{58}
 
-	for _, width := range []int{1, 3, 8} {
+	for _, width := range []int{0, 1, 3, 8} {
 		t.Run(fmt.Sprintf("width-%d", width), func(t *testing.T) {
 			srv, ts := newTestServer(t, Config{CacheDir: t.TempDir(), JobWorkers: 1, BatchWidth: width})
 			srv.Start()
@@ -262,5 +264,137 @@ func TestServerBatchedCrashRecovery(t *testing.T) {
 	}
 	if body := getResult(t, ts2, st.ID); !bytes.Equal(body, want) {
 		t.Errorf("recovered batched result differs from cold oracle:\nwant:\n%s\ngot:\n%s", want, body)
+	}
+}
+
+// TestNegativeBatchWidthRejected pins the one width rule at every entry
+// point that takes a width: 0 is the planner's choice, and a negative
+// width fails with the same error everywhere instead of picking one.
+func TestNegativeBatchWidthRejected(t *testing.T) {
+	ctx := context.Background()
+	m := batchMatrix()
+	cells, err := mobisim.ExpandCells(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := make([]mobisim.Scenario, len(cells))
+	for i, c := range cells {
+		specs[i] = c.Spec
+	}
+	spec := mobisim.OptimizeSpec{
+		Name:      "negative-width",
+		Scenario:  specs[0],
+		Objective: mobisim.Objective{Metric: mobisim.MetricPeakC, Goal: mobisim.GoalMinimize},
+		Mutations: []mobisim.Mutation{{Param: mobisim.ParamLimitC, Min: 55, Max: 65, Step: 5}},
+	}
+	const width = -1
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"RunSweep", func() error {
+			_, err := mobisim.RunSweep(ctx, m, mobisim.SweepConfig{BatchWidth: width})
+			return err
+		}},
+		{"RunScenarios", func() error {
+			_, err := mobisim.RunScenarios(ctx, specs, mobisim.SweepConfig{BatchWidth: width})
+			return err
+		}},
+		{"RunSweepCached", func() error {
+			cache, err := NewCache("", 0)
+			if err != nil {
+				return err
+			}
+			_, _, err = RunSweepCached(ctx, m, mobisim.SweepConfig{BatchWidth: width}, cache)
+			return err
+		}},
+		{"Optimize", func() error {
+			_, err := mobisim.Optimize(ctx, spec, mobisim.OptimizeConfig{BatchWidth: width})
+			return err
+		}},
+		{"NewServer", func() error {
+			_, err := NewServer(Config{BatchWidth: width})
+			return err
+		}},
+	} {
+		err := tc.run()
+		if !errors.Is(err, mobisim.ErrNegativeBatchWidth) || err.Error() != mobisim.ErrNegativeBatchWidth.Error() {
+			t.Errorf("%s at width %d: got %v, want %q", tc.name, width, err, mobisim.ErrNegativeBatchWidth)
+		}
+	}
+}
+
+// TestRunCellsPlansForItsWorkers pins the width-0 shape through the
+// daemon's executor on two CPUs: RunCells plans for the workers it
+// runs units on, and without a fixed count for its share of GOMAXPROCS
+// while other RunCells calls are in progress. The matrix needs two
+// lanes (two warm prefix groups of four limits each), so one worker
+// takes both sentinels in one unit and two workers take one each.
+func TestRunCellsPlansForItsWorkers(t *testing.T) {
+	prev := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(prev)
+	ctx := context.Background()
+	cellsOf := func(seed int64, limits ...float64) []mobisim.Cell {
+		cells, err := mobisim.ExpandCells(mobisim.Matrix{
+			Platforms:  []string{mobisim.PlatformOdroidXU3},
+			Workloads:  []string{"3dmark+bml"},
+			Governors:  []string{mobisim.GovAppAware},
+			LimitsC:    limits,
+			Replicates: 2,
+			DurationS:  1,
+			BaseSeed:   seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cells
+	}
+	// units runs the matrix on s and returns how many units it planned.
+	units := func(s *Scheduler, workers int) uint64 {
+		before := s.Stats().Batched
+		if _, _, err := s.RunCells(ctx, cellsOf(1, 52, 58, 64, 70), 0, workers, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		return s.Stats().Batched - before
+	}
+	newSched := func() *Scheduler {
+		cache, err := NewCache("", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewScheduler(ctx, cache)
+	}
+	for _, tc := range []struct{ workers, want int }{{1, 1}, {2, 2}, {0, 2}} {
+		if got := units(newSched(), tc.workers); got != uint64(tc.want) {
+			t.Errorf("workers %d: %d units, want %d", tc.workers, got, tc.want)
+		}
+	}
+
+	// A second call in progress halves this call's share of the CPUs.
+	s := newSched()
+	other := cellsOf(9, 60)
+	if _, _, err := s.RunCells(ctx, other, 0, 0, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	done := make(chan error)
+	go func() {
+		// The primed cells are cache hits: onCell holds the call open.
+		_, _, err := s.RunCells(ctx, other, 0, 0, func(i int, _ Origin, _ map[string]float64) {
+			if i == 0 {
+				close(entered)
+				<-release
+			}
+		}, nil)
+		done <- err
+	}()
+	<-entered
+	got := units(s, 0)
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got != 1 {
+		t.Errorf("workers 0 beside another call: %d units, want 1", got)
 	}
 }

@@ -19,7 +19,7 @@ import (
 // TestSentinelTailCancellation pins cancellation latency in the
 // post-event tail of a warm unit: once every sentinel has taken its
 // final checkpoint, the rest of the horizon must still poll ctx every
-// ctxCheckSteps steps, the cadence the scheduler runs units at, so
+// mobisim.CtxCheckSteps steps, the cadence every unit runs at, so
 // DELETE-cancel, last-waiter detach and hard shutdown take effect
 // within one chunk instead of at the end of the cell.
 func TestSentinelTailCancellation(t *testing.T) {
@@ -68,7 +68,6 @@ func TestSentinelTailCancellation(t *testing.T) {
 	})
 	var runner mobisim.BatchRunner
 	_, err = runner.RunUnit(ctx, specs, units[0], mobisim.DefaultBatchWidth, mobisim.BatchRunOptions{
-		CtxCheckSteps: ctxCheckSteps,
 		Observer: func(i int) mobisim.Observer {
 			if i == 0 {
 				return sentinel
@@ -83,9 +82,9 @@ func TestSentinelTailCancellation(t *testing.T) {
 	// loop-top poll returns. Overshoot past the cancel point is therefore
 	// bounded by one chunk of simulated time (plus one trace period of
 	// observer latency, absorbed by the second chunk of slack).
-	chunkS := float64(ctxCheckSteps) * stepS
+	chunkS := float64(mobisim.CtxCheckSteps) * stepS
 	if maxS := cancelAtS + 2*chunkS; lastSeenS > maxS {
-		t.Fatalf("sentinel ran to t=%.1fs after cancel at t=%.0fs, want <= %.1fs (one ctxCheckSteps chunk)",
+		t.Fatalf("sentinel ran to t=%.1fs after cancel at t=%.0fs, want <= %.1fs (one CtxCheckSteps chunk)",
 			lastSeenS, cancelAtS, maxS)
 	}
 }

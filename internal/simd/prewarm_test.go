@@ -56,15 +56,15 @@ func TestServerPrewarmLimitAcrossJobs(t *testing.T) {
 }
 
 // TestRunSweepCachedPrewarmLimitAcrossRuns is the same two-run check
-// through RunSweepCached (`sweep -cache-dir`) on one Cache, at width 1
-// and at the default width.
+// through RunSweepCached (`sweep -cache-dir`) on one Cache, at the
+// planner's width (0), at width 1 and at width 8.
 func TestRunSweepCachedPrewarmLimitAcrossRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
 	}
 	second := prewarmMatrix(52, 58)
 	want := coldSweepJSON(t, second)
-	for _, width := range []int{1, mobisim.DefaultBatchWidth} {
+	for _, width := range []int{0, 1, mobisim.DefaultBatchWidth} {
 		t.Run(fmt.Sprintf("width-%d", width), func(t *testing.T) {
 			cache, err := NewCache(t.TempDir(), 0)
 			if err != nil {

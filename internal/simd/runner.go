@@ -30,7 +30,8 @@ func (s RunStats) Deduped() int { return s.ByOrigin[OriginDeduped] }
 // it expands the matrix into content-addressed cells, serves each from
 // the cache where possible (populating it otherwise), runs the misses
 // through Scheduler.RunCells — the daemon's executor — at
-// cfg.BatchWidth lanes (<= 0 means 1) on cfg.Workers workers, and folds
+// cfg.BatchWidth lanes (0 lets the planner choose; negative is
+// mobisim.ErrNegativeBatchWidth) on cfg.Workers workers, and folds
 // the metric sets through the same aggregation tail RunSweep uses, so
 // its output is byte-identical to RunSweep for every matrix, hit or
 // miss. Misses always plan prefix warm units, like the daemon;
@@ -42,7 +43,7 @@ func RunSweepCached(ctx context.Context, m mobisim.Matrix, cfg mobisim.SweepConf
 		return nil, RunStats{}, err
 	}
 	sched := NewScheduler(ctx, cache)
-	metrics, stats, err := sched.RunCells(ctx, cells, max(cfg.BatchWidth, 1), cfg.Workers, nil, nil)
+	metrics, stats, err := sched.RunCells(ctx, cells, cfg.BatchWidth, cfg.Workers, nil, nil)
 	if err != nil {
 		return nil, stats, err
 	}

@@ -45,11 +45,6 @@ type SampleFunc func(Sample)
 // never to unbounded memory.
 const maxFlightSamples = 1 << 16
 
-// ctxCheckSteps is the cancellation-poll granularity of unit runs;
-// chunked stepping is byte-identical to one Run call, so the chunk size
-// is a latency knob only.
-const ctxCheckSteps = 4096
-
 // SchedulerStats is an atomic snapshot of the scheduler counters.
 // Computed counts every simulated cell; Deduped the waiters actually
 // served by another caller's flight. Batched counts the lockstep units
@@ -78,6 +73,8 @@ type Scheduler struct {
 	deduped    atomic.Uint64
 	batched    atomic.Uint64
 	batchLanes atomic.Uint64
+	// running counts RunCells calls in progress; they share the CPUs.
+	running atomic.Int64
 
 	// batch is the shared lockstep runner behind RunCells; its
 	// engine-shell free list persists across jobs.
@@ -127,12 +124,14 @@ func (s *Scheduler) Stats() SchedulerStats {
 // RunCells executes cells through the singleflight scheduler: each cell
 // is served from the cache when its key is known, from another caller's
 // in-flight run when one exists, and otherwise simulated — the misses
-// this call leads are planned with mobisim.PlanBatchUnits into lockstep
-// units of at most width lanes (width <= 0 selects
-// mobisim.DefaultBatchWidth), limit-aware cells sharing a warm-up
-// prefix forking from an in-memory sentinel checkpoint, and run on at
-// most workers units at a time (<= 0 uses GOMAXPROCS). The returned
-// metrics are in cell order and each map is the caller's to keep.
+// this call leads are planned with mobisim.PlanBatchUnitsFor into
+// lockstep units of at most width lanes (0 lets the planner choose for
+// workers, or, when workers <= 0, for this call's share of GOMAXPROCS
+// among the RunCells calls in progress), limit-aware cells sharing a
+// warm-up prefix forking from an in-memory sentinel checkpoint, and run
+// on at most workers units at a time (<= 0 uses GOMAXPROCS). A negative
+// width is mobisim.ErrNegativeBatchWidth. The returned metrics are in
+// cell order and each map is the caller's to keep.
 //
 // onCell, when non-nil, fires once per cell in cell order as results
 // become available. tapFor, when non-nil, supplies the per-cell tap
@@ -147,9 +146,14 @@ func (s *Scheduler) Stats() SchedulerStats {
 // trajectory-identical, so every metric set is bitwise-identical to a
 // cold RunSweep of the same cell.
 func (s *Scheduler) RunCells(ctx context.Context, cells []mobisim.Cell, width, workers int, onCell func(i int, origin Origin, metrics map[string]float64), tapFor func(i int) SampleFunc) ([]map[string]float64, RunStats, error) {
+	if width < 0 {
+		return nil, RunStats{}, mobisim.ErrNegativeBatchWidth
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, RunStats{}, err
 	}
+	s.running.Add(1)
+	defer s.running.Add(-1)
 	metrics := make([]map[string]float64, len(cells))
 	origins := make([]Origin, len(cells))
 
@@ -201,7 +205,13 @@ func (s *Scheduler) RunCells(ctx context.Context, cells []mobisim.Cell, width, w
 			keys[k] = cells[pend[pi].i].Key
 			flights[k] = pend[pi].fl
 		}
-		units, err := mobisim.PlanBatchUnits(specs, width, true)
+		// Without a fixed worker count, the planner sizes units for this
+		// call's share of GOMAXPROCS: concurrent jobs split the CPUs.
+		planWorkers := workers
+		if planWorkers <= 0 {
+			planWorkers = max(1, runtime.GOMAXPROCS(0)/int(s.running.Load()))
+		}
+		units, err := mobisim.PlanBatchUnitsFor(specs, width, planWorkers, true)
 		if err != nil {
 			// A plan failure (key derivation) fails every led flight so no
 			// cross-job waiter hangs; phase 3 surfaces the error here too.
@@ -270,7 +280,7 @@ func (s *Scheduler) RunCells(ctx context.Context, cells []mobisim.Cell, width, w
 // any cross-job waiter remains; a per-unit watcher cancels it once
 // every member flight is done or abandoned (each flight context ends
 // either way), after which the next poll aborts the unit within
-// ctxCheckSteps steps.
+// mobisim.CtxCheckSteps steps.
 func (s *Scheduler) launchUnits(specs []mobisim.Scenario, keys []uint64, flights []*flight, units []mobisim.BatchPlanUnit, width, workers int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -303,7 +313,6 @@ func (s *Scheduler) launchUnits(specs []mobisim.Scenario, keys []uint64, flights
 // publish is the happens-before edge to waiters.
 func (s *Scheduler) runUnit(ctx context.Context, specs []mobisim.Scenario, keys []uint64, flights []*flight, u mobisim.BatchPlanUnit, width int) {
 	opt := mobisim.BatchRunOptions{
-		CtxCheckSteps: ctxCheckSteps,
 		Observer: func(i int) mobisim.Observer {
 			fl := flights[i]
 			return observerFunc(func(smp *mobisim.Sample) error {

@@ -31,8 +31,11 @@ type Config struct {
 	// GOMAXPROCS).
 	CellWorkers int
 	// BatchWidth is the lane width of the lockstep units each job's
-	// cache-miss cells run in; <= 0 selects mobisim.DefaultBatchWidth,
-	// and 1 steps every engine alone. Responses are byte-identical at
+	// cache-miss cells run in; 0 lets the planner choose (for
+	// CellWorkers, or without them for the job's share of GOMAXPROCS
+	// among the jobs running at once), 1 steps every engine alone, and
+	// a negative width fails NewServer with
+	// mobisim.ErrNegativeBatchWidth. Responses are byte-identical at
 	// every width — the width is a throughput knob.
 	BatchWidth int
 	// CacheDir roots the on-disk result cache; empty keeps the cache
@@ -93,9 +96,12 @@ type Server struct {
 // NewServer builds a server (cache opened, journal replayed, workers
 // not yet started). An unwritable or corrupt cache/journal directory
 // does not fail construction: the daemon demotes itself to memory-only
-// and reports the demotion through /healthz and /v1/stats — the error
-// return is reserved for future hard failures.
+// and reports the demotion through /healthz and /v1/stats — the only
+// error is an invalid Config (a negative BatchWidth).
 func NewServer(cfg Config) (*Server, error) {
+	if cfg.BatchWidth < 0 {
+		return nil, mobisim.ErrNegativeBatchWidth
+	}
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 16
 	}
@@ -104,9 +110,6 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 1 << 20
-	}
-	if cfg.BatchWidth <= 0 {
-		cfg.BatchWidth = mobisim.DefaultBatchWidth
 	}
 	if cfg.FS == nil {
 		cfg.FS = faultfs.OS{}

@@ -9,32 +9,17 @@ import (
 	"repro/internal/stability"
 )
 
-// DefaultBatchWidth is the lane width PlanBatchUnits and
-// BatchRunner.RunUnit use when given a width <= 0 — the explore
-// evaluator's and the simd daemon's default. Eight lanes put one
-// structure-of-arrays row per thermal node on exactly one 64-byte cache
-// line (and match the fused kernel's specialized width). RunSweep
-// itself reads a SweepConfig.BatchWidth <= 0 as one lane per unit, so
-// callers that want lockstep lanes pass
-// SweepConfig{BatchWidth: DefaultBatchWidth}.
+// DefaultBatchWidth is the widest unit the planner chooses at width 0
+// and the fork-stage packing BatchRunner.RunUnit uses at width <= 0.
+// Eight lanes put one structure-of-arrays row per thermal node on
+// exactly one 64-byte cache line (and match the fused kernel's
+// specialized width).
 const DefaultBatchWidth = 8
 
-// batchRunOptions is the internal form of BatchRunOptions: execution
-// knobs threaded through the spec-level runners. The zero value — no
-// observers, ctx polled only between stages — is what RunSweep uses.
-type batchRunOptions struct {
-	ctxCheckSteps int
-	observer      func(i int) Observer
-}
-
-// observerFor returns the observer for the lane running specs[i], nil
-// when the caller attached none.
-func (o batchRunOptions) observerFor(i int) Observer {
-	if o.observer == nil {
-		return nil
-	}
-	return o.observer(i)
-}
+// CtxCheckSteps bounds how many integration steps any unit stage runs
+// between context polls. Chunked stepping is trajectory-identical to
+// one call, so the interval is a cancellation-latency knob only.
+const CtxCheckSteps = 4096
 
 // newBatchLane builds one lane engine exactly like RunScenarioMetrics
 // does (recording disabled), attaching obs when non-nil. Observers
@@ -48,22 +33,13 @@ func newBatchLane(spec Scenario, obs Observer) (*Engine, error) {
 }
 
 // advanceChunked advances a run by exactly steps steps, polling ctx
-// every at most chunk steps (chunk <= 0 runs the remainder in one
-// call). Splitting RunSteps never changes the trajectory — the same
-// chunking invariant the simd scheduler documents — so chunk is a
-// cancellation-latency knob only.
-func advanceChunked(ctx context.Context, advance func(int) error, steps, chunk int) error {
-	if chunk <= 0 {
-		chunk = steps
-	}
+// every at most CtxCheckSteps steps.
+func advanceChunked(ctx context.Context, advance func(int) error, steps int) error {
 	for done := 0; done < steps; {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		n := steps - done
-		if n > chunk {
-			n = chunk
-		}
+		n := min(steps-done, CtxCheckSteps)
 		if err := advance(n); err != nil {
 			return err
 		}
@@ -80,8 +56,8 @@ func advanceChunked(ctx context.Context, advance func(int) error, steps, chunk i
 // so the metric sets are bitwise-identical to RunScenarioMetrics runs.
 // All lanes must share a thermal topology with equal parameter values
 // (the pool rejects mixed batches) and span the same step count;
-// PlanBatchUnits groups accordingly.
-func runLockstepSpecs(ctx context.Context, pool *sim.BatchPool, specs []Scenario, opt batchRunOptions) ([]map[string]float64, error) {
+// PlanBatchUnits groups accordingly. obs(i) observes lane i (nil: none).
+func runLockstepSpecs(ctx context.Context, pool *sim.BatchPool, specs []Scenario, obs func(i int) Observer) ([]map[string]float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -95,7 +71,7 @@ func runLockstepSpecs(ctx context.Context, pool *sim.BatchPool, specs []Scenario
 	var shared *stability.TransientCache
 	steps := -1
 	for i, spec := range specs {
-		eng, err := newBatchLane(spec, opt.observerFor(i))
+		eng, err := newBatchLane(spec, obs(i))
 		if err != nil {
 			return nil, err
 		}
@@ -120,7 +96,7 @@ func runLockstepSpecs(ctx context.Context, pool *sim.BatchPool, specs []Scenario
 	if err != nil {
 		return nil, err
 	}
-	if err := advanceChunked(ctx, be.RunSteps, steps, opt.ctxCheckSteps); err != nil {
+	if err := advanceChunked(ctx, be.RunSteps, steps); err != nil {
 		return nil, err
 	}
 	out := make([]map[string]float64, len(specs))

@@ -9,6 +9,11 @@ package mobisim
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 )
@@ -63,24 +68,110 @@ func cellOracle(t *testing.T, m Matrix) (jsonB, csvB []byte) {
 }
 
 // assertSweepMatchesOracle byte-compares RunSweep's JSON and CSV at
-// widths 0, 1, 3 and 8, with warm start off and on, against the
-// per-cell oracle.
-func assertSweepMatchesOracle(t *testing.T, m Matrix, workers int) {
+// widths 0, 1, 3 and 8, with warm start off and on, on each worker
+// count, against the per-cell oracle.
+func assertSweepMatchesOracle(t *testing.T, m Matrix, workers ...int) {
 	t.Helper()
 	wantJSON, wantCSV := cellOracle(t, m)
-	for _, warm := range []bool{false, true} {
-		for _, width := range []int{0, 1, 3, 8} {
-			out, err := RunSweep(context.Background(), m, SweepConfig{Workers: workers, BatchWidth: width, WarmStart: warm, IncludeRaw: true})
-			if err != nil {
-				t.Fatal(err)
+	for _, w := range workers {
+		for _, warm := range []bool{false, true} {
+			for _, width := range []int{0, 1, 3, 8} {
+				out, err := RunSweep(context.Background(), m, SweepConfig{Workers: w, BatchWidth: width, WarmStart: warm, IncludeRaw: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotJSON, gotCSV := encodeSweep(t, out)
+				if !bytes.Equal(gotJSON, wantJSON) {
+					t.Errorf("workers %d width %d warm %v: JSON differs from the per-cell oracle:\n--- sweep ---\n%s\n--- oracle ---\n%s", w, width, warm, gotJSON, wantJSON)
+				}
+				if !bytes.Equal(gotCSV, wantCSV) {
+					t.Errorf("workers %d width %d warm %v: CSV differs from the per-cell oracle:\n--- sweep ---\n%s\n--- oracle ---\n%s", w, width, warm, gotCSV, wantCSV)
+				}
 			}
-			gotJSON, gotCSV := encodeSweep(t, out)
-			if !bytes.Equal(gotJSON, wantJSON) {
-				t.Errorf("width %d warm %v: JSON differs from the per-cell oracle:\n--- sweep ---\n%s\n--- oracle ---\n%s", width, warm, gotJSON, wantJSON)
+		}
+	}
+}
+
+// TestSweepMatchesOracleSeeded is the tier-1 slice of the executor
+// referee: fixed seeds draw small valid matrices from both presets and
+// the testdata/platforms corpus, the 3dmark+bml and gen-* workloads,
+// the appaware arm and one limit-agnostic arm, with limits that include
+// each preset's prewarm temperature (a sentinel starting on its limit),
+// and every executor configuration must reproduce the per-cell oracle.
+func TestSweepMatchesOracleSeeded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-run simulation")
+	}
+	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "platforms", "*.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("platform corpus: %v (%d files)", err, len(paths))
+	}
+	var corpus []string
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := ParsePlatformSpec(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A private name keeps the registry free of clashes with other
+		// tests' specs of the same name.
+		spec.Name = "seeded-" + spec.Name
+		if err := RegisterPlatform(spec); err != nil {
+			t.Fatal(err)
+		}
+		corpus = append(corpus, spec.Name)
+	}
+	// Each preset with the limit-agnostic arm calibrated for it; only
+	// GovNone runs on every platform.
+	presets := []struct {
+		name     string
+		prewarmC float64
+		arm      string
+	}{{PlatformOdroidXU3, OdroidPrewarmC, GovIPA}, {PlatformNexus6P, NexusPrewarmC, GovStepwise}}
+	workloads := []string{"3dmark+bml", "gen-bursty", "gen-periodic+bml", "gen-ramp", "gen-perturb+bml"}
+
+	drawn := make(map[string]bool)
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		preset := presets[seed%2]
+		limits := []float64{preset.prewarmC, preset.prewarmC + float64(1+rng.Intn(4))}
+		if rng.Intn(2) == 0 {
+			limits = append(limits, preset.prewarmC+float64(6+rng.Intn(10)))
+		}
+		platforms, arm := []string{preset.name}, preset.arm
+		if rng.Intn(2) == 0 {
+			platforms, arm = append(platforms, corpus[rng.Intn(len(corpus))]), GovNone
+		}
+		var ws []string
+		for _, i := range rng.Perm(len(workloads))[:1+rng.Intn(2)] {
+			ws = append(ws, workloads[i])
+		}
+		m := Matrix{
+			Platforms:  platforms,
+			Workloads:  ws,
+			Governors:  []string{GovAppAware, arm},
+			LimitsC:    limits,
+			Replicates: 1 + rng.Intn(2),
+			DurationS:  float64(1 + rng.Intn(3)),
+			BaseSeed:   rng.Int63n(1 << 20),
+		}
+		for _, v := range append(append(append([]string(nil), platforms...), ws...), arm) {
+			drawn[v] = true
+		}
+		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
+			if err := m.Validate(); err != nil {
+				t.Fatalf("drawn matrix %+v: %v", m, err)
 			}
-			if !bytes.Equal(gotCSV, wantCSV) {
-				t.Errorf("width %d warm %v: CSV differs from the per-cell oracle:\n--- sweep ---\n%s\n--- oracle ---\n%s", width, warm, gotCSV, wantCSV)
-			}
+			t.Logf("matrix %+v", m)
+			assertSweepMatchesOracle(t, m, 1, 2)
+		})
+	}
+	for _, want := range append(append(corpus, workloads...), PlatformOdroidXU3, PlatformNexus6P, GovIPA, GovStepwise, GovNone) {
+		if !drawn[want] {
+			t.Errorf("no seed drew %q; widen the seed range", want)
 		}
 	}
 }
@@ -114,23 +205,28 @@ func TestBatchedSweepBytesIdenticalAcrossGOMAXPROCS(t *testing.T) {
 		DurationS:  2,
 		BaseSeed:   42,
 	}
-	runAt := func(procs int) (jsonB, csvB []byte) {
-		t.Helper()
-		prev := runtime.GOMAXPROCS(procs)
-		defer runtime.GOMAXPROCS(prev)
-		out, err := RunSweep(context.Background(), matrix, SweepConfig{Workers: 8, BatchWidth: 3, IncludeRaw: true})
-		if err != nil {
-			t.Fatal(err)
+	// Width 0 with Workers 0 plans for GOMAXPROCS workers, so its unit
+	// shape changes between the two runs.
+	for _, cfg := range []SweepConfig{{Workers: 8, BatchWidth: 3}, {}} {
+		runAt := func(procs int) (jsonB, csvB []byte) {
+			t.Helper()
+			prev := runtime.GOMAXPROCS(procs)
+			defer runtime.GOMAXPROCS(prev)
+			cfg.IncludeRaw = true
+			out, err := RunSweep(context.Background(), matrix, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return encodeSweep(t, out)
 		}
-		return encodeSweep(t, out)
-	}
-	json1, csv1 := runAt(1)
-	json8, csv8 := runAt(8)
-	if !bytes.Equal(json1, json8) {
-		t.Errorf("batched JSON differs between GOMAXPROCS=1 and 8:\n--- 1 ---\n%s\n--- 8 ---\n%s", json1, json8)
-	}
-	if !bytes.Equal(csv1, csv8) {
-		t.Errorf("batched CSV differs between GOMAXPROCS=1 and 8:\n--- 1 ---\n%s\n--- 8 ---\n%s", csv1, csv8)
+		json1, csv1 := runAt(1)
+		json8, csv8 := runAt(8)
+		if !bytes.Equal(json1, json8) {
+			t.Errorf("width %d: batched JSON differs between GOMAXPROCS=1 and 8:\n--- 1 ---\n%s\n--- 8 ---\n%s", cfg.BatchWidth, json1, json8)
+		}
+		if !bytes.Equal(csv1, csv8) {
+			t.Errorf("width %d: batched CSV differs between GOMAXPROCS=1 and 8:\n--- 1 ---\n%s\n--- 8 ---\n%s", cfg.BatchWidth, csv1, csv8)
+		}
 	}
 }
 
@@ -141,5 +237,73 @@ func TestBatchedSweepCancellation(t *testing.T) {
 	cancel()
 	if _, err := RunSweep(ctx, goldenMatrix(), SweepConfig{Workers: 2, BatchWidth: 4}); err == nil {
 		t.Error("canceled context should abort the batched sweep")
+	}
+}
+
+// TestRunUnitCancelIsPrompt pins cancellation latency for units run
+// with zero-value options, as RunSweep, Optimize and LimitSweep run
+// them: a cold one-cell unit and a warm two-limit unit, cancelled by
+// an observer at t = 60 s of a 120 s cell, must stop within
+// CtxCheckSteps steps instead of running the cell to its end.
+func TestRunUnitCancelIsPrompt(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation")
+	}
+	const cancelAtS = 60.0
+	base := Scenario{
+		Platform: PlatformOdroidXU3, Workload: "3dmark+bml",
+		Governor: GovAppAware, DurationS: 120, Seed: 1,
+	}
+	low, high := base, base
+	low.LimitC, high.LimitC = 52, 58
+	probe, err := New(low, WithoutRecording())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The cancel fires mid-chunk and the observer lags by up to one
+	// trace period, so the last sample may land up to two chunks past
+	// the cancel point.
+	maxS := cancelAtS + 2*float64(CtxCheckSteps)*probe.Sim().StepS()
+	for _, tc := range []struct {
+		name  string
+		specs []Scenario
+		warm  bool
+	}{
+		{"cold one-cell", []Scenario{low}, false},
+		{"warm two-limit", []Scenario{low, high}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			units, err := PlanBatchUnits(tc.specs, 0, tc.warm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(units) != 1 || units[0].Warm != tc.warm {
+				t.Fatalf("plan: %+v, want one unit with Warm=%v", units, tc.warm)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var lastS float64
+			obs := observerFunc(func(s *Sample) error {
+				lastS = s.TimeS
+				if s.TimeS >= cancelAtS {
+					cancel()
+				}
+				return nil
+			})
+			var r BatchRunner
+			// specs[0] is the lowest limit: the warm unit's sentinel.
+			_, err = r.RunUnit(ctx, tc.specs, units[0], 0, BatchRunOptions{Observer: func(i int) Observer {
+				if i == 0 {
+					return obs
+				}
+				return nil
+			}})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled unit returned %v, want context.Canceled", err)
+			}
+			if lastS > maxS {
+				t.Fatalf("unit ran to t=%.1fs after cancel at t=%.0fs, want <= %.1fs", lastS, cancelAtS, maxS)
+			}
+		})
 	}
 }

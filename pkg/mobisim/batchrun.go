@@ -2,7 +2,9 @@ package mobisim
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"runtime"
 
 	"repro/internal/sim"
 	"repro/internal/sweep"
@@ -19,8 +21,8 @@ import (
 // experiments.LimitSweep; PlanBatchUnits and BatchRunner export its two
 // halves for the simd daemon, which runs the units through its own
 // singleflight scheduler. Nothing reachable through this API can change
-// output bytes: unit shape, lane width, warm start, worker count,
-// observers and context-poll cadence are all wall-clock knobs.
+// output bytes: unit shape, lane width, warm start, worker count and
+// observers are all wall-clock knobs.
 
 // BatchPlanUnit is one executable unit of a batch plan: positions into
 // the planned scenario slice, all sharing a thermal topology and step
@@ -34,94 +36,111 @@ type BatchPlanUnit struct {
 }
 
 // PlanBatchUnits partitions fully-resolved scenarios into lockstep
-// execution units of at most width lanes (width <= 0 selects
-// DefaultBatchWidth). Cells are grouped by thermal-topology key and
-// duration — only such cells may share a lockstep engine — and, when
-// warmStart is set, limit-aware cells sharing a warm-up prefix (two or
-// more per prefix) form warm units of up to width prefix groups whose
-// sentinels advance together. Everything else becomes cold units of up
-// to width lanes. Unit shape never changes output bytes, only
-// wall-clock; every unit is independently executable, so callers
-// schedule them freely.
+// execution units of at most width lanes. Cells are grouped by
+// thermal-topology key and duration — only such cells may share a
+// lockstep engine — and, when warmStart is set, limit-aware cells
+// sharing a warm-up prefix (two or more per prefix) form warm units of
+// up to width prefix groups whose sentinels advance together.
+// Everything else becomes cold units of up to width lanes. A width of
+// 0 lets the planner choose (see PlanBatchUnitsFor) for GOMAXPROCS
+// workers; a negative width is ErrNegativeBatchWidth. Unit shape never
+// changes output bytes, only wall-clock; every unit is independently
+// executable, so callers schedule them freely.
 func PlanBatchUnits(specs []Scenario, width int, warmStart bool) ([]BatchPlanUnit, error) {
-	if width <= 0 {
-		width = DefaultBatchWidth
+	return PlanBatchUnitsFor(specs, width, 0, warmStart)
+}
+
+// ErrNegativeBatchWidth is what every entry point taking a batch width
+// returns for a negative one.
+var ErrNegativeBatchWidth = errors.New("mobisim: batch width must be >= 0 (0 lets the planner choose)")
+
+// PlanBatchUnitsFor is PlanBatchUnits for the worker count the units
+// will run on (<= 0 means GOMAXPROCS). At width 0 it counts the
+// lockstep lanes the plan needs — cold cells plus one sentinel per warm
+// prefix group — and packs min(DefaultBatchWidth, ceil(lanes/workers))
+// per unit, so a small job fills every worker before it widens any unit.
+func PlanBatchUnitsFor(specs []Scenario, width, workers int, warmStart bool) ([]BatchPlanUnit, error) {
+	if width < 0 {
+		return nil, ErrNegativeBatchWidth
 	}
 	type groupKey struct {
 		topo      uint64
 		durationS float64
 	}
-	byGroup := make(map[groupKey][]int)
-	var order []groupKey
+	// group is one lockstep-compatible partition: cold cells, and with
+	// warmStart its limit-aware cells by prefix in first-seen order.
+	type group struct {
+		cold     []int
+		warm     [][]int
+		prefixes []uint64
+		byPrefix map[uint64][]int
+	}
+	byKey := make(map[groupKey]*group)
+	var groups []*group
 	for i := range specs {
 		tk, err := thermalTopoKey(specs[i])
 		if err != nil {
 			return nil, err
 		}
 		key := groupKey{topo: tk, durationS: specs[i].DurationS}
-		if _, ok := byGroup[key]; !ok {
-			order = append(order, key)
+		g := byKey[key]
+		if g == nil {
+			g = &group{byPrefix: make(map[uint64][]int)}
+			byKey[key] = g
+			groups = append(groups, g)
 		}
-		byGroup[key] = append(byGroup[key], i)
+		if !warmStart || !limitAware(specs[i].Governor) {
+			g.cold = append(g.cold, i)
+			continue
+		}
+		pk, err := specs[i].PrefixKey()
+		if err != nil {
+			return nil, err
+		}
+		if _, ok := g.byPrefix[pk]; !ok {
+			g.prefixes = append(g.prefixes, pk)
+		}
+		g.byPrefix[pk] = append(g.byPrefix[pk], i)
+	}
+	lanes := 0
+	for _, g := range groups {
+		for _, pk := range g.prefixes {
+			if sub := g.byPrefix[pk]; len(sub) >= 2 {
+				g.warm = append(g.warm, sub)
+			} else {
+				// A groupless cell has no prefix to share; it runs cold.
+				g.cold = append(g.cold, sub...)
+			}
+		}
+		lanes += len(g.cold) + len(g.warm)
+	}
+	if width == 0 {
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+		width = max(1, min(DefaultBatchWidth, (lanes+workers-1)/workers))
 	}
 	var units []BatchPlanUnit
-	for _, key := range order {
-		gidx := byGroup[key]
-		cold := gidx
-		if warmStart {
-			cold = nil
-			byPrefix := make(map[uint64][]int)
-			var prefixOrder []uint64
-			for _, i := range gidx {
-				if !limitAware(specs[i].Governor) {
-					cold = append(cold, i)
-					continue
-				}
-				pk, err := specs[i].PrefixKey()
-				if err != nil {
-					return nil, err
-				}
-				if _, ok := byPrefix[pk]; !ok {
-					prefixOrder = append(prefixOrder, pk)
-				}
-				byPrefix[pk] = append(byPrefix[pk], i)
+	for _, g := range groups {
+		// Pack up to width prefix groups per warm unit: their sentinels
+		// advance together as lanes of one lockstep engine.
+		for start := 0; start < len(g.warm); start += width {
+			u := BatchPlanUnit{Warm: true}
+			for _, sub := range g.warm[start:min(start+width, len(g.warm))] {
+				u.Idx = append(u.Idx, sub...)
 			}
-			var warmSubs [][]int
-			for _, pk := range prefixOrder {
-				sub := byPrefix[pk]
-				if len(sub) < 2 {
-					// A groupless cell has no prefix to share; it runs cold.
-					cold = append(cold, sub...)
-					continue
-				}
-				warmSubs = append(warmSubs, sub)
-			}
-			// Pack up to width prefix groups per warm unit: their
-			// sentinels advance together as lanes of one lockstep engine.
-			for start := 0; start < len(warmSubs); start += width {
-				end := min(start+width, len(warmSubs))
-				u := BatchPlanUnit{Warm: true}
-				for _, sub := range warmSubs[start:end] {
-					u.Idx = append(u.Idx, sub...)
-				}
-				units = append(units, u)
-			}
+			units = append(units, u)
 		}
-		for start := 0; start < len(cold); start += width {
-			units = append(units, BatchPlanUnit{Idx: cold[start:min(start+width, len(cold))]})
+		for start := 0; start < len(g.cold); start += width {
+			units = append(units, BatchPlanUnit{Idx: g.cold[start:min(start+width, len(g.cold))]})
 		}
 	}
 	return units, nil
 }
 
 // BatchRunOptions tunes one RunUnit execution. Nothing here can change
-// output bytes: observers never perturb the dynamics, and chunked
-// stepping is trajectory-identical to one call.
+// output bytes: observers never perturb the dynamics.
 type BatchRunOptions struct {
-	// CtxCheckSteps bounds how many integration steps may run between
-	// context polls; 0 polls only between execution stages. Smaller
-	// values buy cancellation latency with loop overhead.
-	CtxCheckSteps int
 	// Observer supplies the observer attached to the lane running
 	// specs[i] of the planned slice; nil (or a nil return) leaves the
 	// lane unobserved. In a warm unit the sentinel lane observes its
@@ -147,6 +166,7 @@ type BatchRunner struct {
 // bitwise-identical to a sequential Engine.Run of the same scenario.
 // width bounds the fork-stage lane packing of warm units (<= 0 selects
 // DefaultBatchWidth); cold units were already sized by the planner.
+// Every stage polls ctx at least every CtxCheckSteps steps.
 func (r *BatchRunner) RunUnit(ctx context.Context, specs []Scenario, u BatchPlanUnit, width int, opt BatchRunOptions) ([]map[string]float64, error) {
 	if width <= 0 {
 		width = DefaultBatchWidth
@@ -158,23 +178,23 @@ func (r *BatchRunner) RunUnit(ctx context.Context, specs []Scenario, u BatchPlan
 		}
 		sub[k] = specs[i]
 	}
-	o := batchRunOptions{ctxCheckSteps: opt.CtxCheckSteps}
+	obs := func(int) Observer { return nil }
 	if opt.Observer != nil {
-		obs, idx := opt.Observer, u.Idx
-		o.observer = func(k int) Observer { return obs(idx[k]) }
+		obs = func(k int) Observer { return opt.Observer(u.Idx[k]) }
 	}
 	if u.Warm {
-		return runWarmSpecs(ctx, &r.pool, sub, width, o)
+		return runWarmSpecs(ctx, &r.pool, sub, width, obs)
 	}
-	return runLockstepSpecs(ctx, &r.pool, sub, o)
+	return runLockstepSpecs(ctx, &r.pool, sub, obs)
 }
 
 // RunScenarios runs fully-resolved scenarios and returns their metric
 // sets in spec order, each bitwise-identical to a sequential
-// RunScenarioMetrics of the same scenario. PlanBatchUnits partitions
-// the specs into units of at most cfg.BatchWidth lanes (<= 0 means 1),
-// with prefix warm units when cfg.WarmStart is set, and every unit runs
-// as one sweep.TaskPool task on cfg.Workers workers. cfg.IncludeRaw is
+// RunScenarioMetrics of the same scenario. The planner partitions the
+// specs into units of at most cfg.BatchWidth lanes (0 lets it choose
+// for cfg.Workers workers; negative is ErrNegativeBatchWidth), with
+// prefix warm units when cfg.WarmStart is set, and every unit runs as
+// one sweep.TaskPool task on cfg.Workers workers. cfg.IncludeRaw is
 // ignored. It stops early on the first unit error or on context
 // cancellation.
 func RunScenarios(ctx context.Context, specs []Scenario, cfg SweepConfig) ([]map[string]float64, error) {
@@ -186,8 +206,7 @@ func RunScenarios(ctx context.Context, specs []Scenario, cfg SweepConfig) ([]map
 // caller running many batches (the explore evaluator, once per
 // generation) recycles engine shells across them.
 func (r *BatchRunner) runScenarios(ctx context.Context, specs []Scenario, cfg SweepConfig) ([]map[string]float64, error) {
-	width := max(cfg.BatchWidth, 1)
-	units, err := PlanBatchUnits(specs, width, cfg.WarmStart)
+	units, err := PlanBatchUnitsFor(specs, cfg.BatchWidth, cfg.Workers, cfg.WarmStart)
 	if err != nil {
 		return nil, err
 	}
@@ -196,7 +215,7 @@ func (r *BatchRunner) runScenarios(ctx context.Context, specs []Scenario, cfg Sw
 	for ui := range units {
 		u := units[ui]
 		tasks[ui] = func(ctx context.Context) error {
-			metrics, err := r.RunUnit(ctx, specs, u, width, BatchRunOptions{})
+			metrics, err := r.RunUnit(ctx, specs, u, cfg.BatchWidth, BatchRunOptions{})
 			if err != nil {
 				s := specs[u.Idx[0]]
 				return fmt.Errorf("mobisim: unit of %d starting at scenario %d (%s|%s|%s|%g, seed %d): %w",

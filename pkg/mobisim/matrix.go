@@ -342,15 +342,16 @@ type SweepConfig struct {
 	Workers int
 	// IncludeRaw retains raw per-scenario results in the output.
 	IncludeRaw bool
-	// BatchWidth is the lockstep lane count: PlanBatchUnits packs
-	// cells sharing a thermal topology and duration into units of at
-	// most BatchWidth lanes, stepped together through the fused
-	// structure-of-arrays kernel on pooled, reusable engines. <= 0
-	// means 1, one lane per unit, where each engine steps alone;
-	// widths above 1 trade a larger per-worker working set for
-	// fused-kernel throughput, with 8 (DefaultBatchWidth) the sweet
-	// spot on typical L1 sizes. Output bytes are identical for every
-	// width.
+	// BatchWidth is the lockstep lane count: the planner packs cells
+	// sharing a thermal topology and duration into units of at most
+	// BatchWidth lanes, stepped together through the fused
+	// structure-of-arrays kernel on pooled, reusable engines. 1 is one
+	// lane per unit, where each engine steps alone; wider units trade
+	// a larger per-worker working set for fused-kernel throughput, with
+	// 8 (DefaultBatchWidth) the sweet spot on typical L1 sizes. 0 lets
+	// the planner choose: it fills Workers before it widens units, up
+	// to DefaultBatchWidth. A negative width is ErrNegativeBatchWidth.
+	// Output bytes are identical for every width.
 	BatchWidth int
 	// WarmStart plans limit-aware cells sharing a prefix content key
 	// (Scenario.PrefixKey) into warm units: each group's lowest-limit
@@ -359,15 +360,15 @@ type SweepConfig struct {
 	// state instead of re-simulating the prefix — the big win on
 	// replicate-heavy matrices sweeping the limits axis. A warm unit
 	// advances up to BatchWidth sentinels in lockstep and forks members
-	// BatchWidth at a time. Cells that do not group (limit-agnostic
-	// arms, singleton groups) run in cold units. Output bytes are
-	// identical with and without WarmStart (the sweep tests pin this);
-	// only execution cost changes.
+	// BatchWidth (at width 0, DefaultBatchWidth) at a time. Cells that
+	// do not group (limit-agnostic arms, singleton groups) run in cold
+	// units. Output bytes are identical with and without WarmStart (the
+	// sweep tests pin this); only execution cost changes.
 	WarmStart bool
 }
 
 // RunSweep expands the matrix and executes it through RunScenarios:
-// PlanBatchUnits partitions the expanded cells into units and each unit
+// the planner partitions the expanded cells into units and each unit
 // runs as one sweep.TaskPool task through BatchRunner.RunUnit, the same
 // seam the explore evaluator and the simd daemon use. Scenario runs are
 // constant-memory (no trace series are materialized). It stops early

@@ -47,9 +47,10 @@ type CellRunner interface {
 type OptimizeConfig struct {
 	// Workers is the execution-unit concurrency; <= 0 uses GOMAXPROCS.
 	Workers int
-	// BatchWidth is the lockstep lane count per batch; 0 selects
-	// DefaultBatchWidth, 1 is the scalar-equivalent single-lane
-	// configuration. Negative widths are rejected.
+	// BatchWidth is the lockstep lane count per batch, as in
+	// SweepConfig: 0 lets the planner choose, 1 is the
+	// scalar-equivalent single-lane configuration, and a negative
+	// width is ErrNegativeBatchWidth.
 	BatchWidth int
 	// NoWarmStart disables prefix warm-start grouping; the zero value
 	// keeps it on (neighbors along a limit axis share their prefix, so
@@ -79,11 +80,7 @@ func Optimize(ctx context.Context, spec OptimizeSpec, cfg OptimizeConfig) (*Sear
 		return nil, err
 	}
 	if cfg.BatchWidth < 0 {
-		return nil, fmt.Errorf("mobisim: optimize batch width must be >= 0, got %d", cfg.BatchWidth)
-	}
-	width := cfg.BatchWidth
-	if width == 0 {
-		width = DefaultBatchWidth
+		return nil, ErrNegativeBatchWidth
 	}
 	plan, err := buildSearchPlan(spec)
 	if err != nil {
@@ -92,7 +89,6 @@ func Optimize(ctx context.Context, spec OptimizeSpec, cfg OptimizeConfig) (*Sear
 	ev := &cellEvaluator{
 		plan:     plan,
 		cfg:      cfg,
-		width:    width,
 		store:    make(map[uint64]map[string]float64),
 		minimize: spec.Objective.Goal == GoalMinimize,
 	}
@@ -116,7 +112,6 @@ func Optimize(ctx context.Context, spec OptimizeSpec, cfg OptimizeConfig) (*Sear
 type cellEvaluator struct {
 	plan   *searchPlan
 	cfg    OptimizeConfig
-	width  int
 	runner BatchRunner
 	// store is the deduplicating candidate store: CellKey → metrics
 	// for every cell resolved during this search.
@@ -207,7 +202,7 @@ func (e *cellEvaluator) evaluate(ctx context.Context, gen int, pts []explore.Poi
 		} else {
 			// The evaluator's own engine pool recycles engine shells
 			// across generations.
-			results, err = e.runner.runScenarios(ctx, specs, SweepConfig{Workers: e.cfg.Workers, BatchWidth: e.width, WarmStart: !e.cfg.NoWarmStart})
+			results, err = e.runner.runScenarios(ctx, specs, SweepConfig{Workers: e.cfg.Workers, BatchWidth: e.cfg.BatchWidth, WarmStart: !e.cfg.NoWarmStart})
 		}
 		if err != nil {
 			return nil, err

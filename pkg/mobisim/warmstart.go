@@ -75,8 +75,9 @@ func (s *sentinelRun) snapshotInto(w *snapbin.Writer, step int) error {
 // runWarmSpecs executes one warm unit of facade scenarios: sentinel,
 // checkpoint, fork. A unit holds one or more prefix groups sharing a
 // thermal topology and duration; metric sets come back in unit order.
-// width bounds how many forked members step in lockstep together.
-func runWarmSpecs(ctx context.Context, pool *sim.BatchPool, specs []Scenario, width int, opt batchRunOptions) ([]map[string]float64, error) {
+// width bounds how many forked members step in lockstep together;
+// obs(i) observes the lane running specs[i] (nil: none).
+func runWarmSpecs(ctx context.Context, pool *sim.BatchPool, specs []Scenario, width int, obs func(i int) Observer) ([]map[string]float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -92,7 +93,7 @@ func runWarmSpecs(ctx context.Context, pool *sim.BatchPool, specs []Scenario, wi
 	sentinels := make([]*sentinelRun, len(subs))
 	lanes := make([]*sim.Engine, len(subs))
 	for si, sub := range subs {
-		eng, err := newBatchLane(specs[sub[0]], opt.observerFor(sub[0]))
+		eng, err := newBatchLane(specs[sub[0]], obs(sub[0]))
 		if err != nil {
 			return nil, err
 		}
@@ -132,12 +133,9 @@ func runWarmSpecs(ctx context.Context, pool *sim.BatchPool, specs []Scenario, wi
 			}
 			n = min(n, k)
 		}
-		if opt.ctxCheckSteps > 0 {
-			// Cancellation-latency cap: without it the post-event tail
-			// would run to the horizon between ctx polls. Chunking
-			// never changes the trajectory.
-			n = min(n, opt.ctxCheckSteps)
-		}
+		// Cancellation-latency cap: without it the post-event tail
+		// would run to the horizon between ctx polls.
+		n = min(n, CtxCheckSteps)
 		if err := be.RunSteps(n); err != nil {
 			return nil, err
 		}
@@ -191,7 +189,7 @@ func runWarmSpecs(ctx context.Context, pool *sim.BatchPool, specs []Scenario, wi
 			// diverge them.
 			shared := stability.NewTransientCache()
 			for i, oi := range chunk {
-				eng, err := newBatchLane(specs[oi], opt.observerFor(oi))
+				eng, err := newBatchLane(specs[oi], obs(oi))
 				if err != nil {
 					return nil, err
 				}
@@ -206,7 +204,7 @@ func runWarmSpecs(ctx context.Context, pool *sim.BatchPool, specs []Scenario, wi
 			if err != nil {
 				return nil, err
 			}
-			if err := advanceChunked(ctx, fbe.RunSteps, forkSteps, opt.ctxCheckSteps); err != nil {
+			if err := advanceChunked(ctx, fbe.RunSteps, forkSteps); err != nil {
 				return nil, err
 			}
 			for i, oi := range chunk {
