@@ -18,7 +18,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 
@@ -95,20 +94,6 @@ func (b *BatchEngine) Reset(lanes []*Engine) error {
 
 // Lanes returns the engines the batch is driving, in lane order.
 func (b *BatchEngine) Lanes() []*Engine { return b.lanes }
-
-// Run advances every lane by durationS seconds, mirroring
-// Engine.Run's duration-to-step conversion.
-func (b *BatchEngine) Run(durationS float64) error {
-	if durationS <= 0 || math.IsNaN(durationS) || math.IsInf(durationS, 0) {
-		return fmt.Errorf("sim: run duration must be positive and finite, got %v", durationS)
-	}
-	steps := math.Round(durationS / b.stepS)
-	if steps > MaxRunSteps || steps > float64(math.MaxInt) {
-		return fmt.Errorf("sim: duration %v spans %.0f steps of %v, exceeding the %.0f-step run bound",
-			durationS, steps, b.stepS, math.Min(MaxRunSteps, float64(math.MaxInt)))
-	}
-	return b.RunSteps(int(steps))
-}
 
 // RunSteps advances every lane by exactly steps fixed integration
 // steps. Per step, each lane runs stepPre and stages its three leakage

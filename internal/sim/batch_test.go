@@ -298,7 +298,8 @@ func TestStepsToControllerTick(t *testing.T) {
 }
 
 // TestBatchEngineRunValidates covers BatchEngine's argument checks and
-// pins Run's duration-to-step conversion to Engine.Run's.
+// pins that a batch lane run for StepsFor's step count matches
+// Engine.Run over the same duration.
 func TestBatchEngineRunValidates(t *testing.T) {
 	if _, err := sim.NewBatchEngine(nil); err == nil {
 		t.Error("empty batch should be rejected")
@@ -318,11 +319,6 @@ func TestBatchEngineRunValidates(t *testing.T) {
 	if got := be.Lanes(); len(got) != 2 || got[0] != lanes[0] || got[1] != lanes[1] {
 		t.Fatalf("Lanes() = %v, want the engines in lane order", got)
 	}
-	for _, d := range []float64{0, -1, math.NaN(), math.Inf(1), 1e300} {
-		if err := be.Run(d); err == nil {
-			t.Errorf("Run(%v) should be rejected", d)
-		}
-	}
 	if err := be.RunSteps(-1); err == nil {
 		t.Error("negative step count should be rejected")
 	}
@@ -330,7 +326,11 @@ func TestBatchEngineRunValidates(t *testing.T) {
 	if err := solo.Run(0.25); err != nil {
 		t.Fatal(err)
 	}
-	if err := be.Run(0.25); err != nil {
+	steps, err := sim.StepsFor(0.25, lanes[0].StepS())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := be.RunSteps(steps); err != nil {
 		t.Fatal(err)
 	}
 	compareLane(t, "run", solo, lanes[0])

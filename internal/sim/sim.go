@@ -33,7 +33,7 @@ const (
 	DefaultTracePeriodS = 0.1
 	// DefaultTaskWindowS is the default per-task power window (1 s).
 	DefaultTaskWindowS = 1.0
-	// MaxRunSteps bounds a single Run's duration-to-step conversion:
+	// MaxRunSteps bounds StepsFor's duration-to-step conversion:
 	// beyond it the float→int conversion would be implementation-defined
 	// (and the run physically unfinishable anyway).
 	MaxRunSteps = 1e15
@@ -430,19 +430,31 @@ func (e *Engine) MaxTempSeenK() float64 { return e.maxTempSeen }
 // a domain; thermal governors and controllers read it.
 func (e *Engine) DomainUtil(id platform.DomainID) float64 { return e.lastUtil[id] }
 
-// Run advances the simulation by durationS seconds.
-func (e *Engine) Run(durationS float64) error {
+// StepsFor converts a run duration to the nearest whole number of
+// integration steps of stepS — the one duration-to-step conversion
+// every run path uses. The duration must be positive and finite, and
+// the step count at most MaxRunSteps and representable as an int.
+func StepsFor(durationS, stepS float64) (int, error) {
 	if durationS <= 0 || math.IsNaN(durationS) || math.IsInf(durationS, 0) {
-		return fmt.Errorf("sim: run duration must be positive and finite, got %v", durationS)
+		return 0, fmt.Errorf("sim: run duration must be positive and finite, got %v", durationS)
 	}
-	steps := math.Round(durationS / e.cfg.StepS)
+	steps := math.Round(durationS / stepS)
 	// The math.MaxInt term keeps the int conversion in range on 32-bit
 	// platforms, where MaxRunSteps alone would not.
 	if steps > MaxRunSteps || steps > float64(math.MaxInt) {
-		return fmt.Errorf("sim: duration %v spans %.0f steps of %v, exceeding the %.0f-step run bound",
-			durationS, steps, e.cfg.StepS, math.Min(MaxRunSteps, float64(math.MaxInt)))
+		return 0, fmt.Errorf("sim: duration %v spans %.0f steps of %v, exceeding the %.0f-step run bound",
+			durationS, steps, stepS, math.Min(MaxRunSteps, float64(math.MaxInt)))
 	}
-	return e.RunSteps(int(steps))
+	return int(steps), nil
+}
+
+// Run advances the simulation by durationS seconds (StepsFor steps).
+func (e *Engine) Run(durationS float64) error {
+	steps, err := StepsFor(durationS, e.cfg.StepS)
+	if err != nil {
+		return err
+	}
+	return e.RunSteps(steps)
 }
 
 // RunSteps advances the simulation by exactly steps fixed integration

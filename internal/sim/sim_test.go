@@ -94,6 +94,32 @@ func TestRunAdvancesTime(t *testing.T) {
 	}
 }
 
+// TestStepsFor pins the duration-to-step conversion every run path
+// shares: nearest-step rounding, and rejection of non-positive,
+// non-finite and over-bound durations.
+func TestStepsFor(t *testing.T) {
+	for _, tc := range []struct {
+		durationS, stepS float64
+		want             int
+	}{
+		{0.25, 0.001, 250},
+		{0.0104, 0.001, 10},
+		{0.0106, 0.001, 11},
+		{2, 0.5, 4},
+		{1e6, 0.001, 1e9},
+	} {
+		got, err := StepsFor(tc.durationS, tc.stepS)
+		if err != nil || got != tc.want {
+			t.Errorf("StepsFor(%v, %v) = %d, %v; want %d", tc.durationS, tc.stepS, got, err, tc.want)
+		}
+	}
+	for _, d := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1), 1e300} {
+		if _, err := StepsFor(d, 0.001); err == nil {
+			t.Errorf("StepsFor(%v, 0.001) should be rejected", d)
+		}
+	}
+}
+
 func TestCPUBoundAppGetsDemand(t *testing.T) {
 	app := &steadyApp{name: "a", cpuHz: 1e9}
 	e, _ := New(baseConfig(AppSpec{App: app, PID: 1, Cluster: sched.Big, Threads: 1}))

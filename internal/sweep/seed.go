@@ -1,8 +1,9 @@
 // Package sweep holds the two pieces of the sweep engine that sit
 // below pkg/mobisim: TaskPool, the repository's one worker substrate,
-// and DeriveSeed, the per-replicate seed derivation that both the
-// matrix expansion in pkg/mobisim and internal/explore share. Matrices,
-// cells and their aggregation live in pkg/mobisim.
+// and DeriveSeed, the seed derivation pkg/mobisim uses for matrix
+// replicates, search replicates and the search's per-generation PRNG.
+// Matrices, cells, their aggregation and the search live in
+// pkg/mobisim.
 //
 // Tasks write disjoint result slots and the simulator is deterministic
 // (same seed ⇒ bitwise-identical run), so results never depend on

@@ -3,7 +3,6 @@ package mobisim
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/sim"
 	"repro/internal/stability"
@@ -83,9 +82,10 @@ func runLockstepSpecs(ctx context.Context, pool *sim.BatchPool, specs []Scenario
 			}
 			aware.ShareTransientCache(shared)
 		}
-		// Mirror Engine.Run's duration-to-step conversion exactly; a
-		// Validate-accepted spec cannot exceed the run bound.
-		n := int(math.Round(spec.DurationS / lanes[i].StepS()))
+		n, err := sim.StepsFor(spec.DurationS, lanes[i].StepS())
+		if err != nil {
+			return nil, err
+		}
 		if steps == -1 {
 			steps = n
 		} else if n != steps {

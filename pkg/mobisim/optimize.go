@@ -7,10 +7,10 @@ package mobisim
 // parameter mutations spanning scenario knobs (thermal limit,
 // governors) and platform-spec content (thermal and power
 // parameters). Optimize quantizes each numeric mutation onto a grid,
-// runs the seeded hill-climb of internal/explore over the resulting
-// space, and evaluates every generation of candidates as lockstep
-// batches on pooled engines — the same executors, content keys and
-// byte-exactness contracts the sweep paths use.
+// runs a seeded hill-climb over the resulting space (search.go), and
+// evaluates every generation of candidates as lockstep batches on
+// pooled engines — the same executors, content keys and byte-exactness
+// contracts the sweep paths use.
 //
 // The spec follows the Scenario/Matrix JSON discipline: strict
 // decoding (unknown fields rejected), idempotent Normalize, a Validate
@@ -23,10 +23,9 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
-
-	"repro/internal/explore"
 )
 
 // Objective goals.
@@ -129,10 +128,34 @@ type Mutation struct {
 // numeric reports whether the mutation declares the numeric shape.
 func (m Mutation) numeric() bool { return len(m.Values) == 0 }
 
+// points returns the axis cardinality: the number of Step-spaced grid
+// values in [Min, Max] for a numeric mutation (the epsilon absorbs
+// float division round-off, so [55,75] step 5 keeps its endpoint), or
+// the number of choices for a categorical one.
+func (m Mutation) points() int {
+	if !m.numeric() {
+		return len(m.Values)
+	}
+	return 1 + int(math.Floor((m.Max-m.Min)/m.Step+1e-9))
+}
+
+// value materializes numeric grid index i.
+func (m Mutation) value(i int) float64 { return m.Min + float64(i)*m.Step }
+
+// index returns the numeric grid index nearest to v, clamped into the
+// grid.
+func (m Mutation) index(v float64) int {
+	return min(max(int(math.Round((v-m.Min)/m.Step)), 0), m.points()-1)
+}
+
 // Search-knob bounds Validate enforces.
 const (
 	// MaxMutations bounds the searchable parameter count.
 	MaxMutations = 32
+	// MaxMutationPoints bounds one numeric mutation's grid cardinality,
+	// so a tiny step over a huge range cannot silently turn the search
+	// space (and its dedup store) into a memory bomb.
+	MaxMutationPoints = 1_000_000
 	// MaxReplicates bounds the replicate runs per candidate.
 	MaxReplicates = 64
 	// MaxNeighbors bounds the candidates drawn per generation.
@@ -145,7 +168,9 @@ const (
 // search: a base scenario, an objective, constraints, and the
 // parameter mutations spanning the space. The zero value is not
 // runnable; fill Scenario, Objective and Mutations, then Normalize and
-// Validate (ParseOptimize and LoadOptimize do both).
+// Validate (ParseOptimize and LoadOptimize do both). Normalize and
+// Validate are the search's only defaults and checks: Optimize climbs
+// the mutations exactly as the spec declares them.
 type OptimizeSpec struct {
 	// Name optionally labels the search in logs and output files.
 	Name string `json:"name,omitempty"`
@@ -284,9 +309,9 @@ func (o OptimizeSpec) Validate() error {
 	return plan.probeExtremes()
 }
 
-// validateShape checks the mutation's numeric-or-categorical shape and
-// that its parameter and values are legal; range/grid rules belong to
-// the search-space construction.
+// validateShape checks the mutation's numeric-or-categorical shape,
+// its numeric range and grid size, and that its parameter and values
+// are legal and its values distinct.
 func (m Mutation) validateShape() error {
 	if m.numeric() {
 		for _, f := range []struct {
@@ -302,6 +327,9 @@ func (m Mutation) validateShape() error {
 		}
 		if m.Min > m.Max {
 			return fmt.Errorf("mobisim: mutation %q: min %v exceeds max %v", m.Param, m.Min, m.Max)
+		}
+		if n := (m.Max - m.Min) / m.Step; n > MaxMutationPoints {
+			return fmt.Errorf("mobisim: mutation %q spans %.0f grid points, exceeding the %d bound", m.Param, n, MaxMutationPoints)
 		}
 		if !numericParam(m.Param) {
 			if catParamValues(m.Param) != nil {
@@ -321,16 +349,12 @@ func (m Mutation) validateShape() error {
 		}
 		return fmt.Errorf("mobisim: unknown categorical mutation param %q", m.Param)
 	}
-	for _, v := range m.Values {
-		ok := false
-		for _, l := range legal {
-			if v == l {
-				ok = true
-				break
-			}
-		}
-		if !ok {
+	for i, v := range m.Values {
+		if !slices.Contains(legal, v) {
 			return fmt.Errorf("mobisim: mutation %q: unknown value %q (want one of %s)", m.Param, v, strings.Join(legal, ", "))
+		}
+		if slices.Contains(m.Values[:i], v) {
+			return fmt.Errorf("mobisim: mutation %q repeats value %q", m.Param, v)
 		}
 	}
 	return nil
@@ -495,23 +519,23 @@ func platformFieldPtr(ps *PlatformSpec, name string) (*float64, error) {
 	return nil, fmt.Errorf("mobisim: unknown mutation param %q", name)
 }
 
-// searchPlan is a validated spec compiled for the search loop: the
-// explore space, the start point (the base scenario projected onto the
-// grid), and the mutation lists aligned with the space's axes.
+// searchPlan is a validated spec compiled for the search: the
+// mutations as the grid's axes and the start point (the base scenario
+// projected onto the grid).
 type searchPlan struct {
-	spec    OptimizeSpec
-	base    Scenario
-	basePS  PlatformSpec
-	numMuts []Mutation // aligned with space.Nums
-	catMuts []Mutation // aligned with space.Cats
-	space   explore.Space
-	start   explore.Point
+	spec   OptimizeSpec
+	base   Scenario
+	basePS PlatformSpec
+	// muts are the grid's axes: the numeric mutations, then the
+	// categorical ones, each in declaration order.
+	muts  []Mutation
+	start point
 	// hasPlatform reports whether any mutation touches platform
 	// content; when true every candidate embeds a renamed inline spec.
 	hasPlatform bool
 }
 
-// buildSearchPlan compiles a (normalized) spec into its search plan.
+// buildSearchPlan compiles a validated spec into its search plan.
 func buildSearchPlan(o OptimizeSpec) (*searchPlan, error) {
 	base := o.Scenario.cloneRefs()
 	base.Normalize()
@@ -526,41 +550,29 @@ func buildSearchPlan(o OptimizeSpec) (*searchPlan, error) {
 		return nil, fmt.Errorf("mobisim: optimize base scenario: %w", err)
 	}
 	p := &searchPlan{spec: o, base: base, basePS: basePS}
-	for _, m := range o.Mutations {
-		if m.numeric() {
-			p.numMuts = append(p.numMuts, m)
-			p.space.Nums = append(p.space.Nums, explore.NumAxis{Name: m.Param, Min: m.Min, Max: m.Max, Step: m.Step})
-			if strings.HasPrefix(m.Param, "platform.") {
-				p.hasPlatform = true
+	for _, numeric := range []bool{true, false} {
+		for _, m := range o.Mutations {
+			if m.numeric() == numeric {
+				p.muts = append(p.muts, m)
+				p.hasPlatform = p.hasPlatform || strings.HasPrefix(m.Param, "platform.")
 			}
-		} else {
-			p.catMuts = append(p.catMuts, m)
-			p.space.Cats = append(p.space.Cats, explore.CatAxis{Name: m.Param, Values: append([]string(nil), m.Values...)})
 		}
-	}
-	if err := p.space.Validate(); err != nil {
-		return nil, err
 	}
 
 	// Project the base scenario onto the grid: each axis starts at the
 	// grid point nearest the base value (clamped into the range), or
 	// the first choice when the base value is not listed.
-	p.start = explore.Point{Nums: make([]int, len(p.numMuts)), Cats: make([]int, len(p.catMuts))}
-	for i, m := range p.numMuts {
+	p.start = make(point, len(p.muts))
+	for i, m := range p.muts {
+		if !m.numeric() {
+			p.start[i] = max(slices.Index(m.Values, p.readCat(m.Param)), 0)
+			continue
+		}
 		v, err := p.readNum(m.Param)
 		if err != nil {
 			return nil, err
 		}
-		p.start.Nums[i] = p.space.Nums[i].Index(v)
-	}
-	for i, m := range p.catMuts {
-		base := p.readCat(m.Param)
-		for vi, v := range p.space.Cats[i].Values {
-			if v == base {
-				p.start.Cats[i] = vi
-				break
-			}
-		}
+		p.start[i] = m.index(v)
 	}
 	return p, nil
 }
@@ -595,14 +607,14 @@ func (p *searchPlan) readCat(name string) string {
 // platform-axis indices participate, so candidates that share platform
 // content share the label (and the resolved-platform contribution to
 // their cell keys), while distinct contents never collide.
-func (p *searchPlan) platformName(pt explore.Point) string {
+func (p *searchPlan) platformName(pt point) string {
 	var b strings.Builder
 	b.WriteString(p.basePS.Name)
 	b.WriteString("@dse")
-	for i, m := range p.numMuts {
+	for i, m := range p.muts {
 		if strings.HasPrefix(m.Param, "platform.") {
 			b.WriteByte('-')
-			b.WriteString(strconv.Itoa(pt.Nums[i]))
+			b.WriteString(strconv.Itoa(pt[i]))
 		}
 	}
 	return b.String()
@@ -612,15 +624,26 @@ func (p *searchPlan) platformName(pt explore.Point) string {
 // normalized base, apply every axis value, and re-normalize. The
 // returned scenario is not yet validated — the evaluator records
 // validation failures as invalid candidates.
-func (p *searchPlan) candidate(pt explore.Point) (Scenario, error) {
+func (p *searchPlan) candidate(pt point) (Scenario, error) {
 	s := p.base.cloneRefs()
 	var ps *PlatformSpec
 	if p.hasPlatform {
 		c := p.basePS.Clone()
 		ps = &c
 	}
-	for i, m := range p.numMuts {
-		v := p.space.Nums[i].Value(pt.Nums[i])
+	for i, m := range p.muts {
+		if !m.numeric() {
+			switch v := m.Values[pt[i]]; m.Param {
+			case ParamGovernor:
+				s.Governor = v
+			case ParamCPUGovernor:
+				s.CPUGovernor = v
+			default:
+				return Scenario{}, fmt.Errorf("mobisim: unknown categorical mutation param %q", m.Param)
+			}
+			continue
+		}
+		v := m.value(pt[i])
 		if m.Param == ParamLimitC {
 			s.LimitC = v
 			continue
@@ -634,17 +657,6 @@ func (p *searchPlan) candidate(pt explore.Point) (Scenario, error) {
 		}
 		*ptr = v
 	}
-	for i, m := range p.catMuts {
-		v := p.space.Cats[i].Values[pt.Cats[i]]
-		switch m.Param {
-		case ParamGovernor:
-			s.Governor = v
-		case ParamCPUGovernor:
-			s.CPUGovernor = v
-		default:
-			return Scenario{}, fmt.Errorf("mobisim: unknown categorical mutation param %q", m.Param)
-		}
-	}
 	if ps != nil {
 		ps.Name = p.platformName(pt)
 		s.PlatformSpec = ps
@@ -655,11 +667,12 @@ func (p *searchPlan) candidate(pt explore.Point) (Scenario, error) {
 }
 
 // probeExtremes validates the start point and every single-axis
-// extreme of the space (each axis at its first and last index, the
-// others at the start): a Validate-accepted spec is guaranteed a legal
-// start and per-axis ranges that do not leave the engine's domain.
+// extreme of the grid (each numeric axis at its first and last index,
+// each categorical axis at every value, the others at the start): a
+// Validate-accepted spec is guaranteed a legal start and per-axis
+// ranges that do not leave the engine's domain.
 func (p *searchPlan) probeExtremes() error {
-	probe := func(pt explore.Point, what string) error {
+	probe := func(pt point, what string) error {
 		s, err := p.candidate(pt)
 		if err != nil {
 			return fmt.Errorf("mobisim: optimize spec: %s: %w", what, err)
@@ -672,20 +685,19 @@ func (p *searchPlan) probeExtremes() error {
 	if err := probe(p.start, "start point"); err != nil {
 		return err
 	}
-	for i, a := range p.space.Nums {
-		for _, idx := range []int{0, a.Points() - 1} {
-			pt := p.start.Clone()
-			pt.Nums[i] = idx
-			if err := probe(pt, fmt.Sprintf("mutation %q at %v", a.Name, a.Value(idx))); err != nil {
-				return err
-			}
+	for i, m := range p.muts {
+		n, stride := m.points(), 1
+		if m.numeric() {
+			stride = max(n-1, 1) // a numeric range is probed at its two ends
 		}
-	}
-	for i, a := range p.space.Cats {
-		for vi, v := range a.Values {
-			pt := p.start.Clone()
-			pt.Cats[i] = vi
-			if err := probe(pt, fmt.Sprintf("mutation %q at %q", a.Name, v)); err != nil {
+		for idx := 0; idx < n; idx += stride {
+			pt := slices.Clone(p.start)
+			pt[i] = idx
+			what := fmt.Sprintf("mutation %q at %v", m.Param, m.value(idx))
+			if !m.numeric() {
+				what = fmt.Sprintf("mutation %q at %q", m.Param, m.Values[idx])
+			}
+			if err := probe(pt, what); err != nil {
 				return err
 			}
 		}
@@ -694,16 +706,16 @@ func (p *searchPlan) probeExtremes() error {
 }
 
 // paramValues renders a point as the parameter assignment it encodes,
-// in mutation declaration order (numeric axes first, then
-// categorical, matching the space's axis order).
-func (p *searchPlan) paramValues(pt explore.Point) []ParamValue {
-	out := make([]ParamValue, 0, len(p.numMuts)+len(p.catMuts))
-	for i, m := range p.numMuts {
-		v := p.space.Nums[i].Value(pt.Nums[i])
-		out = append(out, ParamValue{Param: m.Param, Value: &v})
-	}
-	for i, m := range p.catMuts {
-		out = append(out, ParamValue{Param: m.Param, Choice: p.space.Cats[i].Values[pt.Cats[i]]})
+// in axis order (numeric mutations first, then categorical).
+func (p *searchPlan) paramValues(pt point) []ParamValue {
+	out := make([]ParamValue, len(p.muts))
+	for i, m := range p.muts {
+		if m.numeric() {
+			v := m.value(pt[i])
+			out[i] = ParamValue{Param: m.Param, Value: &v}
+		} else {
+			out[i] = ParamValue{Param: m.Param, Choice: m.Values[pt[i]]}
+		}
 	}
 	return out
 }

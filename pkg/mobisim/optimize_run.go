@@ -10,7 +10,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/explore"
 	"repro/internal/platform"
 	"repro/internal/sweep"
 )
@@ -67,9 +66,11 @@ type OptimizeConfig struct {
 }
 
 // Optimize runs the design-space search an OptimizeSpec declares: a
-// seeded hill-climb (internal/explore) whose candidates are evaluated
-// as lockstep batches on pooled engines, deduplicated by CellKey in a
-// persistent per-search store. Identical spec (and seed) produces a
+// seeded hill-climb over the spec's mutation grid (search.go) whose
+// candidates are evaluated as lockstep batches on pooled engines,
+// deduplicated by CellKey in a persistent per-search store. The spec
+// is normalized and checked by OptimizeSpec.Validate, the only
+// validation the search applies. Identical spec (and seed) produces a
 // bitwise-identical SearchResult regardless of Workers, BatchWidth and
 // warm-start configuration; with a Cache attached, only provenance
 // fields (cached flags and hit counters) can differ.
@@ -92,23 +93,25 @@ func Optimize(ctx context.Context, spec OptimizeSpec, cfg OptimizeConfig) (*Sear
 		store:    make(map[uint64]map[string]float64),
 		minimize: spec.Objective.Goal == GoalMinimize,
 	}
-	trace, err := explore.Search(ctx, plan.space, plan.start, ev.evaluate, explore.Config{
-		Seed:           spec.Seed,
-		Neighbors:      spec.Neighbors,
-		MaxGenerations: spec.MaxGenerations,
-		Patience:       spec.Patience,
-		MinDelta:       spec.MinDelta,
-	})
+	r, best, err := plan.climb(ctx, ev.evaluate)
 	if err != nil {
 		return nil, err
 	}
-	return ev.result(trace)
+	r.Cells, r.StoreHits, r.CacheHits = ev.cells, ev.storeHits, ev.cacheHits
+	if best != nil {
+		s, err := plan.candidate(best)
+		if err != nil {
+			return nil, err
+		}
+		r.BestScenario = &s
+	}
+	return r, nil
 }
 
-// cellEvaluator is the explore.EvalFunc behind Optimize: it
-// materializes candidates, resolves their replicate cells against the
-// dedup store and the external cache, and simulates the remaining
-// cells as warm packs and lockstep batches on one shared engine pool.
+// cellEvaluator is the evalFunc behind Optimize: it materializes
+// candidates, resolves their replicate cells against the dedup store
+// and the external cache, and simulates the remaining cells as warm
+// packs and lockstep batches on one shared engine pool.
 type cellEvaluator struct {
 	plan   *searchPlan
 	cfg    OptimizeConfig
@@ -129,10 +132,11 @@ type missJob struct {
 	spec Scenario
 }
 
-// evaluate runs one generation of candidates.
-func (e *cellEvaluator) evaluate(ctx context.Context, gen int, pts []explore.Point) ([]explore.Eval, error) {
+// evaluate runs one generation of candidates. A candidate whose
+// scenario fails validation is recorded as invalid, without a cell key.
+func (e *cellEvaluator) evaluate(ctx context.Context, pts []point) ([]SearchCandidate, error) {
 	reps := e.plan.spec.Replicates
-	evals := make([]explore.Eval, len(pts))
+	out := make([]SearchCandidate, len(pts))
 	type candCells struct {
 		keys      []uint64
 		simulated bool
@@ -144,11 +148,11 @@ func (e *cellEvaluator) evaluate(ctx context.Context, gen int, pts []explore.Poi
 	for pi, pt := range pts {
 		s, err := e.plan.candidate(pt)
 		if err != nil {
-			evals[pi] = explore.Eval{Invalid: err.Error()}
+			out[pi] = SearchCandidate{Invalid: err.Error()}
 			continue
 		}
 		if err := s.Validate(); err != nil {
-			evals[pi] = explore.Eval{Invalid: err.Error()}
+			out[pi] = SearchCandidate{Invalid: err.Error()}
 			continue
 		}
 		cc := &candCells{keys: make([]uint64, reps)}
@@ -162,7 +166,7 @@ func (e *cellEvaluator) evaluate(ctx context.Context, gen int, pts []explore.Poi
 			}
 			key, err := cell.CellKey()
 			if err != nil {
-				evals[pi] = explore.Eval{Invalid: err.Error()}
+				out[pi] = SearchCandidate{Invalid: err.Error()}
 				cc = nil
 				break
 			}
@@ -222,11 +226,11 @@ func (e *cellEvaluator) evaluate(ctx context.Context, gen int, pts []explore.Poi
 			continue // invalid, already recorded
 		}
 		agg := aggregateReplicates(e.store, cc.keys)
-		ev := explore.Eval{Key: cc.keys[0], Cached: !cc.simulated, Metrics: agg}
+		ev := SearchCandidate{CellKey: fmt.Sprintf("%016x", cc.keys[0]), Cached: !cc.simulated, Metrics: agg}
 		obj, ok := agg[e.plan.spec.Objective.Metric]
 		if !ok {
 			ev.Invalid = fmt.Sprintf("objective metric %q missing or non-finite in this scenario's results", e.plan.spec.Objective.Metric)
-			evals[pi] = ev
+			out[pi] = ev
 			continue
 		}
 		feasible := true
@@ -238,13 +242,15 @@ func (e *cellEvaluator) evaluate(ctx context.Context, gen int, pts []explore.Poi
 			}
 		}
 		if e.minimize {
-			obj = 0 - obj
+			// The climb compares a minimized objective by its score
+			// 0 - obj; reporting 0 - score renders a -0 metric as 0.
+			obj = 0 - (0 - obj)
 		}
 		ev.Objective = obj
 		ev.Feasible = feasible
-		evals[pi] = ev
+		out[pi] = ev
 	}
-	return evals, nil
+	return out, nil
 }
 
 // thermalTopoKey hashes the platform content that must be equal for
@@ -362,67 +368,6 @@ type SearchResult struct {
 	CacheHits    int                `json:"cache_hits"`
 	Converged    bool               `json:"converged"`
 	StopReason   string             `json:"stop_reason"`
-}
-
-// result folds the explore trace into the output schema.
-func (e *cellEvaluator) result(trace *explore.Trace) (*SearchResult, error) {
-	spec := e.plan.spec
-	r := &SearchResult{
-		Schema:     SearchResultSchema,
-		Name:       spec.Name,
-		Metric:     spec.Objective.Metric,
-		Goal:       spec.Objective.Goal,
-		Seed:       spec.Seed,
-		Evaluated:  trace.Evaluated,
-		Cells:      e.cells,
-		StoreHits:  e.storeHits,
-		CacheHits:  e.cacheHits,
-		Converged:  trace.Converged,
-		StopReason: trace.StopReason,
-	}
-	for _, g := range trace.Generations {
-		sg := SearchGeneration{Gen: g.Gen, Improved: g.Improved, BestObjective: e.raw(g.BestObjective)}
-		for _, c := range g.Candidates {
-			sg.Candidates = append(sg.Candidates, e.candidateOut(c))
-		}
-		r.Generations = append(r.Generations, sg)
-	}
-	if trace.Best != nil {
-		best := e.candidateOut(*trace.Best)
-		r.Best = &best
-		s, err := e.plan.candidate(trace.Best.Point)
-		if err != nil {
-			return nil, err
-		}
-		r.BestScenario = &s
-	}
-	return r, nil
-}
-
-// raw converts the loop's higher-is-better objective back to the
-// spec's orientation (subtraction avoids a "-0" rendering).
-func (e *cellEvaluator) raw(signed float64) float64 {
-	if e.minimize {
-		return 0 - signed
-	}
-	return signed
-}
-
-func (e *cellEvaluator) candidateOut(c explore.Candidate) SearchCandidate {
-	out := SearchCandidate{
-		Gen:       c.Gen,
-		Index:     c.Index,
-		Params:    e.plan.paramValues(c.Point),
-		Objective: e.raw(c.Eval.Objective),
-		Feasible:  c.Eval.Feasible,
-		Invalid:   c.Eval.Invalid,
-		Cached:    c.Eval.Cached,
-		Metrics:   c.Eval.Metrics,
-	}
-	if c.Eval.Key != 0 {
-		out.CellKey = fmt.Sprintf("%016x", c.Eval.Key)
-	}
-	return out
 }
 
 // EncodeJSON writes the search result as indented JSON — the stable

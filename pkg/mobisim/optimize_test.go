@@ -219,11 +219,10 @@ func TestOptimizeCandidateValidity(t *testing.T) {
 		t.Fatalf("buildSearchPlan: %v", err)
 	}
 	nameToContent := make(map[string]string)
-	for a := 0; a < plan.space.Nums[0].Points(); a++ {
-		for b := 0; b < plan.space.Nums[1].Points(); b++ {
-			for c := 0; c < plan.space.Nums[2].Points(); c++ {
-				pt := plan.start.Clone()
-				pt.Nums[0], pt.Nums[1], pt.Nums[2] = a, b, c
+	for a := 0; a < plan.muts[0].points(); a++ {
+		for b := 0; b < plan.muts[1].points(); b++ {
+			for c := 0; c < plan.muts[2].points(); c++ {
+				pt := point{a, b, c}
 				s, err := plan.candidate(pt)
 				if err != nil {
 					t.Fatalf("candidate %v: %v", pt, err)
@@ -409,6 +408,16 @@ func TestOptimizeSpecRejects(t *testing.T) {
 		{"unbounded constraint", func(o *OptimizeSpec) {
 			o.Constraints = []Constraint{{Metric: MetricPeakC}}
 		}, "needs a min or max"},
+		{"repeated categorical value", func(o *OptimizeSpec) {
+			o.Mutations[1].Values = []string{CPUGovStock, CPUGovPerformance, CPUGovStock}
+		}, "repeats value"},
+		{"grid over the point cap", func(o *OptimizeSpec) {
+			o.Mutations[0].Min, o.Mutations[0].Max, o.Mutations[0].Step = 40, 80, 1e-5
+		}, "grid points"},
+		{"nan mutation bound", func(o *OptimizeSpec) { o.Mutations[0].Min = math.NaN() }, "min must be finite"},
+		{"negative neighbors", func(o *OptimizeSpec) { o.Neighbors = -1 }, "neighbors"},
+		{"negative patience", func(o *OptimizeSpec) { o.Patience = -1 }, "patience"},
+		{"negative max generations", func(o *OptimizeSpec) { o.MaxGenerations = -1 }, "max generations"},
 		{"nan min delta", func(o *OptimizeSpec) { o.MinDelta = math.NaN() }, "min delta"},
 		{"replicates bound", func(o *OptimizeSpec) { o.Replicates = MaxReplicates + 1 }, "replicates"},
 		{"limit below absolute zero", func(o *OptimizeSpec) {

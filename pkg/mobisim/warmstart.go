@@ -3,7 +3,6 @@ package mobisim
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/sim"
@@ -104,7 +103,10 @@ func runWarmSpecs(ctx context.Context, pool *sim.BatchPool, specs []Scenario, wi
 		lanes[si] = eng.Sim()
 		sentinels[si] = &sentinelRun{facade: eng, aware: aware, limitK: aware.LimitK(lanes[si])}
 	}
-	steps := int(math.Round(specs[0].DurationS / lanes[0].StepS()))
+	steps, err := sim.StepsFor(specs[0].DurationS, lanes[0].StepS())
+	if err != nil {
+		return nil, err
+	}
 	be, err := pool.Get(lanes)
 	if err != nil {
 		return nil, err

@@ -8,8 +8,9 @@
 // of running a duplicate.
 //
 // The client defines its own wire types mirroring the daemon's JSON
-// contract; it does not import the daemon, so client binaries carry
-// none of the simulation engine.
+// contract and does not import the daemon. It is not engine-free:
+// Runner implements mobisim.CellRunner over mobisim.Scenario, so the
+// package imports pkg/mobisim and links the simulation engine with it.
 package simclient
 
 import (
