@@ -98,9 +98,9 @@ func TempProfileExperiment(app string, seed int64) (*TempProfile, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := free.Engine.SensorSeries()
+	w := free.Engine.Recording().SensorSeries()
 	w.Name = "without throttling"
-	v := throt.Engine.SensorSeries()
+	v := throt.Engine.Recording().SensorSeries()
 	v.Name = "with throttling"
 	return &TempProfile{AppName: app, Without: w, With: v}, nil
 }

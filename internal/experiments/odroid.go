@@ -119,11 +119,11 @@ func Fig8Experiment(seed int64) (*Fig8Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := runs[Alone].Engine.MaxTempSeries()
+	a := runs[Alone].Engine.Recording().MaxTempSeries()
 	a.Name = "3DMark"
-	b := runs[WithBML].Engine.MaxTempSeries()
+	b := runs[WithBML].Engine.Recording().MaxTempSeries()
 	b.Name = "3DMark+BML"
-	c := runs[Proposed].Engine.MaxTempSeries()
+	c := runs[Proposed].Engine.Recording().MaxTempSeries()
 	c.Name = "Proposed Control"
 	return &Fig8Result{Alone: a, WithBML: b, Proposed: c}, nil
 }

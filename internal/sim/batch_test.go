@@ -139,7 +139,7 @@ func compareLane(t *testing.T, name string, scalar, batched *sim.Engine) {
 	if scalar.Meter().TotalEnergyJ() != batched.Meter().TotalEnergyJ() {
 		t.Errorf("%s: total energy differs: %v vs %v", name, scalar.Meter().TotalEnergyJ(), batched.Meter().TotalEnergyJ())
 	}
-	sv, bv := scalar.MaxTempSeries().Values(), batched.MaxTempSeries().Values()
+	sv, bv := scalar.Recording().MaxTempSeries().Values(), batched.Recording().MaxTempSeries().Values()
 	if len(sv) != len(bv) || len(sv) == 0 {
 		t.Fatalf("%s: trace lengths differ or empty: %d vs %d", name, len(sv), len(bv))
 	}
@@ -149,7 +149,12 @@ func compareLane(t *testing.T, name string, scalar, batched *sim.Engine) {
 		}
 	}
 	for _, id := range platform.DomainIDs() {
-		fs, fb := scalar.FreqSeries(id).Values(), batched.FreqSeries(id).Values()
+		ss, sok := scalar.Recording().FreqSeries(id)
+		bs, bok := batched.Recording().FreqSeries(id)
+		if !sok || !bok {
+			t.Fatalf("%s: no freq trace for %s", name, id)
+		}
+		fs, fb := ss.Values(), bs.Values()
 		if len(fs) != len(fb) {
 			t.Fatalf("%s: freq trace %s lengths differ", name, id)
 		}

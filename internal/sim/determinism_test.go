@@ -82,9 +82,9 @@ func TestEngineDeterminism(t *testing.T) {
 		}
 	}
 
-	compareBitwise("MaxTempSeries", a.MaxTempSeries().Values(), b.MaxTempSeries().Values())
+	compareBitwise("MaxTempSeries", a.Recording().MaxTempSeries().Values(), b.Recording().MaxTempSeries().Values())
 	for _, id := range platform.DomainIDs() {
-		compareBitwise("FreqSeries:"+id.String(), a.FreqSeries(id).Values(), b.FreqSeries(id).Values())
+		compareBitwise("FreqSeries:"+id.String(), freqValues(t, a, id), freqValues(t, b, id))
 	}
 	if math.Float64bits(a.MaxTempSeenK()) != math.Float64bits(b.MaxTempSeenK()) {
 		t.Errorf("MaxTempSeenK differs: %v vs %v", a.MaxTempSeenK(), b.MaxTempSeenK())
@@ -106,11 +106,21 @@ func TestEngineDeterminismDistinctSeeds(t *testing.T) {
 	if err := b.Run(5); err != nil {
 		t.Fatal(err)
 	}
-	av, bv := a.MaxTempSeries().Values(), b.MaxTempSeries().Values()
+	av, bv := a.Recording().MaxTempSeries().Values(), b.Recording().MaxTempSeries().Values()
 	for i := range av {
 		if i < len(bv) && math.Float64bits(av[i]) != math.Float64bits(bv[i]) {
 			return // diverged, as expected
 		}
 	}
 	t.Error("seeds 1 and 2 produced identical max-temperature traces")
+}
+
+// freqValues returns one domain's recorded frequency trace.
+func freqValues(t *testing.T, e *Engine, id platform.DomainID) []float64 {
+	t.Helper()
+	s, ok := e.Recording().FreqSeries(id)
+	if !ok {
+		t.Fatalf("no frequency trace for %s", id)
+	}
+	return s.Values()
 }

@@ -19,7 +19,6 @@ import (
 	"repro/internal/stats"
 	"repro/internal/thermal"
 	"repro/internal/thermgov"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -361,66 +360,6 @@ func (e *Engine) NodeNames() []string {
 		out[i] = e.plat.Net.NodeName(thermal.NodeID(i))
 	}
 	return out
-}
-
-// NodeTempSeries returns the true temperature trace (°C) of a node.
-// It returns nil for unknown node names or when recording is disabled;
-// prefer Recording().NodeTempSeries for an explicit (series, ok) form.
-func (e *Engine) NodeTempSeries(name string) *trace.Series {
-	if e.rec == nil {
-		return nil
-	}
-	s, _ := e.rec.NodeTempSeries(name)
-	return s
-}
-
-// MaxTempSeries returns the hottest-node temperature trace (°C), the
-// quantity the paper's Figure 8 plots (nil when recording is disabled).
-func (e *Engine) MaxTempSeries() *trace.Series {
-	if e.rec == nil {
-		return nil
-	}
-	return e.rec.MaxTempSeries()
-}
-
-// SensorSeries returns the sensed-temperature trace (°C) (nil when
-// recording is disabled).
-func (e *Engine) SensorSeries() *trace.Series {
-	if e.rec == nil {
-		return nil
-	}
-	return e.rec.SensorSeries()
-}
-
-// TotalPowerSeries returns the total power trace (W) (nil when
-// recording is disabled).
-func (e *Engine) TotalPowerSeries() *trace.Series {
-	if e.rec == nil {
-		return nil
-	}
-	return e.rec.TotalPowerSeries()
-}
-
-// RailPowerSeries returns one rail's power trace (W). It returns nil
-// for unknown rails or when recording is disabled; prefer
-// Recording().RailPowerSeries for an explicit (series, ok) form.
-func (e *Engine) RailPowerSeries(r power.Rail) *trace.Series {
-	if e.rec == nil {
-		return nil
-	}
-	s, _ := e.rec.RailPowerSeries(r)
-	return s
-}
-
-// FreqSeries returns one domain's frequency trace (Hz). It returns nil
-// for unknown domains or when recording is disabled; prefer
-// Recording().FreqSeries for an explicit (series, ok) form.
-func (e *Engine) FreqSeries(id platform.DomainID) *trace.Series {
-	if e.rec == nil {
-		return nil
-	}
-	s, _ := e.rec.FreqSeries(id)
-	return s
 }
 
 // MaxTempSeenK returns the hottest true node temperature observed.

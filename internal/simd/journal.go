@@ -20,13 +20,12 @@ import (
 //
 // The journal is the daemon's crash-safety layer: an append-only,
 // CRC-framed write-ahead log under the cache root recording job
-// submission envelopes, per-cell completions (by CellKey — the result
-// bytes themselves live in the content-addressed cache), and terminal
-// states. On startup the daemon replays the journal, re-enqueues every
-// job that never reached a terminal record, and serves the recovered
-// results byte-identical to an uninterrupted run: completed cells hit
-// the result cache, the remainder are resimulated, and the aggregation
-// tail is deterministic in cell content.
+// submission envelopes and terminal states. On startup the daemon
+// replays the journal, re-enqueues every job that never reached a
+// terminal record, and serves the recovered results byte-identical to
+// an uninterrupted run: cells the crashed run completed hit the
+// content-addressed result cache, the remainder are resimulated, and
+// the aggregation tail is deterministic in cell content.
 //
 // Decoding is defensive in exactly the cache's spirit: a torn or
 // bit-flipped tail ends that segment's replay — truncated, counted,
@@ -40,10 +39,9 @@ import (
 // rename, so a crash mid-compaction leaves the old segments intact)
 // and the old segments are removed.
 //
-// Durability policy: submission and terminal records are fsynced (they
-// are the records recovery correctness depends on); per-cell records
-// are appended without fsync — losing one costs at most a recompute
-// that immediately hits the result cache.
+// Durability policy: every record is fsynced. A job costs two records,
+// its submission and its terminal state; completed cells are recorded
+// only by the result cache, so the journal is never written per cell.
 const (
 	journalMagic   = "simd-journal/1\n"
 	journalSubdir  = "mobisim/journal/v1"
@@ -55,7 +53,6 @@ const (
 // Journal record types.
 const (
 	recSubmit = "submit"
-	recCell   = "cell"
 	recEnd    = "end"
 )
 
@@ -66,9 +63,6 @@ type journalRecord struct {
 	// Submit fields.
 	Hash     string          `json:"hash,omitempty"` // %016x envelope hash
 	Envelope json.RawMessage `json:"envelope,omitempty"`
-	// Cell fields.
-	Index int    `json:"index,omitempty"`
-	Key   string `json:"key,omitempty"` // %016x cell key
 	// End fields.
 	State string `json:"state,omitempty"`
 	Error string `json:"error,omitempty"`
@@ -84,9 +78,6 @@ type RecoveredJob struct {
 	Hash uint64
 	// Envelope is the original POST /v1/jobs body.
 	Envelope []byte
-	// DoneCells holds the CellKeys the crashed run completed; their
-	// results are expected in the cache.
-	DoneCells map[uint64]bool
 }
 
 // JournalStats snapshots the journal counters for /v1/stats.
@@ -98,8 +89,9 @@ type JournalStats struct {
 	ReplayRecords  int `json:"replay_records"`
 	// TruncatedRecords counts torn/corrupt frames dropped at replay.
 	TruncatedRecords int `json:"truncated_records"`
-	// OrphanRecords counts CRC-valid records referencing unknown jobs
-	// or carrying unparseable envelopes.
+	// OrphanRecords counts CRC-valid records referencing unknown jobs,
+	// carrying unparseable envelopes, or of an unknown type (such as
+	// the per-cell "cell" records older daemons wrote).
 	OrphanRecords int `json:"orphan_records"`
 	// RecoveredJobs counts jobs re-enqueued by the last replay.
 	RecoveredJobs int `json:"recovered_jobs"`
@@ -240,26 +232,13 @@ func (j *Journal) replaySegments(segs []string) []RecoveredJob {
 				// state (latest submit wins, mirroring append order).
 				jobs[r.Job] = &jobState{
 					rec: RecoveredJob{
-						ID:        r.Job,
-						Hash:      hash,
-						Envelope:  append([]byte(nil), r.Envelope...),
-						DoneCells: make(map[uint64]bool),
+						ID:       r.Job,
+						Hash:     hash,
+						Envelope: append([]byte(nil), r.Envelope...),
 					},
 					order: order,
 				}
 				order++
-			case recCell:
-				st, ok := jobs[r.Job]
-				if !ok {
-					j.replay.OrphanRecords++
-					continue
-				}
-				var key uint64
-				if _, err := fmt.Sscanf(r.Key, "%016x", &key); err != nil {
-					j.replay.OrphanRecords++
-					continue
-				}
-				st.rec.DoneCells[key] = true
 			case recEnd:
 				st, ok := jobs[r.Job]
 				if !ok {
@@ -364,19 +343,6 @@ func (j *Journal) compact(oldSegs []string, live []RecoveredJob) error {
 			return err
 		}
 		body = append(body, frame...)
-		keys := make([]uint64, 0, len(rj.DoneCells))
-		for k := range rj.DoneCells {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-		for _, k := range keys {
-			frame, err := encodeRecord(journalRecord{Type: recCell, Job: rj.ID, Key: fmt.Sprintf("%016x", k)})
-			if err != nil {
-				cleanup()
-				return err
-			}
-			body = append(body, frame...)
-		}
 	}
 	if _, err := tmp.Write(body); err != nil {
 		cleanup()
@@ -411,9 +377,9 @@ func (j *Journal) compact(oldSegs []string, live []RecoveredJob) error {
 	return nil
 }
 
-// append frames and writes one record, fsyncing when durable. Errors
-// are counted and returned; the caller decides whether to demote.
-func (j *Journal) append(r journalRecord, durable bool) error {
+// append frames, writes and fsyncs one record. Errors are counted and
+// returned; the caller decides whether to demote.
+func (j *Journal) append(r journalRecord) error {
 	if j == nil {
 		return nil
 	}
@@ -431,11 +397,9 @@ func (j *Journal) append(r journalRecord, durable bool) error {
 		j.appendErrs.Add(1)
 		return fmt.Errorf("simd: journal append: %w", err)
 	}
-	if durable {
-		if err := j.f.Sync(); err != nil {
-			j.appendErrs.Add(1)
-			return fmt.Errorf("simd: journal sync: %w", err)
-		}
+	if err := j.f.Sync(); err != nil {
+		j.appendErrs.Add(1)
+		return fmt.Errorf("simd: journal sync: %w", err)
 	}
 	j.appends.Add(1)
 	return nil
@@ -450,18 +414,12 @@ func (j *Journal) AppendSubmit(jobID string, hash uint64, envelope []byte) error
 	return j.append(journalRecord{
 		Type: recSubmit, Job: jobID,
 		Hash: fmt.Sprintf("%016x", hash), Envelope: envelope,
-	}, true)
-}
-
-// AppendCell records one completed cell (non-durable by policy: a lost
-// cell record costs a recompute that hits the result cache).
-func (j *Journal) AppendCell(jobID string, index int, key uint64) error {
-	return j.append(journalRecord{Type: recCell, Job: jobID, Index: index, Key: fmt.Sprintf("%016x", key)}, false)
+	})
 }
 
 // AppendEnd durably records a job's terminal state.
 func (j *Journal) AppendEnd(jobID string, state JobState, errMsg string) error {
-	return j.append(journalRecord{Type: recEnd, Job: jobID, State: string(state), Error: errMsg}, true)
+	return j.append(journalRecord{Type: recEnd, Job: jobID, State: string(state), Error: errMsg})
 }
 
 // Disable stops all journaling (the degraded-mode demotion). The open

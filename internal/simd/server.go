@@ -182,8 +182,8 @@ func NewServer(cfg Config) (*Server, error) {
 		}
 		s.recoveredJobs++
 		s.publishJobStatus(job)
-		s.logf("job %s: recovered from journal (%d cells, %d journaled done)",
-			job.ID, len(r.spec.Cells), len(r.rj.DoneCells))
+		s.logf("job %s: recovered from journal (%d cells; completed ones come back from the result cache)",
+			job.ID, len(r.spec.Cells))
 	}
 
 	mux := http.NewServeMux()
@@ -352,11 +352,6 @@ func (s *Server) runJob(job *Job) {
 	onCell := func(i int, origin Origin, metrics map[string]float64) {
 		job.CellDone(origin)
 		s.cellsDone.Add(1)
-		if !s.killed.Load() {
-			if jerr := s.journal.AppendCell(job.ID, i, job.Spec.Cells[i].Key); jerr != nil {
-				s.demoteJournal(jerr)
-			}
-		}
 		if data, err := marshalCellEvent(i, job.Spec.Cells[i].Key, origin, metrics); err == nil {
 			job.Broker.Publish("cell", data, true)
 		}
@@ -606,7 +601,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	// Journal the submission before enqueueing so the WAL never holds
-	// cell records for a job it has no envelope for.
+	// an end record for a job it has no envelope for.
 	if jerr := s.journal.AppendSubmit(job.ID, hash, envelope); jerr != nil {
 		s.demoteJournal(jerr)
 	}

@@ -289,80 +289,6 @@ func (w *Window) Reset() {
 	w.full = false
 }
 
-// Histogram accumulates weighted counts into labeled bins. It backs the
-// frequency-residency figures (Figures 2, 4 and 6 in the paper), where
-// bins are OPP frequencies and weights are residency durations.
-type Histogram struct {
-	labels  []string
-	weights []float64
-	index   map[string]int
-}
-
-// NewHistogram creates a histogram with the given ordered bin labels.
-func NewHistogram(labels ...string) *Histogram {
-	h := &Histogram{
-		labels:  append([]string(nil), labels...),
-		weights: make([]float64, len(labels)),
-		index:   make(map[string]int, len(labels)),
-	}
-	for i, l := range labels {
-		h.index[l] = i
-	}
-	return h
-}
-
-// Observe adds weight to the bin with the given label, creating the bin
-// at the end of the order if it does not exist yet.
-func (h *Histogram) Observe(label string, weight float64) {
-	i, ok := h.index[label]
-	if !ok {
-		i = len(h.labels)
-		h.labels = append(h.labels, label)
-		h.weights = append(h.weights, 0)
-		h.index[label] = i
-	}
-	h.weights[i] += weight
-}
-
-// Labels returns the bin labels in insertion order.
-func (h *Histogram) Labels() []string { return append([]string(nil), h.labels...) }
-
-// Weight returns the accumulated weight for label (0 if absent).
-func (h *Histogram) Weight(label string) float64 {
-	if i, ok := h.index[label]; ok {
-		return h.weights[i]
-	}
-	return 0
-}
-
-// Total returns the sum of all bin weights.
-func (h *Histogram) Total() float64 { return Sum(h.weights) }
-
-// Share returns the fraction of total weight in the labeled bin.
-// It returns 0 when the histogram is empty.
-func (h *Histogram) Share(label string) float64 {
-	t := h.Total()
-	if t == 0 {
-		return 0
-	}
-	return h.Weight(label) / t
-}
-
-// Shares returns every bin's fraction of the total, in label order.
-// Fractions sum to 1 (up to rounding) unless the histogram is empty.
-func (h *Histogram) Shares() map[string]float64 {
-	out := make(map[string]float64, len(h.labels))
-	t := h.Total()
-	for i, l := range h.labels {
-		if t == 0 {
-			out[l] = 0
-		} else {
-			out[l] = h.weights[i] / t
-		}
-	}
-	return out
-}
-
 // Clamp limits x to [lo, hi].
 func Clamp(x, lo, hi float64) float64 {
 	if x < lo {

@@ -210,68 +210,6 @@ func TestWindowPanicsOnZeroCapacity(t *testing.T) {
 	NewWindow(0)
 }
 
-func TestHistogramSharesSumToOne(t *testing.T) {
-	h := NewHistogram("a", "b", "c")
-	h.Observe("a", 2)
-	h.Observe("b", 3)
-	h.Observe("c", 5)
-	shares := h.Shares()
-	total := 0.0
-	for _, s := range shares {
-		total += s
-	}
-	if !ApproxEqual(total, 1, 1e-12) {
-		t.Errorf("shares sum = %v, want 1", total)
-	}
-	if !ApproxEqual(h.Share("c"), 0.5, 1e-12) {
-		t.Errorf("share(c) = %v, want 0.5", h.Share("c"))
-	}
-}
-
-func TestHistogramUnknownLabelCreated(t *testing.T) {
-	h := NewHistogram("x")
-	h.Observe("y", 1)
-	if h.Weight("y") != 1 {
-		t.Errorf("weight(y) = %v, want 1", h.Weight("y"))
-	}
-	labels := h.Labels()
-	if len(labels) != 2 || labels[1] != "y" {
-		t.Errorf("labels = %v, want [x y]", labels)
-	}
-}
-
-func TestHistogramEmptyShares(t *testing.T) {
-	h := NewHistogram("a")
-	if h.Share("a") != 0 {
-		t.Errorf("share of empty histogram = %v, want 0", h.Share("a"))
-	}
-}
-
-func TestHistogramPropertyShares(t *testing.T) {
-	f := func(weights []uint8) bool {
-		h := NewHistogram()
-		total := 0.0
-		for i, w := range weights {
-			h.Observe(string(rune('a'+i%26)), float64(w))
-			total += float64(w)
-		}
-		if total == 0 {
-			return h.Total() == 0
-		}
-		sum := 0.0
-		for _, s := range h.Shares() {
-			if s < 0 || s > 1 {
-				return false
-			}
-			sum += s
-		}
-		return ApproxEqual(sum, 1, 1e-9)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestClamp(t *testing.T) {
 	tests := []struct{ x, lo, hi, want float64 }{
 		{5, 0, 10, 5},

@@ -17,7 +17,7 @@ import (
 // under zero power, which stay exactly at ambient and whose results go
 // to a sink.
 //
-// Per lane, the kernel performs Network.stepInto's float64 operations
+// Per lane, the kernel performs Network.Step's float64 operations
 // in the same order (the rules are listed in kernel.go), so a batched
 // lane is bitwise-identical to the same network stepped alone; the
 // differential tests in this package pin that for the assembly and the

@@ -8,7 +8,7 @@ package thermal
 // compiled everywhere so the differential tests can pin the two to
 // each other and to Network.Step bit for bit.
 //
-// Bit identity with Network.stepInto rests on doing, per lane, exactly
+// Bit identity with Network.Step rests on doing, per lane, exactly
 // the scalar float64 operations in the scalar order:
 //
 //   - derivative of node i: power, minus gAmb*(t-ambient), minus

@@ -8,8 +8,8 @@
 //
 // The network stores its state in flat, dense slices — a row-major
 // conductance matrix plus per-node capacitance and ambient-coupling
-// vectors — and preallocates all RK4 scratch, so Step and StepInto
-// perform zero allocations in steady state. This layout is what lets
+// vectors — and preallocates all RK4 scratch, so Step performs zero
+// allocations in steady state. This layout is what lets
 // the simulation engine's hot loop run allocation-free; the
 // differential golden test in internal/sim pins it bitwise against the
 // original slice-of-slices implementation.
@@ -61,7 +61,7 @@ type Node struct {
 // Network is a lumped RC thermal network. Create one with NewNetwork,
 // add nodes and couplings, then advance it with Step.
 //
-// A Network is not safe for concurrent use: Step and StepInto share
+// A Network is not safe for concurrent use: Step and StepEuler share
 // preallocated integration scratch.
 type Network struct {
 	nodes   []Node
@@ -256,7 +256,7 @@ func (n *Network) derivs(dst, temps, powers []float64) {
 	}
 }
 
-// checkStep validates the shared Step/StepInto arguments.
+// checkStep validates the shared Step/StepEuler arguments.
 func (n *Network) checkStep(dt float64, powers []float64) error {
 	if len(powers) != len(n.nodes) {
 		return fmt.Errorf("thermal: got %d powers for %d nodes", len(powers), len(n.nodes))
@@ -275,51 +275,26 @@ func (n *Network) Step(dt float64, powers []float64) error {
 	if err := n.checkStep(dt, powers); err != nil {
 		return err
 	}
-	n.stepInto(dt, powers, n.temps)
-	return nil
-}
-
-// StepInto computes the temperatures one RK4 step ahead of the current
-// state into dst without mutating the network — the speculative variant
-// of Step for controllers that want to preview the next state. dst must
-// have NumNodes elements and may not alias the integration scratch;
-// passing the network's own temperature storage is not possible from
-// outside, so external callers always get a pure preview. Like Step it
-// performs no allocations.
-func (n *Network) StepInto(dt float64, powers, dst []float64) error {
-	if err := n.checkStep(dt, powers); err != nil {
-		return err
-	}
-	if len(dst) != len(n.nodes) {
-		return fmt.Errorf("thermal: got %d destination slots for %d nodes", len(dst), len(n.nodes))
-	}
-	n.stepInto(dt, powers, dst)
-	return nil
-}
-
-// stepInto integrates one RK4 step from n.temps, writing the result to
-// dst (which may be n.temps itself: every dst[i] write happens after
-// the last read of temps[i] for that index).
-func (n *Network) stepInto(dt float64, powers, dst []float64) {
 	m := len(n.nodes)
-	k1, k2, k3, k4, stage := n.k1, n.k2, n.k3, n.k4, n.stage
+	temps, k1, k2, k3, k4, stage := n.temps, n.k1, n.k2, n.k3, n.k4, n.stage
 
-	n.derivs(k1, n.temps, powers)
+	n.derivs(k1, temps, powers)
 	for i := 0; i < m; i++ {
-		stage[i] = n.temps[i] + 0.5*dt*k1[i]
+		stage[i] = temps[i] + 0.5*dt*k1[i]
 	}
 	n.derivs(k2, stage, powers)
 	for i := 0; i < m; i++ {
-		stage[i] = n.temps[i] + 0.5*dt*k2[i]
+		stage[i] = temps[i] + 0.5*dt*k2[i]
 	}
 	n.derivs(k3, stage, powers)
 	for i := 0; i < m; i++ {
-		stage[i] = n.temps[i] + dt*k3[i]
+		stage[i] = temps[i] + dt*k3[i]
 	}
 	n.derivs(k4, stage, powers)
 	for i := 0; i < m; i++ {
-		dst[i] = n.temps[i] + dt/6*(k1[i]+2*k2[i]+2*k3[i]+k4[i])
+		temps[i] = temps[i] + dt/6*(k1[i]+2*k2[i]+2*k3[i]+k4[i])
 	}
+	return nil
 }
 
 // StepEuler advances the network by dt seconds using forward Euler. It is

@@ -290,40 +290,3 @@ func TestPropertyEnergyBalance(t *testing.T) {
 		}
 	}
 }
-
-// TestStepIntoMatchesStep: StepInto must preview exactly the state Step
-// would produce, bitwise, without advancing the network.
-func TestStepIntoMatchesStep(t *testing.T) {
-	for seed := int64(0); seed < 10; seed++ {
-		rng := rand.New(rand.NewSource(3000 + seed))
-		n, ids := randomNetwork(t, rng)
-		powers := make([]float64, n.NumNodes())
-		for i := range powers {
-			powers[i] = 4 * rng.Float64()
-		}
-		for _, id := range ids {
-			if err := n.SetTemperature(id, n.Ambient()+30*rng.Float64()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		const dt = 0.001
-		before := n.Temperatures()
-		preview := make([]float64, n.NumNodes())
-		if err := n.StepInto(dt, powers, preview); err != nil {
-			t.Fatal(err)
-		}
-		for i, k := range n.Temperatures() {
-			if math.Float64bits(k) != math.Float64bits(before[i]) {
-				t.Fatalf("seed %d: StepInto mutated node %d: %v -> %v", seed, i, before[i], k)
-			}
-		}
-		if err := n.Step(dt, powers); err != nil {
-			t.Fatal(err)
-		}
-		for i, k := range n.Temperatures() {
-			if math.Float64bits(k) != math.Float64bits(preview[i]) {
-				t.Fatalf("seed %d: StepInto preview diverged from Step at node %d: %v vs %v", seed, i, preview[i], k)
-			}
-		}
-	}
-}

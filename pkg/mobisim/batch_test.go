@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -305,5 +306,28 @@ func TestRunUnitCancelIsPrompt(t *testing.T) {
 				t.Fatalf("unit ran to t=%.1fs after cancel at t=%.0fs, want <= %.1fs", lastS, cancelAtS, maxS)
 			}
 		})
+	}
+}
+
+// TestRunUnitRejectsMixedDurations: PrefixKey leaves the duration out,
+// so a unit built outside the planner can group cells of different
+// lengths. Every cell of a unit must span one step count, warm or
+// cold; otherwise the unit fails instead of running every lane for
+// the first cell's duration.
+func TestRunUnitRejectsMixedDurations(t *testing.T) {
+	base := Scenario{
+		Platform: PlatformOdroidXU3, Workload: "3dmark+bml",
+		Governor: GovAppAware, Seed: 1,
+	}
+	short, long := base, base
+	short.LimitC, short.DurationS = 52, 3
+	long.LimitC, long.DurationS = 58, 5
+	specs := []Scenario{short, long}
+	for _, warm := range []bool{false, true} {
+		var r BatchRunner
+		_, err := r.RunUnit(context.Background(), specs, BatchPlanUnit{Idx: []int{0, 1}, Warm: warm}, 0, BatchRunOptions{})
+		if err == nil || !strings.Contains(err.Error(), "mixed durations") {
+			t.Errorf("warm %v: mixed-duration unit returned %v, want a mixed durations error", warm, err)
+		}
 	}
 }

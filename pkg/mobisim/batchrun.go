@@ -5,9 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 
 	"repro/internal/sim"
-	"repro/internal/sweep"
 )
 
 // Exported batch-execution seam.
@@ -15,14 +15,28 @@ import (
 // Every executor in the repository runs cells the same way: a planner
 // partitions fully-resolved scenarios into lockstep-compatible units
 // (equal thermal topology and step count, prefix warm-start subgrouping
-// for limit-aware cells), and a runner executes one unit on pooled
-// batch engines with byte-exact output. RunScenarios is that loop over
-// a sweep.TaskPool, behind RunSweep, the explore evaluator and
+// for limit-aware cells), and one runner executes a unit on pooled
+// batch engines with byte-exact output, a warm unit as its prefix
+// groups and a cold unit as one group per cell (see warmstart.go).
+// RunScenarios runs every unit as one task on a fixed worker set
+// (runTasks), behind RunSweep, Optimize's evaluator and
 // experiments.LimitSweep; PlanBatchUnits and BatchRunner export its two
 // halves for the simd daemon, which runs the units through its own
 // singleflight scheduler. Nothing reachable through this API can change
 // output bytes: unit shape, lane width, warm start, worker count and
 // observers are all wall-clock knobs.
+
+// DefaultBatchWidth is the widest unit the planner chooses at width 0
+// and the fork-stage packing BatchRunner.RunUnit uses at width <= 0.
+// Eight lanes put one structure-of-arrays row per thermal node on
+// exactly one 64-byte cache line (and match the fused kernel's
+// specialized width).
+const DefaultBatchWidth = 8
+
+// CtxCheckSteps bounds how many integration steps any unit stage runs
+// between context polls. Chunked stepping is trajectory-identical to
+// one call, so the interval is a cancellation-latency knob only.
+const CtxCheckSteps = 4096
 
 // BatchPlanUnit is one executable unit of a batch plan: positions into
 // the planned scenario slice, all sharing a thermal topology and step
@@ -182,10 +196,23 @@ func (r *BatchRunner) RunUnit(ctx context.Context, specs []Scenario, u BatchPlan
 	if opt.Observer != nil {
 		obs = func(k int) Observer { return opt.Observer(u.Idx[k]) }
 	}
+	// A cold unit is one group per cell: it pays no prefix hashing and
+	// no limit resolution.
+	var groups [][]int
 	if u.Warm {
-		return runWarmSpecs(ctx, &r.pool, sub, width, obs)
+		var err error
+		if groups, err = partitionWarmSpecs(sub); err != nil {
+			return nil, err
+		}
+	} else {
+		idx := make([]int, len(sub))
+		groups = make([][]int, len(sub))
+		for k := range idx {
+			idx[k] = k
+			groups[k] = idx[k : k+1]
+		}
 	}
-	return runLockstepSpecs(ctx, &r.pool, sub, obs)
+	return runUnitGroups(ctx, &r.pool, sub, groups, width, obs)
 }
 
 // RunScenarios runs fully-resolved scenarios and returns their metric
@@ -194,7 +221,7 @@ func (r *BatchRunner) RunUnit(ctx context.Context, specs []Scenario, u BatchPlan
 // specs into units of at most cfg.BatchWidth lanes (0 lets it choose
 // for cfg.Workers workers; negative is ErrNegativeBatchWidth), with
 // prefix warm units when cfg.WarmStart is set, and every unit runs as
-// one sweep.TaskPool task on cfg.Workers workers. cfg.IncludeRaw is
+// one runTasks task on cfg.Workers workers. cfg.IncludeRaw is
 // ignored. It stops early on the first unit error or on context
 // cancellation.
 func RunScenarios(ctx context.Context, specs []Scenario, cfg SweepConfig) ([]map[string]float64, error) {
@@ -227,9 +254,72 @@ func (r *BatchRunner) runScenarios(ctx context.Context, specs []Scenario, cfg Sw
 			return nil
 		}
 	}
-	pool := &sweep.TaskPool{Workers: cfg.Workers}
-	if err := pool.Run(ctx, tasks); err != nil {
+	if err := runTasks(ctx, cfg.Workers, tasks); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// runTasks runs every task on workers goroutines (<= 0: GOMAXPROCS)
+// and returns the first task error, if any. Tasks write disjoint
+// caller-owned slots and the simulator is deterministic, so results
+// never depend on worker interleaving: any worker count gives output
+// byte-identical to a serial pass. The first error cancels the rest,
+// and context cancellation stops feeding promptly.
+func runTasks(ctx context.Context, workers int, tasks []func(ctx context.Context) error) error {
+	if len(tasks) == 0 {
+		return nil
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, len(tasks))
+
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		firstErr error
+	)
+	jobs := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ti := range jobs {
+				if ctx.Err() != nil {
+					return
+				}
+				if err := tasks[ti](ctx); err != nil {
+					mu.Lock()
+					if firstErr == nil {
+						firstErr = err
+					}
+					mu.Unlock()
+					cancel()
+					return
+				}
+			}
+		}()
+	}
+feed:
+	for ti := range tasks {
+		select {
+		case jobs <- ti:
+		case <-ctx.Done():
+			break feed
+		}
+	}
+	close(jobs)
+	wg.Wait()
+
+	if firstErr != nil {
+		return firstErr
+	}
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("mobisim: canceled: %w", err)
+	}
+	return nil
 }

@@ -9,8 +9,6 @@ import (
 	"math"
 	"os"
 	"slices"
-
-	"repro/internal/sweep"
 )
 
 // Matrix is the declarative, JSON-serializable sweep counterpart of
@@ -238,7 +236,7 @@ func (m Matrix) JSON() ([]byte, error) {
 // platform → workload → governor → limit → replicate order, and the
 // limit-agnostic arms follow as a tail with the limits axis collapsed
 // to 0, the platform default. Every replicate r across all parameter
-// cells shares the seed DeriveSeed(BaseSeed, r), giving the sweep a
+// cells shares the seed deriveSeed(BaseSeed, r), giving the sweep a
 // paired design: points that differ only in a parameter axis see
 // identical random streams.
 func (m Matrix) expand() []Cell {
@@ -260,7 +258,7 @@ func (m Matrix) expand() []Cell {
 								Index: len(cells),
 								Spec: Scenario{
 									Platform: p, Workload: w, Governor: g, LimitC: l,
-									DurationS: m.DurationS, Seed: sweep.DeriveSeed(m.BaseSeed, r),
+									DurationS: m.DurationS, Seed: deriveSeed(m.BaseSeed, r),
 									ModelOnlyBML: true,
 								},
 								Replicate: r,
@@ -272,6 +270,23 @@ func (m Matrix) expand() []Cell {
 		}
 	}
 	return cells
+}
+
+// deriveSeed maps (base, replicate) to a scenario seed with a
+// SplitMix64 finalizer: deterministic, stable across releases (pinned
+// by a golden test), and well-spread even for adjacent inputs. The
+// derived stream is what makes replicate seeds independent while the
+// paired design keeps them equal across parameter cells. Matrix
+// replicates, search replicates and the search's per-generation PRNG
+// all draw from it.
+func deriveSeed(base int64, replicate int) int64 {
+	z := uint64(base) + 0x9e3779b97f4a7c15*uint64(uint32(replicate)+1)
+	z ^= z >> 30
+	z *= 0xbf58476d1ce4e5b9
+	z ^= z >> 27
+	z *= 0x94d049bb133111eb
+	z ^= z >> 31
+	return int64(z)
 }
 
 // RunScenarioMetrics runs one scenario in constant memory (recording
@@ -369,8 +384,8 @@ type SweepConfig struct {
 
 // RunSweep expands the matrix and executes it through RunScenarios:
 // the planner partitions the expanded cells into units and each unit
-// runs as one sweep.TaskPool task through BatchRunner.RunUnit, the same
-// seam the explore evaluator and the simd daemon use. Scenario runs are
+// runs as one task through BatchRunner.RunUnit, the same seam
+// Optimize's evaluator and the simd daemon use. Scenario runs are
 // constant-memory (no trace series are materialized). It stops early
 // on the first unit error or on context cancellation.
 func RunSweep(ctx context.Context, m Matrix, cfg SweepConfig) (*SweepOutput, error) {

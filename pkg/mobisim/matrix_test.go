@@ -1,17 +1,12 @@
-package sweep_test
+package mobisim
 
-// The matrix expansion lives in pkg/mobisim; these tests pin the order
-// and seeding that the sweeps built on TaskPool and DeriveSeed rely on.
-// They sit in an external test package because pkg/mobisim imports
-// this package.
+// The matrix expansion's order and seeding, which every sweep and
+// search result depends on.
 
 import (
 	"fmt"
 	"reflect"
 	"testing"
-
-	"repro/internal/sweep"
-	"repro/pkg/mobisim"
 )
 
 // TestMatrixScenariosExpansion pins the expansion's counts and per-cell
@@ -21,32 +16,32 @@ import (
 func TestMatrixScenariosExpansion(t *testing.T) {
 	tests := []struct {
 		name       string
-		m          mobisim.Matrix
+		m          Matrix
 		size, want int
 	}{
 		{
 			name: "single cell",
-			m: mobisim.Matrix{
-				Platforms: []string{mobisim.PlatformOdroidXU3}, Workloads: []string{"3dmark+bml"},
-				Governors: []string{mobisim.GovAppAware}, LimitsC: []float64{60},
+			m: Matrix{
+				Platforms: []string{PlatformOdroidXU3}, Workloads: []string{"3dmark+bml"},
+				Governors: []string{GovAppAware}, LimitsC: []float64{60},
 				Replicates: 1, DurationS: 10, BaseSeed: 1,
 			},
 			size: 1, want: 1,
 		},
 		{
 			name: "limits by replicates",
-			m: mobisim.Matrix{
-				Platforms: []string{mobisim.PlatformOdroidXU3}, Workloads: []string{"3dmark+bml"},
-				Governors: []string{mobisim.GovAppAware}, LimitsC: []float64{52, 58, 64, 70},
+			m: Matrix{
+				Platforms: []string{PlatformOdroidXU3}, Workloads: []string{"3dmark+bml"},
+				Governors: []string{GovAppAware}, LimitsC: []float64{52, 58, 64, 70},
 				Replicates: 3, DurationS: 10, BaseSeed: 1,
 			},
 			size: 12, want: 12,
 		},
 		{
 			name: "full cartesian", // the agnostic arm's limits collapse
-			m: mobisim.Matrix{
-				Platforms: []string{mobisim.PlatformOdroidXU3, mobisim.PlatformNexus6P}, Workloads: []string{"3dmark", "3dmark+bml", "nenamark"},
-				Governors: []string{mobisim.GovAppAware, mobisim.GovNone}, LimitsC: []float64{55, 65},
+			m: Matrix{
+				Platforms: []string{PlatformOdroidXU3, PlatformNexus6P}, Workloads: []string{"3dmark", "3dmark+bml", "nenamark"},
+				Governors: []string{GovAppAware, GovNone}, LimitsC: []float64{55, 65},
 				Replicates: 2, DurationS: 10, BaseSeed: 1,
 			},
 			size: 48, want: 36, // 2 x 3 x (2 limits + 1 collapsed) x 2
@@ -54,7 +49,7 @@ func TestMatrixScenariosExpansion(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			cells, err := mobisim.ExpandCells(tt.m)
+			cells, err := ExpandCells(tt.m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,19 +84,19 @@ func TestMatrixScenariosExpansion(t *testing.T) {
 // lists them in. Every replicate shares its seed across cells (the
 // paired design), and two expansions agree exactly.
 func TestMatrixScenariosOrdering(t *testing.T) {
-	label := func(c mobisim.Cell) string {
+	label := func(c Cell) string {
 		return fmt.Sprintf("%s|%s|%s|%g|r%d", c.Spec.Platform, c.Spec.Workload, c.Spec.Governor, c.Spec.LimitC, c.Replicate)
 	}
 	tests := []struct {
 		name string
-		m    mobisim.Matrix
+		m    Matrix
 		want []string
 	}{
 		{
 			name: "aware only",
-			m: mobisim.Matrix{
-				Platforms: []string{mobisim.PlatformOdroidXU3}, Workloads: []string{"3dmark", "nenamark"},
-				Governors: []string{mobisim.GovAppAware}, LimitsC: []float64{60, 50},
+			m: Matrix{
+				Platforms: []string{PlatformOdroidXU3}, Workloads: []string{"3dmark", "nenamark"},
+				Governors: []string{GovAppAware}, LimitsC: []float64{60, 50},
 				Replicates: 2, DurationS: 1, BaseSeed: 7,
 			},
 			want: []string{
@@ -113,9 +108,9 @@ func TestMatrixScenariosOrdering(t *testing.T) {
 		},
 		{
 			name: "agnostic only",
-			m: mobisim.Matrix{
-				Platforms: []string{mobisim.PlatformOdroidXU3}, Workloads: []string{"3dmark"},
-				Governors: []string{mobisim.GovNone, mobisim.GovIPA}, LimitsC: []float64{60, 50},
+			m: Matrix{
+				Platforms: []string{PlatformOdroidXU3}, Workloads: []string{"3dmark"},
+				Governors: []string{GovNone, GovIPA}, LimitsC: []float64{60, 50},
 				Replicates: 2, DurationS: 1, BaseSeed: 7,
 			},
 			want: []string{
@@ -125,9 +120,9 @@ func TestMatrixScenariosOrdering(t *testing.T) {
 		},
 		{
 			name: "mixed, agnostic arm listed first",
-			m: mobisim.Matrix{
-				Platforms: []string{mobisim.PlatformOdroidXU3, mobisim.PlatformNexus6P}, Workloads: []string{"3dmark"},
-				Governors: []string{mobisim.GovNone, mobisim.GovAppAware}, LimitsC: []float64{55, 65},
+			m: Matrix{
+				Platforms: []string{PlatformOdroidXU3, PlatformNexus6P}, Workloads: []string{"3dmark"},
+				Governors: []string{GovNone, GovAppAware}, LimitsC: []float64{55, 65},
 				Replicates: 2, DurationS: 1, BaseSeed: 7,
 			},
 			want: []string{
@@ -142,21 +137,21 @@ func TestMatrixScenariosOrdering(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			cells, err := mobisim.ExpandCells(tt.m)
+			cells, err := ExpandCells(tt.m)
 			if err != nil {
 				t.Fatal(err)
 			}
 			got := make([]string, len(cells))
 			for i, c := range cells {
 				got[i] = label(c)
-				if want := sweep.DeriveSeed(tt.m.BaseSeed, c.Replicate); c.Spec.Seed != want {
-					t.Errorf("cell %d seed %d, want sweep.DeriveSeed(%d, %d) = %d", i, c.Spec.Seed, tt.m.BaseSeed, c.Replicate, want)
+				if want := deriveSeed(tt.m.BaseSeed, c.Replicate); c.Spec.Seed != want {
+					t.Errorf("cell %d seed %d, want deriveSeed(%d, %d) = %d", i, c.Spec.Seed, tt.m.BaseSeed, c.Replicate, want)
 				}
 			}
 			if !reflect.DeepEqual(got, tt.want) {
 				t.Fatalf("expansion order:\ngot  %q\nwant %q", got, tt.want)
 			}
-			again, err := mobisim.ExpandCells(tt.m)
+			again, err := ExpandCells(tt.m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -168,25 +163,25 @@ func TestMatrixScenariosOrdering(t *testing.T) {
 }
 
 func TestMatrixScenariosValidation(t *testing.T) {
-	valid := mobisim.Matrix{
-		Platforms: []string{mobisim.PlatformOdroidXU3}, Workloads: []string{"3dmark+bml"},
-		Governors: []string{mobisim.GovAppAware}, LimitsC: []float64{60},
+	valid := Matrix{
+		Platforms: []string{PlatformOdroidXU3}, Workloads: []string{"3dmark+bml"},
+		Governors: []string{GovAppAware}, LimitsC: []float64{60},
 		Replicates: 1, DurationS: 1,
 	}
 	tests := []struct {
 		name  string
-		bust  func(*mobisim.Matrix)
+		bust  func(*Matrix)
 		valid bool
 	}{
-		{"valid", func(*mobisim.Matrix) {}, true},
-		{"no platforms", func(m *mobisim.Matrix) { m.Platforms = nil }, false},
-		{"no workloads", func(m *mobisim.Matrix) { m.Workloads = nil }, false},
-		{"no governors", func(m *mobisim.Matrix) { m.Governors = nil }, false},
-		{"no limits", func(m *mobisim.Matrix) { m.LimitsC = nil }, false},
-		{"zero replicates", func(m *mobisim.Matrix) { m.Replicates = 0 }, false},
-		{"negative replicates", func(m *mobisim.Matrix) { m.Replicates = -1 }, false},
-		{"zero duration", func(m *mobisim.Matrix) { m.DurationS = 0 }, false},
-		{"negative duration", func(m *mobisim.Matrix) { m.DurationS = -5 }, false},
+		{"valid", func(*Matrix) {}, true},
+		{"no platforms", func(m *Matrix) { m.Platforms = nil }, false},
+		{"no workloads", func(m *Matrix) { m.Workloads = nil }, false},
+		{"no governors", func(m *Matrix) { m.Governors = nil }, false},
+		{"no limits", func(m *Matrix) { m.LimitsC = nil }, false},
+		{"zero replicates", func(m *Matrix) { m.Replicates = 0 }, false},
+		{"negative replicates", func(m *Matrix) { m.Replicates = -1 }, false},
+		{"zero duration", func(m *Matrix) { m.DurationS = 0 }, false},
+		{"negative duration", func(m *Matrix) { m.DurationS = -5 }, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -202,5 +197,39 @@ func TestMatrixScenariosValidation(t *testing.T) {
 				t.Fatal("invalid matrix accepted")
 			}
 		})
+	}
+}
+
+// TestDeriveSeedStability pins the replicate seed derivation.
+func TestDeriveSeedStability(t *testing.T) {
+	// Golden values pin the derivation across refactors: a silent change
+	// would reshuffle every recorded sweep.
+	golden := []struct {
+		base      int64
+		replicate int
+		want      int64
+	}{
+		{1, 0, -7995527694508729151},
+		{1, 1, -4689498862643123097},
+		{1, 2, -534904783426661026},
+		{42, 0, -4767286540954276203},
+		{-3, 0, -621772950581698083},
+	}
+	for _, g := range golden {
+		if got := deriveSeed(g.base, g.replicate); got != g.want {
+			t.Errorf("deriveSeed(%d, %d) = %d, want %d", g.base, g.replicate, got, g.want)
+		}
+	}
+	// Distinctness across replicates and bases.
+	seen := make(map[int64]string)
+	for base := int64(0); base < 8; base++ {
+		for r := 0; r < 8; r++ {
+			s := deriveSeed(base, r)
+			key := fmt.Sprintf("base %d replicate %d", base, r)
+			if prev, dup := seen[s]; dup {
+				t.Fatalf("seed collision: %s and %s both derive %d", prev, key, s)
+			}
+			seen[s] = key
+		}
 	}
 }

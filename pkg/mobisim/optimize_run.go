@@ -11,7 +11,6 @@ import (
 	"sort"
 
 	"repro/internal/platform"
-	"repro/internal/sweep"
 )
 
 // CellCache is an external content-addressed metric store the
@@ -162,7 +161,7 @@ func (e *cellEvaluator) evaluate(ctx context.Context, pts []point) ([]SearchCand
 				// Replicate 0 keeps the base seed (sharing cell keys
 				// with plain runs of the same scenario); later
 				// replicates derive theirs like sweep replicates do.
-				cell.Seed = sweep.DeriveSeed(e.plan.base.Seed, r)
+				cell.Seed = deriveSeed(e.plan.base.Seed, r)
 			}
 			key, err := cell.CellKey()
 			if err != nil {

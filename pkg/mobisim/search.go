@@ -14,8 +14,6 @@ import (
 	"math/rand"
 	"slices"
 	"strconv"
-
-	"repro/internal/sweep"
 )
 
 // Stop reasons a SearchResult reports.
@@ -122,7 +120,7 @@ func (p *searchPlan) climb(ctx context.Context, eval evalFunc) (*SearchResult, p
 	origin := p.start
 	stall := 0
 	for gen := 1; gen <= spec.MaxGenerations; gen++ {
-		rng := rand.New(rand.NewSource(sweep.DeriveSeed(spec.Seed, gen)))
+		rng := rand.New(rand.NewSource(deriveSeed(spec.Seed, gen)))
 		pts := p.neighbors(rng, origin, spec.Neighbors, seen)
 		if len(pts) == 0 {
 			r.StopReason, r.Converged = stopExhausted, true

@@ -81,7 +81,7 @@ func TestMatrixRoundTripAndValidation(t *testing.T) {
 	// a repeat would run identical cells and fold them into one summary
 	// as fake replicates. Values compare with ==, so 0 and -0 repeat.
 	// The empty-axis and non-positive checks are pinned by
-	// TestMatrixScenariosValidation in internal/sweep.
+	// TestMatrixScenariosValidation.
 	for _, tc := range []struct {
 		name string
 		bust func(*Matrix)

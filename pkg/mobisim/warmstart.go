@@ -11,38 +11,70 @@ import (
 	"repro/internal/thermal"
 )
 
-// Content-addressed prefix warm start (SweepConfig.WarmStart, the
-// explore evaluator, the simd daemon's warm units).
+// The unit runner (BatchRunner.RunUnit) with content-addressed prefix
+// warm start (SweepConfig.WarmStart, the search evaluator, the simd
+// daemon's warm units).
 //
 // Cells that differ only in the thermal limit follow bitwise-identical
 // trajectories until the limit-aware governor's first limit-dependent
 // control action: a control tick that takes no action mutates nothing
 // that depends on the limit. While the sensor reads below the lowest
 // limit in a group, the first action's time is monotone in the limit (a
-// lower limit is crossed no later than a higher one). The warm executor
+// lower limit is crossed no later than a higher one). The runner
 // exploits this:
 //
 //  1. PlanBatchUnits groups limit-aware cells by PrefixKey — the
 //     content hash of everything but the limit — within a thermal
-//     topology and duration, so one fork step count serves a group.
+//     topology and duration, so one fork step count serves a group. A
+//     cold unit is one group per cell.
 //  2. Each group's sentinel — the member with the lowest effective
 //     limit — runs the full horizon, snapshotting its state right
 //     before each control tick. Its checkpoint becomes final at the
 //     first tick where it acts or where its sensor reads at or above
 //     its own limit: past that tick a member with a higher limit may
 //     act first, so only states before it are shared by every member.
-//     The sentinels of a unit's groups advance together as lanes of
+//     A group of one has no member to fork, so its checkpoint is never
+//     tracked. The sentinels of a unit advance together as lanes of
 //     one lockstep engine.
 //  3. If the checkpoint became final, every other member is built
 //     fresh, restored from it, and simulates only the remaining steps,
-//     packed onto lockstep engines like cold cells.
+//     packed onto lockstep engines like sentinels.
 //  4. Otherwise no member ever acts, and all members are
 //     bitwise-identical runs: they share the sentinel's metrics
 //     without simulating at all.
 //
-// Because forked members replay the exact remaining step count from a
-// bitwise-exact restored state, warm-start output is byte-identical to
-// cold runs for every matrix (the sweep tests pin this).
+// Every lane is built exactly like RunScenarioMetrics builds its
+// engine and lanes never interact, and forked members replay the exact
+// remaining step count from a bitwise-exact restored state, so every
+// metric set is byte-identical to a lone run of its cell (the sweep
+// tests pin this).
+
+// newBatchLane builds one lane engine exactly like RunScenarioMetrics
+// does (recording disabled), attaching obs when non-nil. Observers
+// never perturb the simulated dynamics, so an observed lane stays
+// byte-identical to an unobserved one.
+func newBatchLane(spec Scenario, obs Observer) (*Engine, error) {
+	if obs != nil {
+		return New(spec, WithoutRecording(), WithObserver(obs))
+	}
+	return New(spec, WithoutRecording())
+}
+
+// advanceChunked advances a run by exactly steps steps, polling ctx
+// every at most CtxCheckSteps steps.
+func advanceChunked(ctx context.Context, advance func(int) error, steps int) error {
+	for done := 0; done < steps; {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		n := min(steps-done, CtxCheckSteps)
+		if err := advance(n); err != nil {
+			return err
+		}
+		done += n
+	}
+	return nil
+}
 
 // sentinelRun is one group's shared-prefix simulation in flight.
 type sentinelRun struct {
@@ -55,7 +87,8 @@ type sentinelRun struct {
 	// ticking marks a sentinel whose last advance was one control tick.
 	ticking bool
 	// final marks the checkpoint final: the sentinel acted, or its
-	// sensor read at or above limitK, at the tick after it.
+	// sensor read at or above limitK, at the tick after it. A group of
+	// one starts final: it has no member to fork.
 	final bool
 }
 
@@ -71,17 +104,16 @@ func (s *sentinelRun) snapshotInto(w *snapbin.Writer, step int) error {
 	return nil
 }
 
-// runWarmSpecs executes one warm unit of facade scenarios: sentinel,
-// checkpoint, fork. A unit holds one or more prefix groups sharing a
-// thermal topology and duration; metric sets come back in unit order.
-// width bounds how many forked members step in lockstep together;
-// obs(i) observes the lane running specs[i] (nil: none).
-func runWarmSpecs(ctx context.Context, pool *sim.BatchPool, specs []Scenario, width int, obs func(i int) Observer) ([]map[string]float64, error) {
+// runUnitGroups executes one unit of facade scenarios split into
+// groups, each sentinel first (partitionWarmSpecs for a warm unit, one
+// group per cell for a cold one): sentinel, checkpoint, fork. Every
+// lane must share a thermal topology with equal parameter values (the
+// pool rejects mixed batches) and every cell must span the same step
+// count; PlanBatchUnits plans accordingly. Metric sets come back in
+// unit order. width bounds how many forked members step in lockstep
+// together; obs(i) observes the lane running specs[i] (nil: none).
+func runUnitGroups(ctx context.Context, pool *sim.BatchPool, specs []Scenario, groups [][]int, width int, obs func(i int) Observer) ([]map[string]float64, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	subs, err := partitionWarmSpecs(specs)
-	if err != nil {
 		return nil, err
 	}
 
@@ -89,23 +121,44 @@ func runWarmSpecs(ctx context.Context, pool *sim.BatchPool, specs []Scenario, wi
 	// full horizon, all groups in lockstep on one pooled batch engine
 	// held across the whole horizon (each RunSteps call gathers from
 	// the lane engines, so mid-run lane snapshots stay coherent).
-	sentinels := make([]*sentinelRun, len(subs))
-	lanes := make([]*sim.Engine, len(subs))
-	for si, sub := range subs {
+	sentinels := make([]*sentinelRun, len(groups))
+	lanes := make([]*sim.Engine, len(groups))
+	// Lanes with paired seeds feed the appaware stability analysis
+	// bitwise-identical inputs until their trajectories diverge (and
+	// limit-agnostic pairs never diverge); one per-unit memo lets the
+	// first lane's fixed-point analysis and ODE integration serve the
+	// rest. The unit runs on one goroutine, so the share is safe.
+	var shared *stability.TransientCache
+	steps := -1
+	for si, sub := range groups {
 		eng, err := newBatchLane(specs[sub[0]], obs(sub[0]))
 		if err != nil {
 			return nil, err
 		}
-		aware := eng.AppAware()
-		if aware == nil {
+		lanes[si] = eng.Sim()
+		s := &sentinelRun{facade: eng, aware: eng.AppAware(), final: len(sub) == 1}
+		if s.aware != nil {
+			if shared == nil {
+				shared = stability.NewTransientCache()
+			}
+			s.aware.ShareTransientCache(shared)
+			s.limitK = s.aware.LimitK(lanes[si])
+		} else if !s.final {
 			return nil, fmt.Errorf("mobisim: warm group sentinel %d (governor %q) is not appaware", sub[0], specs[sub[0]].Governor)
 		}
-		lanes[si] = eng.Sim()
-		sentinels[si] = &sentinelRun{facade: eng, aware: aware, limitK: aware.LimitK(lanes[si])}
-	}
-	steps, err := sim.StepsFor(specs[0].DurationS, lanes[0].StepS())
-	if err != nil {
-		return nil, err
+		sentinels[si] = s
+		// Members share the sentinel's prefix, so its step size.
+		for _, i := range sub {
+			n, err := sim.StepsFor(specs[i].DurationS, lanes[si].StepS())
+			if err != nil {
+				return nil, err
+			}
+			if steps == -1 {
+				steps = n
+			} else if n != steps {
+				return nil, fmt.Errorf("mobisim: unit cell %d spans %d steps, another spans %d (mixed durations in one unit)", i, n, steps)
+			}
+		}
 	}
 	be, err := pool.Get(lanes)
 	if err != nil {
@@ -156,7 +209,7 @@ func runWarmSpecs(ctx context.Context, pool *sim.BatchPool, specs []Scenario, wi
 	}
 
 	out := make([]map[string]float64, len(specs))
-	for si, sub := range subs {
+	for si, sub := range groups {
 		out[sub[0]] = sentinels[si].facade.Metrics()
 	}
 
@@ -164,7 +217,7 @@ func runWarmSpecs(ctx context.Context, pool *sim.BatchPool, specs []Scenario, wi
 	// became final share the sentinel's metrics outright (their runs
 	// would be bitwise-identical); the others restore the checkpoint
 	// and simulate the remaining steps, width members at a time.
-	for si, sub := range subs {
+	for si, sub := range groups {
 		s := sentinels[si]
 		members := sub[1:]
 		if !s.final {
@@ -185,7 +238,7 @@ func runWarmSpecs(ctx context.Context, pool *sim.BatchPool, specs []Scenario, wi
 			chunk := members[start:min(start+width, len(members))]
 			facades := make([]*Engine, len(chunk))
 			forkLanes := make([]*sim.Engine, len(chunk))
-			// Forked lanes share one stability memo exactly like cold
+			// Forked lanes share one stability memo like sentinel
 			// lanes: they restart from a common state and feed the
 			// analysis bitwise-equal inputs until their limits
 			// diverge them.
