@@ -471,6 +471,34 @@ func BenchmarkBatchNetworkStep(b *testing.B) {
 	}
 }
 
+// BenchmarkNetworkStep measures the scalar thermal RK4 step alone
+// (Network.Step, the path a one-lane unit steps on) on each preset's
+// network, prewarmed to 50 °C. CI gates both at 0 allocs/op.
+func BenchmarkNetworkStep(b *testing.B) {
+	for _, preset := range []struct {
+		name  string
+		build func(int64) *platform.Platform
+	}{{"odroid", platform.OdroidXU3}, {"nexus", platform.Nexus6P}} {
+		build := preset.build
+		b.Run(preset.name, func(b *testing.B) {
+			plat := build(benchSeed)
+			if err := plat.Prewarm(50); err != nil {
+				b.Fatal(err)
+			}
+			powers := make([]float64, plat.Net.NumNodes())
+			for i := range powers {
+				powers[i] = 0.25 * float64(i%7)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := plat.Net.Step(0.001, powers); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkLeakageExp measures the power layer's leakage alone:
 // staging every domain's exponent, one packed power.ExpInto and the
 // per-domain leakage power, at width 1 (three values, a tail left to

@@ -11,6 +11,11 @@
 // Uint64 would silently produce a different stream than the bare
 // source it replaced, breaking bitwise compatibility with every golden
 // trace in the repo.
+//
+// Seeding is deferred to the first draw (Int63, Uint64, or a Restore
+// that burns draws), which yields the same stream: seeding fills a
+// 607-word table, and many sources are never drawn from (a validation
+// probe's platform, a noiseless sensor).
 package detrand
 
 import "math/rand"
@@ -19,31 +24,41 @@ import "math/rand"
 type Source struct {
 	seed  int64
 	draws uint64
-	src   rand.Source64
+	src   rand.Source64 // nil until the first draw
 }
 
 // New returns a counted source seeded like rand.NewSource(seed).
 func New(seed int64) *Source {
-	return &Source{seed: seed, src: rand.NewSource(seed).(rand.Source64)}
+	return &Source{seed: seed}
+}
+
+// rng returns the math/rand source, seeding it on first use.
+func (s *Source) rng() rand.Source64 {
+	if s.src == nil {
+		s.src = rand.NewSource(s.seed).(rand.Source64)
+	}
+	return s.src
 }
 
 // Int63 draws the next value, counting one draw.
 func (s *Source) Int63() int64 {
 	s.draws++
-	return s.src.Int63()
+	return s.rng().Int63()
 }
 
 // Uint64 draws the next value, counting one draw.
 func (s *Source) Uint64() uint64 {
 	s.draws++
-	return s.src.Uint64()
+	return s.rng().Uint64()
 }
 
 // Seed reseeds the source and resets the draw count.
 func (s *Source) Seed(seed int64) {
 	s.seed = seed
 	s.draws = 0
-	s.src.Seed(seed)
+	if s.src != nil {
+		s.src.Seed(seed)
+	}
 }
 
 // State returns the stream position: the seed and how many draws have
@@ -56,7 +71,7 @@ func (s *Source) State() (seed int64, draws uint64) { return s.seed, s.draws }
 func (s *Source) Restore(seed int64, draws uint64) {
 	s.Seed(seed)
 	for i := uint64(0); i < draws; i++ {
-		s.src.Uint64()
+		s.rng().Uint64()
 	}
 	s.draws = draws
 }

@@ -89,3 +89,82 @@ func TestDrawCounting(t *testing.T) {
 		t.Fatalf("after Seed: (%d, %d)", seed, draws)
 	}
 }
+
+// TestLazySeedingMatchesEagerStream pins deferred seeding: over a
+// seeded random interleaving of Int63, Uint64, Seed, Restore and State,
+// a counted source yields exactly the values and positions of an
+// eagerly seeded rand.NewSource kept in step by hand. Fresh sources are
+// mixed in, so Seed and Restore also land on sources never drawn from.
+func TestLazySeedingMatchesEagerStream(t *testing.T) {
+	ops := rand.New(rand.NewSource(2024))
+	for trial := 0; trial < 50; trial++ {
+		seed := ops.Int63n(1000) - 500
+		got := New(seed)
+		want := rand.NewSource(seed).(rand.Source64)
+		wantSeed, wantDraws := seed, uint64(0)
+		for i := 0; i < 200; i++ {
+			switch ops.Intn(6) {
+			case 0:
+				if w, g := want.Int63(), got.Int63(); w != g {
+					t.Fatalf("trial %d op %d: Int63 %d != %d", trial, i, g, w)
+				}
+				wantDraws++
+			case 1:
+				if w, g := want.Uint64(), got.Uint64(); w != g {
+					t.Fatalf("trial %d op %d: Uint64 %d != %d", trial, i, g, w)
+				}
+				wantDraws++
+			case 2:
+				wantSeed, wantDraws = ops.Int63n(1000), 0
+				want.Seed(wantSeed)
+				got.Seed(wantSeed)
+			case 3:
+				wantSeed, wantDraws = ops.Int63n(1000), uint64(ops.Intn(40))
+				want.Seed(wantSeed)
+				for d := uint64(0); d < wantDraws; d++ {
+					want.Uint64()
+				}
+				got.Restore(wantSeed, wantDraws)
+			case 4:
+				// Start over on a source never drawn from.
+				got = New(wantSeed)
+				want.Seed(wantSeed)
+				wantDraws = 0
+			}
+			if s, d := got.State(); s != wantSeed || d != wantDraws {
+				t.Fatalf("trial %d op %d: State = (%d, %d), want (%d, %d)", trial, i, s, d, wantSeed, wantDraws)
+			}
+		}
+	}
+}
+
+// TestUndrawnSourceStaysUnseeded pins when seeding happens: New, Seed,
+// State and a zero-draw Restore leave the math/rand source unseeded;
+// the first draw, or a Restore that burns draws, seeds it.
+func TestUndrawnSourceStaysUnseeded(t *testing.T) {
+	src := New(7)
+	src.Seed(8)
+	src.Restore(9, 0)
+	src.State()
+	if src.src != nil {
+		t.Fatal("a source never drawn from is seeded")
+	}
+	src.Int63()
+	if src.src == nil {
+		t.Fatal("a drawn source is unseeded")
+	}
+	restored := New(1)
+	restored.Restore(9, 3)
+	if restored.src == nil {
+		t.Fatal("Restore burning draws left the source unseeded")
+	}
+	if g, w := restored.Uint64(), func() uint64 {
+		ref := rand.NewSource(9).(rand.Source64)
+		for i := 0; i < 3; i++ {
+			ref.Uint64()
+		}
+		return ref.Uint64()
+	}(); g != w {
+		t.Fatalf("after Restore(9, 3): Uint64 %d, want %d", g, w)
+	}
+}

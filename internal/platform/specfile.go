@@ -212,19 +212,37 @@ func (f *SpecFile) Normalize() {
 	}
 }
 
-// finiteField is one named float checked by Validate.
+// finiteField is one named float checked by ValidateFields.
 type finiteField struct {
 	name  string
 	value float64
 }
 
-// Validate checks the spec without building anything, then probes a
-// full compile so it is exactly as strict as the engine: any spec it
-// accepts must also be accepted by Compile (the fuzz harness pins this
-// contract). The explicit checks reject what the engine would merely
-// mangle — NaN/Inf parameters, asymmetric or duplicate conductance
-// entries, hostile node/OPP counts, a network with no path to ambient.
+// notFinite reports whether v is NaN or infinite.
+func notFinite(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
+
+// Validate is ValidateFields followed by a probe compile, so it is
+// exactly as strict as the engine: any spec it accepts must also be
+// accepted by Compile (the fuzz harness pins this contract). The
+// compile checks everything structural — duplicate nodes or domains,
+// missing domains, unknown node references, OPP ladder shape,
+// power-model ranges, thermal limit vs ambient. It builds small structs
+// and seeds no RNG (detrand seeds on first draw).
 func (f SpecFile) Validate() error {
+	if err := f.ValidateFields(); err != nil {
+		return err
+	}
+	_, err := f.Compile(0)
+	return err
+}
+
+// ValidateFields checks the spec without building anything. It rejects
+// what the engine would merely mangle — NaN/Inf parameters (formatting
+// a field's name only when it fails), asymmetric or duplicate
+// conductance entries, hostile node/OPP counts, a network with no path
+// to ambient. A caller that compiles the spec next gets the structural
+// errors from Compile, as Validate would.
+func (f SpecFile) ValidateFields() error {
 	if f.Name == "" {
 		return fmt.Errorf("platform: spec needs a name")
 	}
@@ -241,7 +259,10 @@ func (f SpecFile) Validate() error {
 		return fmt.Errorf("platform %q: %d couplings exceed the %d bound", f.Name, len(f.Couplings), MaxSpecCouplings)
 	}
 
-	fields := []finiteField{
+	errNotFinite := func(name string, v float64) error {
+		return fmt.Errorf("platform %q: %s must be finite, got %v", f.Name, name, v)
+	}
+	for _, fd := range [...]finiteField{
 		{"ambient_c", f.AmbientC},
 		{"thermal_limit_c", f.ThermalLimitC},
 		{"sensor.period_s", f.Sensor.PeriodS},
@@ -249,29 +270,34 @@ func (f SpecFile) Validate() error {
 		{"sensor.resolution_k", f.Sensor.ResolutionK},
 		{"mem.idle_w", f.Mem.IdleW},
 		{"mem.per_ghz", f.Mem.PerGHz},
-	}
-	for _, n := range f.Nodes {
-		fields = append(fields,
-			finiteField{fmt.Sprintf("node %q capacitance", n.Name), n.CapacitanceJPerK},
-			finiteField{fmt.Sprintf("node %q ambient conductance", n.Name), n.GAmbientWPerK})
-	}
-	for _, c := range f.Couplings {
-		fields = append(fields, finiteField{fmt.Sprintf("coupling %s-%s conductance", c.A, c.B), c.GWPerK})
-	}
-	for _, d := range f.Domains {
-		fields = append(fields,
-			finiteField{fmt.Sprintf("domain %q transition latency", d.ID), d.TransitionLatencyS},
-			finiteField{fmt.Sprintf("domain %q ceff_f", d.ID), d.CeffF},
-			finiteField{fmt.Sprintf("domain %q idle_w", d.ID), d.IdleW},
-			finiteField{fmt.Sprintf("domain %q leak_k", d.ID), d.LeakK},
-			finiteField{fmt.Sprintf("domain %q leak_q", d.ID), d.LeakQ})
-		for _, p := range d.OPPs {
-			fields = append(fields, finiteField{fmt.Sprintf("domain %q OPP %d Hz voltage", d.ID, p.FreqHz), p.VoltageV})
+	} {
+		if notFinite(fd.value) {
+			return errNotFinite(fd.name, fd.value)
 		}
 	}
-	for _, fd := range fields {
-		if math.IsNaN(fd.value) || math.IsInf(fd.value, 0) {
-			return fmt.Errorf("platform %q: %s must be finite, got %v", f.Name, fd.name, fd.value)
+	for _, n := range f.Nodes {
+		for _, fd := range [...]finiteField{{"capacitance", n.CapacitanceJPerK}, {"ambient conductance", n.GAmbientWPerK}} {
+			if notFinite(fd.value) {
+				return errNotFinite(fmt.Sprintf("node %q %s", n.Name, fd.name), fd.value)
+			}
+		}
+	}
+	for _, c := range f.Couplings {
+		if notFinite(c.GWPerK) {
+			return errNotFinite(fmt.Sprintf("coupling %s-%s conductance", c.A, c.B), c.GWPerK)
+		}
+	}
+	for _, d := range f.Domains {
+		for _, fd := range [...]finiteField{{"transition latency", d.TransitionLatencyS}, {"ceff_f", d.CeffF},
+			{"idle_w", d.IdleW}, {"leak_k", d.LeakK}, {"leak_q", d.LeakQ}} {
+			if notFinite(fd.value) {
+				return errNotFinite(fmt.Sprintf("domain %q %s", d.ID, fd.name), fd.value)
+			}
+		}
+		for _, p := range d.OPPs {
+			if notFinite(p.VoltageV) {
+				return errNotFinite(fmt.Sprintf("domain %q OPP %d Hz voltage", d.ID, p.FreqHz), p.VoltageV)
+			}
 		}
 	}
 
@@ -332,16 +358,6 @@ func (f SpecFile) Validate() error {
 		if _, ok := railByName(d.Rail); !ok {
 			return fmt.Errorf("platform %q: domain %q names unknown rail %q", f.Name, d.ID, d.Rail)
 		}
-	}
-
-	// Everything structural beyond this point — duplicate nodes or
-	// domains, missing domains, unknown node references, OPP ladder
-	// shape, power-model ranges, thermal limit vs ambient — is checked
-	// by compiling a probe. Compile is cheap (small structs, no
-	// simulation), and delegating to it means validation can never be
-	// weaker than the engine.
-	if _, err := f.Compile(0); err != nil {
-		return err
 	}
 	return nil
 }

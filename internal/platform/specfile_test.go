@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/detrand"
 	"repro/internal/thermal"
 )
 
@@ -269,5 +270,66 @@ func TestBuiltinSpecs(t *testing.T) {
 		if g.ThermalLimitC == -1000 || g.Nodes[0].CapacitanceJPerK == -1 || g.Domains[0].OPPs[0].FreqHz == 1 {
 			t.Errorf("BuiltinSpec(%q) returns a shared mutable spec", name)
 		}
+	}
+}
+
+// seededSources walks v's object graph, unexported fields included,
+// and counts the detrand sources it reaches and how many of them have
+// seeded their math/rand source.
+func seededSources(v reflect.Value, seen map[uintptr]bool) (sources, seeded int) {
+	add := func(s, d int) { sources, seeded = sources+s, seeded+d }
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() || seen[v.Pointer()] {
+			return 0, 0
+		}
+		seen[v.Pointer()] = true
+		add(seededSources(v.Elem(), seen))
+	case reflect.Interface:
+		if !v.IsNil() {
+			add(seededSources(v.Elem(), seen))
+		}
+	case reflect.Struct:
+		if v.Type() == reflect.TypeOf(detrand.Source{}) {
+			if !v.FieldByName("src").IsNil() {
+				return 1, 1
+			}
+			return 1, 0
+		}
+		for i := 0; i < v.NumField(); i++ {
+			add(seededSources(v.Field(i), seen))
+		}
+	case reflect.Slice, reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			add(seededSources(v.Index(i), seen))
+		}
+	case reflect.Map:
+		for it := v.MapRange(); it.Next(); {
+			add(seededSources(it.Value(), seen))
+		}
+	}
+	return sources, seeded
+}
+
+// TestCompiledPlatformHoldsNoSeededSource pins deferred seeding where
+// it pays: compiling a platform (what every validation probe does)
+// seeds no RNG, and the sensor's first noisy read seeds its source.
+func TestCompiledPlatformHoldsNoSeededSource(t *testing.T) {
+	spec, ok := BuiltinSpec("odroid-xu3")
+	if !ok {
+		t.Fatal("odroid-xu3 spec missing")
+	}
+	p, err := spec.Compile(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sources, seeded := seededSources(reflect.ValueOf(p), map[uintptr]bool{}); sources == 0 || seeded != 0 {
+		t.Fatalf("compiled platform: %d sources, %d seeded; want some, none seeded", sources, seeded)
+	}
+	if _, err := p.Sensor.Read(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, seeded := seededSources(reflect.ValueOf(p), map[uintptr]bool{}); seeded != 1 {
+		t.Fatalf("after a noisy sensor read: %d sources seeded, want 1", seeded)
 	}
 }

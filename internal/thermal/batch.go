@@ -3,6 +3,7 @@ package thermal
 import (
 	"fmt"
 	"math"
+	"slices"
 	"unsafe"
 )
 
@@ -85,17 +86,8 @@ func (bn *BatchNetwork) Rebind(nets []*Network) error {
 
 	bn.nets = append(bn.nets[:0], nets...)
 	bn.ambient = proto.ambient
-	bn.rows = bn.rows[:0]
-	bn.pairs = bn.pairs[:0]
-	for i := 0; i < m; i++ {
-		first := len(bn.pairs)
-		for j, g := range proto.g[i*m : i*m+m] {
-			if g != 0 {
-				bn.pairs = append(bn.pairs, couple{j: j, g: g})
-			}
-		}
-		bn.rows = append(bn.rows, nodeRow{gAmb: proto.gAmb[i], capc: proto.capc[i], n: len(bn.pairs) - first})
-	}
+	bn.rows = append(bn.rows[:0], proto.rows...)
+	bn.pairs = append(bn.pairs[:0], proto.pairs...)
 
 	if bn.m != m || bn.lanes != len(nets) {
 		bn.m, bn.lanes = m, len(nets)
@@ -147,15 +139,8 @@ func sameTopology(a, b *Network) error {
 	if a.ambient != b.ambient {
 		return fmt.Errorf("ambient %v != %v", b.ambient, a.ambient)
 	}
-	for i := range a.capc {
-		if a.capc[i] != b.capc[i] || a.gAmb[i] != b.gAmb[i] {
-			return fmt.Errorf("node %d parameters differ", i)
-		}
-	}
-	for x := range a.g {
-		if a.g[x] != b.g[x] {
-			return fmt.Errorf("conductance matrix differs at entry %d", x)
-		}
+	if !slices.Equal(a.rows, b.rows) || !slices.Equal(a.pairs, b.pairs) {
+		return fmt.Errorf("node parameters or couplings differ")
 	}
 	return nil
 }

@@ -75,6 +75,7 @@ func cloneNetworks(t *testing.T, nets []*Network) []*Network {
 			}
 		}
 		copy(n.g, src.g)
+		n.index()
 		copy(n.temps, src.temps)
 		out[l] = n
 	}

@@ -6,13 +6,14 @@
 // Temperatures are in Kelvin internally; helpers convert to Celsius for
 // reporting, matching the paper's figures.
 //
-// The network stores its state in flat, dense slices — a row-major
-// conductance matrix plus per-node capacitance and ambient-coupling
-// vectors — and preallocates all RK4 scratch, so Step performs zero
-// allocations in steady state. This layout is what lets
-// the simulation engine's hot loop run allocation-free; the
-// differential golden test in internal/sim pins it bitwise against the
-// original slice-of-slices implementation.
+// The network stores its state in flat slices — a row-major
+// conductance matrix, and the sparse rows the RK4 kernels walk (per
+// node its capacitance, ambient coupling and nonzero couplings) — and
+// preallocates all RK4 scratch, so Step performs zero allocations in
+// steady state. This layout is what lets the simulation engine's hot
+// loop run allocation-free; the differential golden test in
+// internal/sim pins it bitwise against the original slice-of-slices
+// implementation.
 //
 // BatchNetwork steps many same-topology networks in lockstep through
 // one 8-lane RK4 kernel. Lanes are packed into blocks of eight, stored
@@ -69,13 +70,13 @@ type Network struct {
 	ambient float64   // ambient temperature, K
 
 	// Flat hot-path layout, maintained by AddNode and Connect. g is the
-	// row-major m×m symmetric node-to-node conductance matrix (W/K);
-	// capc and gAmb mirror Node.Capacitance and Node.GAmbient so the
-	// derivative kernel walks three dense slices instead of chasing
-	// node structs.
-	g    []float64
-	capc []float64
-	gAmb []float64
+	// row-major m×m symmetric node-to-node conductance matrix (W/K).
+	// rows and pairs are its sparse form, the one derivs and the 8-lane
+	// kernel walk: per node its ambient conductance, capacitance and
+	// count of nonzero couplings, which follow in pairs in ascending j.
+	g     []float64
+	rows  []nodeRow
+	pairs []couple
 
 	// Preallocated RK4 stage scratch (k1..k4 slopes plus the stage
 	// temperature vector), sized by AddNode.
@@ -102,8 +103,6 @@ func (n *Network) AddNode(node Node) (NodeID, error) {
 	m := len(n.nodes)
 	n.nodes = append(n.nodes, node)
 	n.temps = append(n.temps, n.ambient)
-	n.capc = append(n.capc, node.Capacitance)
-	n.gAmb = append(n.gAmb, node.GAmbient)
 
 	// Grow the row-major matrix from m×m to (m+1)×(m+1), preserving the
 	// existing couplings; the new row and column start at zero.
@@ -112,6 +111,7 @@ func (n *Network) AddNode(node Node) (NodeID, error) {
 		copy(grown[i*(m+1):i*(m+1)+m], n.g[i*m:i*m+m])
 	}
 	n.g = grown
+	n.index()
 
 	n.k1 = make([]float64, m+1)
 	n.k2 = make([]float64, m+1)
@@ -139,7 +139,23 @@ func (n *Network) Connect(a, b NodeID, gWPerK float64) error {
 	m := len(n.nodes)
 	n.g[int(a)*m+int(b)] = gWPerK
 	n.g[int(b)*m+int(a)] = gWPerK
+	n.index()
 	return nil
+}
+
+// index rebuilds rows and pairs from the nodes and the dense matrix.
+func (n *Network) index() {
+	m := len(n.nodes)
+	n.rows, n.pairs = n.rows[:0], n.pairs[:0]
+	for i, node := range n.nodes {
+		first := len(n.pairs)
+		for j, g := range n.g[i*m : i*m+m] {
+			if g != 0 {
+				n.pairs = append(n.pairs, couple{j: j, g: g})
+			}
+		}
+		n.rows = append(n.rows, nodeRow{gAmb: node.GAmbient, capc: node.Capacitance, n: len(n.pairs) - first})
+	}
 }
 
 // Conductance returns the node-to-node conductance between a and b
@@ -178,9 +194,6 @@ func (n *Network) NodeName(id NodeID) string {
 
 // Ambient returns the ambient temperature in Kelvin.
 func (n *Network) Ambient() float64 { return n.ambient }
-
-// SetAmbient changes the ambient temperature (Kelvin).
-func (n *Network) SetAmbient(k float64) { n.ambient = k }
 
 // Temperature returns the current temperature of node id in Kelvin.
 func (n *Network) Temperature(id NodeID) (float64, error) {
@@ -237,22 +250,20 @@ func (n *Network) Reset() {
 }
 
 // derivs fills dst with dT/dt for the given temperatures and node powers.
-// The kernel walks one dense matrix row per node; the zero-skip keeps
-// the flop order identical to the historical sparse-row walk, which the
-// bitwise differential test relies on.
+// It walks each node's nonzero couplings in ascending j, the flop order
+// of the historical sparse-row walk that the bitwise differential test
+// and the 8-lane kernel rely on.
 func (n *Network) derivs(dst, temps, powers []float64) {
-	m := len(n.nodes)
-	for i := 0; i < m; i++ {
+	c := 0
+	for i, r := range n.rows {
 		ti := temps[i]
 		q := powers[i]
-		q -= n.gAmb[i] * (ti - n.ambient)
-		row := n.g[i*m : i*m+m]
-		for j, g := range row {
-			if g != 0 {
-				q -= g * (ti - temps[j])
-			}
+		q -= r.gAmb * (ti - n.ambient)
+		for _, cp := range n.pairs[c : c+r.n] {
+			q -= cp.g * (ti - temps[cp.j])
 		}
-		dst[i] = q / n.capc[i]
+		c += r.n
+		dst[i] = q / r.capc
 	}
 }
 
@@ -328,7 +339,7 @@ func (n *Network) SteadyState(powers []float64) ([]float64, error) {
 	b := make([]float64, m)
 	for i := 0; i < m; i++ {
 		a[i] = make([]float64, m)
-		diag := n.gAmb[i]
+		diag := n.rows[i].gAmb
 		row := n.g[i*m : i*m+m]
 		for j := 0; j < m; j++ {
 			if i != j {
@@ -337,7 +348,7 @@ func (n *Network) SteadyState(powers []float64) ([]float64, error) {
 			}
 		}
 		a[i][i] = diag
-		b[i] = powers[i] + n.gAmb[i]*n.ambient
+		b[i] = powers[i] + n.rows[i].gAmb*n.ambient
 	}
 	return solveLinear(a, b)
 }

@@ -34,23 +34,21 @@ func LookupPlatform(name string, seed int64) (*Platform, error) {
 	return nil, fmt.Errorf("mobisim: unknown platform %q", name)
 }
 
-// buildPlatform resolves a scenario's platform: the inline spec when
-// present, otherwise by name.
-func buildPlatform(spec Scenario) (*Platform, error) {
-	if spec.PlatformSpec != nil {
-		return spec.PlatformSpec.Compile(spec.Seed)
-	}
-	return LookupPlatform(spec.Platform, spec.Seed)
-}
-
 // New assembles a runnable engine from a declarative scenario. The spec
 // is normalized and validated first, so callers building specs in code
-// (rather than via ParseScenario) can pass them directly. Prewarming
-// happens here; Run only advances time.
+// (rather than via ParseScenario) can pass them directly. Validation
+// compiles an inline platform spec once, where Validate would probe it,
+// and New keeps that platform; a named platform is looked up after.
+// Prewarming happens here; Run only advances time.
 func New(spec Scenario, opts ...Option) (*Engine, error) {
 	spec = spec.cloneRefs()
 	spec.Normalize()
-	if err := spec.Validate(); err != nil {
+	var plat *Platform
+	err := spec.validate(func(ps *PlatformSpec) (err error) {
+		plat, err = ps.Compile(spec.Seed)
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 	var bc buildConfig
@@ -60,9 +58,10 @@ func New(spec Scenario, opts ...Option) (*Engine, error) {
 		}
 	}
 
-	plat, err := buildPlatform(spec)
-	if err != nil {
-		return nil, err
+	if plat == nil {
+		if plat, err = LookupPlatform(spec.Platform, spec.Seed); err != nil {
+			return nil, err
+		}
 	}
 	govs, err := cpuGovernors(spec.Platform, spec.CPUGovernor)
 	if err != nil {

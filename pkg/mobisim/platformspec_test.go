@@ -3,6 +3,7 @@ package mobisim
 import (
 	"bytes"
 	"context"
+	"math"
 	"runtime"
 	"testing"
 
@@ -302,5 +303,70 @@ func TestNovelPlatformGeneratorSweep(t *testing.T) {
 	}
 	if same {
 		t.Error("two generator seed replicates produced identical metrics; the generator is not consuming its seed")
+	}
+}
+
+// TestInlineSpecErrorsMatchValidate pins the error an invalid inline
+// platform spec yields, from Scenario.Validate and from New alike: a
+// non-finite value in every field kind, a structural error only the
+// compile catches, and which error wins when a scenario has both a
+// structural platform error and an unknown workload.
+func TestInlineSpecErrorsMatchValidate(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name     string
+		mutate   func(*PlatformSpec)
+		workload string
+		want     string
+	}{
+		{"ambient", func(p *PlatformSpec) { p.AmbientC = inf }, "",
+			`platform "parity-die": ambient_c must be finite, got +Inf`},
+		{"sensor", func(p *PlatformSpec) { p.Sensor.NoiseK = nan }, "",
+			`platform "parity-die": sensor.noise_k must be finite, got NaN`},
+		{"node capacitance", func(p *PlatformSpec) { p.Nodes[1].CapacitanceJPerK = nan }, "",
+			`platform "parity-die": node "big" capacitance must be finite, got NaN`},
+		{"node g_ambient", func(p *PlatformSpec) { p.Nodes[3].GAmbientWPerK = inf }, "",
+			`platform "parity-die": node "case" ambient conductance must be finite, got +Inf`},
+		{"coupling", func(p *PlatformSpec) { p.Couplings[2].GWPerK = nan }, "",
+			`platform "parity-die": coupling gpu-case conductance must be finite, got NaN`},
+		{"domain transition latency", func(p *PlatformSpec) { p.Domains[0].TransitionLatencyS = inf }, "",
+			`platform "parity-die": domain "little" transition latency must be finite, got +Inf`},
+		{"domain ceff_f", func(p *PlatformSpec) { p.Domains[1].CeffF = nan }, "",
+			`platform "parity-die": domain "big" ceff_f must be finite, got NaN`},
+		{"domain idle_w", func(p *PlatformSpec) { p.Domains[2].IdleW = -inf }, "",
+			`platform "parity-die": domain "gpu" idle_w must be finite, got -Inf`},
+		{"domain leak_k", func(p *PlatformSpec) { p.Domains[0].LeakK = nan }, "",
+			`platform "parity-die": domain "little" leak_k must be finite, got NaN`},
+		{"domain leak_q", func(p *PlatformSpec) { p.Domains[1].LeakQ = inf }, "",
+			`platform "parity-die": domain "big" leak_q must be finite, got +Inf`},
+		{"OPP voltage", func(p *PlatformSpec) { p.Domains[2].OPPs[1].VoltageV = nan }, "",
+			`platform "parity-die": domain "gpu" OPP 350000000 Hz voltage must be finite, got NaN`},
+		{"first of several", func(p *PlatformSpec) { p.Domains[0].CeffF = nan; p.Nodes[0].CapacitanceJPerK = inf }, "",
+			`platform "parity-die": node "little" capacitance must be finite, got +Inf`},
+		{"compile-only structural", func(p *PlatformSpec) { p.Sensor.Node = "nowhere" }, "",
+			`platform "parity-die": sensor node "nowhere" not defined`},
+		{"structural beats unknown workload", func(p *PlatformSpec) { p.Domains[1].Node = "nowhere" }, "no-such-app",
+			`platform "parity-die": domain big heats unknown node "nowhere"`},
+		{"unknown workload alone", func(*PlatformSpec) {}, "no-such-app",
+			`mobisim: unknown workload "no-such-app" (want one of 3dmark, nenamark, paper.io, stickman-hook, amazon, hangouts, facebook, gen-bursty, gen-periodic, gen-ramp, gen-perturb, optionally with "+bml")`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ps := smallDieSpec()
+			ps.Name = "parity-die"
+			tc.mutate(&ps)
+			s := Scenario{PlatformSpec: &ps, Workload: "gen-bursty", DurationS: 1, Seed: 3}
+			if tc.workload != "" {
+				s.Workload = tc.workload
+			}
+			s.Normalize()
+			err := s.Validate()
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("Validate: got %v, want %q", err, tc.want)
+			}
+			if _, err := New(s); err == nil || err.Error() != tc.want {
+				t.Errorf("New: got %v, want %q", err, tc.want)
+			}
+		})
 	}
 }

@@ -285,11 +285,24 @@ const (
 // the API boundary instead of mid-sweep (the fuzz harness pins this
 // contract).
 func (s Scenario) Validate() error {
+	return s.validate(func(ps *PlatformSpec) error {
+		_, err := ps.Compile(0)
+		return err
+	})
+}
+
+// validate is Validate with the inline platform spec's compile step
+// supplied by the caller: Validate probes a compile, New compiles the
+// platform it runs, and the first error is the same either way.
+func (s Scenario) validate(compile func(*PlatformSpec) error) error {
 	if s.PlatformSpec != nil {
 		if isBuiltinPlatform(s.PlatformSpec.Name) {
 			return fmt.Errorf("mobisim: inline platform spec name %q is reserved by a built-in preset", s.PlatformSpec.Name)
 		}
-		if err := s.PlatformSpec.Validate(); err != nil {
+		if err := s.PlatformSpec.ValidateFields(); err != nil {
+			return err
+		}
+		if err := compile(s.PlatformSpec); err != nil {
 			return err
 		}
 		// An empty Platform inherits the inline spec's name (what
