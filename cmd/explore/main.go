@@ -1,10 +1,10 @@
 // Command explore runs a seeded design-space search over scenario and
 // platform parameters: it loads a declarative optimize spec (objective,
 // constraints, mutation axes), hill-climbs through the induced grid with
-// every generation evaluated as one lockstep batch, and emits the full
-// search trace as JSON or CSV. The trajectory is a pure function of the
-// spec: identical seeds produce byte-identical traces regardless of
-// -workers, -batch, warm-start grouping, or cache state.
+// each generation (0 and 1 together) run as one lockstep batch, and
+// emits the full search trace as JSON or CSV. The trajectory is a pure
+// function of the spec: identical seeds produce byte-identical traces
+// regardless of -workers, -batch, warm-start grouping, or cache state.
 //
 // Usage:
 //
@@ -44,7 +44,7 @@ func main() {
 		batch        = flag.Int("batch", 0, "lockstep batch width for candidate evaluation (0 = planner's choice: fill the workers, then up to 8 lanes per unit; never changes output bytes)")
 		noWarmStart  = flag.Bool("no-warm-start", false, "disable prefix-snapshot warm-start grouping (output bytes are identical either way)")
 		cacheDir     = flag.String("cache-dir", "", "content-addressed result cache root shared with the simd daemon; cached cells skip simulation (trajectory bytes are identical either way)")
-		daemonURL    = flag.String("daemon", "", "base URL of a running simd daemon; cache-miss cells are evaluated remotely per generation, retried with backoff across daemon restarts (trajectory bytes are identical either way)")
+		daemonURL    = flag.String("daemon", "", "base URL of a running simd daemon; cache-miss cells are evaluated remotely per generation (generations 0 and 1 as one job), retried with backoff across daemon restarts (trajectory bytes are identical either way)")
 		format       = flag.String("format", "json", "output format: json or csv")
 	)
 	flag.Parse()

@@ -77,6 +77,14 @@ func PlanBatchUnitsFor(specs []Scenario, width, workers int, warmStart bool) ([]
 	if width < 0 {
 		return nil, ErrNegativeBatchWidth
 	}
+	return planUnits(specs, width, workers, warmStart,
+		func(i int) (uint64, error) { return thermalTopoKey(specs[i]) },
+		func(i int) (uint64, error) { return specs[i].PrefixKey() })
+}
+
+// planUnits is PlanBatchUnitsFor over caller-supplied keys (thermalTopoKey
+// and PrefixKey of specs[i], the latter only when needed); width >= 0.
+func planUnits(specs []Scenario, width, workers int, warmStart bool, topo, prefix func(i int) (uint64, error)) ([]BatchPlanUnit, error) {
 	type groupKey struct {
 		topo      uint64
 		durationS float64
@@ -92,7 +100,7 @@ func PlanBatchUnitsFor(specs []Scenario, width, workers int, warmStart bool) ([]
 	byKey := make(map[groupKey]*group)
 	var groups []*group
 	for i := range specs {
-		tk, err := thermalTopoKey(specs[i])
+		tk, err := topo(i)
 		if err != nil {
 			return nil, err
 		}
@@ -107,7 +115,7 @@ func PlanBatchUnitsFor(specs []Scenario, width, workers int, warmStart bool) ([]
 			g.cold = append(g.cold, i)
 			continue
 		}
-		pk, err := specs[i].PrefixKey()
+		pk, err := prefix(i)
 		if err != nil {
 			return nil, err
 		}
@@ -225,18 +233,19 @@ func (r *BatchRunner) RunUnit(ctx context.Context, specs []Scenario, u BatchPlan
 // ignored. It stops early on the first unit error or on context
 // cancellation.
 func RunScenarios(ctx context.Context, specs []Scenario, cfg SweepConfig) ([]map[string]float64, error) {
-	var r BatchRunner
-	return r.runScenarios(ctx, specs, cfg)
-}
-
-// runScenarios is RunScenarios on this runner's engine pool, so a
-// caller running many batches (the explore evaluator, once per
-// generation) recycles engine shells across them.
-func (r *BatchRunner) runScenarios(ctx context.Context, specs []Scenario, cfg SweepConfig) ([]map[string]float64, error) {
 	units, err := PlanBatchUnitsFor(specs, cfg.BatchWidth, cfg.Workers, cfg.WarmStart)
 	if err != nil {
 		return nil, err
 	}
+	var r BatchRunner
+	return r.runUnits(ctx, specs, units, cfg)
+}
+
+// runUnits runs planned units as runTasks tasks in plan order and
+// returns the metric sets in spec order. A caller running many batches
+// on one runner (the explore evaluator) recycles engine shells across
+// them.
+func (r *BatchRunner) runUnits(ctx context.Context, specs []Scenario, units []BatchPlanUnit, cfg SweepConfig) ([]map[string]float64, error) {
 	out := make([]map[string]float64, len(specs))
 	tasks := make([]func(ctx context.Context) error, len(units))
 	for ui := range units {
@@ -260,12 +269,13 @@ func (r *BatchRunner) runScenarios(ctx context.Context, specs []Scenario, cfg Sw
 	return out, nil
 }
 
-// runTasks runs every task on workers goroutines (<= 0: GOMAXPROCS)
-// and returns the first task error, if any. Tasks write disjoint
-// caller-owned slots and the simulator is deterministic, so results
-// never depend on worker interleaving: any worker count gives output
-// byte-identical to a serial pass. The first error cancels the rest,
-// and context cancellation stops feeding promptly.
+// runTasks runs every task on workers goroutines (<= 0: GOMAXPROCS),
+// started in slice order, and returns the first task error, if any.
+// Tasks write disjoint caller-owned slots and the simulator is
+// deterministic, so results never depend on worker interleaving: any
+// worker count gives output byte-identical to a serial pass. The first
+// error cancels the rest, and context cancellation stops feeding
+// promptly.
 func runTasks(ctx context.Context, workers int, tasks []func(ctx context.Context) error) error {
 	if len(tasks) == 0 {
 		return nil

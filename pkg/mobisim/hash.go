@@ -49,35 +49,43 @@ const CellKeyDomain = cellKeyDomain
 // the normalized scenario and its fully-resolved platform content. It
 // errors when the platform reference cannot be resolved.
 func (s Scenario) CellKey() (uint64, error) {
-	return s.contentKey(cellKeyDomain, false)
+	return s.contentKey(false)
 }
 
 // PrefixKey returns the content hash of the scenario's warm-up prefix:
 // CellKey with LimitC and DurationS excluded. See the package comment
 // above for the fork-from-snapshot contract this key encodes.
 func (s Scenario) PrefixKey() (uint64, error) {
-	return s.contentKey(prefixKeyDomain, true)
+	return s.contentKey(true)
 }
 
-// contentKey hashes the canonical byte form of the scenario:
-//
-//	domain || scenarioJSON || 0x00 || platformJSON
-//
-// where scenarioJSON is the normalized scenario with identity-free
-// fields (Name) and the platform reference (Platform, PlatformSpec)
-// blanked, and platformJSON is the resolved platform spec in
-// normalized JSON form.
-func (s Scenario) contentKey(domain string, prefix bool) (uint64, error) {
+// contentKey resolves the scenario's platform and hashes the two with
+// hashContent: the prefix key when prefix is set, else the cell key.
+func (s Scenario) contentKey(prefix bool) (uint64, error) {
 	c := s.cloneRefs()
 	c.Normalize()
 	platformJSON, err := resolvedPlatformJSON(c)
 	if err != nil {
 		return 0, err
 	}
+	return hashContent(c, platformJSON, prefix)
+}
+
+// hashContent hashes a normalized scenario and the normalized JSON of
+// the platform it resolves to, without writing through c's references:
+//
+//	domain || scenarioJSON || 0x00 || platformJSON
+//
+// where scenarioJSON is c with identity-free fields (Name) and the
+// platform reference (Platform, PlatformSpec) blanked, plus LimitC and
+// DurationS for a prefix key.
+func hashContent(c Scenario, platformJSON []byte, prefix bool) (uint64, error) {
+	domain := cellKeyDomain
 	c.Name = ""
 	c.Platform = ""
 	c.PlatformSpec = nil
 	if prefix {
+		domain = prefixKeyDomain
 		c.LimitC = 0
 		c.DurationS = 0
 	}

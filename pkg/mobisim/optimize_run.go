@@ -8,7 +8,9 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/platform"
 )
@@ -28,12 +30,12 @@ type CellCache interface {
 }
 
 // CellRunner evaluates fully-resolved scenario cells somewhere other
-// than the local engine pool — the seam behind `explore -daemon`,
-// where a generation's cells are submitted to the simd daemon as one
-// job. Implementations must return metrics[i] for specs[i] carrying
-// the exact values a local simulation of that cell would produce;
-// the single permitted deviation is replacing a non-finite value with
-// a different non-finite value (transports without NaN, like JSON,
+// than the local engine pool — the seam behind `explore -daemon`, where
+// each evaluator call's cells (one generation, or generations 0 and 1)
+// go to the simd daemon as one job. Implementations must return
+// metrics[i] for specs[i] carrying the exact values a local simulation
+// of that cell would produce; the one permitted deviation is replacing
+// a non-finite value with another (transports without NaN, like JSON,
 // do this), which cannot change the search trajectory because
 // replicate aggregation drops non-finite aggregates either way.
 type CellRunner interface {
@@ -57,7 +59,7 @@ type OptimizeConfig struct {
 	// Cache optionally shares results across searches and with sweep
 	// runs (cmd/explore wires the simd result cache here).
 	Cache CellCache
-	// Runner, when set, evaluates each generation's cache-miss cells
+	// Runner, when set, evaluates each evaluator call's cache-miss cells
 	// instead of the local engine pool (cmd/explore wires the simd
 	// daemon client here). Workers, BatchWidth and NoWarmStart are
 	// then the remote executor's concern.
@@ -86,12 +88,7 @@ func Optimize(ctx context.Context, spec OptimizeSpec, cfg OptimizeConfig) (*Sear
 	if err != nil {
 		return nil, err
 	}
-	ev := &cellEvaluator{
-		plan:     plan,
-		cfg:      cfg,
-		store:    make(map[uint64]map[string]float64),
-		minimize: spec.Objective.Goal == GoalMinimize,
-	}
+	ev := newCellEvaluator(plan, cfg)
 	r, best, err := plan.climb(ctx, ev.evaluate)
 	if err != nil {
 		return nil, err
@@ -117,77 +114,140 @@ type cellEvaluator struct {
 	runner BatchRunner
 	// store is the deduplicating candidate store: CellKey → metrics
 	// for every cell resolved during this search.
-	store    map[uint64]map[string]float64
-	minimize bool
+	store     map[uint64]map[string]float64
+	platforms map[string]*platformEntry // by candidate platform name
+	minimize  bool
 
 	cells     int // cells simulated
 	storeHits int // cells served by the in-search store
 	cacheHits int // cells served by the external cache
 }
 
-// missJob is one cell that must be simulated this generation.
+func newCellEvaluator(plan *searchPlan, cfg OptimizeConfig) *cellEvaluator {
+	return &cellEvaluator{
+		plan:      plan,
+		cfg:       cfg,
+		store:     make(map[uint64]map[string]float64),
+		platforms: make(map[string]*platformEntry),
+		minimize:  plan.spec.Objective.Goal == GoalMinimize,
+	}
+}
+
+// platformEntry is what a search derives, lazily, from one candidate
+// platform; platformName names platform content uniquely in a search.
+type platformEntry struct {
+	json  func() ([]byte, error) // resolvedPlatformJSON
+	topo  func() (uint64, error) // thermalTopoKey
+	probe func() error           // Scenario.Validate's compile probe
+}
+
+// platform returns s's platform entry, made from s on first sight.
+func (e *cellEvaluator) platform(s Scenario) *platformEntry {
+	if pe, ok := e.platforms[s.Platform]; ok {
+		return pe
+	}
+	pe := &platformEntry{
+		json:  sync.OnceValues(func() ([]byte, error) { return resolvedPlatformJSON(s) }),
+		topo:  sync.OnceValues(func() (uint64, error) { return thermalTopoKey(s) }),
+		probe: sync.OnceValue(func() error { _, err := s.PlatformSpec.Compile(0); return err }),
+	}
+	e.platforms[s.Platform] = pe
+	return pe
+}
+
+// key is CellKey, or PrefixKey if prefix, of normalized cell c on pe.
+func (pe *platformEntry) key(c Scenario, prefix bool) (uint64, error) {
+	data, err := pe.json()
+	if err != nil {
+		return 0, err
+	}
+	return hashContent(c, data, prefix)
+}
+
+// missJob is one cell that must be simulated this call.
 type missJob struct {
 	key  uint64
 	spec Scenario
+	pe   *platformEntry
 }
 
-// evaluate runs one generation of candidates. A candidate whose
-// scenario fails validation is recorded as invalid, without a cell key.
-func (e *cellEvaluator) evaluate(ctx context.Context, pts []point) ([]SearchCandidate, error) {
+// planMisses is PlanBatchUnitsFor(specs) from the misses' memoized
+// keys, most cells first (stable): a call's cells share one duration,
+// so runUnits, which starts units in order, starts its biggest first.
+func planMisses(specs []Scenario, misses []missJob, cfg SweepConfig) ([]BatchPlanUnit, error) {
+	units, err := planUnits(specs, cfg.BatchWidth, cfg.Workers, cfg.WarmStart,
+		func(i int) (uint64, error) { return misses[i].pe.topo() },
+		func(i int) (uint64, error) { return misses[i].pe.key(specs[i], true) })
+	slices.SortStableFunc(units, func(a, b BatchPlanUnit) int { return len(b.Idx) - len(a.Idx) })
+	return units, err
+}
+
+// evaluate runs consecutive generations of candidates. A candidate
+// whose scenario fails validation is recorded as invalid, without a
+// cell key. Cells are resolved in generation order, and the provenance
+// counters and cache traffic are those of one call per generation.
+func (e *cellEvaluator) evaluate(ctx context.Context, gens [][]point) ([][]SearchCandidate, error) {
 	reps := e.plan.spec.Replicates
-	out := make([]SearchCandidate, len(pts))
 	type candCells struct {
 		keys      []uint64
 		simulated bool
 	}
-	cands := make([]*candCells, len(pts))
+	out := make([][]SearchCandidate, len(gens))
+	cands := make([][]*candCells, len(gens))
 	var misses []missJob
-	missIdx := make(map[uint64]int)
+	missGen := make(map[uint64]int) // generation that first missed a key
 
-	for pi, pt := range pts {
-		s, err := e.plan.candidate(pt)
-		if err != nil {
-			out[pi] = SearchCandidate{Invalid: err.Error()}
-			continue
-		}
-		if err := s.Validate(); err != nil {
-			out[pi] = SearchCandidate{Invalid: err.Error()}
-			continue
-		}
-		cc := &candCells{keys: make([]uint64, reps)}
-		for r := 0; r < reps; r++ {
-			cell := s
-			if r > 0 {
-				// Replicate 0 keeps the base seed (sharing cell keys
-				// with plain runs of the same scenario); later
-				// replicates derive theirs like sweep replicates do.
-				cell.Seed = deriveSeed(e.plan.base.Seed, r)
-			}
-			key, err := cell.CellKey()
+	for gi, pts := range gens {
+		out[gi] = make([]SearchCandidate, len(pts))
+		cands[gi] = make([]*candCells, len(pts))
+		for pi, pt := range pts {
+			s, err := e.plan.candidate(pt)
 			if err != nil {
-				out[pi] = SearchCandidate{Invalid: err.Error()}
-				cc = nil
-				break
-			}
-			cc.keys[r] = key
-			if _, ok := e.store[key]; ok {
-				e.storeHits++
+				out[gi][pi] = SearchCandidate{Invalid: err.Error()}
 				continue
 			}
-			if e.cfg.Cache != nil {
-				if m, ok := e.cfg.Cache.Get(key); ok {
-					e.store[key] = m
-					e.cacheHits++
+			pe := e.platform(s)
+			if err := s.validate(func(*PlatformSpec) error { return pe.probe() }); err != nil {
+				out[gi][pi] = SearchCandidate{Invalid: err.Error()}
+				continue
+			}
+			cc := &candCells{keys: make([]uint64, reps)}
+			for r := 0; r < reps; r++ {
+				cell := s
+				if r > 0 {
+					// Replicate 0 keeps the base seed (sharing cell keys
+					// with plain runs of the same scenario); later
+					// replicates derive theirs like sweep replicates do.
+					cell.Seed = deriveSeed(e.plan.base.Seed, r)
+				}
+				key, err := pe.key(cell, false)
+				if err != nil {
+					out[gi][pi] = SearchCandidate{Invalid: err.Error()}
+					cc = nil
+					break
+				}
+				cc.keys[r] = key
+				// Simulated by an earlier generation: a store hit.
+				_, stored := e.store[key]
+				if g, ok := missGen[key]; stored || (ok && g < gi) {
+					e.storeHits++
 					continue
 				}
+				if e.cfg.Cache != nil {
+					if m, ok := e.cfg.Cache.Get(key); ok {
+						e.store[key] = m
+						e.cacheHits++
+						continue
+					}
+				}
+				cc.simulated = true
+				if _, ok := missGen[key]; !ok {
+					missGen[key] = gi
+					misses = append(misses, missJob{key: key, spec: cell, pe: pe})
+				}
 			}
-			cc.simulated = true
-			if _, ok := missIdx[key]; !ok {
-				missIdx[key] = len(misses)
-				misses = append(misses, missJob{key: key, spec: cell})
-			}
+			cands[gi][pi] = cc
 		}
-		cands[pi] = cc
 	}
 
 	if len(misses) > 0 {
@@ -204,8 +264,12 @@ func (e *cellEvaluator) evaluate(ctx context.Context, pts []point) ([]SearchCand
 			}
 		} else {
 			// The evaluator's own engine pool recycles engine shells
-			// across generations.
-			results, err = e.runner.runScenarios(ctx, specs, SweepConfig{Workers: e.cfg.Workers, BatchWidth: e.cfg.BatchWidth, WarmStart: !e.cfg.NoWarmStart})
+			// across calls.
+			cfg := SweepConfig{Workers: e.cfg.Workers, BatchWidth: e.cfg.BatchWidth, WarmStart: !e.cfg.NoWarmStart}
+			var units []BatchPlanUnit
+			if units, err = planMisses(specs, misses, cfg); err == nil {
+				results, err = e.runner.runUnits(ctx, specs, units, cfg)
+			}
 		}
 		if err != nil {
 			return nil, err
@@ -219,35 +283,36 @@ func (e *cellEvaluator) evaluate(ctx context.Context, pts []point) ([]SearchCand
 		e.cells += len(misses)
 	}
 
-	for pi := range pts {
-		cc := cands[pi]
-		if cc == nil {
-			continue // invalid, already recorded
-		}
-		agg := aggregateReplicates(e.store, cc.keys)
-		ev := SearchCandidate{CellKey: fmt.Sprintf("%016x", cc.keys[0]), Cached: !cc.simulated, Metrics: agg}
-		obj, ok := agg[e.plan.spec.Objective.Metric]
-		if !ok {
-			ev.Invalid = fmt.Sprintf("objective metric %q missing or non-finite in this scenario's results", e.plan.spec.Objective.Metric)
-			out[pi] = ev
-			continue
-		}
-		feasible := true
-		for _, c := range e.plan.spec.Constraints {
-			v, ok := agg[c.Metric]
-			if !ok || (c.Min != nil && v < *c.Min) || (c.Max != nil && v > *c.Max) {
-				feasible = false
-				break
+	for gi := range gens {
+		for pi, cc := range cands[gi] {
+			if cc == nil {
+				continue // invalid, already recorded
 			}
+			agg := aggregateReplicates(e.store, cc.keys)
+			ev := SearchCandidate{CellKey: fmt.Sprintf("%016x", cc.keys[0]), Cached: !cc.simulated, Metrics: agg}
+			obj, ok := agg[e.plan.spec.Objective.Metric]
+			if !ok {
+				ev.Invalid = fmt.Sprintf("objective metric %q missing or non-finite in this scenario's results", e.plan.spec.Objective.Metric)
+				out[gi][pi] = ev
+				continue
+			}
+			feasible := true
+			for _, c := range e.plan.spec.Constraints {
+				v, ok := agg[c.Metric]
+				if !ok || (c.Min != nil && v < *c.Min) || (c.Max != nil && v > *c.Max) {
+					feasible = false
+					break
+				}
+			}
+			if e.minimize {
+				// The climb compares a minimized objective by its score
+				// 0 - obj; reporting 0 - score renders a -0 metric as 0.
+				obj = 0 - (0 - obj)
+			}
+			ev.Objective = obj
+			ev.Feasible = feasible
+			out[gi][pi] = ev
 		}
-		if e.minimize {
-			// The climb compares a minimized objective by its score
-			// 0 - obj; reporting 0 - score renders a -0 metric as 0.
-			obj = 0 - (0 - obj)
-		}
-		ev.Objective = obj
-		ev.Feasible = feasible
-		out[pi] = ev
 	}
 	return out, nil
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"math"
 	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -441,25 +442,36 @@ func TestOptimizeSpecRejects(t *testing.T) {
 	}
 }
 
-// TestOptimizeGoldenTrace pins the committed search-trace fixture:
-// running the committed spec must reproduce testdata/explore/
-// trace_golden.json byte for byte. Regenerate after an intentional
+// TestOptimizeGoldenTrace pins the committed search-trace fixtures:
+// running each committed spec must reproduce its golden trace byte for
+// byte. spec.json mutates the limit and the CPU governor family;
+// platform_spec.json also mutates platform content, so its candidates
+// embed renamed inline platform specs. Regenerate after an intentional
 // trajectory change with
 //
 //	go run ./cmd/explore -spec pkg/mobisim/testdata/explore/spec.json \
 //	  > pkg/mobisim/testdata/explore/trace_golden.json
+//	go run ./cmd/explore -spec pkg/mobisim/testdata/explore/platform_spec.json \
+//	  > pkg/mobisim/testdata/explore/platform_trace_golden.json
 func TestOptimizeGoldenTrace(t *testing.T) {
-	spec, err := LoadOptimize("testdata/explore/spec.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, got := optimizeJSON(t, spec, OptimizeConfig{})
-	want, err := os.ReadFile("testdata/explore/trace_golden.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("search trace drifted from the committed golden fixture\n(see the regeneration command in this test's comment)\ngot:\n%s\nwant:\n%s", got, want)
+	for spec, golden := range map[string]string{
+		"spec.json":          "trace_golden.json",
+		"platform_spec.json": "platform_trace_golden.json",
+	} {
+		t.Run(spec, func(t *testing.T) {
+			spec, err := LoadOptimize(filepath.Join("testdata", "explore", spec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, got := optimizeJSON(t, spec, OptimizeConfig{})
+			want, err := os.ReadFile(filepath.Join("testdata", "explore", golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("search trace drifted from the committed golden fixture %s\n(see the regeneration command in this test's comment)\ngot:\n%s\nwant:\n%s", golden, got, want)
+			}
+		})
 	}
 }
 

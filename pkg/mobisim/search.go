@@ -7,6 +7,10 @@ package mobisim
 // every run, however the evaluator parallelizes internally. All
 // randomness flows from the spec's Seed through one PRNG per
 // generation; the loop itself is single-threaded.
+//
+// Generation 1 draws around the start point whatever generation 0
+// scores, so generations 0 and 1 run as one evaluator batch, recorded
+// in order exactly as if they had run one after the other.
 
 import (
 	"context"
@@ -44,12 +48,12 @@ func (pt point) key() string {
 	return string(b)
 }
 
-// evalFunc evaluates one generation of candidates, returning one
-// SearchCandidate per point with the evaluation fields set (CellKey,
-// Objective in the spec's orientation, Feasible, Invalid, Cached,
-// Metrics); climb fills Gen, Index and Params. For a reproducible
-// search it must be deterministic in pts.
-type evalFunc func(ctx context.Context, pts []point) ([]SearchCandidate, error)
+// evalFunc evaluates consecutive generations in one call, returning
+// per generation one SearchCandidate per point with the evaluation
+// fields set (CellKey, Objective in the spec's orientation, Feasible,
+// Invalid, Cached, Metrics; provenance as if run in order); climb fills
+// Gen, Index and Params. It must be deterministic in gens.
+type evalFunc func(ctx context.Context, gens [][]point) ([][]SearchCandidate, error)
 
 // climb runs the plan's seeded hill-climb: the start point is
 // evaluated as generation 0, then each generation draws up to
@@ -78,58 +82,67 @@ func (p *searchPlan) climb(ctx context.Context, eval evalFunc) (*SearchResult, p
 		return c.Objective
 	}
 	var best point
-	// step evaluates and records one generation, reporting whether it
+	// step evaluates generations first, first+1, … in one evaluator
+	// call and records them in order, reporting whether the last one
 	// moved the incumbent.
-	step := func(gen int, pts []point) (bool, error) {
+	step := func(first int, gens ...[]point) (bool, error) {
 		if err := ctx.Err(); err != nil {
 			return false, err
 		}
-		cands, err := eval(ctx, pts)
+		out, err := eval(ctx, gens)
 		if err != nil {
 			return false, err
 		}
-		if len(cands) != len(pts) {
-			return false, fmt.Errorf("mobisim: search generation %d: evaluator returned %d results for %d candidates", gen, len(cands), len(pts))
+		if len(out) != len(gens) {
+			return false, fmt.Errorf("mobisim: search generation %d: evaluator returned %d generations for %d", first, len(out), len(gens))
 		}
-		r.Evaluated += len(pts)
-		bi := -1
-		for i := range cands {
-			c := &cands[i]
-			c.Gen, c.Index, c.Params = gen, i, p.paramValues(pts[i])
-			if c.Feasible && (bi < 0 || score(c) > score(&cands[bi])) {
-				bi = i
+		improved := false
+		for k, pts := range gens {
+			gen, cands := first+k, out[k]
+			if len(cands) != len(pts) {
+				return false, fmt.Errorf("mobisim: search generation %d: evaluator returned %d results for %d candidates", gen, len(cands), len(pts))
 			}
+			r.Evaluated += len(pts)
+			bi := -1
+			for i := range cands {
+				c := &cands[i]
+				c.Gen, c.Index, c.Params = gen, i, p.paramValues(pts[i])
+				if c.Feasible && (bi < 0 || score(c) > score(&cands[bi])) {
+					bi = i
+				}
+			}
+			improved = bi >= 0 && (r.Best == nil || score(&cands[bi]) > score(r.Best)+spec.MinDelta)
+			if improved {
+				c := cands[bi]
+				r.Best, best = &c, pts[bi]
+			}
+			g := SearchGeneration{Gen: gen, Improved: improved, Candidates: cands}
+			if r.Best != nil {
+				g.BestObjective = r.Best.Objective
+			}
+			r.Generations = append(r.Generations, g)
 		}
-		improved := bi >= 0 && (r.Best == nil || score(&cands[bi]) > score(r.Best)+spec.MinDelta)
-		if improved {
-			c := cands[bi]
-			r.Best, best = &c, pts[bi]
-		}
-		g := SearchGeneration{Gen: gen, Improved: improved, Candidates: cands}
-		if r.Best != nil {
-			g.BestObjective = r.Best.Objective
-		}
-		r.Generations = append(r.Generations, g)
 		return improved, nil
 	}
 
-	if _, err := step(0, []point{p.start}); err != nil {
-		return nil, nil, err
-	}
 	seen := map[string]bool{p.start.key(): true}
 	origin := p.start
+	// Generation 0 runs with generation 1, or alone after the loop.
+	wait := [][]point{{p.start}}
 	stall := 0
+	r.StopReason = stopMaxGenerations
 	for gen := 1; gen <= spec.MaxGenerations; gen++ {
 		rng := rand.New(rand.NewSource(deriveSeed(spec.Seed, gen)))
 		pts := p.neighbors(rng, origin, spec.Neighbors, seen)
 		if len(pts) == 0 {
 			r.StopReason, r.Converged = stopExhausted, true
-			return r, best, nil
+			break
 		}
-		improved, err := step(gen, pts)
+		improved, err := step(gen-len(wait), append(wait, pts)...)
 		if err != nil {
 			return nil, nil, err
 		}
+		wait = nil
 		if improved {
 			origin, stall = best, 0
 		} else {
@@ -137,10 +150,14 @@ func (p *searchPlan) climb(ctx context.Context, eval evalFunc) (*SearchResult, p
 		}
 		if stall >= spec.Patience {
 			r.StopReason, r.Converged = stopPatience, true
-			return r, best, nil
+			break
 		}
 	}
-	r.StopReason = stopMaxGenerations
+	if wait != nil {
+		if _, err := step(0, wait...); err != nil {
+			return nil, nil, err
+		}
+	}
 	return r, best, nil
 }
 

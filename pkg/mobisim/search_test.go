@@ -46,9 +46,27 @@ func quadraticEval(ctx context.Context, pts []point) ([]SearchCandidate, error) 
 	return out, nil
 }
 
-func mustClimb(t *testing.T, plan *searchPlan, eval evalFunc) (*SearchResult, point) {
+// genEval is a fake evaluator of one generation.
+type genEval func(ctx context.Context, pts []point) ([]SearchCandidate, error)
+
+// perGen lifts a one-generation fake evaluator to an evalFunc that
+// evaluates the generations of a call in order.
+func perGen(f genEval) evalFunc {
+	return func(ctx context.Context, gens [][]point) ([][]SearchCandidate, error) {
+		out := make([][]SearchCandidate, len(gens))
+		for i, pts := range gens {
+			var err error
+			if out[i], err = f(ctx, pts); err != nil {
+				return nil, err
+			}
+		}
+		return out, nil
+	}
+}
+
+func mustClimb(t *testing.T, plan *searchPlan, eval genEval) (*SearchResult, point) {
 	t.Helper()
-	r, best, err := plan.climb(context.Background(), eval)
+	r, best, err := plan.climb(context.Background(), perGen(eval))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,8 +251,17 @@ func TestSearchEvalContract(t *testing.T) {
 	short := func(ctx context.Context, pts []point) ([]SearchCandidate, error) {
 		return nil, nil
 	}
-	if _, _, err := testSearchPlan(OptimizeSpec{Seed: 1}).climb(context.Background(), short); err == nil {
+	if _, _, err := testSearchPlan(OptimizeSpec{Seed: 1}).climb(context.Background(), perGen(short)); err == nil {
 		t.Fatal("short evaluator result accepted")
+	}
+	// Fewer generation slices than generations asked for (generations 0
+	// and 1 arrive in one call, so dropping the last one is short).
+	dropGen := func(ctx context.Context, gens [][]point) ([][]SearchCandidate, error) {
+		out, err := perGen(quadraticEval)(ctx, gens)
+		return out[:len(out)-1], err
+	}
+	if _, _, err := testSearchPlan(OptimizeSpec{Seed: 1}).climb(context.Background(), dropGen); err == nil {
+		t.Fatal("short evaluator generation list accepted")
 	}
 	calls := 0
 	failing := func(ctx context.Context, pts []point) ([]SearchCandidate, error) {
@@ -243,7 +270,7 @@ func TestSearchEvalContract(t *testing.T) {
 		}
 		return quadraticEval(ctx, pts)
 	}
-	if _, _, err := testSearchPlan(OptimizeSpec{Seed: 1}).climb(context.Background(), failing); err == nil {
+	if _, _, err := testSearchPlan(OptimizeSpec{Seed: 1}).climb(context.Background(), perGen(failing)); err == nil {
 		t.Fatal("evaluator error swallowed")
 	}
 }
@@ -251,7 +278,7 @@ func TestSearchEvalContract(t *testing.T) {
 func TestSearchHonorsContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := testSearchPlan(OptimizeSpec{Seed: 1}).climb(ctx, quadraticEval); err == nil {
+	if _, _, err := testSearchPlan(OptimizeSpec{Seed: 1}).climb(ctx, perGen(quadraticEval)); err == nil {
 		t.Fatal("canceled context not honored")
 	}
 }

@@ -3,6 +3,10 @@ package mobisim
 import (
 	"bytes"
 	"context"
+	"reflect"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -112,13 +116,11 @@ func TestWarmStartLimitAtPrewarm(t *testing.T) {
 	}
 }
 
-// TestWarmStartPlan pins PlanBatchUnits' grouping policy over a matrix
-// mixing platforms, governor arms, limits, replicates and durations:
-// every cell is covered exactly once; warm units hold only appaware
-// cells, each sharing its prefix and duration with another cell of the
-// unit and with no cell outside it; cold units have at most width lanes
-// and never mix thermal topologies or durations.
-func TestWarmStartPlan(t *testing.T) {
+// warmStartPlanSpecs is TestWarmStartPlan's matrix: two platforms,
+// the appaware and none arms, three limits, two replicates and two
+// durations.
+func warmStartPlanSpecs(t *testing.T) []Scenario {
+	t.Helper()
 	var specs []Scenario
 	for _, durationS := range []float64{1, 2} {
 		m := Matrix{
@@ -138,6 +140,103 @@ func TestWarmStartPlan(t *testing.T) {
 			specs = append(specs, c.Spec)
 		}
 	}
+	return specs
+}
+
+// TestPlanMissesWidestFirst pins the explore evaluator's plan on the
+// TestWarmStartPlan matrix. planMisses, from keys memoized once per
+// platform, returns exactly PlanBatchUnitsFor's units, which come in
+// build order, stably sorted most cells first: non-increasing cell
+// counts, units of equal width in build order, every cell covered once.
+// built lists the planner's units (a warm one prefixed with "w") in
+// build order: thermal-topology and duration groups in first-seen
+// order, each group's warm units before its cold ones.
+func TestPlanMissesWidestFirst(t *testing.T) {
+	specs := warmStartPlanSpecs(t)
+	e := newCellEvaluator(&searchPlan{}, OptimizeConfig{})
+	misses := make([]missJob, len(specs))
+	for i := range specs {
+		specs[i].Normalize() // the evaluator plans normalized cells
+		misses[i] = missJob{spec: specs[i], pe: e.platform(specs[i])}
+	}
+	if len(e.platforms) != 2 {
+		t.Fatalf("%d platform entries for two platforms", len(e.platforms))
+	}
+	render := func(units []BatchPlanUnit) []string {
+		out := make([]string, len(units))
+		for ui, u := range units {
+			idx := make([]string, len(u.Idx))
+			for k, i := range u.Idx {
+				idx[k] = strconv.Itoa(i)
+			}
+			if out[ui] = strings.Join(idx, ","); u.Warm {
+				out[ui] = "w" + out[ui]
+			}
+		}
+		return out
+	}
+	built := map[int]map[bool]string{
+		1: {
+			false: "0 1 2 3 4 5 12 13 6 7 8 9 10 11 14 15 16 17 18 19 20 21 28 29 22 23 24 25 26 27 30 31",
+			true:  "w0,2,4 w1,3,5 12 13 w6,8,10 w7,9,11 14 15 w16,18,20 w17,19,21 28 29 w22,24,26 w23,25,27 30 31",
+		},
+		3: {
+			false: "0,1,2 3,4,5 12,13 6,7,8 9,10,11 14,15 16,17,18 19,20,21 28,29 22,23,24 25,26,27 30,31",
+			true:  "w0,2,4,1,3,5 12,13 w6,8,10,7,9,11 14,15 w16,18,20,17,19,21 28,29 w22,24,26,23,25,27 30,31",
+		},
+		8: {
+			false: "0,1,2,3,4,5,12,13 6,7,8,9,10,11,14,15 16,17,18,19,20,21,28,29 22,23,24,25,26,27,30,31",
+			true:  "w0,2,4,1,3,5 12,13 w6,8,10,7,9,11 14,15 w16,18,20,17,19,21 28,29 w22,24,26,23,25,27 30,31",
+		},
+	}
+	for _, warm := range []bool{false, true} {
+		for _, width := range []int{0, 1, 3, 8} {
+			for _, workers := range []int{1, 2, 4} {
+				plan, err := PlanBatchUnitsFor(specs, width, workers, warm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := render(plan)
+				if b, ok := built[width][warm]; ok && !reflect.DeepEqual(want, strings.Fields(b)) {
+					t.Errorf("width %d warm %v: PlanBatchUnitsFor %v, want build order %s", width, warm, want, b)
+				}
+				slices.SortStableFunc(want, func(a, b string) int {
+					return strings.Count(b, ",") - strings.Count(a, ",")
+				})
+				units, err := planMisses(specs, misses, SweepConfig{Workers: workers, BatchWidth: width, WarmStart: warm})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := render(units); !reflect.DeepEqual(got, want) {
+					t.Errorf("width %d workers %d warm %v: planMisses %v, want %v", width, workers, warm, got, want)
+				}
+				covered := make([]int, len(specs))
+				for ui, u := range units {
+					if ui > 0 && len(u.Idx) > len(units[ui-1].Idx) {
+						t.Errorf("width %d workers %d warm %v: unit %d wider than unit %d", width, workers, warm, ui, ui-1)
+					}
+					for _, i := range u.Idx {
+						covered[i]++
+					}
+				}
+				for i, n := range covered {
+					if n != 1 {
+						t.Errorf("width %d workers %d warm %v: cell %d covered %d times", width, workers, warm, i, n)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestWarmStartPlan pins PlanBatchUnits' grouping policy over a matrix
+// mixing platforms, governor arms, limits, replicates and durations:
+// every cell is covered exactly once; warm units hold only appaware
+// cells, each sharing its prefix and duration with another cell of the
+// unit and with no cell outside it; cold units have at most width lanes
+// and never mix thermal topologies or durations.
+func TestWarmStartPlan(t *testing.T) {
+	specs := warmStartPlanSpecs(t)
 	// A prefix group is one prefix at one duration: PrefixKey leaves
 	// the duration out, but one fork step count must serve a group.
 	type groupKey struct {

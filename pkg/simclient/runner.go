@@ -9,15 +9,15 @@ import (
 	"repro/pkg/mobisim"
 )
 
-// Runner adapts a Client into a mobisim.CellRunner: each generation's
-// cache-miss cells are submitted to the daemon as one scenarios-list
-// job and the per-cell metrics are collected from the job's SSE feed
-// (the "cell" events carry them exactly; only non-finite values are
-// transport-mapped, which the CellRunner contract permits). A daemon
-// crash mid-generation is absorbed by idempotent resubmission: the
-// restarted daemon serves completed cells from its result cache and
-// recomputes the rest, so the search trajectory stays byte-identical
-// to local evaluation.
+// Runner adapts a Client into a mobisim.CellRunner: each evaluator
+// call's cache-miss cells (one generation, or generations 0 and 1) go
+// to the daemon as one scenarios-list job and the per-cell metrics are
+// collected from the job's SSE feed (the "cell" events carry them
+// exactly; only non-finite values are transport-mapped, which the
+// CellRunner contract permits). A daemon crash mid-generation is
+// absorbed by idempotent resubmission: the restarted daemon serves
+// completed cells from its result cache and recomputes the rest, so
+// the search trajectory stays byte-identical to local evaluation.
 type Runner struct {
 	Client *Client
 }
