@@ -541,6 +541,77 @@ func BenchmarkStabilityTimeToThreshold(b *testing.B) {
 	}
 }
 
+// BenchmarkStabilityDecide measures the app-aware governor's per-tick
+// certified tests on the Odroid preset's lump at 4 W (stable point
+// ~69.6 °C): DecideAbove against the 60 °C limit and ProvablyBelow
+// from 50 °C over the 30 s horizon — the pair a distant-violation tick
+// runs instead of Analyze and TimeToThreshold.
+func BenchmarkStabilityDecide(b *testing.B) {
+	p, err := platform.OdroidXU3(benchSeed).StabilityParams()
+	if err != nil {
+		b.Fatal(err)
+	}
+	fromK, limitK := thermal.ToKelvin(50), thermal.ToKelvin(60)
+	above, certain := p.DecideAbove(4, limitK)
+	if !above || !certain || !p.ProvablyBelow(4, fromK, limitK, 30) {
+		b.Fatal("the benchmark point should be a certified distant violation")
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		above, certain = p.DecideAbove(4, limitK)
+		if !p.ProvablyBelow(4, fromK, limitK, 30) {
+			b.Fatal("proof lost")
+		}
+	}
+	sinkBool = above && certain
+}
+
+var sinkBool bool
+
+// BenchmarkAppAwareControl measures one app-aware control tick on a
+// running Odroid 3DMark+BML engine, warmed up for 20 s under the
+// platform's limit, in each of the governor's regimes. A fresh
+// governor gets a limit placed between the sensor temperature T and
+// the stable fixed point T_s: imminent (T + 0.15·(T_s − T), crossed
+// within the 30 s horizon, so the time-to-limit integration runs every
+// tick), distant (T + 0.75·(T_s − T), crossed beyond it) and cool
+// (T_s + 5 K, no violation). CI gates every regime at 0 allocs/op.
+func BenchmarkAppAwareControl(b *testing.B) {
+	for _, regime := range []struct {
+		name string
+		frac float64 // limit = T + frac·(T_s − T); 0 means T_s + 5 K
+	}{{"imminent", 0.15}, {"distant", 0.75}, {"cool", 0}} {
+		b.Run(regime.name, func(b *testing.B) {
+			eng, _ := odroidBMLScenarioRec(b, appaware.Config{HorizonS: 30, IntervalS: 0.1}, true, true)
+			if err := eng.Run(20); err != nil {
+				b.Fatal(err)
+			}
+			p, err := eng.Platform().StabilityParams()
+			if err != nil {
+				b.Fatal(err)
+			}
+			pd, tempK := eng.DynamicPowerW(), eng.SensorTempK()
+			an, err := p.Analyze(pd)
+			if err != nil || an.Class != stability.Stable || an.StableTempK <= tempK {
+				b.Fatalf("warmed engine should be heating toward a stable point: %+v, sensor %v K, %v", an, tempK, err)
+			}
+			limitK := an.StableTempK + 5
+			if regime.frac != 0 {
+				limitK = tempK + regime.frac*(an.StableTempK-tempK)
+			}
+			if tta, err := p.TimeToThreshold(pd, tempK, limitK, 30); err != nil || (tta <= 30) != (regime.name == "imminent") {
+				b.Fatalf("limit %v K is not in the %s regime: time to limit %v s, %v", limitK, regime.name, tta, err)
+			}
+			gov := appaware.MustNew(appaware.Config{HorizonS: 30, IntervalS: 0.1, ThermalLimitK: limitK})
+			gov.Control(eng.Now(), eng) // takes any action before timing
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				gov.Control(eng.Now(), eng)
+			}
+		})
+	}
+}
+
 // BenchmarkSchedulerAssign measures one scheduling step with a
 // realistic task mix.
 func BenchmarkSchedulerAssign(b *testing.B) {

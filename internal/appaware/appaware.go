@@ -17,6 +17,28 @@
 // Unlike the default governors, which throttle every domain, only the
 // offending process is penalized; registered real-time processes are
 // never chosen as victims.
+//
+// Each tick decides steps 1 and 2 from one exponential apiece, and runs
+// the exact analysis only where a certified test cannot answer or a
+// value is consumed:
+//
+//   - stability.Params.DecideAbove evaluates ψ and ψ′ at the limit's
+//     auxiliary temperature and answers "fixed point above the limit
+//     (or runaway)" or "below" outside a rounding margin. Inside it,
+//     the tick runs Params.Analyze and decides from its fixed point.
+//   - On a chip violation, stability.Params.ProvablyBelow bounds the
+//     temperature slope on [sensor, limit] and proves, when it can, that
+//     the time-to-limit integration would return +Inf (no crossing
+//     within the horizon). Otherwise the tick integrates as before.
+//   - The exact fixed point is computed only when it is read: for the
+//     PredictedFixedK of an event the tick records, and for the restore
+//     and unthrottle dwell checks while they are live (restoration
+//     enabled with a victim on the stack, or the big cluster capped).
+//
+// A certified answer equals the exact one on every input, so decisions,
+// events and the prediction count are bitwise those of running the
+// analysis and the integration every tick (pinned against a frozen copy
+// of that procedure in frozen_test.go).
 package appaware
 
 import (
@@ -175,20 +197,21 @@ func New(cfg Config) (*Governor, error) {
 	if cfg.IntervalS == 0 {
 		cfg.IntervalS = 0.1
 	}
-	if cfg.HorizonS < 0 || math.IsNaN(cfg.HorizonS) {
-		return nil, fmt.Errorf("appaware: horizon must be > 0, got %v", cfg.HorizonS)
-	}
-	if cfg.IntervalS <= 0 {
-		return nil, fmt.Errorf("appaware: interval must be > 0, got %v", cfg.IntervalS)
-	}
-	if cfg.RestoreMarginK < 0 || cfg.RestoreAfterS < 0 {
-		return nil, fmt.Errorf("appaware: restore parameters must be >= 0")
-	}
-	if cfg.ThermalLimitK < 0 {
-		return nil, fmt.Errorf("appaware: thermal limit must be >= 0 Kelvin, got %v", cfg.ThermalLimitK)
-	}
-	if cfg.SkinLimitK < 0 {
-		return nil, fmt.Errorf("appaware: skin limit must be >= 0 Kelvin, got %v", cfg.SkinLimitK)
+	// Every bound is checked as !(v ok) so NaN fails it; +Inf is
+	// rejected too: an infinite horizon has no integration step count,
+	// and a non-finite interval stops the control clock.
+	switch {
+	case !(cfg.HorizonS > 0) || math.IsInf(cfg.HorizonS, 1):
+		return nil, fmt.Errorf("appaware: horizon must be finite and > 0, got %v", cfg.HorizonS)
+	case !(cfg.IntervalS > 0) || math.IsInf(cfg.IntervalS, 1):
+		return nil, fmt.Errorf("appaware: interval must be finite and > 0, got %v", cfg.IntervalS)
+	case !(cfg.RestoreMarginK >= 0) || math.IsInf(cfg.RestoreMarginK, 1) ||
+		!(cfg.RestoreAfterS >= 0) || math.IsInf(cfg.RestoreAfterS, 1):
+		return nil, fmt.Errorf("appaware: restore parameters must be finite and >= 0, got margin %v, dwell %v", cfg.RestoreMarginK, cfg.RestoreAfterS)
+	case !(cfg.ThermalLimitK >= 0) || math.IsInf(cfg.ThermalLimitK, 1):
+		return nil, fmt.Errorf("appaware: thermal limit must be finite and >= 0 Kelvin, got %v", cfg.ThermalLimitK)
+	case !(cfg.SkinLimitK >= 0) || math.IsInf(cfg.SkinLimitK, 1):
+		return nil, fmt.Errorf("appaware: skin limit must be finite and >= 0 Kelvin, got %v", cfg.SkinLimitK)
 	}
 	return &Governor{cfg: cfg, coolSince: -1}, nil
 }
@@ -222,7 +245,8 @@ func (g *Governor) Migrations() int {
 	return n
 }
 
-// Predictions reports how many fixed-point analyses ran.
+// Predictions reports how many control ticks predicted the fixed
+// point, by a certified test or the full analysis.
 func (g *Governor) Predictions() int { return g.predictions }
 
 // EventCount reports how many control events have fired, without
@@ -267,6 +291,27 @@ func (g *Governor) LimitK(e *sim.Engine) float64 {
 	return e.Platform().ThermalLimitK()
 }
 
+// prediction is one control tick's fixed-point analysis, run at most
+// once and only when its result is consumed.
+type prediction struct {
+	pdW  float64
+	an   stability.Analysis
+	done bool
+}
+
+// stableTempK returns the tick's exact stable fixed-point temperature
+// (0 for runaway), running the analysis on first use.
+func (g *Governor) stableTempK(p *prediction) float64 {
+	if !p.done {
+		// Control reaches here without an analysis only after
+		// DecideAbove certified the tick, which it does only where
+		// Analyze succeeds, so the error is always nil.
+		p.an, _ = g.analyze(p.pdW)
+		p.done = true
+	}
+	return p.an.StableTempK
+}
+
 // Control implements sim.Controller: one decision of Section IV-B.
 func (g *Governor) Control(nowS float64, e *sim.Engine) {
 	if !g.haveP {
@@ -281,22 +326,26 @@ func (g *Governor) Control(nowS float64, e *sim.Engine) {
 	if pd <= 0 {
 		return
 	}
-	an, err := g.analyze(pd)
-	if err != nil {
-		return
+	limitK := g.LimitK(e)
+	pred := prediction{pdW: pd}
+	chipViolation, certain := g.params.DecideAbove(pd, limitK)
+	if !certain {
+		an, err := g.analyze(pd)
+		if err != nil {
+			return
+		}
+		pred.an, pred.done = an, true
+		chipViolation = an.Class == stability.Runaway || an.StableTempK > limitK
 	}
 	g.predictions++
-	limitK := g.LimitK(e)
 	tempK := e.SensorTempK()
 
-	chipViolation := an.Class == stability.Runaway ||
-		(an.Class != stability.Runaway && an.StableTempK > limitK)
 	skinViolation := g.skinViolation(e)
 	if !chipViolation && !skinViolation {
 		if g.cfg.Policy == PolicyThrottle {
-			g.maybeUnthrottle(nowS, e, an.StableTempK, limitK)
+			g.maybeUnthrottle(nowS, e, &pred, limitK)
 		} else {
-			g.maybeRestore(nowS, e, an.StableTempK, limitK)
+			g.maybeRestore(nowS, e, &pred, limitK)
 		}
 		return
 	}
@@ -320,15 +369,22 @@ func (g *Governor) Control(nowS float64, e *sim.Engine) {
 		if !skinViolation && g.params.ResistanceKPerW*g.params.CapacitanceJPerK/200 <= g.cfg.HorizonS/10 {
 			horizon = g.cfg.HorizonS
 		}
-		var err error
-		tta, err = g.timeToThreshold(pd, tempK, limitK, horizon)
-		if err != nil || (tta > g.cfg.HorizonS && !skinViolation) {
+		if g.params.ProvablyBelow(pd, tempK, limitK, horizon) {
+			tta = math.Inf(1) // what the integration would return
+		} else {
+			var err error
+			tta, err = g.timeToThreshold(pd, tempK, limitK, horizon)
+			if err != nil {
+				return
+			}
+		}
+		if tta > g.cfg.HorizonS && !skinViolation {
 			return // violation is distant; act next time it is imminent
 		}
 	}
 
 	if g.cfg.Policy == PolicyThrottle {
-		g.throttle(nowS, e, an.StableTempK, tta)
+		g.throttle(nowS, e, &pred, tta)
 		return
 	}
 
@@ -348,7 +404,7 @@ func (g *Governor) Control(nowS float64, e *sim.Engine) {
 		TimeS:           nowS,
 		Kind:            EventMigrate,
 		PID:             pid,
-		PredictedFixedK: an.StableTempK,
+		PredictedFixedK: g.stableTempK(&pred),
 		TimeToLimitS:    tta,
 	})
 }
@@ -372,7 +428,7 @@ func (g *Governor) skinViolation(e *sim.Engine) bool {
 }
 
 // throttle steps the big cluster's frequency cap one OPP down.
-func (g *Governor) throttle(nowS float64, e *sim.Engine, fixedK, tta float64) {
+func (g *Governor) throttle(nowS float64, e *sim.Engine, pred *prediction, tta float64) {
 	dom := e.Platform().Domain(platform.DomBig)
 	table := dom.Table()
 	cur := dom.Cap()
@@ -387,18 +443,19 @@ func (g *Governor) throttle(nowS float64, e *sim.Engine, fixedK, tta float64) {
 	g.events = append(g.events, Event{
 		TimeS:           nowS,
 		Kind:            EventThrottle,
-		PredictedFixedK: fixedK,
+		PredictedFixedK: g.stableTempK(pred),
 		TimeToLimitS:    tta,
 	})
 }
 
 // maybeUnthrottle lifts the big-cluster cap one OPP after the
 // prediction has stayed below limit − margin for the dwell time.
-func (g *Governor) maybeUnthrottle(nowS float64, e *sim.Engine, fixedK, limitK float64) {
+func (g *Governor) maybeUnthrottle(nowS float64, e *sim.Engine, pred *prediction, limitK float64) {
 	dom := e.Platform().Domain(platform.DomBig)
 	if dom.Cap() == 0 {
 		return
 	}
+	fixedK := g.stableTempK(pred)
 	if fixedK >= limitK-g.cfg.RestoreMarginK {
 		g.coolSince = -1
 		return
@@ -424,10 +481,11 @@ func (g *Governor) maybeUnthrottle(nowS float64, e *sim.Engine, fixedK, limitK f
 // maybeRestore returns the most recent victim to the big cluster after
 // the prediction has stayed comfortably below the limit for the dwell
 // time.
-func (g *Governor) maybeRestore(nowS float64, e *sim.Engine, fixedK, limitK float64) {
+func (g *Governor) maybeRestore(nowS float64, e *sim.Engine, pred *prediction, limitK float64) {
 	if g.cfg.RestoreAfterS == 0 || len(g.victims) == 0 {
 		return
 	}
+	fixedK := g.stableTempK(pred)
 	if fixedK >= limitK-g.cfg.RestoreMarginK {
 		g.coolSince = -1
 		return

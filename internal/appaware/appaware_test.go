@@ -23,6 +23,18 @@ func TestNewValidates(t *testing.T) {
 		{HorizonS: 10, IntervalS: 0.1, RestoreMarginK: -1},
 		{HorizonS: 10, IntervalS: 0.1, RestoreAfterS: -1},
 		{HorizonS: 10, IntervalS: 0.1, ThermalLimitK: -5},
+		{HorizonS: math.Inf(1), IntervalS: 0.1},
+		{HorizonS: 10, IntervalS: math.NaN()},
+		{HorizonS: 10, IntervalS: math.Inf(1)},
+		{HorizonS: 10, IntervalS: math.Inf(-1)},
+		{HorizonS: 10, IntervalS: 0.1, ThermalLimitK: math.NaN()},
+		{HorizonS: 10, IntervalS: 0.1, ThermalLimitK: math.Inf(1)},
+		{HorizonS: 10, IntervalS: 0.1, RestoreMarginK: math.NaN()},
+		{HorizonS: 10, IntervalS: 0.1, RestoreMarginK: math.Inf(1)},
+		{HorizonS: 10, IntervalS: 0.1, RestoreAfterS: math.NaN()},
+		{HorizonS: 10, IntervalS: 0.1, RestoreAfterS: math.Inf(1)},
+		{HorizonS: 10, IntervalS: 0.1, SkinLimitK: math.NaN()},
+		{HorizonS: 10, IntervalS: 0.1, SkinLimitK: math.Inf(1)},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
@@ -130,7 +142,7 @@ func fastPlatform() *platform.Platform {
 
 // buildEngine runs a GPU workload (registered real-time) plus a BML CPU
 // hog on the big cluster, mirroring Section IV-C's scenario.
-func buildEngine(t *testing.T, g *Governor) (*sim.Engine, *workload.BML) {
+func buildEngine(t *testing.T, ctl sim.Controller) (*sim.Engine, *workload.BML) {
 	t.Helper()
 	bml := workload.NewBML()
 	bml.ExecuteRatio = 0 // pure model; skip real kernel execution in tests
@@ -152,7 +164,7 @@ func buildEngine(t *testing.T, g *Governor) (*sim.Engine, *workload.BML) {
 			platform.DomBig:    governor.Performance{},
 			platform.DomGPU:    governor.Performance{},
 		},
-		Controller: g,
+		Controller: ctl,
 	})
 	if err != nil {
 		t.Fatal(err)

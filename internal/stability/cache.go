@@ -38,6 +38,10 @@ type trajKey struct {
 	steps        int
 }
 
+// maxTrajSteps bounds the length of a recorded trajectory. Longer
+// horizons are integrated in place rather than memoized.
+const maxTrajSteps = 4096
+
 // memoCap bounds both memo maps: a lockstep batch revisits at most a
 // handful of distinct inputs per control tick, and inputs drift every
 // tick, so stale entries are purged wholesale instead of tracked.
@@ -123,6 +127,12 @@ func (c *TransientCache) TimeToThreshold(p Params, pdW, fromK, thresholdK, horiz
 	dt := p.ResistanceKPerW * p.CapacitanceJPerK / 200
 	if dt > horizonS/10 {
 		dt = horizonS / 10
+	}
+	if !(horizonS/dt <= maxTrajSteps) {
+		// Too long to record (an infinite horizon has no step count at
+		// all): integrate in place, which stops at the crossing or the
+		// stall.
+		return p.TimeToThreshold(pdW, fromK, thresholdK, horizonS)
 	}
 	steps := trajSteps(dt, horizonS)
 	key := trajKey{pd: pdW, from: fromK, dt: dt, steps: steps}

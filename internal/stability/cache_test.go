@@ -105,3 +105,30 @@ func TestTransientCacheEviction(t *testing.T) {
 		t.Fatalf("trajectory memo grew past its cap: %d", len(c.trajs))
 	}
 }
+
+// TestTransientCacheLongHorizons pins the cache to the direct
+// integration for horizons too long to record: an infinite horizon
+// (which has no step count, so recording it never ended), a finite one
+// past maxTrajSteps, and NaN. None of them may enter the memo.
+func TestTransientCacheLongHorizons(t *testing.T) {
+	p := DefaultOdroidParams()
+	c := NewTransientCache()
+	for _, h := range []float64{math.Inf(1), 1e5, math.NaN()} {
+		for _, th := range []float64{340, 400} {
+			want, wantErr := p.TimeToThreshold(3, 310, th, h)
+			got, err := c.TimeToThreshold(p, 3, 310, th, h)
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("horizon %v, threshold %v: error %v, direct %v", h, th, err, wantErr)
+			}
+			if math.Float64bits(want) != math.Float64bits(got) {
+				t.Fatalf("horizon %v, threshold %v: cached %v differs from direct %v", h, th, got, want)
+			}
+		}
+	}
+	if got, _ := c.TimeToThreshold(p, 3, 310, 340, math.Inf(1)); !(got > 269 && got < 270) {
+		t.Errorf("odroid defaults at 3 W, 310 → 340 K: %v s, want ~269.3 s", got)
+	}
+	if len(c.trajs) != 0 {
+		t.Errorf("%d over-long trajectories were memoized", len(c.trajs))
+	}
+}
