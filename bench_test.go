@@ -501,11 +501,12 @@ func BenchmarkNetworkStep(b *testing.B) {
 
 // BenchmarkLeakageExp measures the power layer's leakage alone:
 // staging every domain's exponent, one packed power.ExpInto and the
-// per-domain leakage power, at width 1 (three values, a tail left to
-// math.Exp) and width 8 (three full 8-lane blocks). CI gates both
-// widths at 0 allocs/op.
+// per-domain leakage power, at width 1 (three values, one zero-padded
+// block), width 2 (six values, one padded block), width 4 (one full
+// block and a padded four-value tail) and width 8 (three full 8-lane
+// blocks). CI gates every width at 0 allocs/op.
 func BenchmarkLeakageExp(b *testing.B) {
-	for _, width := range []int{1, 8} {
+	for _, width := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("width-%d", width), benchkit.LeakageExp(width))
 	}
 }

@@ -28,9 +28,11 @@ var useFMA = math.Float64bits(math.Exp(probe)) == probeFMABits
 // for bit on every host. dst must hold at least len(src) values; it
 // may be src itself but must not otherwise overlap it. Where math.Exp
 // runs its FMA sequence, full blocks of eight run through the packed
-// expFMA; a block holding a value outside [-708, 709] — overflow, the
-// denormal range, ±Inf, NaN — and the short tail fall back to
-// math.Exp, as does every value on hosts where math.Exp runs its SSE2
+// expFMA, and a tail of two to seven values runs as one more block,
+// zero-padded on the stack. A block holding a value outside [-708,
+// 709] — overflow, the denormal range, ±Inf, NaN — falls back to
+// math.Exp, as do a one-value tail (padding it measured slower than
+// one call) and every value on hosts where math.Exp runs its SSE2
 // sequence.
 func ExpInto(dst, src []float64) {
 	dst = dst[:len(src)]
@@ -42,6 +44,14 @@ func ExpInto(dst, src []float64) {
 			if i < full {
 				expLoop(dst[i:i+8], src[i:i+8])
 				i += 8
+			}
+		}
+		if n := len(src) - full; n >= 2 {
+			var block [8]float64
+			copy(block[:], src[full:])
+			if expFMA(block[:], block[:]) == 8 {
+				copy(dst[full:], block[:n])
+				return
 			}
 		}
 	}

@@ -80,14 +80,26 @@ func TestExpIntoSpecials(t *testing.T) {
 
 // FuzzExpInto checks ExpInto against math.Exp bit for bit at lengths
 // 0–17 (empty, partial blocks, full blocks and tails), and the packed
-// kernel, where it runs, against its Go replica.
+// kernel, where it runs, against its Go replica. A nonzero back places
+// x at position n-back, so the seeds can put a special value in the
+// zero-padded tail block, which must then fall back to math.Exp.
 func FuzzExpInto(f *testing.F) {
 	for seed := int64(0); seed < 36; seed++ {
-		f.Add(seed, uint8(seed%18))
+		f.Add(seed, uint8(seed%18), uint8(0), 0.0)
 	}
-	f.Fuzz(func(t *testing.T, seed int64, n uint8) {
+	tailSpecials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -800}
+	for i, x := range tailSpecials {
+		for _, n := range []uint8{3, 6, 11, 12} {
+			f.Add(int64(i), n, uint8(1+i%2), x)
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n, back uint8, x float64) {
 		r := rand.New(rand.NewSource(seed))
-		checkExpInto(t, expInputs(r, int(n)%18))
+		src := expInputs(r, int(n)%18)
+		if back > 0 && int(back) <= len(src) {
+			src[len(src)-int(back)] = x
+		}
+		checkExpInto(t, src)
 	})
 }
 

@@ -40,11 +40,18 @@ type rawSample struct {
 	totalW  float64
 	railW   [4]float64
 	freqHz  [3]uint64
+	// taskW and dynW are the window-averaged per-task and non-leakage
+	// powers at the sample (TaskAvgPowers, DynamicPowerW): the inputs
+	// the app-aware governor reads. nil taskW means not captured.
+	taskW map[int]float64
+	dynW  float64
 }
 
-// captureObserver copies every published engine sample verbatim.
+// captureObserver copies every published engine sample verbatim, plus
+// eng's power windows when eng is set.
 type captureObserver struct {
 	samples []rawSample
+	eng     *sim.Engine
 }
 
 func (c *captureObserver) OnSample(s *sim.Sample) error {
@@ -54,6 +61,10 @@ func (c *captureObserver) OnSample(s *sim.Sample) error {
 		maxK:    s.MaxTempK,
 		sensorK: s.SensorK,
 		totalW:  s.TotalW,
+	}
+	if c.eng != nil {
+		raw.taskW = c.eng.TaskAvgPowers()
+		raw.dynW = c.eng.DynamicPowerW()
 	}
 	copy(raw.railW[:], s.RailW)
 	copy(raw.freqHz[:], s.FreqHz)
@@ -372,6 +383,16 @@ func newFrozenEngine(t *testing.T, plat *platform.Platform, apps []*frozenTask,
 	return fe
 }
 
+// windowMean mirrors the engine's window accessors: 0 for an empty
+// window.
+func windowMean(w *stats.Window) float64 {
+	m, err := w.Mean()
+	if err != nil {
+		return 0
+	}
+	return m
+}
+
 func (e *frozenEngine) run(durationS float64) {
 	steps := int(math.Round(durationS / e.stepS))
 	for i := 0; i < steps; i++ {
@@ -608,6 +629,11 @@ func (e *frozenEngine) step() {
 		for _, id := range platform.DomainIDs() {
 			raw.freqHz[id] = e.plat.Domain(id).CurrentHz()
 		}
+		raw.taskW = make(map[int]float64, len(e.taskPower))
+		for pid, w := range e.taskPower {
+			raw.taskW[pid] = windowMean(w)
+		}
+		raw.dynW = windowMean(e.dynWindow)
 		e.samples = append(e.samples, raw)
 		e.nextTraceS = now + e.tracePeriodS
 	}
@@ -776,6 +802,7 @@ func TestStepLoopMatchesFrozenReference(t *testing.T) {
 			if err := plat.Prewarm(sc.prewarmC); err != nil {
 				t.Fatal(err)
 			}
+			cap.eng = eng
 			if err := eng.Run(durationS); err != nil {
 				t.Fatal(err)
 			}
@@ -797,7 +824,8 @@ func TestStepLoopMatchesFrozenReference(t *testing.T) {
 }
 
 // compareTraces asserts bitwise equality of every channel of every
-// published sample and reports the first divergence precisely.
+// published sample — and of the power windows where both sides
+// captured them — and reports the first divergence precisely.
 func compareTraces(t *testing.T, frozen, live []rawSample) {
 	t.Helper()
 	if len(frozen) != len(live) {
@@ -837,6 +865,20 @@ func compareTraces(t *testing.T, frozen, live []rawSample) {
 			if f.freqHz[d] != l.freqHz[d] {
 				t.Fatalf("sample %d (t=%.1fs): domain %s frequency diverged: frozen %d, engine %d",
 					i, f.timeS, platform.DomainID(d), f.freqHz[d], l.freqHz[d])
+			}
+		}
+		if f.taskW == nil || l.taskW == nil {
+			continue
+		}
+		if !bitsEq(f.dynW, l.dynW) {
+			t.Fatalf("sample %d (t=%.1fs): dynamic power window diverged: frozen %v, engine %v", i, f.timeS, f.dynW, l.dynW)
+		}
+		if len(f.taskW) != len(l.taskW) {
+			t.Fatalf("sample %d (t=%.1fs): task count diverged: frozen %d, engine %d", i, f.timeS, len(f.taskW), len(l.taskW))
+		}
+		for pid, fw := range f.taskW {
+			if lw, ok := l.taskW[pid]; !ok || !bitsEq(fw, lw) {
+				t.Fatalf("sample %d (t=%.1fs): task %d power window diverged: frozen %v, engine %v", i, f.timeS, pid, fw, lw)
 			}
 		}
 	}

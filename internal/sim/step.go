@@ -8,6 +8,20 @@
 // stepPost finishes the step. The frozen pre-refactor step loop in
 // frozen_diff_test.go is the oracle both paths are pinned to bit for
 // bit.
+//
+// The step splits power the way the platform model does. The dynamic
+// side (GPU sharing, scheduling, per-domain dynamic power, memory power
+// and per-task attribution) is a pure function of the step's inputs:
+// task demands, placements and real-time flags, each app's GPU demand,
+// the clusters' online cores and the three domains' OPPs. Those move
+// only when a workload frame, a governor, the scheduler or a controller
+// acts, so a step whose inputs all match the last fresh step's (a
+// steady step) replays that step's phase 5–8 results. Everything
+// temperature moves — the leakage exponents and powers, the rail and
+// node sums, the utilisation accumulators, the window pushes, meter,
+// DAQ, thermal and stepPost — runs every step, in the same operation
+// order, so a steady step is bitwise-equal to a fresh one
+// (TestSteadyStepMatchesFreshStep).
 package sim
 
 import (
@@ -52,19 +66,42 @@ type fastPath struct {
 	sample   power.Sample
 	gpuGrant float64
 
-	// Scheduling memo. One step's assignment is a pure function of the
-	// task demands/placements and the cluster capacities, and those
+	// Step-input memo. One step's scheduling (phase 5) is a pure
+	// function of the task demands/placements and the cluster
+	// capacities; its GPU share, dynamic power and attribution (phases
+	// 6–8) add each app's GPU demand and the three domains' OPPs. Those
 	// inputs are piecewise-constant (demands change on workload frame
-	// boundaries, capacities on DVFS transitions), so most steps can
-	// reuse the previous assignment verbatim — bitwise-equal by purity
-	// — instead of recomputing it. sigValid gates the memo; it stays
-	// false whenever the scheduler holds tasks the engine does not own,
-	// whose demands the signature could not observe.
+	// boundaries, OPPs and capacities on DVFS transitions, caps and
+	// hot-plug), so most steps can reuse the last fresh step's results
+	// verbatim — bitwise-equal by purity — instead of recomputing them.
+	// sigValid gates the memo; it stays false whenever the scheduler
+	// holds tasks the engine does not own, whose demands the signature
+	// could not observe, and refreshTasks and Restore clear it.
 	sigValid   bool
 	sigCaps    [2]sched.Capacity
 	sigDemand  []float64
 	sigCluster []sched.ClusterID
 	sigRT      []bool
+	sigGPU     []float64
+	sigOPP     [3]dvfs.OPP
+
+	// steady is stepPre's verdict for stepPower: every memo input
+	// matched, so phases 6–8 replay memo. steadySteps counts them.
+	steady      bool
+	steadySteps uint64
+	memo        stepMemo
+}
+
+// stepMemo holds the last fresh step's phase 6–8 results that a steady
+// step replays (phase 6's GPU grants stay in Engine.gpuAchieved and
+// fastPath.gpuGrant).
+type stepMemo struct {
+	utilCores  [3]float64
+	maxLoad    [3]float64
+	domDynamic [3]float64
+	memW       float64
+	dynTotal   float64
+	taskW      []float64 // attributed power per app, aligned with Engine.apps
 }
 
 // StepS returns the engine's fixed integration step in seconds.
@@ -91,6 +128,8 @@ func (e *Engine) initFast() {
 	fp.sigDemand = make([]float64, len(e.apps))
 	fp.sigCluster = make([]sched.ClusterID, len(e.apps))
 	fp.sigRT = make([]bool, len(e.apps))
+	fp.sigGPU = make([]float64, len(e.apps))
+	fp.memo.taskW = make([]float64, len(e.apps))
 	fp.refreshTasks(e)
 }
 
@@ -198,13 +237,14 @@ func (e *Engine) stepPre(lk []float64) error {
 		e.nextCtrlS = now + e.cfg.Controller.IntervalS()
 	}
 
-	// 5. CPU scheduling under current capacities, memoized: when every
-	// assignment input — capacities, per-task demand, placement and
-	// real-time flag — matches the previous step's, the previous grants
-	// are still exact (scheduling is a pure function of those inputs),
-	// so e.assign is left holding them untouched. The memo is bypassed
-	// whenever the scheduler holds tasks beyond the engine's own apps:
-	// their demands are outside the signature.
+	// 5. CPU scheduling under current capacities, the first half of the
+	// step-input memo: when every assignment input — capacities (clock
+	// and online cores), per-task demand, placement and real-time flag
+	// — matches the last fresh step's, those grants are still exact
+	// (scheduling is a pure function of those inputs), so e.assign is
+	// left holding them untouched. The memo is bypassed whenever the
+	// scheduler holds tasks beyond the engine's own apps: their demands
+	// are outside the signature.
 	little := sched.Capacity{FreqHz: fp.doms[platform.DomLittle].CurrentHz(), Cores: e.plat.OnlineCores(platform.DomLittle)}
 	big := sched.Capacity{FreqHz: fp.doms[platform.DomBig].CurrentHz(), Cores: e.plat.OnlineCores(platform.DomBig)}
 	fresh := !fp.sigValid ||
@@ -247,30 +287,60 @@ func (e *Engine) stepPre(lk []float64) error {
 		}
 	}
 
-	// 6. GPU sharing: proportional to demand under the single GPU queue.
-	gpuFreq := float64(fp.doms[platform.DomGPU].CurrentHz())
-	for i := range e.gpuAchieved {
-		e.gpuAchieved[i] = 0
+	// The second half: the step is steady when scheduling was reused
+	// and the rest of the phase 6–8 inputs — every app's GPU demand and
+	// every domain's OPP — match the last fresh step's too. A steady
+	// step keeps phase 6's grants and stepPower replays fp.memo; a
+	// fresh step records the new inputs here and its results in
+	// stepDynamic, so the memo always describes the last fresh step and
+	// the one sigValid gates both halves.
+	steady := !fresh
+	for _, id := range domainIDs {
+		steady = steady && fp.doms[id].CurrentOPP() == fp.sigOPP[id]
 	}
-	gpuGrantTotal := 0.0
-	if totalGPUDemand > 0 && gpuFreq > 0 {
-		scale := 1.0
-		if totalGPUDemand > gpuFreq {
-			scale = gpuFreq / totalGPUDemand
-		}
-		// Accumulate in app-spec order: float addition is not
-		// associative, and same-seed runs must be bitwise identical.
-		for i := range e.apps {
-			d := e.gpuDemand[i]
-			if d == 0 {
-				continue
+	if steady {
+		for i, d := range e.gpuDemand {
+			if d != fp.sigGPU[i] {
+				steady = false
+				break
 			}
-			g := d * scale
-			e.gpuAchieved[i] = g
-			gpuGrantTotal += g
 		}
 	}
-	fp.gpuGrant = gpuGrantTotal
+	fp.steady = steady
+	if steady {
+		fp.steadySteps++
+	} else {
+		for _, id := range domainIDs {
+			fp.sigOPP[id] = fp.doms[id].CurrentOPP()
+		}
+		copy(fp.sigGPU, e.gpuDemand)
+
+		// 6. GPU sharing: proportional to demand under the single GPU
+		// queue.
+		gpuFreq := float64(fp.doms[platform.DomGPU].CurrentHz())
+		for i := range e.gpuAchieved {
+			e.gpuAchieved[i] = 0
+		}
+		gpuGrantTotal := 0.0
+		if totalGPUDemand > 0 && gpuFreq > 0 {
+			scale := 1.0
+			if totalGPUDemand > gpuFreq {
+				scale = gpuFreq / totalGPUDemand
+			}
+			// Accumulate in app-spec order: float addition is not
+			// associative, and same-seed runs must be bitwise identical.
+			for i := range e.apps {
+				d := e.gpuDemand[i]
+				if d == 0 {
+					continue
+				}
+				g := d * scale
+				e.gpuAchieved[i] = g
+				gpuGrantTotal += g
+			}
+		}
+		fp.gpuGrant = gpuGrantTotal
+	}
 
 	for _, id := range domainIDs {
 		lk[id] = fp.models[id].Leakage.Exponent(fp.temps[fp.nodes[id]])
@@ -282,25 +352,87 @@ func (e *Engine) stepPre(lk []float64) error {
 // integration — per-domain power, attribution, metering — given each
 // domain's leakage factor exp(Exponent) in lk[id]. It leaves the
 // per-node power injection in e.powers and the power sample in
-// e.fast.sample for stepPost.
+// e.fast.sample for stepPost. A fresh step computes the dynamic side
+// (phases 7 and 8 up to the window pushes) into fp.memo; a steady step
+// replays it. Both then add the leakage at the current temperatures.
 func (e *Engine) stepPower(lk []float64) error {
 	fp := &e.fast
 	dt := e.cfg.StepS
 	now := e.now
+	m := &fp.memo
+	if !fp.steady {
+		e.stepDynamic()
+	}
+
+	// 7. Per-domain power at current temperatures.
+	sample := &fp.sample
+	*sample = power.Sample{TimeS: now}
+	for i := range e.powers {
+		e.powers[i] = 0
+	}
+	for _, id := range domainIDs {
+		model := fp.models[id]
+		opp := fp.doms[id].CurrentOPP()
+		nodeK := fp.temps[fp.nodes[id]]
+		tot := m.domDynamic[id] + model.IdleW + model.Leakage.PowerExp(opp.VoltageV, nodeK, lk[id])
+		sample.W[fp.rails[id]] += tot
+		e.powers[fp.nodes[id]] += tot
+		util, load := m.utilCores[id], m.maxLoad[id]
+		if id == platform.DomGPU {
+			load = util
+		}
+		e.lastUtil[id] = util
+		e.lastLoad[id] = load
+		e.utilAccum[id] += util * dt
+		e.loadAccum[id] += load * dt
+		e.utilTime[id] += dt
+	}
+	sample.W[power.RailMem] += m.memW
+	if fp.hasMem {
+		e.powers[fp.memNode] += m.memW
+	}
+	e.dynWindow.Push(m.dynTotal)
+
+	// 8. Per-task power attribution.
+	for i := range e.apps {
+		if fp.tasks[i] != nil {
+			fp.windows[i].Push(m.taskW[i])
+		}
+	}
+
+	// 9a. Accounting that precedes thermal integration: meter and DAQ.
+	if err := e.meter.Record(*sample, dt); err != nil {
+		return err
+	}
+	if e.cfg.DAQ != nil {
+		if err := e.cfg.DAQ.Observe(now, dt, sample.Total()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// stepDynamic computes a fresh step's share of phases 7 and 8 into
+// fp.memo: per-domain utilisation, busiest-core load and dynamic power,
+// memory power, the non-leakage total the dynamic window averages, and
+// each task's attributed power. All of it follows from the assignment,
+// the GPU grants and the OPPs, never from temperature.
+func (e *Engine) stepDynamic() {
+	fp := &e.fast
+	m := &fp.memo
 	res := &e.assign
 	gpuFreq := float64(fp.doms[platform.DomGPU].CurrentHz())
 	gpuGrantTotal := fp.gpuGrant
 
-	// 7. Per-domain power at current temperatures.
-	utilCores := [3]float64{
+	m.utilCores = [3]float64{
 		res.UtilCores(sched.Little),
 		res.UtilCores(sched.Big),
 		0,
 	}
 	if gpuFreq > 0 {
-		utilCores[platform.DomGPU] = gpuGrantTotal / gpuFreq
+		m.utilCores[platform.DomGPU] = gpuGrantTotal / gpuFreq
 	}
-	maxLoad := [3]float64{}
+	m.maxLoad = [3]float64{}
 	for i := range e.apps {
 		task := fp.tasks[i]
 		if task == nil {
@@ -323,52 +455,24 @@ func (e *Engine) stepPower(lk []float64) error {
 		if perCore > 1 {
 			perCore = 1
 		}
-		if perCore > maxLoad[domID] {
-			maxLoad[domID] = perCore
+		if perCore > m.maxLoad[domID] {
+			m.maxLoad[domID] = perCore
 		}
 	}
 
-	sample := &fp.sample
-	*sample = power.Sample{TimeS: now}
 	totalAchievedHz := gpuGrantTotal
 	for i := range e.apps {
 		totalAchievedHz += res.AchievedHzAt(fp.slots[i])
 	}
-	domDynamic := [3]float64{}
-	for i := range e.powers {
-		e.powers[i] = 0
-	}
 	for _, id := range domainIDs {
-		model := fp.models[id]
-		opp := fp.doms[id].CurrentOPP()
-		nodeK := fp.temps[fp.nodes[id]]
-		dyn := model.Dynamic(opp, utilCores[id])
-		tot := dyn + model.IdleW + model.Leakage.PowerExp(opp.VoltageV, nodeK, lk[id])
-		domDynamic[id] = dyn
-		sample.W[fp.rails[id]] += tot
-		e.powers[fp.nodes[id]] += tot
-		load := maxLoad[id]
-		if id == platform.DomGPU {
-			load = utilCores[id]
-		}
-		e.lastUtil[id] = utilCores[id]
-		e.lastLoad[id] = load
-		e.utilAccum[id] += utilCores[id] * dt
-		e.loadAccum[id] += load * dt
-		e.utilTime[id] += dt
+		m.domDynamic[id] = fp.models[id].Dynamic(fp.doms[id].CurrentOPP(), m.utilCores[id])
 	}
-	memW := e.plat.MemPower(totalAchievedHz)
-	sample.W[power.RailMem] += memW
-	if fp.hasMem {
-		e.powers[fp.memNode] += memW
-	}
-	dynTotal := memW
+	m.memW = e.plat.MemPower(totalAchievedHz)
+	m.dynTotal = m.memW
 	for _, id := range domainIDs {
-		dynTotal += domDynamic[id] + fp.models[id].IdleW
+		m.dynTotal += m.domDynamic[id] + fp.models[id].IdleW
 	}
-	e.dynWindow.Push(dynTotal)
 
-	// 8. Per-task power attribution.
 	for i := range e.apps {
 		task := fp.tasks[i]
 		if task == nil {
@@ -377,26 +481,15 @@ func (e *Engine) stepPower(lk []float64) error {
 		var p float64
 		switch task.Cluster {
 		case sched.Little:
-			p += domDynamic[platform.DomLittle] * res.BusyShareAt(fp.slots[i])
+			p += m.domDynamic[platform.DomLittle] * res.BusyShareAt(fp.slots[i])
 		case sched.Big:
-			p += domDynamic[platform.DomBig] * res.BusyShareAt(fp.slots[i])
+			p += m.domDynamic[platform.DomBig] * res.BusyShareAt(fp.slots[i])
 		}
 		if gpuGrantTotal > 0 {
-			p += domDynamic[platform.DomGPU] * e.gpuAchieved[i] / gpuGrantTotal
+			p += m.domDynamic[platform.DomGPU] * e.gpuAchieved[i] / gpuGrantTotal
 		}
-		fp.windows[i].Push(p)
+		m.taskW[i] = p
 	}
-
-	// 9a. Accounting that precedes thermal integration: meter and DAQ.
-	if err := e.meter.Record(*sample, dt); err != nil {
-		return err
-	}
-	if e.cfg.DAQ != nil {
-		if err := e.cfg.DAQ.Observe(now, dt, sample.Total()); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // stepPost runs one step's phases after the thermal
