@@ -1,13 +1,13 @@
 // Package repro_test is the benchmark harness that regenerates every
 // table and figure of the paper's evaluation (run with
 // `go test -bench=. -benchmem`), plus ablation benchmarks for the
-// design choices DESIGN.md calls out and micro-benchmarks of the hot
-// substrate paths.
+// model's design choices and micro-benchmarks of the hot substrate
+// paths.
 //
-// Experiment benchmarks report the headline quantity of their artifact
-// as a custom metric (FPS, °C, shares), so a bench run doubles as a
-// reproduction log: compare the reported metrics with the paper values
-// recorded in EXPERIMENTS.md.
+// Experiment benchmarks run the study of the arms their artifact reads
+// and report its headline quantity as a custom metric (FPS, °C,
+// shares), so a bench run doubles as a reproduction log: compare the
+// reported metrics with the paper's values (PAPER.md).
 package repro_test
 
 import (
@@ -32,11 +32,22 @@ import (
 
 const benchSeed = 1
 
+// benchStudy runs the paper arms of the given Nexus apps and Odroid
+// benchmarks at benchSeed.
+func benchStudy(b *testing.B, apps, benches []string) *experiments.Study {
+	b.Helper()
+	st, err := experiments.NewStudy(benchSeed, apps, benches)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return st
+}
+
 // BenchmarkFig1PaperIOTemperature regenerates Figure 1: the Paper.io
 // temperature profiles with and without throttling.
 func BenchmarkFig1PaperIOTemperature(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.TempProfileExperiment("paper.io", benchSeed)
+		res, err := benchStudy(b, []string{"paper.io"}, nil).TempProfile("paper.io")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -49,7 +60,7 @@ func BenchmarkFig1PaperIOTemperature(b *testing.B) {
 // frequency residency.
 func BenchmarkFig2PaperIOGPUResidency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.ResidencyExperiment("paper.io", platform.DomGPU, benchSeed)
+		res, err := benchStudy(b, []string{"paper.io"}, nil).Residency("paper.io", platform.DomGPU)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -61,7 +72,7 @@ func BenchmarkFig2PaperIOGPUResidency(b *testing.B) {
 // BenchmarkFig3StickmanTemperature regenerates Figure 3.
 func BenchmarkFig3StickmanTemperature(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.TempProfileExperiment("stickman-hook", benchSeed)
+		res, err := benchStudy(b, []string{"stickman-hook"}, nil).TempProfile("stickman-hook")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -73,7 +84,7 @@ func BenchmarkFig3StickmanTemperature(b *testing.B) {
 // BenchmarkFig4StickmanGPUResidency regenerates Figure 4.
 func BenchmarkFig4StickmanGPUResidency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.ResidencyExperiment("stickman-hook", platform.DomGPU, benchSeed)
+		res, err := benchStudy(b, []string{"stickman-hook"}, nil).Residency("stickman-hook", platform.DomGPU)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -85,7 +96,7 @@ func BenchmarkFig4StickmanGPUResidency(b *testing.B) {
 // BenchmarkFig5AmazonTemperature regenerates Figure 5.
 func BenchmarkFig5AmazonTemperature(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.TempProfileExperiment("amazon", benchSeed)
+		res, err := benchStudy(b, []string{"amazon"}, nil).TempProfile("amazon")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -98,7 +109,7 @@ func BenchmarkFig5AmazonTemperature(b *testing.B) {
 // cluster residency (the paper highlights the 384 MHz shift).
 func BenchmarkFig6AmazonBigResidency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.ResidencyExperiment("amazon", platform.DomBig, benchSeed)
+		res, err := benchStudy(b, []string{"amazon"}, nil).Residency("amazon", platform.DomBig)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -112,7 +123,7 @@ func BenchmarkFig6AmazonBigResidency(b *testing.B) {
 // percentage reduction ("up to 34%" in the paper's abstract).
 func BenchmarkTable1MedianFPS(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table1Experiment(benchSeed)
+		rows, err := benchStudy(b, experiments.NexusApps, nil).Table1()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -145,7 +156,7 @@ func BenchmarkFig7FixedPoint(b *testing.B) {
 // temperature under the three 3DMark scenarios.
 func BenchmarkFig8MaxTemperature(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig8Experiment(benchSeed)
+		res, err := benchStudy(b, nil, []string{"3dmark"}).Fig8()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -159,7 +170,7 @@ func BenchmarkFig8MaxTemperature(b *testing.B) {
 // distribution pies of the three 3DMark scenarios.
 func BenchmarkFig9PowerDistribution(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig9Experiment(benchSeed)
+		res, err := benchStudy(b, nil, []string{"3dmark"}).Fig9()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -173,7 +184,7 @@ func BenchmarkFig9PowerDistribution(b *testing.B) {
 // Nenamark under alone / +BML / proposed control.
 func BenchmarkTable2Proposed(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table2Experiment(benchSeed)
+		rows, err := benchStudy(b, nil, experiments.OdroidBenches).Table2()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -183,7 +194,7 @@ func BenchmarkTable2Proposed(b *testing.B) {
 	}
 }
 
-// --- Ablation benchmarks (design choices called out in DESIGN.md §5) ---
+// --- Ablation benchmarks (the model's design choices) ---
 
 // odroidBMLScenario builds the 3DMark+BML engine with the given
 // appaware configuration.
@@ -322,8 +333,9 @@ func BenchmarkAblationIntegrator(b *testing.B) {
 }
 
 // BenchmarkAblationLimitSweep maps the thermal-limit trade-off space
-// of the proposed governor (DESIGN.md's extension study): foreground
-// protection vs. background progress across limits.
+// of the proposed governor (the extension study `repro -exp sweep`
+// renders): foreground protection vs. background progress across
+// limits.
 func BenchmarkAblationLimitSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		points, err := experiments.LimitSweep([]float64{52, 60, 70}, 120, benchSeed)

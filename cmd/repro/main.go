@@ -5,7 +5,7 @@
 // Usage:
 //
 //	repro -exp all          # everything
-//	repro -exp fig1         # one artifact (fig1..fig9, table1, table2)
+//	repro -exp fig1         # one artifact (fig1..fig9, table1, table2, sweep)
 //	repro -exp table1 -seed 7
 package main
 
@@ -37,37 +37,53 @@ func main() {
 		}
 	}
 
-	runners := map[string]func(int64) error{
-		"fig1":   func(s int64) error { return tempFig("fig1", "paper.io", s) },
-		"fig2":   func(s int64) error { return residencyFig("fig2", "paper.io", platform.DomGPU, s) },
-		"fig3":   func(s int64) error { return tempFig("fig3", "stickman-hook", s) },
-		"fig4":   func(s int64) error { return residencyFig("fig4", "stickman-hook", platform.DomGPU, s) },
-		"fig5":   func(s int64) error { return tempFig("fig5", "amazon", s) },
-		"fig6":   func(s int64) error { return residencyFig("fig6", "amazon", platform.DomBig, s) },
-		"table1": table1,
-		"fig7":   func(int64) error { return fig7() },
-		"fig8":   fig8,
-		"fig9":   fig9,
-		"table2": table2,
-		"sweep":  sweep,
+	paperIO, stickman, amazon := []string{"paper.io"}, []string{"stickman-hook"}, []string{"amazon"}
+	threeDMark := []string{"3dmark"}
+	artifacts := map[string]artifact{
+		"fig1":   {apps: paperIO, render: func(st *experiments.Study) error { return tempFig(st, "fig1", "paper.io") }},
+		"fig2":   {apps: paperIO, render: func(st *experiments.Study) error { return residencyFig(st, "fig2", "paper.io", platform.DomGPU) }},
+		"fig3":   {apps: stickman, render: func(st *experiments.Study) error { return tempFig(st, "fig3", "stickman-hook") }},
+		"fig4":   {apps: stickman, render: func(st *experiments.Study) error { return residencyFig(st, "fig4", "stickman-hook", platform.DomGPU) }},
+		"fig5":   {apps: amazon, render: func(st *experiments.Study) error { return tempFig(st, "fig5", "amazon") }},
+		"fig6":   {apps: amazon, render: func(st *experiments.Study) error { return residencyFig(st, "fig6", "amazon", platform.DomBig) }},
+		"table1": {apps: experiments.NexusApps, render: table1},
+		"fig7":   {render: func(*experiments.Study) error { return fig7() }},
+		"fig8":   {benches: threeDMark, render: fig8},
+		"fig9":   {benches: threeDMark, render: fig9},
+		"table2": {benches: experiments.OdroidBenches, render: table2},
+		"sweep":  {render: func(*experiments.Study) error { return sweep(*seed) }},
 	}
 	order := []string{"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "table1", "fig7", "fig8", "fig9", "table2"}
 
-	if *exp == "all" {
-		for _, name := range order {
-			if err := runners[name](*seed); err != nil {
-				fatal(err)
-			}
+	if *exp != "all" {
+		if _, ok := artifacts[*exp]; !ok {
+			fatal(fmt.Errorf("unknown experiment %q (want fig1..fig9, table1, table2, sweep, all)", *exp))
 		}
-		return
+		order = []string{*exp}
 	}
-	run, ok := runners[*exp]
-	if !ok {
-		fatal(fmt.Errorf("unknown experiment %q (want fig1..fig9, table1, table2, all)", *exp))
+	// One study runs the union of the arms the requested artifacts read,
+	// each distinct arm once; rendering only reads its engines.
+	var apps, benches []string
+	for _, name := range order {
+		apps = append(apps, artifacts[name].apps...)
+		benches = append(benches, artifacts[name].benches...)
 	}
-	if err := run(*seed); err != nil {
+	st, err := experiments.NewStudy(*seed, apps, benches)
+	if err != nil {
 		fatal(err)
 	}
+	for _, name := range order {
+		if err := artifacts[name].render(st); err != nil {
+			fatal(err)
+		}
+	}
+}
+
+// artifact is one renderable experiment: the Nexus apps and Odroid
+// benchmarks whose arms it reads, and how it renders them.
+type artifact struct {
+	apps, benches []string
+	render        func(*experiments.Study) error
 }
 
 func fatal(err error) {
@@ -75,8 +91,9 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// sweep runs the thermal-limit trade-off study (not a paper artifact;
-// the extension study DESIGN.md describes).
+// sweep runs the thermal-limit trade-off study: not a paper artifact,
+// but the baseline for future thermal managers the paper's conclusion
+// proposes.
 func sweep(seed int64) error {
 	limits := []float64{52, 55, 58, 62, 66, 70}
 	points, err := experiments.LimitSweep(limits, 120, seed)
@@ -113,8 +130,8 @@ func residencyCSV(res *experiments.Residency) string {
 	return b.String()
 }
 
-func tempFig(id, app string, seed int64) error {
-	res, err := experiments.TempProfileExperiment(app, seed)
+func tempFig(st *experiments.Study, id, app string) error {
+	res, err := st.TempProfile(app)
 	if err != nil {
 		return err
 	}
@@ -133,8 +150,8 @@ func tempFig(id, app string, seed int64) error {
 	return writeCSV(id+".csv", csv)
 }
 
-func residencyFig(id, app string, dom platform.DomainID, seed int64) error {
-	res, err := experiments.ResidencyExperiment(app, dom, seed)
+func residencyFig(st *experiments.Study, id, app string, dom platform.DomainID) error {
+	res, err := st.Residency(app, dom)
 	if err != nil {
 		return err
 	}
@@ -150,8 +167,8 @@ func residencyFig(id, app string, dom platform.DomainID, seed int64) error {
 	return writeCSV(id+".csv", residencyCSV(res))
 }
 
-func table1(seed int64) error {
-	rows, err := experiments.Table1Experiment(seed)
+func table1(st *experiments.Study) error {
+	rows, err := st.Table1()
 	if err != nil {
 		return err
 	}
@@ -200,8 +217,8 @@ func fig7() error {
 	return nil
 }
 
-func fig8(seed int64) error {
-	res, err := experiments.Fig8Experiment(seed)
+func fig8(st *experiments.Study) error {
+	res, err := st.Fig8()
 	if err != nil {
 		return err
 	}
@@ -221,8 +238,8 @@ func fig8(seed int64) error {
 	return writeCSV("fig8.csv", csv)
 }
 
-func fig9(seed int64) error {
-	results, err := experiments.Fig9Experiment(seed)
+func fig9(st *experiments.Study) error {
+	results, err := st.Fig9()
 	if err != nil {
 		return err
 	}
@@ -247,8 +264,8 @@ func fig9(seed int64) error {
 	return writeCSV("fig9.csv", csv.String())
 }
 
-func table2(seed int64) error {
-	rows, err := experiments.Table2Experiment(seed)
+func table2(st *experiments.Study) error {
+	rows, err := st.Table2()
 	if err != nil {
 		return err
 	}

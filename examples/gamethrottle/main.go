@@ -16,7 +16,12 @@ import (
 )
 
 func main() {
-	temps, err := experiments.TempProfileExperiment("paper.io", 1)
+	// One study runs both arms once; the figures read its engines.
+	st, err := experiments.NewStudy(1, []string{"paper.io"}, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	temps, err := st.TempProfile("paper.io")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -28,7 +33,7 @@ func main() {
 	}
 	fmt.Println(chart)
 
-	res, err := experiments.ResidencyExperiment("paper.io", mobisim.DomGPU, 1)
+	res, err := st.Residency("paper.io", mobisim.DomGPU)
 	if err != nil {
 		log.Fatal(err)
 	}

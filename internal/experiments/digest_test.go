@@ -36,16 +36,17 @@ func (d digest) addSeries(name string, s *trace.Series) {
 	d.add(name+"/v", s.Values()...)
 }
 
-// collectArtifacts runs every experiment `repro -exp all` renders at
-// the package seed (repro's default, 1) and records the numbers each
-// chart or table shows.
+// collectArtifacts projects every experiment `repro -exp all` renders
+// from the full study at the package seed (repro's default, 1) and
+// records the numbers each chart or table shows.
 func collectArtifacts(t *testing.T) digest {
 	t.Helper()
+	st := paperStudy(t)
 	d := digest{}
 	for _, f := range []struct{ id, app string }{
 		{"fig1", "paper.io"}, {"fig3", "stickman-hook"}, {"fig5", "amazon"},
 	} {
-		res, err := TempProfileExperiment(f.app, seed)
+		res, err := st.TempProfile(f.app)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +61,7 @@ func collectArtifacts(t *testing.T) digest {
 		{"fig4", "stickman-hook", platform.DomGPU},
 		{"fig6", "amazon", platform.DomBig},
 	} {
-		res, err := ResidencyExperiment(f.app, f.dom, seed)
+		res, err := st.Residency(f.app, f.dom)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +72,7 @@ func collectArtifacts(t *testing.T) digest {
 		}
 	}
 
-	rows1, err := Table1Experiment(seed)
+	rows1, err := st.Table1()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func collectArtifacts(t *testing.T) digest {
 		d.add(name+"/psi", c.Psi...)
 	}
 
-	f8, err := Fig8Experiment(seed)
+	f8, err := st.Fig8()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func collectArtifacts(t *testing.T) digest {
 	d.addSeries("fig8/with_bml", f8.WithBML)
 	d.addSeries("fig8/proposed", f8.Proposed)
 
-	f9, err := Fig9Experiment(seed)
+	f9, err := st.Fig9()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func collectArtifacts(t *testing.T) digest {
 		}
 	}
 
-	rows2, err := Table2Experiment(seed)
+	rows2, err := st.Table2()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,23 +1,46 @@
 package experiments
 
 import (
+	"maps"
 	"math"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/platform"
 	"repro/internal/power"
 	"repro/internal/stability"
+	"repro/internal/trace"
 	"repro/internal/workload"
 	"repro/pkg/mobisim"
 )
 
-// These tests lock in the qualitative reproduction targets recorded in
-// EXPERIMENTS.md: they run the actual experiment scenarios and assert
-// the paper's orderings and rough magnitudes, so any model change that
+// These tests lock in the paper's qualitative reproduction targets
+// (PAPER.md): they run the actual experiment scenarios and assert the
+// paper's orderings and rough magnitudes, so any model change that
 // breaks an artifact fails loudly.
 
 const seed = 1
+
+// fullStudy runs every arm `repro -exp all` reads once per test binary;
+// the shape tests and the digest all project from it.
+var fullStudy struct {
+	once sync.Once
+	st   *Study
+	err  error
+}
+
+func paperStudy(t *testing.T) *Study {
+	t.Helper()
+	fullStudy.once.Do(func() {
+		fullStudy.st, fullStudy.err = NewStudy(seed, NexusApps, OdroidBenches)
+	})
+	if fullStudy.err != nil {
+		t.Fatal(fullStudy.err)
+	}
+	return fullStudy.st
+}
 
 func TestNexusAppLookup(t *testing.T) {
 	spec := func(name string) mobisim.Scenario {
@@ -41,9 +64,9 @@ func TestNexusAppLookup(t *testing.T) {
 
 func TestTable1ReproducesPaperShape(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full 140 s x 10 simulation")
+		t.Skip("runs the full paper study")
 	}
-	rows, err := Table1Experiment(seed)
+	rows, err := paperStudy(t).Table1()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,9 +104,9 @@ func TestTable1ReproducesPaperShape(t *testing.T) {
 
 func TestResidencyCollapseUnderThrottling(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full 140 s x 2 simulation")
+		t.Skip("runs the full paper study")
 	}
-	res, err := ResidencyExperiment("paper.io", platform.DomGPU, seed)
+	res, err := paperStudy(t).Residency("paper.io", platform.DomGPU)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,9 +134,9 @@ func TestResidencyCollapseUnderThrottling(t *testing.T) {
 
 func TestTempProfileShape(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full 140 s x 2 simulation")
+		t.Skip("runs the full paper study")
 	}
-	res, err := TempProfileExperiment("paper.io", seed)
+	res, err := paperStudy(t).TempProfile("paper.io")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,12 +146,10 @@ func TestTempProfileShape(t *testing.T) {
 			res.Without.Max(), res.With.Max())
 	}
 	// Both traces span the full measurement window.
-	for _, s := range []string{"without", "with"} {
-		_ = s
-	}
-	last, _ := res.Without.Last()
-	if last.TimeS < NexusDurationS-1 {
-		t.Errorf("trace ends at %.1fs, want ~%.0fs", last.TimeS, float64(NexusDurationS))
+	for _, s := range []*trace.Series{res.Without, res.With} {
+		if last, _ := s.Last(); last.TimeS < NexusDurationS-1 {
+			t.Errorf("%s trace ends at %.1fs, want ~%.0fs", s.Name, last.TimeS, float64(NexusDurationS))
+		}
 	}
 }
 
@@ -174,16 +195,17 @@ func TestModesAndStrings(t *testing.T) {
 }
 
 func TestRunOdroidRejectsUnknownBench(t *testing.T) {
-	if _, err := RunOdroid("quake", Alone, 1, seed); err == nil {
-		t.Error("unknown benchmark should fail")
+	_, err := NewStudy(seed, nil, []string{"3dmark", "quake"})
+	if err == nil || err.Error() != `experiments: unknown benchmark "quake"` {
+		t.Errorf("unknown benchmark: err = %v", err)
 	}
 }
 
 func TestFig8Ordering(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full 250 s x 3 simulation")
+		t.Skip("runs the full paper study")
 	}
-	res, err := Fig8Experiment(seed)
+	res, err := paperStudy(t).Fig8()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,9 +225,9 @@ func TestFig8Ordering(t *testing.T) {
 
 func TestFig9Shares(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full 250 s x 3 simulation")
+		t.Skip("runs the full paper study")
 	}
-	res, err := Fig9Experiment(seed)
+	res, err := paperStudy(t).Fig9()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,9 +271,9 @@ func TestFig9Shares(t *testing.T) {
 
 func TestTable2ReproducesPaperShape(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full 250 s x 6 simulation")
+		t.Skip("runs the full paper study")
 	}
-	rows, err := Table2Experiment(seed)
+	rows, err := paperStudy(t).Table2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,44 +303,158 @@ func TestTable2ReproducesPaperShape(t *testing.T) {
 
 func TestRunNexusAppDeterministic(t *testing.T) {
 	run := func() float64 {
-		r, err := RunNexusApp("hangouts", true, 7)
+		st, err := NewStudy(7, []string{"hangouts"}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r.App.MedianFPS()
+		arms, err := st.arms(nexusSpecs("hangouts", 7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if arms[0].Spec().Governor != mobisim.GovNone || arms[1].Spec().Governor != mobisim.GovStepwise {
+			t.Fatalf("arms run %s and %s, want none and stepwise", arms[0].Spec().Governor, arms[1].Spec().Governor)
+		}
+		return arms[1].Foreground().(*workload.FrameApp).MedianFPS()
 	}
 	if a, b := run(), run(); a != b {
 		t.Errorf("same-seed runs differ: %v vs %v", a, b)
 	}
 }
 
-func TestSortedShares(t *testing.T) {
-	m := map[uint64]float64{100: 0.2, 200: 0.5, 300: 0.3}
-	got := SortedShares(m)
-	if len(got) != 3 || got[0].FreqHz != 200 || got[2].FreqHz != 100 {
-		t.Errorf("sorted shares wrong: %+v", got)
+func TestOdroidRunExposesBenchAndGovernor(t *testing.T) {
+	run := func(mode Mode) *mobisim.Engine {
+		specs, err := odroidSpecs("3dmark", seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := specs[mode]
+		spec.DurationS = 5
+		eng, err := mobisim.New(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	proposed := run(Proposed)
+	if proposed.Spec().Workload != "3dmark+bml" || proposed.Spec().Governor != mobisim.GovAppAware {
+		t.Errorf("proposed arm is %s under %s, want 3dmark+bml under appaware", proposed.Spec().Workload, proposed.Spec().Governor)
+	}
+	if _, ok := proposed.Foreground().(*workload.ThreeDMark); !ok {
+		t.Error("bench should be a ThreeDMark")
+	}
+	if proposed.BackgroundBML() == nil {
+		t.Error("proposed mode should include BML")
+	}
+	if proposed.AppAware() == nil {
+		t.Error("proposed mode should expose the appaware governor")
+	}
+	alone := run(Alone)
+	if alone.Spec().Workload != "3dmark" || alone.Spec().Governor != mobisim.GovIPA {
+		t.Errorf("alone arm is %s under %s, want 3dmark under ipa", alone.Spec().Workload, alone.Spec().Governor)
+	}
+	if alone.BackgroundBML() != nil || alone.AppAware() != nil {
+		t.Error("alone mode should have neither BML nor the governor")
 	}
 }
 
-func TestOdroidRunExposesBenchAndGovernor(t *testing.T) {
-	run, err := RunOdroid("3dmark", Proposed, 5, seed)
+// TestStudyRunsEachArmOnce pins the Study's contract: the union of the
+// paper's arms is 16 distinct engines, a study of fewer arms projects
+// the same numbers bit for bit, and projecting an arm the study did not
+// run is an error.
+func TestStudyRunsEachArmOnce(t *testing.T) {
+	if _, err := NewStudy(seed, []string{"flappy-bird"}, nil); err == nil || err.Error() != `experiments: unknown app "flappy-bird"` {
+		t.Errorf("unknown app: err = %v", err)
+	}
+	if _, err := NewStudy(seed, nil, []string{"quake"}); err == nil || err.Error() != `experiments: unknown benchmark "quake"` {
+		t.Errorf("unknown benchmark: err = %v", err)
+	}
+	empty, err := NewStudy(seed, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := run.Bench.(*workload.ThreeDMark); !ok {
-		t.Error("bench should be a ThreeDMark")
+	if len(empty.engines) != 0 {
+		t.Errorf("empty study ran %d engines", len(empty.engines))
 	}
-	if run.BML == nil {
-		t.Error("proposed mode should include BML")
+	if _, err := empty.TempProfile("paper.io"); err == nil {
+		t.Error("TempProfile over an arm the study did not run should fail")
 	}
-	if run.Governor == nil {
-		t.Error("proposed mode should expose the appaware governor")
+	if _, err := empty.Fig9(); err == nil {
+		t.Error("Fig9 over arms the study did not run should fail")
 	}
-	alone, err := RunOdroid("3dmark", Alone, 5, seed)
+	if testing.Short() {
+		t.Skip("runs the full paper study")
+	}
+
+	full := paperStudy(t)
+	if n := len(full.engines); n != 16 {
+		t.Errorf("full study holds %d engines, want 16", n)
+	}
+	// A one-artifact study with repeated names runs only its arms.
+	amazon, err := NewStudy(seed, []string{"amazon", "amazon"}, []string{"nenamark"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if alone.BML != nil || alone.Governor != nil {
-		t.Error("alone mode should have neither BML nor the governor")
+	if n := len(amazon.engines); n != 5 {
+		t.Errorf("amazon+nenamark study holds %d engines, want 5", n)
+	}
+	if _, err := amazon.Table1(); err == nil {
+		t.Error("Table1 needs all five apps; a one-app study should fail")
+	}
+	if _, err := amazon.Fig8(); err == nil {
+		t.Error("Fig8 needs the 3DMark arms; a nenamark study should fail")
+	}
+	// Projections only read the engines, so they may run concurrently.
+	var got *TempProfile
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		got, err = amazon.TempProfile("amazon")
+	}()
+	again, err2 := amazon.TempProfile("amazon")
+	wg.Wait()
+	if err != nil || err2 != nil {
+		t.Fatal(err, err2)
+	}
+	if again.Without.Name != got.Without.Name || again.With.Max() != got.With.Max() {
+		t.Error("concurrent projections of one arm differ")
+	}
+	want, err := full.TempProfile("amazon")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pair := range [][2]*trace.Series{{got.Without, want.Without}, {got.With, want.With}} {
+		if !slices.Equal(pair[0].Values(), pair[1].Values()) || !slices.Equal(pair[0].Times(), pair[1].Times()) {
+			t.Errorf("%s: one-artifact study differs from the full study", pair[1].Name)
+		}
+	}
+	gotR, err := amazon.Residency("amazon", platform.DomBig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantR, err := full.Residency("amazon", platform.DomBig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(gotR.FreqsHz, wantR.FreqsHz) || !maps.Equal(gotR.Without, wantR.Without) || !maps.Equal(gotR.With, wantR.With) {
+		t.Error("amazon residency: one-artifact study differs from the full study")
+	}
+	gotNN, err := amazon.arms(odroidSpecs("nenamark", seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantNN, err := full.arms(odroidSpecs("nenamark", seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range Modes() {
+		a := gotNN[m].Foreground().(*workload.Nenamark).Score()
+		b := wantNN[m].Foreground().(*workload.Nenamark).Score()
+		if a != b {
+			t.Errorf("nenamark %s: score %v, full study %v", m, a, b)
+		}
 	}
 }

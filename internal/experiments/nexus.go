@@ -1,18 +1,19 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation: the Nexus 6P throttling study of Section III (Figures 1-6,
 // Table I) and the Odroid-XU3 application-aware governor study of
-// Section IV (Figures 7-9, Table II). Each experiment is a deterministic
-// simulation scenario returning structured results; cmd/repro renders
-// them and bench_test.go regenerates them as benchmarks.
+// Section IV (Figures 7-9, Table II). A Study runs each controlled arm
+// the requested artifacts read once, and every simulated figure and
+// table is a method projecting structured results out of its engines
+// (Figure 7 is analytic); cmd/repro renders them and bench_test.go
+// regenerates them as benchmarks.
 package experiments
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/dvfs"
 	"repro/internal/platform"
-	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
 	"repro/pkg/mobisim"
@@ -30,51 +31,17 @@ const NexusDurationS = 140
 // one at ambient (Figure 1's traces start near 36°C).
 const NexusPrewarmC = mobisim.NexusPrewarmC
 
-// NexusRun is the result of one Section III scenario.
-type NexusRun struct {
-	// App is the completed workload (FPS statistics inside).
-	App *workload.FrameApp
-	// Engine holds traces and residency.
-	Engine *sim.Engine
-}
-
-// RunNexusApp reproduces one arm of the Section III study: the named
-// app on the Nexus 6P for 140 s, with the default thermal governor
-// either enabled (throttle) or disabled — the paper's two controlled
-// scenarios. The wiring is one facade scenario: stepwise vs none.
-func RunNexusApp(name string, throttle bool, seed int64) (*NexusRun, error) {
-	known := false
-	for _, app := range NexusApps {
-		if name == app {
-			known = true
-			break
-		}
+// nexusSpecs returns the two arms of one app's Section III study: the
+// app on the Nexus 6P for 140 s with the default thermal governor
+// disabled (none), then enabled (stepwise).
+func nexusSpecs(app string, seed int64) ([]mobisim.Scenario, error) {
+	if !slices.Contains(NexusApps, app) {
+		return nil, fmt.Errorf("experiments: unknown app %q", app)
 	}
-	if !known {
-		return nil, fmt.Errorf("experiments: unknown app %q", name)
-	}
-	gov := mobisim.GovNone
-	if throttle {
-		gov = mobisim.GovStepwise
-	}
-	eng, err := mobisim.New(mobisim.Scenario{
-		Platform:  mobisim.PlatformNexus6P,
-		Workload:  name,
-		Governor:  gov,
-		DurationS: NexusDurationS,
-		Seed:      seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := eng.Run(); err != nil {
-		return nil, err
-	}
-	app, ok := eng.Foreground().(*workload.FrameApp)
-	if !ok {
-		return nil, fmt.Errorf("experiments: workload %q is not a Nexus frame app", name)
-	}
-	return &NexusRun{App: app, Engine: eng.Sim()}, nil
+	free := mobisim.Scenario{Platform: mobisim.PlatformNexus6P, Workload: app, Governor: mobisim.GovNone, DurationS: NexusDurationS, Seed: seed}
+	throttled := free
+	throttled.Governor = mobisim.GovStepwise
+	return []mobisim.Scenario{free, throttled}, nil
 }
 
 // TempProfile is the Figure 1/3/5 data product: the package-sensor
@@ -87,22 +54,18 @@ type TempProfile struct {
 	Without, With *trace.Series
 }
 
-// TempProfileExperiment runs both arms and returns the temperature
-// profiles (Figures 1, 3 and 5 use paper.io, stickman-hook and amazon).
-func TempProfileExperiment(app string, seed int64) (*TempProfile, error) {
-	free, err := RunNexusApp(app, false, seed)
+// TempProfile returns one app's temperature profiles (Figures 1, 3 and
+// 5 use paper.io, stickman-hook and amazon).
+func (s *Study) TempProfile(app string) (*TempProfile, error) {
+	arms, err := s.arms(nexusSpecs(app, s.seed))
 	if err != nil {
 		return nil, err
 	}
-	throt, err := RunNexusApp(app, true, seed)
-	if err != nil {
-		return nil, err
-	}
-	w := free.Engine.Recording().SensorSeries()
-	w.Name = "without throttling"
-	v := throt.Engine.Recording().SensorSeries()
-	v.Name = "with throttling"
-	return &TempProfile{AppName: app, Without: w, With: v}, nil
+	return &TempProfile{
+		AppName: app,
+		Without: named(arms[0].Sim().Recording().SensorSeries(), "without throttling"),
+		With:    named(arms[1].Sim().Recording().SensorSeries(), "with throttling"),
+	}, nil
 }
 
 // Residency is the Figure 2/4/6 data product: one domain's frequency
@@ -117,25 +80,20 @@ type Residency struct {
 	Without, With map[uint64]float64
 }
 
-// ResidencyExperiment runs both arms and returns the residency
-// histogram of the given domain (GPU for Figures 2 and 4, big cluster
-// for Figure 6).
-func ResidencyExperiment(app string, dom platform.DomainID, seed int64) (*Residency, error) {
-	free, err := RunNexusApp(app, false, seed)
+// Residency returns the residency histogram of one app's domain under
+// both arms (GPU for Figures 2 and 4, big cluster for Figure 6).
+func (s *Study) Residency(app string, dom platform.DomainID) (*Residency, error) {
+	arms, err := s.arms(nexusSpecs(app, s.seed))
 	if err != nil {
 		return nil, err
 	}
-	throt, err := RunNexusApp(app, true, seed)
-	if err != nil {
-		return nil, err
-	}
-	freqs := free.Engine.Platform().Domain(dom).Table().Frequencies()
+	free := arms[0].Sim().Platform().Domain(dom)
 	return &Residency{
 		AppName: app,
 		Domain:  dom,
-		FreqsHz: freqs,
-		Without: free.Engine.Platform().Domain(dom).ResidencyShare(),
-		With:    throt.Engine.Platform().Domain(dom).ResidencyShare(),
+		FreqsHz: free.Table().Frequencies(),
+		Without: free.ResidencyShare(),
+		With:    arms[1].Sim().Platform().Domain(dom).ResidencyShare(),
 	}, nil
 }
 
@@ -161,21 +119,17 @@ type Table1Row struct {
 	ReductionPct float64
 }
 
-// Table1Experiment reproduces Table I: median FPS for all five apps
-// with and without thermal throttling.
-func Table1Experiment(seed int64) ([]Table1Row, error) {
+// Table1 reproduces Table I: median FPS for all five apps with and
+// without thermal throttling.
+func (s *Study) Table1() ([]Table1Row, error) {
 	rows := make([]Table1Row, 0, len(NexusApps))
 	for _, name := range NexusApps {
-		free, err := RunNexusApp(name, false, seed)
+		arms, err := s.arms(nexusSpecs(name, s.seed))
 		if err != nil {
 			return nil, err
 		}
-		throt, err := RunNexusApp(name, true, seed)
-		if err != nil {
-			return nil, err
-		}
-		wo := free.App.MedianFPS()
-		wi := throt.App.MedianFPS()
+		wo := arms[0].Foreground().(*workload.FrameApp).MedianFPS()
+		wi := arms[1].Foreground().(*workload.FrameApp).MedianFPS()
 		red := 0.0
 		if wo > 0 {
 			red = (wo - wi) / wo * 100
@@ -183,24 +137,4 @@ func Table1Experiment(seed int64) ([]Table1Row, error) {
 		rows = append(rows, Table1Row{App: name, WithoutFPS: wo, WithFPS: wi, ReductionPct: red})
 	}
 	return rows, nil
-}
-
-// SortedShares returns (freq, share) pairs sorted by descending share;
-// a debugging helper for calibration.
-func SortedShares(m map[uint64]float64) []struct {
-	FreqHz uint64
-	Share  float64
-} {
-	out := make([]struct {
-		FreqHz uint64
-		Share  float64
-	}, 0, len(m))
-	for f, s := range m {
-		out = append(out, struct {
-			FreqHz uint64
-			Share  float64
-		}{f, s})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Share > out[j].Share })
-	return out
 }

@@ -2,10 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
-	"repro/internal/appaware"
 	"repro/internal/power"
-	"repro/internal/sim"
 	"repro/internal/stability"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -52,58 +51,24 @@ const OdroidDurationS = 250
 // the paper's board idles near 50°C with the fan off.
 const OdroidPrewarmC = mobisim.OdroidPrewarmC
 
-// OdroidRun is one completed Section IV-C scenario.
-type OdroidRun struct {
-	// Mode is the experimental arm.
-	Mode Mode
-	// Engine holds traces, meter and scheduler state.
-	Engine *sim.Engine
-	// Bench is the foreground benchmark (3DMark or Nenamark).
-	Bench workload.App
-	// BML is the background task (nil in Alone mode).
-	BML *workload.BML
-	// Governor is the application-aware controller (nil unless Proposed).
-	Governor *appaware.Governor
-}
+// OdroidBenches lists the two Section IV-C foreground benchmarks.
+var OdroidBenches = []string{"3dmark", "nenamark"}
 
-// RunOdroid runs one arm of the Section IV-C study with the given
-// foreground benchmark ("3dmark" or "nenamark") for durationS seconds.
-// Each arm is one facade scenario: IPA without/with the "+bml" mix,
-// or the proposed application-aware controller (which replaces
-// whole-system throttling). Background kernels execute for real, as
-// the paper's measured runs do.
-func RunOdroid(bench string, mode Mode, durationS float64, seed int64) (*OdroidRun, error) {
-	if bench != "3dmark" && bench != "nenamark" {
+// odroidSpecs returns the three arms of one benchmark's Section IV-C
+// study ("3dmark" or "nenamark"), indexed by Mode: IPA without and with
+// the "+bml" mix, then the proposed application-aware controller (which
+// replaces whole-system throttling). Background kernels execute for
+// real, as the paper's measured runs do.
+func odroidSpecs(bench string, seed int64) ([]mobisim.Scenario, error) {
+	if !slices.Contains(OdroidBenches, bench) {
 		return nil, fmt.Errorf("experiments: unknown benchmark %q", bench)
 	}
-	workloadMix := bench
-	gov := mobisim.GovIPA
-	if mode != Alone {
-		workloadMix += mobisim.WorkloadSuffixBML
-	}
-	if mode == Proposed {
-		gov = mobisim.GovAppAware
-	}
-	eng, err := mobisim.New(mobisim.Scenario{
-		Platform:  mobisim.PlatformOdroidXU3,
-		Workload:  workloadMix,
-		Governor:  gov,
-		DurationS: durationS,
-		Seed:      seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := eng.Run(); err != nil {
-		return nil, err
-	}
-	return &OdroidRun{
-		Mode:     mode,
-		Engine:   eng.Sim(),
-		Bench:    eng.Foreground(),
-		BML:      eng.BackgroundBML(),
-		Governor: eng.AppAware(),
-	}, nil
+	alone := mobisim.Scenario{Platform: mobisim.PlatformOdroidXU3, Workload: bench, Governor: mobisim.GovIPA, DurationS: OdroidDurationS, Seed: seed}
+	withBML := alone
+	withBML.Workload += mobisim.WorkloadSuffixBML
+	proposed := withBML
+	proposed.Governor = mobisim.GovAppAware
+	return []mobisim.Scenario{alone, withBML, proposed}, nil
 }
 
 // Fig8Result is the Figure 8 data product: the maximum system
@@ -113,19 +78,17 @@ type Fig8Result struct {
 	Alone, WithBML, Proposed *trace.Series
 }
 
-// Fig8Experiment reproduces Figure 8.
-func Fig8Experiment(seed int64) (*Fig8Result, error) {
-	runs, err := threeDMarkRuns(seed)
+// Fig8 reproduces Figure 8.
+func (s *Study) Fig8() (*Fig8Result, error) {
+	runs, err := s.arms(odroidSpecs("3dmark", s.seed))
 	if err != nil {
 		return nil, err
 	}
-	a := runs[Alone].Engine.Recording().MaxTempSeries()
-	a.Name = "3DMark"
-	b := runs[WithBML].Engine.Recording().MaxTempSeries()
-	b.Name = "3DMark+BML"
-	c := runs[Proposed].Engine.Recording().MaxTempSeries()
-	c.Name = "Proposed Control"
-	return &Fig8Result{Alone: a, WithBML: b, Proposed: c}, nil
+	return &Fig8Result{
+		Alone:    named(runs[Alone].Sim().Recording().MaxTempSeries(), "3DMark"),
+		WithBML:  named(runs[WithBML].Sim().Recording().MaxTempSeries(), "3DMark+BML"),
+		Proposed: named(runs[Proposed].Sim().Recording().MaxTempSeries(), "Proposed Control"),
+	}, nil
 }
 
 // Fig9Result is the Figure 9 data product: the power distribution of
@@ -139,15 +102,15 @@ type Fig9Result struct {
 	Shares map[power.Rail]float64
 }
 
-// Fig9Experiment reproduces Figure 9's three pie charts.
-func Fig9Experiment(seed int64) ([]Fig9Result, error) {
-	runs, err := threeDMarkRuns(seed)
+// Fig9 reproduces Figure 9's three pie charts.
+func (s *Study) Fig9() ([]Fig9Result, error) {
+	runs, err := s.arms(odroidSpecs("3dmark", s.seed))
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Fig9Result, 0, 3)
+	out := make([]Fig9Result, 0, len(runs))
 	for _, m := range Modes() {
-		meter := runs[m].Engine.Meter()
+		meter := runs[m].Sim().Meter()
 		out = append(out, Fig9Result{
 			Mode:   m,
 			TotalW: meter.AveragePowerW(),
@@ -176,56 +139,33 @@ type Table2Row struct {
 	Alone, WithBML, Proposed float64
 }
 
-// Table2Experiment reproduces Table II: 3DMark GT1/GT2 FPS and Nenamark
-// levels under the three scenarios.
-func Table2Experiment(seed int64) ([]Table2Row, error) {
-	tm, err := threeDMarkRuns(seed)
+// Table2 reproduces Table II: 3DMark GT1/GT2 FPS and Nenamark levels
+// under the three scenarios.
+func (s *Study) Table2() ([]Table2Row, error) {
+	tm, err := s.arms(odroidSpecs("3dmark", s.seed))
+	if err != nil {
+		return nil, err
+	}
+	nm, err := s.arms(odroidSpecs("nenamark", s.seed))
 	if err != nil {
 		return nil, err
 	}
 	gt1 := Table2Row{Test: "3DMark GT1", Unit: "FPS"}
 	gt2 := Table2Row{Test: "3DMark GT2", Unit: "FPS"}
-	for _, m := range Modes() {
-		bench := tm[m].Bench.(*workload.ThreeDMark)
-		switch m {
-		case Alone:
-			gt1.Alone, gt2.Alone = bench.GT1FPS(), bench.GT2FPS()
-		case WithBML:
-			gt1.WithBML, gt2.WithBML = bench.GT1FPS(), bench.GT2FPS()
-		case Proposed:
-			gt1.Proposed, gt2.Proposed = bench.GT1FPS(), bench.GT2FPS()
-		}
-	}
 	nn := Table2Row{Test: "Nenamark3", Unit: "levels"}
 	for _, m := range Modes() {
-		run, err := RunOdroid("nenamark", m, OdroidDurationS, seed)
-		if err != nil {
-			return nil, err
-		}
-		score := run.Bench.(*workload.Nenamark).Score()
+		bench := tm[m].Foreground().(*workload.ThreeDMark)
+		score := nm[m].Foreground().(*workload.Nenamark).Score()
 		switch m {
 		case Alone:
-			nn.Alone = score
+			gt1.Alone, gt2.Alone, nn.Alone = bench.GT1FPS(), bench.GT2FPS(), score
 		case WithBML:
-			nn.WithBML = score
+			gt1.WithBML, gt2.WithBML, nn.WithBML = bench.GT1FPS(), bench.GT2FPS(), score
 		case Proposed:
-			nn.Proposed = score
+			gt1.Proposed, gt2.Proposed, nn.Proposed = bench.GT1FPS(), bench.GT2FPS(), score
 		}
 	}
 	return []Table2Row{gt1, gt2, nn}, nil
-}
-
-// threeDMarkRuns executes the three 3DMark arms once each.
-func threeDMarkRuns(seed int64) (map[Mode]*OdroidRun, error) {
-	out := make(map[Mode]*OdroidRun, 3)
-	for _, m := range Modes() {
-		run, err := RunOdroid("3dmark", m, OdroidDurationS, seed)
-		if err != nil {
-			return nil, err
-		}
-		out[m] = run
-	}
-	return out, nil
 }
 
 // Fig7Curve is one fixed-point-function curve of Figure 7.

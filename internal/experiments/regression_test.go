@@ -115,30 +115,6 @@ func TestLimitSweepMatchesSeedBehavior(t *testing.T) {
 	}
 }
 
-// TestLimitSweepParallelParity asserts the acceptance invariant: the
-// pool with N workers produces identical results to one worker.
-func TestLimitSweepParallelParity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run simulation")
-	}
-	const durationS, seed = 15, 1
-	limits := []float64{52, 58, 64, 70}
-
-	serial, err := LimitSweepParallel(context.Background(), limits, durationS, seed, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := LimitSweepParallel(context.Background(), limits, durationS, seed, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Errorf("point %d differs between 1 and 4 workers:\nserial:   %+v\nparallel: %+v", i, serial[i], parallel[i])
-		}
-	}
-}
-
 // TestRunScenarioValidates covers the facade builder's error paths
 // for the scenarios the experiments assemble.
 func TestRunScenarioValidates(t *testing.T) {

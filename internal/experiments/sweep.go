@@ -40,12 +40,6 @@ type SweepPoint struct {
 // convention) instead of a literal 0 °C cap, which only ever meant
 // "throttle everything, always".
 func LimitSweep(limitsC []float64, durationS float64, seed int64) ([]SweepPoint, error) {
-	return LimitSweepParallel(context.Background(), limitsC, durationS, seed, 0)
-}
-
-// LimitSweepParallel is LimitSweep with explicit context and worker
-// count (workers <= 0 uses GOMAXPROCS).
-func LimitSweepParallel(ctx context.Context, limitsC []float64, durationS float64, seed int64, workers int) ([]SweepPoint, error) {
 	if len(limitsC) == 0 {
 		return nil, fmt.Errorf("experiments: sweep needs at least one limit")
 	}
@@ -61,7 +55,7 @@ func LimitSweepParallel(ctx context.Context, limitsC []float64, durationS float6
 			ModelOnlyBML: true,
 		}
 	}
-	metrics, err := mobisim.RunScenarios(ctx, specs, mobisim.SweepConfig{Workers: workers, WarmStart: true})
+	metrics, err := mobisim.RunScenarios(context.Background(), specs, mobisim.SweepConfig{WarmStart: true})
 	if err != nil {
 		return nil, err
 	}

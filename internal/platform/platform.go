@@ -7,7 +7,7 @@
 // All numeric parameters are synthetic calibrations: they are chosen so
 // the simulated governor dynamics reproduce the paper's qualitative
 // behavior (residency shifts, FPS losses, temperature trajectories),
-// not the authors' absolute testbed numbers. See DESIGN.md §2.
+// not the authors' absolute testbed numbers.
 package platform
 
 import (

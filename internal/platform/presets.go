@@ -8,7 +8,7 @@ import (
 // follow the real devices (the paper names the Adreno 430 frequencies
 // and the 384/960 MHz A57 points explicitly); power and thermal
 // constants are synthetic calibrations chosen to reproduce the paper's
-// qualitative dynamics. See DESIGN.md §2 for the substitution argument.
+// qualitative dynamics.
 //
 // The presets' numeric parameters live in the embedded spec files
 // (specs/nexus6p.json, specs/odroid-xu3.json); Nexus6P and OdroidXU3

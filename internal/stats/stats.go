@@ -227,7 +227,10 @@ func (w *Window) Push(x float64) {
 	}
 	w.full = true
 	w.buf[w.head] = x
-	w.head = (w.head + 1) % cap(w.buf)
+	w.head++
+	if w.head == len(w.buf) {
+		w.head = 0
+	}
 }
 
 // Len reports the number of samples currently held.
@@ -263,12 +266,17 @@ func (w *Window) SaveState(sw *snapbin.Writer) {
 func (w *Window) LoadState(r *snapbin.Reader) error {
 	head := r.Int()
 	full := r.Bool()
-	n := int(r.U64())
+	n := r.U64()
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("stats: window: %w", err)
 	}
-	if n > cap(w.buf) {
+	if n > uint64(cap(w.buf)) {
 		return fmt.Errorf("stats: window holds %d samples, capacity is %d", n, cap(w.buf))
+	}
+	// Push writes at head only once the window is at capacity; before
+	// that the ring has not turned, so head is 0 and full is false.
+	if head < 0 || head >= cap(w.buf) || (int(n) < cap(w.buf) && (head != 0 || full)) {
+		return fmt.Errorf("stats: window ring head %d (full %t) is invalid for %d of %d samples", head, full, n, cap(w.buf))
 	}
 	w.buf = w.buf[:n]
 	for i := range w.buf {

@@ -1,9 +1,12 @@
 package stats
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/snapbin"
 )
 
 func TestMean(t *testing.T) {
@@ -208,6 +211,69 @@ func TestWindowPanicsOnZeroCapacity(t *testing.T) {
 		}
 	}()
 	NewWindow(0)
+}
+
+// TestWindowLoadStateValidatesRing feeds LoadState hand-built blobs: a
+// ring head outside the buffer, or a turned ring in a window that never
+// filled, must be rejected rather than panic in a later Push, and every
+// state Push can reach must load and then evolve like the original.
+func TestWindowLoadStateValidatesRing(t *testing.T) {
+	const capacity = 4
+	blob := func(head int, full bool, n uint64, samples ...float64) []byte {
+		var sw snapbin.Writer
+		sw.PutInt(head)
+		sw.PutBool(full)
+		sw.PutU64(n)
+		for _, x := range samples {
+			sw.PutF64(x)
+		}
+		return sw.Bytes()
+	}
+	tests := []struct {
+		name   string
+		blob   []byte
+		wantOK bool
+	}{
+		{"empty", blob(0, false, 0), true},
+		{"filling", blob(0, false, 2, 1, 2), true},
+		{"just filled", blob(0, false, 4, 1, 2, 3, 4), true},
+		{"wrapped", blob(3, true, 4, 5, 6, 7, 4), true},
+		{"head past capacity", blob(7, true, 4, 1, 2, 3, 4), false},
+		{"head at capacity", blob(capacity, true, 4, 1, 2, 3, 4), false},
+		{"negative head", blob(-1, true, 4, 1, 2, 3, 4), false},
+		{"head while filling", blob(1, false, 2, 1, 2), false},
+		{"full while filling", blob(0, true, 3, 1, 2, 3), false},
+		{"too many samples", blob(0, false, 5, 1, 2, 3, 4, 5), false},
+		{"length overflows int", blob(0, false, 1<<63), false},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			w := NewWindow(capacity)
+			err := w.LoadState(snapbin.NewReader(tt.blob))
+			if (err == nil) != tt.wantOK {
+				t.Fatalf("LoadState err = %v, want ok=%t", err, tt.wantOK)
+			}
+			if !tt.wantOK {
+				return
+			}
+			// Round trip: the loaded window saves the same bytes and
+			// keeps evolving like one that never left memory.
+			var sw snapbin.Writer
+			w.SaveState(&sw)
+			if !bytes.Equal(sw.Bytes(), tt.blob) {
+				t.Errorf("saved %x, loaded %x", sw.Bytes(), tt.blob)
+			}
+			for x := 10.0; x < 16; x++ {
+				w.Push(x)
+			}
+			if !w.Full() || w.Len() != capacity {
+				t.Errorf("after 6 pushes: full=%t len=%d", w.Full(), w.Len())
+			}
+			if m, _ := w.Max(); m != 15 {
+				t.Errorf("max after pushes = %v, want 15", m)
+			}
+		})
+	}
 }
 
 func TestClamp(t *testing.T) {
