@@ -30,10 +30,16 @@ func main() {
 	seed := flag.Int64("seed", 1, "simulation seed")
 	flag.StringVar(&csvDir, "csv", "", "directory to also write artifact CSVs into")
 	flag.Parse()
+	if err := run(*exp, *seed); err != nil {
+		fatal(err)
+	}
+}
 
+// run renders experiment exp ("all" for every paper artifact) at seed.
+func run(exp string, seed int64) error {
 	if csvDir != "" {
 		if err := os.MkdirAll(csvDir, 0o755); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 
@@ -51,15 +57,15 @@ func main() {
 		"fig8":   {benches: threeDMark, render: fig8},
 		"fig9":   {benches: threeDMark, render: fig9},
 		"table2": {benches: experiments.OdroidBenches, render: table2},
-		"sweep":  {render: func(*experiments.Study) error { return sweep(*seed) }},
+		"sweep":  {render: func(*experiments.Study) error { return sweep(seed) }},
 	}
 	order := []string{"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "table1", "fig7", "fig8", "fig9", "table2"}
 
-	if *exp != "all" {
-		if _, ok := artifacts[*exp]; !ok {
-			fatal(fmt.Errorf("unknown experiment %q (want fig1..fig9, table1, table2, sweep, all)", *exp))
+	if exp != "all" {
+		if _, ok := artifacts[exp]; !ok {
+			return fmt.Errorf("unknown experiment %q (want fig1..fig9, table1, table2, sweep, all)", exp)
 		}
-		order = []string{*exp}
+		order = []string{exp}
 	}
 	// One study runs the union of the arms the requested artifacts read,
 	// each distinct arm once; rendering only reads its engines.
@@ -68,15 +74,16 @@ func main() {
 		apps = append(apps, artifacts[name].apps...)
 		benches = append(benches, artifacts[name].benches...)
 	}
-	st, err := experiments.NewStudy(*seed, apps, benches)
+	st, err := experiments.NewStudy(seed, apps, benches)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	for _, name := range order {
 		if err := artifacts[name].render(st); err != nil {
-			fatal(err)
+			return err
 		}
 	}
+	return nil
 }
 
 // artifact is one renderable experiment: the Nexus apps and Odroid
@@ -190,6 +197,19 @@ func fig7() error {
 		return err
 	}
 	fmt.Printf("fig7: fixed-point functions (critical power = %.2f W; cf. paper Fig. 7)\n", crit)
+	// One row per ψ sample, then the curve's fixed points (θ and the
+	// temperature in °C) when it has them.
+	var csv strings.Builder
+	csv.WriteString("power_w,class,series,theta,value\n")
+	for _, c := range curves {
+		for i := range c.Theta {
+			fmt.Fprintf(&csv, "%g,%s,psi,%g,%g\n", c.PowerW, c.Analysis.Class, c.Theta[i], c.Psi[i])
+		}
+		if a := c.Analysis; a.StableTheta != 0 {
+			fmt.Fprintf(&csv, "%g,%s,stable_c,%g,%g\n", c.PowerW, a.Class, a.StableTheta, a.StableTempK-273.15)
+			fmt.Fprintf(&csv, "%g,%s,unstable_c,%g,%g\n", c.PowerW, a.Class, a.UnstableTheta, a.UnstableTempK-273.15)
+		}
+	}
 	for _, c := range curves {
 		series := trace.NewSeries(fmt.Sprintf("Pd=%.1fW [%s]", c.PowerW, c.Analysis.Class), "ψ")
 		for i := range c.Theta {
@@ -214,7 +234,7 @@ func fig7() error {
 			fmt.Println()
 		}
 	}
-	return nil
+	return writeCSV("fig7.csv", csv.String())
 }
 
 func fig8(st *experiments.Study) error {

@@ -118,6 +118,22 @@ func (c *Channel) MeanW() float64 { return c.agg.Mean() }
 // MaxW reports the largest acquired sample (0 when none).
 func (c *Channel) MaxW() float64 { return c.agg.Max() }
 
+// PeriodS returns the sampling period in seconds.
+func (c *Channel) PeriodS() float64 { return c.period }
+
+// CheckClock rejects a restored sample clock the channel could not hold
+// at engine time nowS: Observe leaves the next sample time n*period in
+// [nowS, nowS+period), so one further than a period (and a microsecond
+// of clock rounding) from that range would make the next Observe chase
+// it sample by sample.
+func (c *Channel) CheckClock(nowS float64) error {
+	const slackS = 1e-6
+	if t := float64(c.n) * c.period; c.n < 0 || t < nowS-c.period-slackS || t > nowS+c.period+slackS {
+		return fmt.Errorf("daq: next sample %d at %v s is more than a period %v s from %v s", c.n, t, c.period, nowS)
+	}
+	return nil
+}
+
 // SaveState serializes the channel's sampling clock, noise RNG position,
 // and running aggregate. The recorded series itself is not part of the
 // snapshot: restored channels resume sampling with empty series storage,
@@ -133,7 +149,7 @@ func (c *Channel) SaveState(w *snapbin.Writer) {
 // LoadState restores state saved by SaveState.
 func (c *Channel) LoadState(r *snapbin.Reader) error {
 	seed := r.I64()
-	draws := r.U64()
+	draws := r.Draws()
 	n := r.I64()
 	if err := c.agg.LoadState(r); err != nil {
 		return err

@@ -324,6 +324,9 @@ func (d *Domain) LoadState(r *snapbin.Reader) error {
 	if d.table.IndexOf(current) < 0 {
 		return fmt.Errorf("dvfs: domain %q: restored frequency %d Hz is not a table OPP", d.name, current)
 	}
+	if pendingFreq != 0 && d.table.IndexOf(pendingFreq) < 0 {
+		return fmt.Errorf("dvfs: domain %q: restored pending frequency %d Hz is not a table OPP", d.name, pendingFreq)
+	}
 	d.setCurrent(current)
 	d.capHz = capHz
 	d.floorHz = floorHz

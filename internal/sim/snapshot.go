@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/snapbin"
 )
@@ -15,9 +16,14 @@ import (
 // The blob captures state, not structure: platform topology, OPP
 // tables, app scripts, governor gains and step sizes all come from the
 // config the restoring engine was built with. Restore performs
-// structural sanity checks (slice lengths, PIDs, table membership) but
-// cannot detect every config mismatch; restoring into an engine built
-// from a different config is undefined.
+// structural sanity checks (slice lengths, PIDs, table membership) and
+// bounds every clock a step loops on (the engine clock and its
+// scheduled times, positive finite temperatures, the sensor's, DAQ's
+// and apps' own clocks) and every RNG draw count it replays (relative
+// to the snapshot's step count, checked against its clock first), so a
+// corrupt blob fails to load instead of making Restore or the next
+// step run unbounded. It cannot detect every config mismatch; restoring
+// into an engine built from a different config is undefined.
 //
 // Not captured: recorded trace series (the RecordingSink) and DAQ
 // sample series. Restored engines resume publishing observer samples
@@ -209,6 +215,12 @@ func (e *Engine) Restore(blob []byte) error {
 	r.Tag(tagEngine)
 	e.now = r.F64()
 	e.stepCount = r.U64()
+	// The draw bound grows with the step count, so the count must match
+	// the clock (stepPost keeps them so) before any draw is replayed.
+	if e.now != float64(e.stepCount)*e.cfg.StepS && r.Err() == nil {
+		return fmt.Errorf("sim: restore: clock %v s is not step %d of %v s", e.now, e.stepCount, e.cfg.StepS)
+	}
+	r.SetDrawLimit(e.drawLimit())
 	for i := 0; i < 3; i++ {
 		e.nextGovS[i] = r.F64()
 		e.utilAccum[i] = r.F64()
@@ -353,10 +365,95 @@ func (e *Engine) Restore(blob []byte) error {
 	if n := r.Remaining(); n != 0 {
 		return fmt.Errorf("sim: restore: %d trailing bytes after snapshot", n)
 	}
+	if err := e.checkClocks(); err != nil {
+		return fmt.Errorf("sim: restore: %w", err)
+	}
 
 	// The batched fast path caches a signature of platform state;
 	// restoring behind its back invalidates the memo.
 	e.fast.sigValid = false
+	return nil
+}
+
+// drawLimit bounds the RNG draw count any one counted source may carry
+// in a snapshot of this engine at its restored step count. Restoring a
+// source replays every draw, so the bound keeps a corrupt count from
+// stalling Restore: replaying costs about as much as simulating to the
+// snapshot's step, which a snapshot at a huge (clock-consistent) step
+// count therefore still may. A source draws a handful of values per
+// sample or control interval; the bound allows 1024 per step, four per
+// DAQ sample, and 2^20 more.
+func (e *Engine) drawLimit() uint64 {
+	perStep := uint64(1 << 10)
+	if e.cfg.DAQ != nil {
+		perStep += 4 * uint64(math.Ceil(math.Min(e.cfg.StepS/e.cfg.DAQ.PeriodS(), 1<<40)))
+	}
+	if e.stepCount >= (math.MaxUint64-1<<20)/perStep {
+		return math.MaxUint64
+	}
+	return 1<<20 + perStep*e.stepCount
+}
+
+// clockChecker is implemented by components whose restored state
+// holds clocks of their own: CheckClock rejects a clock the component
+// could not hold at engine time nowS, one its next Advance would chase
+// for an unbounded number of iterations.
+type clockChecker interface {
+	CheckClock(nowS float64) error
+}
+
+// checkClocks rejects restored state that stepPost could not have
+// produced and that would let the next step loop without bound: every
+// scheduled time finite and at most one period after the clock (each
+// is a decision time plus its period, and decision times never pass
+// the clock), every node temperature finite and positive, and the
+// sensor's, the DAQ's and every app's own clocks consistent with the
+// time. Restore has already matched the clock to the step count.
+func (e *Engine) checkClocks() error {
+	due := func(what string, at, periodS float64) error {
+		if math.IsNaN(at) || math.IsInf(at, 0) || at > e.now+periodS {
+			return fmt.Errorf("%s due at %v s, more than its period %v s after %v s", what, at, periodS, e.now)
+		}
+		return nil
+	}
+	for _, id := range domainIDs {
+		if err := due(fmt.Sprintf("domain %s governor", id), e.nextGovS[id], e.cfg.Governors[id].IntervalS()); err != nil {
+			return err
+		}
+	}
+	if e.cfg.Thermal != nil {
+		if err := due("thermal governor", e.nextThermS, e.cfg.Thermal.IntervalS()); err != nil {
+			return err
+		}
+	}
+	if e.cfg.Controller != nil {
+		if err := due("controller", e.nextCtrlS, e.cfg.Controller.IntervalS()); err != nil {
+			return err
+		}
+	}
+	if err := due("trace sample", e.nextTraceS, e.cfg.TracePeriodS); err != nil {
+		return err
+	}
+	for i, t := range e.plat.Net.TempsView() {
+		if !(t > 0) || math.IsInf(t, 0) {
+			return fmt.Errorf("node %d temperature %v K is not finite and positive", i, t)
+		}
+	}
+	if err := e.plat.Sensor.CheckClock(e.now); err != nil {
+		return err
+	}
+	if e.cfg.DAQ != nil {
+		if err := e.cfg.DAQ.CheckClock(e.now); err != nil {
+			return err
+		}
+	}
+	for _, a := range e.apps {
+		if cc, ok := a.App.(clockChecker); ok {
+			if err := cc.CheckClock(e.now); err != nil {
+				return fmt.Errorf("app %d: %w", a.PID, err)
+			}
+		}
+	}
 	return nil
 }
 

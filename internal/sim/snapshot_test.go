@@ -134,6 +134,73 @@ func TestRestoreRejectsBadBlobs(t *testing.T) {
 	mismatch("task PID", func(c *sim.Config) { c.Apps[1].PID = 3 }, "PID")
 }
 
+// TestRestoreRejectsBadClocks covers Restore's clock bounds: a blob
+// whose engine clock is not its step count times the step (checked
+// before any RNG draw is replayed, as the draw bound scales with the
+// step count), whose scheduled times are non-finite or more than a
+// period ahead, or whose node temperatures are not finite and positive
+// fails to load, so the next step cannot chase an unbounded clock. The engine section's
+// layout is fixed: magic, version and tag, then the clock at byte 24,
+// the step count at 32 and the first domain's governor time at 40; each
+// domain's governor block is 49 bytes, so the controller's time is at
+// 195 and the next trace sample's at 203.
+func TestRestoreRejectsBadClocks(t *testing.T) {
+	cfg := snapshotConfig(t, 5, armAppAware)
+	orig := newTestEngine(t, cfg)
+	if err := orig.RunSteps(150); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := orig.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := 150 * cfg.StepS
+	f64 := func(off int, v float64) func([]byte) {
+		return func(b []byte) { binary.LittleEndian.PutUint64(b[off:], math.Float64bits(v)) }
+	}
+	// The thermal section: its tag, then the node count and the temperatures.
+	var tag [16]byte
+	binary.LittleEndian.PutUint64(tag[:], 0xE4)
+	binary.LittleEndian.PutUint64(tag[8:], uint64(len(orig.Platform().Net.Temperatures())))
+	temps := bytes.Index(blob, tag[:]) + 16
+	if temps < 16 {
+		t.Fatal("thermal section not found")
+	}
+	// The sensor section follows: its tag, its seed, then its draw count.
+	sensorDraws := temps + 8*len(orig.Platform().Net.Temperatures()) + 16
+	u64 := func(off int, v uint64) func([]byte) {
+		return func(b []byte) { binary.LittleEndian.PutUint64(b[off:], v) }
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func([]byte)
+		want   string
+	}{
+		{"clock off its step", f64(24, now+1), "is not step"},
+		{"step count XOR 0x12 at byte 36", func(b []byte) { b[36] ^= 0x12 }, "is not step"},
+		// Rejected before the sensor replays 2^45 draws, which the bound
+		// at step 2^40 would allow.
+		{"step count raised, draws inflated", func(b []byte) { u64(32, 1<<40)(b); u64(sensorDraws, 1<<45)(b) }, "is not step"},
+		{"NaN governor time", f64(40, math.NaN()), "governor due"},
+		{"governor time a period ahead", f64(40, now+10), "governor due"},
+		{"infinite controller time", f64(195, math.Inf(1)), "controller due"},
+		{"trace time a period ahead", f64(203, now+1), "trace sample due"},
+		{"negative temperature", f64(temps, -1), "temperature"},
+		{"NaN temperature", f64(temps+8, math.NaN()), "temperature"},
+		{"infinite temperature", f64(temps, math.Inf(1)), "temperature"},
+	} {
+		bad := append([]byte(nil), blob...)
+		tc.mutate(bad)
+		e := newTestEngine(t, cfg)
+		if err := e.Restore(bad); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want an error mentioning %q", tc.name, err, tc.want)
+		}
+	}
+	if err := newTestEngine(t, cfg).Restore(blob); err != nil {
+		t.Fatalf("intact blob: %v", err)
+	}
+}
+
 // plainGovernor, plainThermal, plainController and plainApp implement
 // their interfaces without snapshot support.
 type plainGovernor struct{}

@@ -112,6 +112,8 @@ type Reader struct {
 	buf []byte
 	off int
 	err error
+	// drawLimit bounds the RNG draw counts Draws accepts (0: none).
+	drawLimit uint64
 }
 
 // NewReader wraps a blob.
@@ -141,6 +143,22 @@ func (r *Reader) U64() uint64 {
 	v := binary.LittleEndian.Uint64(r.buf[r.off:])
 	r.off += 8
 	return v
+}
+
+// SetDrawLimit bounds every RNG draw count read with Draws from here
+// on; 0 removes the bound. A restoring engine sets it from its step
+// count, because restoring a counted RNG replays every draw.
+func (r *Reader) SetDrawLimit(n uint64) { r.drawLimit = n }
+
+// Draws reads an RNG draw count (a uint64). A count above the limit set
+// with SetDrawLimit poisons the reader and reads as 0.
+func (r *Reader) Draws() uint64 {
+	n := r.U64()
+	if r.drawLimit > 0 && n > r.drawLimit {
+		r.fail("draw count %d exceeds the bound %d at offset %d", n, r.drawLimit, r.off-8)
+		return 0
+	}
+	return n
 }
 
 // I64 reads an int64.

@@ -2,6 +2,7 @@ package snapbin
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -148,5 +149,25 @@ func TestWriterReset(t *testing.T) {
 	r := NewReader(w.Bytes())
 	if got := r.U64(); got != 9 {
 		t.Fatalf("after reset = %d", got)
+	}
+}
+
+// TestDrawLimit pins SetDrawLimit/Draws: without a limit any count
+// reads back; with one, a count above it poisons the reader.
+func TestDrawLimit(t *testing.T) {
+	var w Writer
+	w.PutU64(100)
+	w.PutU64(101)
+	w.PutU64(7)
+	r := NewReader(w.Bytes())
+	if got := r.Draws(); got != 100 || r.Err() != nil {
+		t.Fatalf("unbounded Draws = %d, %v", got, r.Err())
+	}
+	r.SetDrawLimit(100)
+	if got := r.Draws(); got != 0 || r.Err() == nil || !strings.Contains(r.Err().Error(), "draw count 101 exceeds the bound 100") {
+		t.Fatalf("Draws over the limit = %d, %v", got, r.Err())
+	}
+	if got := r.U64(); got != 0 {
+		t.Fatalf("read after a rejected draw count: %d, want the sticky error's 0", got)
 	}
 }

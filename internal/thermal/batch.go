@@ -14,9 +14,15 @@ import (
 // lane row per cache line). One call of the 8-lane RK4 kernel
 // (kernel.go) integrates a whole block: packed SSE2 assembly on amd64,
 // the portable Go kernel elsewhere. Every width runs that kernel; a
-// partial last block is padded with lanes that hold ambient temperature
-// under zero power, which stay exactly at ambient and whose results go
-// to a sink.
+// partial last block is padded with lanes that hold lane 0's ambient
+// temperature under zero power, which stay exactly at ambient and whose
+// results go to a sink.
+//
+// The topology (node count, capacitances, ambient couplings and the
+// conductance matrix) is shared; the ambient temperature is per lane,
+// stored as one aligned 8-lane row per block that the kernel reads like
+// a temperature row. So networks that differ only in ambient batch
+// together.
 //
 // Per lane, the kernel performs Network.Step's float64 operations
 // in the same order (the rules are listed in kernel.go), so a batched
@@ -37,9 +43,13 @@ type BatchNetwork struct {
 	lanes int // B
 
 	// Shared topology, validated bitwise-equal across lanes.
-	ambient float64
-	rows    []nodeRow // len m
-	pairs   []couple  // row-major nonzero conductances
+	rows  []nodeRow // len m
+	pairs []couple  // row-major nonzero conductances
+
+	// ambs[8k+l] is lane 8k+l's ambient temperature (lane 0's for
+	// padding lanes), len ceil(B/8)*8, 64-byte aligned: block k's
+	// ambient row is ambs[8k : 8k+8].
+	ambs []float64
 
 	// Block-of-8 state, len ceil(B/8)*m*8: temperatures and the staged
 	// per-node power injection. scratch is the kernel's scratch for
@@ -55,8 +65,8 @@ type BatchNetwork struct {
 
 // NewBatchNetwork couples the given networks into one lockstep batch.
 // All networks must share the same topology bitwise: node count,
-// ambient temperature, capacitances, ambient couplings and the full
-// conductance matrix. Temperatures may differ per lane.
+// capacitances, ambient couplings and the full conductance matrix.
+// Ambient and node temperatures may differ per lane.
 func NewBatchNetwork(nets []*Network) (*BatchNetwork, error) {
 	bn := &BatchNetwork{}
 	if err := bn.Rebind(nets); err != nil {
@@ -85,7 +95,6 @@ func (bn *BatchNetwork) Rebind(nets []*Network) error {
 	}
 
 	bn.nets = append(bn.nets[:0], nets...)
-	bn.ambient = proto.ambient
 	bn.rows = append(bn.rows[:0], proto.rows...)
 	bn.pairs = append(bn.pairs[:0], proto.pairs...)
 
@@ -95,6 +104,7 @@ func (bn *BatchNetwork) Rebind(nets []*Network) error {
 		bn.temps = alignedFloats(blocks * m * 8)
 		bn.powers = alignedFloats(blocks * m * 8)
 		bn.scratch = alignedFloats(kernelScratch * m * 8)
+		bn.ambs = alignedFloats(blocks * 8)
 		bn.outs = make([][8][]float64, blocks)
 		bn.sink = make([]float64, m)
 	} else {
@@ -103,11 +113,12 @@ func (bn *BatchNetwork) Rebind(nets []*Network) error {
 		clear(bn.powers)
 	}
 	for b := 0; b < len(bn.outs)*8; b++ {
-		dst := bn.sink
+		dst, amb := bn.sink, proto.ambient
 		if b < len(nets) {
-			dst = nets[b].temps
+			dst, amb = nets[b].temps, nets[b].ambient
 		}
 		bn.outs[b/8][b%8] = dst
+		bn.ambs[b] = amb
 	}
 	bn.Gather()
 	return nil
@@ -136,9 +147,6 @@ func sameTopology(a, b *Network) error {
 	if len(a.nodes) != len(b.nodes) {
 		return fmt.Errorf("node count %d != %d", len(b.nodes), len(a.nodes))
 	}
-	if a.ambient != b.ambient {
-		return fmt.Errorf("ambient %v != %v", b.ambient, a.ambient)
-	}
 	if !slices.Equal(a.rows, b.rows) || !slices.Equal(a.pairs, b.pairs) {
 		return fmt.Errorf("node parameters or couplings differ")
 	}
@@ -153,7 +161,7 @@ func (bn *BatchNetwork) NumNodes() int { return bn.m }
 
 // Gather pulls every member network's current temperatures into the
 // packed block state, and sets the padding lanes of a partial last
-// block to ambient. Call it once before a run of Step calls; Step
+// block to their ambient. Call it once before a run of Step calls; Step
 // itself keeps the packed state and the member networks in sync, so
 // re-gathering per step is only needed if a lane's temperatures were
 // mutated externally (SetTemperature, Prewarm) since the last Step.
@@ -167,7 +175,7 @@ func (bn *BatchNetwork) Gather() {
 	}
 	for b := bn.lanes; b < len(bn.outs)*8; b++ {
 		for i, x := 0, bn.slot(b); i < bn.m; i, x = i+1, x+8 {
-			bn.temps[x] = bn.ambient
+			bn.temps[x] = bn.ambs[b]
 		}
 	}
 }
@@ -217,10 +225,10 @@ func (bn *BatchNetwork) Step(dt float64, powers []float64) error {
 
 // advance runs kernel over every block; the kernel writes each lane's
 // new temperatures back to its network.
-func (bn *BatchNetwork) advance(dt float64, kernel func(t, p, scratch []float64, rows []nodeRow, pairs []couple, out *[8][]float64, amb, dt float64)) {
+func (bn *BatchNetwork) advance(dt float64, kernel func(t, p, scratch []float64, rows []nodeRow, pairs []couple, out *[8][]float64, amb *[8]float64, dt float64)) {
 	size := bn.m * 8
 	for k := range bn.outs {
 		o := k * size
-		kernel(bn.temps[o:o+size], bn.powers[o:o+size], bn.scratch, bn.rows, bn.pairs, &bn.outs[k], bn.ambient, dt)
+		kernel(bn.temps[o:o+size], bn.powers[o:o+size], bn.scratch, bn.rows, bn.pairs, &bn.outs[k], (*[8]float64)(bn.ambs[k*8:]), dt)
 	}
 }

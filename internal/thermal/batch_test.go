@@ -193,9 +193,21 @@ func TestBatchNetworkRebindReuse(t *testing.T) {
 func TestBatchNetworkRejectsMismatch(t *testing.T) {
 	base := buildTestNetwork(t, 300)
 
-	other := buildTestNetwork(t, 301) // different ambient
-	if _, err := NewBatchNetwork([]*Network{base, other}); err == nil {
-		t.Error("different ambient should be rejected")
+	heavy := NewNetwork(300) // buildTestNetwork with node d's capacitance changed
+	for _, spec := range []Node{
+		{Name: "a", Capacitance: 1.5, GAmbient: 0.02},
+		{Name: "b", Capacitance: 2.0},
+		{Name: "c", Capacitance: 0.7, GAmbient: 0.1},
+		{Name: "d", Capacitance: 5.5},
+	} {
+		if _, err := heavy.AddNode(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	copy(heavy.g, base.g)
+	heavy.index()
+	if _, err := NewBatchNetwork([]*Network{base, heavy}); err == nil {
+		t.Error("different capacitance should be rejected")
 	}
 
 	recoupled := buildTestNetwork(t, 300)
@@ -226,5 +238,79 @@ func TestBatchNetworkRejectsMismatch(t *testing.T) {
 	}
 	if err := bn.Step(-1, make([]float64, base.NumNodes())); err == nil {
 		t.Error("non-positive dt should be rejected")
+	}
+}
+
+// TestBatchNetworkRebindMixedAmbient pins per-lane ambient: networks
+// that differ only in ambient temperature share a batch (on a fresh
+// batch and on a rebind of a pooled one) and each lane matches its own
+// Network.Step bit for bit, while a capacitance mismatch is still
+// rejected with its error.
+func TestBatchNetworkRebindMixedAmbient(t *testing.T) {
+	ambients := []float64{300, 301, 290.5, 300, 310, 295, 305, 299, 288, 302}
+	build := func() (batch, scalar []*Network) {
+		for l, a := range ambients {
+			n, s := buildTestNetwork(t, a), buildTestNetwork(t, a)
+			for i := 0; i < n.NumNodes(); i++ {
+				temp := a + float64(l) + 3*float64(i)
+				if err := n.SetTemperature(NodeID(i), temp); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.SetTemperature(NodeID(i), temp); err != nil {
+					t.Fatal(err)
+				}
+			}
+			batch, scalar = append(batch, n), append(scalar, s)
+		}
+		return batch, scalar
+	}
+	// A pooled shell of another shape and ambient, rebound.
+	bn, err := NewBatchNetwork([]*Network{buildTestNetwork(t, 320), buildTestNetwork(t, 320)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, scalar := build()
+	if err := bn.Rebind(batch); err != nil {
+		t.Fatalf("lanes differing only in ambient rejected: %v", err)
+	}
+	m := bn.NumNodes()
+	packed := make([]float64, m*len(batch))
+	for step := 0; step < 200; step++ {
+		for l, s := range scalar {
+			p := make([]float64, m)
+			for i := range p {
+				p[i] = float64((step+l+i)%5) * 0.7
+				packed[i*len(batch)+l] = p[i]
+			}
+			if err := s.Step(0.01, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := bn.Step(0.01, packed); err != nil {
+			t.Fatal(err)
+		}
+		for l := range scalar {
+			for i, want := range scalar[l].temps {
+				if got := batch[l].temps[i]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("step %d lane %d (ambient %v) node %d: batch %v, scalar %v", step, l, ambients[l], i, got, want)
+				}
+			}
+		}
+	}
+
+	other := NewNetwork(300)
+	if _, err := other.AddNode(Node{Name: "a", Capacitance: 1.5, GAmbient: 0.02}); err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []Node{{Name: "b", Capacitance: 2.0}, {Name: "c", Capacitance: 0.8, GAmbient: 0.1}, {Name: "d", Capacitance: 5.0}} {
+		if _, err := other.AddNode(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	copy(other.g, batch[0].g)
+	other.index()
+	err = bn.Rebind(append(batch[:2:2], other))
+	if err == nil || err.Error() != "thermal: batch lane 2: node parameters or couplings differ" {
+		t.Fatalf("capacitance mismatch: got error %v", err)
 	}
 }

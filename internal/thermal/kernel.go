@@ -3,7 +3,9 @@ package thermal
 // The 8-lane RK4 kernel. One call integrates one classic RK4 step for
 // one block of eight same-topology lanes, stored node-major within the
 // block: node i's eight lane values form one 64-byte "lane row" at
-// [i*8, i*8+8). The amd64 build runs it in packed SSE2 assembly
+// [i*8, i*8+8). The topology (capacitances, ambient and internal
+// conductances) is shared by the block; the ambient temperature is per
+// lane, read from one 8-lane row like a temperature row. The amd64 build runs it in packed SSE2 assembly
 // (kernel_amd64.s); every other architecture runs rk4Block8Go, which is
 // compiled everywhere so the differential tests can pin the two to
 // each other and to Network.Step bit for bit.
@@ -11,7 +13,7 @@ package thermal
 // Bit identity with Network.Step rests on doing, per lane, exactly
 // the scalar float64 operations in the scalar order:
 //
-//   - derivative of node i: power, minus gAmb*(t-ambient), minus
+//   - derivative of node i: power, minus gAmb*(t-ambient[l]), minus
 //     g*(t-t_j) for each nonzero coupling in ascending j, then the
 //     division by the capacitance;
 //   - stage updates t + (0.5*dt)*k and t + dt*k;
@@ -44,11 +46,12 @@ type couple struct {
 const kernelScratch = 3
 
 // rk4Block8Go is the portable 8-lane kernel: one RK4 step of dt for
-// the block t (temperatures, updated in place) under powers p. t and
-// p hold len(rows) lane rows; scratch holds kernelScratch*len(rows)
-// lane rows. The final pass also writes lane l's new temperatures to
-// out[l], which must hold len(rows) values.
-func rk4Block8Go(t, p, scratch []float64, rows []nodeRow, pairs []couple, out *[8][]float64, amb, dt float64) {
+// the block t (temperatures, updated in place) under powers p, lane l
+// coupled to ambient temperature amb[l]. t and p hold len(rows) lane
+// rows; scratch holds kernelScratch*len(rows) lane rows. The final
+// pass also writes lane l's new temperatures to out[l], which must hold
+// len(rows) values.
+func rk4Block8Go(t, p, scratch []float64, rows []nodeRow, pairs []couple, out *[8][]float64, amb *[8]float64, dt float64) {
 	n := len(rows) * 8
 	t, p = t[:n], p[:n]
 	acc, sa, sb := scratch[:n], scratch[n:2*n], scratch[2*n:3*n]
@@ -64,7 +67,7 @@ func rk4Block8Go(t, p, scratch []float64, rows []nodeRow, pairs []couple, out *[
 			ti := (*[8]float64)(src[i*8:])
 			pi := (*[8]float64)(p[i*8:])
 			for l := range d {
-				d[l] = pi[l] - r.gAmb*(ti[l]-amb)
+				d[l] = pi[l] - r.gAmb*(ti[l]-amb[l])
 			}
 			for _, cp := range pairs[c : c+r.n] {
 				tj := (*[8]float64)(src[cp.j*8:])

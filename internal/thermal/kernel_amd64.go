@@ -5,4 +5,4 @@ package thermal
 // so no CPU feature check is needed.
 //
 //go:noescape
-func rk4Block8(t, p, scratch []float64, rows []nodeRow, pairs []couple, out *[8][]float64, amb, dt float64)
+func rk4Block8(t, p, scratch []float64, rows []nodeRow, pairs []couple, out *[8][]float64, amb *[8]float64, dt float64)

@@ -1,7 +1,7 @@
 #include "go_asm.h"
 #include "textflag.h"
 
-// func rk4Block8(t, p, scratch []float64, rows []nodeRow, pairs []couple, out *[8][]float64, amb, dt float64)
+// func rk4Block8(t, p, scratch []float64, rows []nodeRow, pairs []couple, out *[8][]float64, amb *[8]float64, dt float64)
 //
 // The packed-SSE2 form of rk4Block8Go: each XMM register holds two
 // lanes, so a lane row (eight lanes, 64 bytes) is four registers and
@@ -14,13 +14,18 @@
 // out[l][i], the member network's own storage (or a sink for padding
 // lanes), so no separate scatter pass is needed.
 //
+// amb is the block's ambient row (lane l's ambient temperature at
+// amb[l]), read as packed memory operands, so it must be 16-byte
+// aligned too.
+//
 // Registers:
 //	R8  t            R9  p            R10 acc (scratch lane rows [0, m))
 //	R11 pass source  R12 pass stage   DX  m*8 (a vector is DX*8 bytes)
 //	CX  i*8: lane row i is at CX*8, node i of a lane's own storage at CX
 //	DI  &rows[i]     SI  &pairs[c]    AX  couples left in the row / &out
 //	R13 &src[j*8] / &out[l][0]        BX  pass number
-//	X0-X3 src row i    X4-X7 derivative d    X8 ambient    X9 stage factor
+//	R14 amb (ABI0 code may clobber R14; the ABI wrapper restores g)
+//	X0-X3 src row i    X4-X7 derivative d    X9 stage factor
 //	X10 broadcast scalar (gAmb, g, capc)     X11-X14 temporaries
 TEXT ·rk4Block8(SB), NOSPLIT, $0-144
 	MOVQ t_base+0(FP), R8
@@ -28,8 +33,7 @@ TEXT ·rk4Block8(SB), NOSPLIT, $0-144
 	MOVQ scratch_base+48(FP), R10
 	MOVQ rows_len+80(FP), DX
 	SHLQ $3, DX
-	MOVSD amb+128(FP), X8
-	UNPCKLPD X8, X8
+	MOVQ amb+128(FP), R14
 
 	// Pass 0: src = t, stage -> sa, factor 0.5*dt.
 	XORQ BX, BX
@@ -54,22 +58,22 @@ node:
 	MOVSD nodeRow_gAmb(DI), X10
 	UNPCKLPD X10, X10
 	MOVAPD X0, X11
-	SUBPD X8, X11
+	SUBPD (R14), X11
 	MULPD X10, X11
 	MOVAPD (R9)(CX*8), X4
 	SUBPD X11, X4
 	MOVAPD X1, X12
-	SUBPD X8, X12
+	SUBPD 16(R14), X12
 	MULPD X10, X12
 	MOVAPD 16(R9)(CX*8), X5
 	SUBPD X12, X5
 	MOVAPD X2, X13
-	SUBPD X8, X13
+	SUBPD 32(R14), X13
 	MULPD X10, X13
 	MOVAPD 32(R9)(CX*8), X6
 	SUBPD X13, X6
 	MOVAPD X3, X14
-	SUBPD X8, X14
+	SUBPD 48(R14), X14
 	MULPD X10, X14
 	MOVAPD 48(R9)(CX*8), X7
 	SUBPD X14, X7

@@ -11,15 +11,17 @@ import (
 // topology drawn from r: nodes nodes with random capacitances, a mix
 // of ambient-coupled and internal (zero GAmbient) nodes, and sparse
 // symmetric couplings that may leave some nodes isolated. Each lane
-// starts from its own random temperatures. Half the draws put ambient
-// near zero with temperatures of the same scale as one step's change,
-// so a rounding difference anywhere in the step reaches the result
-// instead of vanishing below the last bit of a 300 K temperature.
+// has its own ambient temperature and starts from its own random
+// temperatures. Half the draws put ambient near zero with temperatures
+// of the same scale as one step's change, so a rounding difference
+// anywhere in the step reaches the result instead of vanishing below
+// the last bit of a 300 K temperature.
 func randomTopology(t *testing.T, r *rand.Rand, nodes, width int) []*Network {
 	t.Helper()
-	ambient, spread := 273.15+15+20*r.Float64(), 60.0
-	if r.Intn(2) == 0 {
-		ambient, spread = 0.01+r.Float64(), math.Pow(10, -2+3*r.Float64())
+	small := r.Intn(2) == 0
+	spread := 60.0
+	if small {
+		spread = math.Pow(10, -2+3*r.Float64())
 	}
 	specs := make([]Node, nodes)
 	for i := range specs {
@@ -42,6 +44,10 @@ func randomTopology(t *testing.T, r *rand.Rand, nodes, width int) []*Network {
 	}
 	nets := make([]*Network, width)
 	for l := range nets {
+		ambient := 273.15 + 15 + 20*r.Float64()
+		if small {
+			ambient = 0.01 + r.Float64()
+		}
 		n := NewNetwork(ambient)
 		for _, s := range specs {
 			if _, err := n.AddNode(s); err != nil {
@@ -84,8 +90,9 @@ func cloneNetworks(t *testing.T, nets []*Network) []*Network {
 
 // FuzzBatchNetworkMatchesScalar is the seeded differential referee of
 // the thermal kernel: for a random topology (1–12 nodes), width (1–17
-// lanes, so partial blocks and several blocks both occur), lane
-// temperatures, per-step powers and dt, 50 steps through the SSE2
+// lanes, so partial blocks and several blocks both occur), a distinct
+// ambient per lane, lane temperatures, per-step powers and dt, 50
+// steps through the SSE2
 // kernel (on amd64), the portable Go kernel and per-network
 // Network.Step must agree bit for bit. The seed corpus below runs in
 // every `go test`; `go test -fuzz` explores beyond it.

@@ -15,8 +15,8 @@
 // internal/sim pins it bitwise against the original slice-of-slices
 // implementation.
 //
-// BatchNetwork steps many same-topology networks in lockstep through
-// one 8-lane RK4 kernel. Lanes are packed into blocks of eight, stored
+// BatchNetwork steps many same-topology networks, each at its own
+// ambient temperature, in lockstep through one 8-lane RK4 kernel. Lanes are packed into blocks of eight, stored
 // node-major within a block so one node's eight lanes fill one 64-byte
 // lane row; a partial last block is padded with lanes held at ambient
 // under zero power. On amd64 the kernel is packed SSE2 assembly (two

@@ -158,7 +158,7 @@ func (s *Sensor) SaveState(w *snapbin.Writer) {
 // the draw kinds the sensor uses.
 func (s *Sensor) LoadState(r *snapbin.Reader) error {
 	seed := r.I64()
-	draws := r.U64()
+	draws := r.Draws()
 	nextSample := r.F64()
 	lastValue := r.F64()
 	haveValue := r.Bool()
@@ -173,6 +173,18 @@ func (s *Sensor) LoadState(r *snapbin.Reader) error {
 	s.haveValue = haveValue
 	s.drops = drops
 	s.samples = samples
+	return nil
+}
+
+// CheckClock rejects a restored next sampling instant the sensor could
+// not hold at engine time nowS: sampling times start at 0 and a read
+// schedules the next one at most a period (plus a microsecond of clock
+// rounding) after the reading's time, so one outside that range, or not
+// finite, would make the next Read chase it period by period.
+func (s *Sensor) CheckClock(nowS float64) error {
+	if !(s.nextSample >= 0 && s.nextSample <= nowS+s.periodS+1e-6) {
+		return fmt.Errorf("thermal: sensor %q: next sample at %v s outside [0, %v] s", s.name, s.nextSample, nowS+s.periodS)
+	}
 	return nil
 }
 

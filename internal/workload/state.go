@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/mibench"
 	"repro/internal/snapbin"
 )
 
@@ -44,7 +45,7 @@ func (a *FrameApp) SaveState(w *snapbin.Writer) {
 // the same config.
 func (a *FrameApp) LoadState(r *snapbin.Reader) error {
 	seed := r.I64()
-	draws := r.U64()
+	draws := r.Draws()
 	phaseIdx := r.Int()
 	phaseStart := r.F64()
 	done := r.Bool()
@@ -61,9 +62,17 @@ func (a *FrameApp) LoadState(r *snapbin.Reader) error {
 	if phaseIdx < 0 || phaseIdx >= len(a.cfg.Phases) {
 		return fmt.Errorf("workload: app %q: restored phase %d out of range", a.cfg.Name, phaseIdx)
 	}
+	// phaseFPS is keyed by phase index, so it holds at most one entry
+	// per phase.
+	if nPhases < 0 || nPhases > len(a.cfg.Phases) {
+		return fmt.Errorf("workload: app %q: restored %d phase FPS series for %d phases", a.cfg.Name, nPhases, len(a.cfg.Phases))
+	}
 	phaseFPS := make(map[int][]float64, nPhases)
 	for i := 0; i < nPhases; i++ {
 		k := r.Int()
+		if r.Err() == nil && (k < 0 || k >= len(a.cfg.Phases)) {
+			return fmt.Errorf("workload: app %q: restored FPS series for phase %d out of range", a.cfg.Name, k)
+		}
 		phaseFPS[k] = r.F64s(nil)
 	}
 	if err := r.Err(); err != nil {
@@ -81,6 +90,45 @@ func (a *FrameApp) LoadState(r *snapbin.Reader) error {
 	a.fpsSamples = fpsSamples
 	a.phaseFPS = phaseFPS
 	return nil
+}
+
+// clockSlackS absorbs the rounding between an app's view of the clock
+// (the step's start plus dt) and the engine's (step count times dt).
+const clockSlackS = 1e-6
+
+// checkBucket rejects a one-second FPS bucket start outside
+// (nowS-1, nowS]: each Advance closes buckets until the one holding the
+// step's end, one per loop iteration.
+func checkBucket(app string, startS, nowS float64) error {
+	if !(startS > nowS-1-clockSlackS && startS <= nowS+clockSlackS) {
+		return fmt.Errorf("workload: %s: FPS bucket start %v s outside (%v, %v] s", app, startS, nowS-1, nowS)
+	}
+	return nil
+}
+
+// CheckClock rejects restored clocks the app could not hold at engine
+// time nowS: the FPS bucket start, and while the script runs the phase
+// start (within one phase and one second before nowS) and, with scene
+// variation, the next scene time (within one period after nowS).
+func (a *FrameApp) CheckClock(nowS float64) error {
+	if err := checkBucket(fmt.Sprintf("app %q", a.cfg.Name), a.bucketStart, nowS); err != nil {
+		return err
+	}
+	if a.done {
+		return nil
+	}
+	if d := a.cfg.Phases[a.phaseIdx].DurationS; !(a.phaseStart >= nowS-d-1 && a.phaseStart <= nowS+clockSlackS) {
+		return fmt.Errorf("workload: app %q: phase %d start %v s outside [%v, %v] s", a.cfg.Name, a.phaseIdx, a.phaseStart, nowS-d-1, nowS)
+	}
+	if p := a.cfg.ScenePeriodS; a.cfg.SceneSigma != 0 && !(a.nextScene >= nowS-p-1 && a.nextScene <= nowS+p+clockSlackS) {
+		return fmt.Errorf("workload: app %q: next scene at %v s, more than a period %v s from %v s", a.cfg.Name, a.nextScene, p, nowS)
+	}
+	return nil
+}
+
+// CheckClock rejects a restored FPS bucket start outside (nowS-1, nowS].
+func (n *Nenamark) CheckClock(nowS float64) error {
+	return checkBucket("nenamark", n.bucketStart, nowS)
 }
 
 // SaveState serializes BML's modeled and executed progress. The
@@ -102,6 +150,16 @@ func (b *BML) LoadState(r *snapbin.Reader) error {
 	}
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("workload: bml: %w", err)
+	}
+	// Advance keeps the iteration count the whole iterations in the
+	// modeled cycles and the backlog a fraction of one iteration; the
+	// next Advance executes their difference, so a count or backlog
+	// off those would run without bound.
+	if !(modeledCycles >= 0 && modeledCycles < 1<<63) || modeledIters != uint64(modeledCycles/mibench.CyclesPerIteration) {
+		return fmt.Errorf("workload: bml: restored %d iterations for %v modeled cycles", modeledIters, modeledCycles)
+	}
+	if !(executedBacklog >= 0 && executedBacklog < 1) {
+		return fmt.Errorf("workload: bml: restored execution backlog %v outside [0, 1)", executedBacklog)
 	}
 	b.modeledCycles = modeledCycles
 	b.modeledIters = modeledIters

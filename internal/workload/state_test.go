@@ -159,3 +159,57 @@ func TestStateLoadRejectsCorrupt(t *testing.T) {
 		})
 	}
 }
+
+// TestCheckClock pins the clock bounds an engine applies after loading
+// an app's state: a mid-run app passes at the engine time of its last
+// step's end, and an FPS bucket start outside (now-1, now], a phase
+// start far behind the clock or a scene time far from it is rejected
+// (the bounds allow a microsecond of clock rounding).
+func TestCheckClock(t *testing.T) {
+	const now = 2.5 // advance(a, 0, 250) ends at 250 steps of 10 ms
+	frame := func(name string, build func() *FrameApp) {
+		t.Run(name, func(t *testing.T) {
+			for _, tc := range []struct {
+				name    string
+				corrupt func(a *FrameApp)
+				want    string
+			}{
+				{"intact", func(*FrameApp) {}, ""},
+				{"bucket start over a second behind", func(a *FrameApp) { a.bucketStart = now - 1.01 }, "FPS bucket start"},
+				{"bucket start ahead", func(a *FrameApp) { a.bucketStart = now + 0.5 }, "FPS bucket start"},
+				{"phase start far behind", func(a *FrameApp) { a.phaseStart = -1e18 }, "phase 0 start"},
+				{"next scene far behind", func(a *FrameApp) { a.nextScene = -1e18 }, "next scene"},
+			} {
+				a := build()
+				if tc.want == "next scene" && a.cfg.SceneSigma == 0 {
+					continue
+				}
+				advance(a, 0, 250)
+				tc.corrupt(a)
+				err := a.CheckClock(now)
+				if tc.want == "" {
+					if err != nil {
+						t.Errorf("%s: %v", tc.name, err)
+					}
+				} else if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%s: got %v, want an error containing %q", tc.name, err, tc.want)
+				}
+			}
+		})
+	}
+	frame("frame-app", func() *FrameApp { return PaperIO(7) })
+	frame("3dmark", func() *FrameApp { return NewThreeDMark(7).FrameApp })
+
+	n, err := NewNenamark(DefaultNenamarkConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	advance(n, 0, 250)
+	if err := n.CheckClock(now); err != nil {
+		t.Errorf("nenamark intact: %v", err)
+	}
+	n.bucketStart = 1e9
+	if err := n.CheckClock(now); err == nil || !strings.Contains(err.Error(), "FPS bucket start") {
+		t.Errorf("nenamark bucket start ahead: got %v", err)
+	}
+}

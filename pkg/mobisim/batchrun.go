@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/sim"
@@ -26,8 +27,7 @@ import (
 // output bytes: unit shape, lane width, warm start, worker count and
 // observers are all wall-clock knobs.
 
-// DefaultBatchWidth is the widest unit the planner chooses at width 0
-// and the fork-stage packing BatchRunner.RunUnit uses at width <= 0.
+// DefaultBatchWidth is the widest unit the planner chooses at width 0.
 // Eight lanes put one structure-of-arrays row per thermal node on
 // exactly one 64-byte cache line (and match the fused kernel's
 // specialized width).
@@ -50,15 +50,20 @@ type BatchPlanUnit struct {
 }
 
 // PlanBatchUnits partitions fully-resolved scenarios into lockstep
-// execution units of at most width lanes. Cells are grouped by
+// execution units of at most width cells. Cells are grouped by
 // thermal-topology key and duration — only such cells may share a
 // lockstep engine — and, when warmStart is set, limit-aware cells
-// sharing a warm-up prefix (two or more per prefix) form warm units of
-// up to width prefix groups whose sentinels advance together.
-// Everything else becomes cold units of up to width lanes. A width of
-// 0 lets the planner choose (see PlanBatchUnitsFor) for GOMAXPROCS
-// workers; a negative width is ErrNegativeBatchWidth. Unit shape never
-// changes output bytes, only wall-clock; every unit is independently
+// sharing a warm-up prefix (two or more per prefix) form warm groups
+// whose sentinels advance together and whose forked members join the
+// running engine. Within a topology and duration, whole warm groups
+// and single cold cells are packed into units of at most width cells,
+// largest first (a warm group wider than width starts a unit of its
+// own), and then units fold while their first stages — one lane per
+// cold cell and per warm group's sentinel — fit in width lanes; a unit
+// holding a warm group is Warm. A width of 0 lets the
+// planner choose (see PlanBatchUnitsFor) for GOMAXPROCS workers; a
+// negative width is ErrNegativeBatchWidth. Unit shape never changes
+// output bytes, only wall-clock; every unit is independently
 // executable, so callers schedule them freely.
 func PlanBatchUnits(specs []Scenario, width int, warmStart bool) ([]BatchPlanUnit, error) {
 	return PlanBatchUnitsFor(specs, width, 0, warmStart)
@@ -69,10 +74,12 @@ func PlanBatchUnits(specs []Scenario, width int, warmStart bool) ([]BatchPlanUni
 var ErrNegativeBatchWidth = errors.New("mobisim: batch width must be >= 0 (0 lets the planner choose)")
 
 // PlanBatchUnitsFor is PlanBatchUnits for the worker count the units
-// will run on (<= 0 means GOMAXPROCS). At width 0 it counts the
-// lockstep lanes the plan needs — cold cells plus one sentinel per warm
-// prefix group — and packs min(DefaultBatchWidth, ceil(lanes/workers))
-// per unit, so a small job fills every worker before it widens any unit.
+// will run on (<= 0 means GOMAXPROCS). At width 0 it packs
+// min(DefaultBatchWidth, ceil(cells/workers)) cells per unit and folds
+// units up to min(DefaultBatchWidth, ceil(lanes/workers)) first-stage
+// lanes, so a small job fills every worker before it widens any unit
+// and the sentinels of wide warm groups still advance together; every
+// cell, forked or not, ends up on its unit's lockstep engine.
 func PlanBatchUnitsFor(specs []Scenario, width, workers int, warmStart bool) ([]BatchPlanUnit, error) {
 	if width < 0 {
 		return nil, ErrNegativeBatchWidth
@@ -89,11 +96,10 @@ func planUnits(specs []Scenario, width, workers int, warmStart bool, topo, prefi
 		topo      uint64
 		durationS float64
 	}
-	// group is one lockstep-compatible partition: cold cells, and with
-	// warmStart its limit-aware cells by prefix in first-seen order.
+	// group is one lockstep-compatible partition: its cells in
+	// first-seen order, limit-aware ones (with warmStart) by prefix.
 	type group struct {
-		cold     []int
-		warm     [][]int
+		items    [][]int // a cold cell, or a warm prefix group
 		prefixes []uint64
 		byPrefix map[uint64][]int
 	}
@@ -112,7 +118,7 @@ func planUnits(specs []Scenario, width, workers int, warmStart bool, topo, prefi
 			groups = append(groups, g)
 		}
 		if !warmStart || !limitAware(specs[i].Governor) {
-			g.cold = append(g.cold, i)
+			g.items = append(g.items, []int{i})
 			continue
 		}
 		pk, err := prefix(i)
@@ -126,38 +132,72 @@ func planUnits(specs []Scenario, width, workers int, warmStart bool, topo, prefi
 	}
 	lanes := 0
 	for _, g := range groups {
+		// A prefix group of two or more cells is warm; a groupless
+		// cell has no prefix to share and runs cold.
 		for _, pk := range g.prefixes {
-			if sub := g.byPrefix[pk]; len(sub) >= 2 {
-				g.warm = append(g.warm, sub)
-			} else {
-				// A groupless cell has no prefix to share; it runs cold.
-				g.cold = append(g.cold, sub...)
-			}
+			g.items = append(g.items, g.byPrefix[pk])
 		}
-		lanes += len(g.cold) + len(g.warm)
+		lanes += len(g.items)
 	}
+	// Every item is one lane of its unit's first stage: a cold cell, or
+	// a warm group's sentinel until its members join.
+	cellW, laneW := width, width
 	if width == 0 {
 		if workers <= 0 {
 			workers = runtime.GOMAXPROCS(0)
 		}
-		width = max(1, min(DefaultBatchWidth, (lanes+workers-1)/workers))
+		cellW = max(1, min(DefaultBatchWidth, (len(specs)+workers-1)/workers))
+		laneW = max(1, min(DefaultBatchWidth, (lanes+workers-1)/workers))
 	}
 	var units []BatchPlanUnit
 	for _, g := range groups {
-		// Pack up to width prefix groups per warm unit: their sentinels
-		// advance together as lanes of one lockstep engine.
-		for start := 0; start < len(g.warm); start += width {
-			u := BatchPlanUnit{Warm: true}
-			for _, sub := range g.warm[start:min(start+width, len(g.warm))] {
-				u.Idx = append(u.Idx, sub...)
+		// Pack whole items into bins of at most cellW cells, then fold
+		// the bins while their first stages fit in laneW lanes, so the
+		// sentinels of groups too wide to share a bin still advance
+		// together.
+		bins := firstFit(len(g.items), func(i int) int { return len(g.items[i]) }, cellW)
+		for _, fold := range firstFit(len(bins), func(b int) int { return len(bins[b]) }, laneW) {
+			var u BatchPlanUnit
+			for _, b := range fold {
+				for _, it := range bins[b] {
+					u.Idx = append(u.Idx, g.items[it]...)
+					u.Warm = u.Warm || len(g.items[it]) > 1
+				}
 			}
 			units = append(units, u)
 		}
-		for start := 0; start < len(g.cold); start += width {
-			units = append(units, BatchPlanUnit{Idx: g.cold[start:min(start+width, len(g.cold))]})
-		}
 	}
 	return units, nil
+}
+
+// firstFit packs n items, largest first (stable), each into the first
+// bin whose total size stays within capacity, opening a bin when none
+// has room (an item larger than capacity gets a bin of its own). It
+// returns the bins as item positions.
+func firstFit(n int, size func(i int) int, capacity int) [][]int {
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return size(b) - size(a) })
+	var bins [][]int
+	var used []int
+	full := 0 // the bins before full have no room left
+	for _, i := range order {
+		for full < len(bins) && used[full] >= capacity {
+			full++
+		}
+		b := full
+		for b < len(bins) && used[b]+size(i) > capacity {
+			b++
+		}
+		if b == len(bins) {
+			bins, used = append(bins, nil), append(used, 0)
+		}
+		bins[b] = append(bins[b], i)
+		used[b] += size(i)
+	}
+	return bins
 }
 
 // BatchRunOptions tunes one RunUnit execution. Nothing here can change
@@ -186,13 +226,11 @@ type BatchRunner struct {
 // RunUnit executes one planned unit against the spec slice the plan
 // was built from, returning metric sets in u.Idx order — each
 // bitwise-identical to a sequential Engine.Run of the same scenario.
-// width bounds the fork-stage lane packing of warm units (<= 0 selects
-// DefaultBatchWidth); cold units were already sized by the planner.
-// Every stage polls ctx at least every CtxCheckSteps steps.
+// width is ignored: the planner sized the unit, and a warm unit's
+// forked members join its running lockstep engine, so no stage packs
+// lanes of its own. Every stage polls ctx at least every CtxCheckSteps
+// steps.
 func (r *BatchRunner) RunUnit(ctx context.Context, specs []Scenario, u BatchPlanUnit, width int, opt BatchRunOptions) ([]map[string]float64, error) {
-	if width <= 0 {
-		width = DefaultBatchWidth
-	}
 	sub := make([]Scenario, len(u.Idx))
 	for k, i := range u.Idx {
 		if i < 0 || i >= len(specs) {
@@ -220,7 +258,7 @@ func (r *BatchRunner) RunUnit(ctx context.Context, specs []Scenario, u BatchPlan
 			groups[k] = idx[k : k+1]
 		}
 	}
-	return runUnitGroups(ctx, &r.pool, sub, groups, width, obs)
+	return runUnitGroups(ctx, &r.pool, sub, groups, obs)
 }
 
 // RunScenarios runs fully-resolved scenarios and returns their metric

@@ -6,6 +6,7 @@ package mobisim
 //	go test ./pkg/mobisim -fuzz FuzzParseMatrix
 //	go test ./pkg/mobisim -fuzz FuzzParseObjective
 //	go test ./pkg/mobisim -fuzz FuzzParsePlatformSpec
+//	go test ./pkg/mobisim -fuzz FuzzRestore
 //
 // Under plain `go test` the seed corpus (f.Add plus any checked-in
 // crashers under testdata/fuzz/) runs as regression tests. The
@@ -20,8 +21,11 @@ package mobisim
 //     spec error.
 
 import (
+	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // scenarioSeedCorpus covers the accepted shapes, every rejection path
@@ -380,6 +384,66 @@ func FuzzParsePlatformSpec(f *testing.F) {
 		}
 		if p.Name() != spec.Name {
 			t.Fatalf("compiled platform name %q != spec name %q", p.Name(), spec.Name)
+		}
+	})
+}
+
+// FuzzRestore pins that no corrupt snapshot can hang an engine or
+// exhaust memory. It flips one byte of (XOR with xor) or truncates at
+// off a 150-step snapshot of an odroid 3dmark+bml appaware engine and
+// restores it into a fresh engine; Restore may reject the blob, but a
+// blob it accepts must then run 50 steps within 10 s, allocating at
+// most 64 MiB. The first seed is the historical crasher: XOR 0x12 at
+// byte 36 (in the step count) loaded with a nil error, and the next
+// step closed one-second FPS buckets up to a clock of 7.7e7 s until
+// memory ran out.
+func FuzzRestore(f *testing.F) {
+	spec := Scenario{Platform: PlatformOdroidXU3, Workload: "3dmark+bml", Governor: GovAppAware, LimitC: 60, DurationS: 1, Seed: 1}
+	base, err := New(spec, WithoutRecording())
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := base.RunSteps(150); err != nil {
+		f.Fatal(err)
+	}
+	blob, err := base.Snapshot()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(uint32(36), byte(0x12), false)
+	f.Add(uint32(0), byte(0), false)
+	f.Add(uint32(24), byte(0x40), false) // the clock
+	f.Add(uint32(len(blob)/2), byte(0), true)
+	f.Add(uint32(len(blob)-1), byte(0x80), false)
+	f.Fuzz(func(t *testing.T, off uint32, xor byte, truncate bool) {
+		b := bytes.Clone(blob)
+		if i := int(off % uint32(len(b))); truncate {
+			b = b[:i]
+		} else {
+			b[i] ^= xor
+		}
+		eng, err := New(spec, WithoutRecording())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if eng.Restore(b) != nil {
+			return
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			_ = eng.RunSteps(50) // a step error is an acceptable outcome
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("offset %d xor %#x truncate %v: 50 steps after the restore did not finish in 10 s", off, xor, truncate)
+		}
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; n > 64<<20 {
+			t.Fatalf("offset %d xor %#x truncate %v: 50 steps after the restore allocated %d bytes", off, xor, truncate, n)
 		}
 	})
 }

@@ -318,11 +318,12 @@ func (e *cellEvaluator) evaluate(ctx context.Context, gens [][]point) ([][]Searc
 }
 
 // thermalTopoKey hashes the platform content that must be equal for
-// two engines to share a lockstep batch: the thermal network (nodes,
-// couplings) and the ambient. Equal keys imply equal normalized JSON
-// of those sections, which implies batch compatibility; unequal keys
-// merely split cells into separate batches, which never changes
-// output bytes.
+// two engines to share a lockstep batch: the thermal network's nodes
+// and couplings. The ambient temperature is per lane in the batch
+// kernel, so it is not part of the key. Equal keys imply equal
+// normalized JSON of those sections, which implies batch
+// compatibility; unequal keys merely split cells into separate
+// batches, which never changes output bytes.
 func thermalTopoKey(s Scenario) (uint64, error) {
 	ps, err := resolvedPlatformSpec(s)
 	if err != nil {
@@ -331,10 +332,9 @@ func thermalTopoKey(s Scenario) (uint64, error) {
 	h := fnv.New64a()
 	enc := json.NewEncoder(h)
 	if err := enc.Encode(struct {
-		AmbientC  float64                 `json:"ambient_c"`
 		Nodes     []platform.NodeJSON     `json:"nodes"`
 		Couplings []platform.CouplingJSON `json:"couplings"`
-	}{ps.AmbientC, ps.Nodes, ps.Couplings}); err != nil {
+	}{ps.Nodes, ps.Couplings}); err != nil {
 		return 0, fmt.Errorf("mobisim: batch topology key: %w", err)
 	}
 	return h.Sum64(), nil

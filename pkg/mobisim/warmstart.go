@@ -3,6 +3,7 @@ package mobisim
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sort"
 
 	"repro/internal/sim"
@@ -25,8 +26,10 @@ import (
 //
 //  1. PlanBatchUnits groups limit-aware cells by PrefixKey — the
 //     content hash of everything but the limit — within a thermal
-//     topology and duration, so one fork step count serves a group. A
-//     cold unit is one group per cell.
+//     topology and duration, so one fork step count serves a group,
+//     and packs whole groups and cold cells into units by cell count,
+//     then folds units whose first stages (one lane per group) fit the
+//     width. A cold cell is a group of one.
 //  2. Each group's sentinel — the member with the lowest effective
 //     limit — runs the full horizon, snapshotting its state right
 //     before each control tick. Its checkpoint becomes final at the
@@ -36,11 +39,13 @@ import (
 //     A group of one has no member to fork, so its checkpoint is never
 //     tracked. The sentinels of a unit advance together as lanes of
 //     one lockstep engine.
-//  3. If the checkpoint became final, every other member is built
-//     fresh, restored from it, and simulates only the remaining steps,
-//     packed onto lockstep engines like sentinels.
-//  4. Otherwise no member ever acts, and all members are
-//     bitwise-identical runs: they share the sentinel's metrics
+//  3. When the checkpoint becomes final, right after that tick, every
+//     other member is built fresh, restored from it and stepped over
+//     the tick on a side engine; the members then join the unit's
+//     running lockstep engine and its stability memo, and every lane
+//     of the unit ends together at the horizon.
+//  4. If it never becomes final, no member ever acts, and all members
+//     are bitwise-identical runs: they share the sentinel's metrics
 //     without simulating at all.
 //
 // Every lane is built exactly like RunScenarioMetrics builds its
@@ -106,28 +111,32 @@ func (s *sentinelRun) snapshotInto(w *snapbin.Writer, step int) error {
 
 // runUnitGroups executes one unit of facade scenarios split into
 // groups, each sentinel first (partitionWarmSpecs for a warm unit, one
-// group per cell for a cold one): sentinel, checkpoint, fork. Every
-// lane must share a thermal topology with equal parameter values (the
-// pool rejects mixed batches) and every cell must span the same step
-// count; PlanBatchUnits plans accordingly. Metric sets come back in
-// unit order. width bounds how many forked members step in lockstep
-// together; obs(i) observes the lane running specs[i] (nil: none).
-func runUnitGroups(ctx context.Context, pool *sim.BatchPool, specs []Scenario, groups [][]int, width int, obs func(i int) Observer) ([]map[string]float64, error) {
+// group per cell for a cold one): sentinel, checkpoint, join. Every
+// lane must share a thermal topology with equal node and coupling
+// parameters (the pool rejects mixed batches; ambient may differ) and
+// every cell must span the same step count; PlanBatchUnits plans
+// accordingly. Metric sets come back in
+// unit order. obs(i) observes the lane running specs[i] (nil: none).
+func runUnitGroups(ctx context.Context, pool *sim.BatchPool, specs []Scenario, groups [][]int, obs func(i int) Observer) ([]map[string]float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
-	// Sentinel stage: the lowest-limit member of every group runs the
-	// full horizon, all groups in lockstep on one pooled batch engine
-	// held across the whole horizon (each RunSteps call gathers from
-	// the lane engines, so mid-run lane snapshots stay coherent).
+	// The sentinel of every group starts on one pooled batch engine;
+	// forked members join it when their checkpoint becomes final, so
+	// the engine is re-gotten with the larger lane set (each RunSteps
+	// call gathers from the lane engines, so mid-run lane snapshots
+	// and restores stay coherent).
 	sentinels := make([]*sentinelRun, len(groups))
 	lanes := make([]*sim.Engine, len(groups))
+	// facades[i] runs specs[i]: a sentinel, or a member once it joined.
+	facades := make([]*Engine, len(specs))
 	// Lanes with paired seeds feed the appaware stability analysis
 	// bitwise-identical inputs until their trajectories diverge (and
 	// limit-agnostic pairs never diverge); one per-unit memo lets the
 	// first lane's fixed-point analysis and ODE integration serve the
-	// rest. The unit runs on one goroutine, so the share is safe.
+	// rest, forked members included. The unit runs on one goroutine, so
+	// the share is safe.
 	var shared *stability.TransientCache
 	steps := -1
 	for si, sub := range groups {
@@ -135,6 +144,7 @@ func runUnitGroups(ctx context.Context, pool *sim.BatchPool, specs []Scenario, g
 		if err != nil {
 			return nil, err
 		}
+		facades[sub[0]] = eng
 		lanes[si] = eng.Sim()
 		s := &sentinelRun{facade: eng, aware: eng.AppAware(), final: len(sub) == 1}
 		if s.aware != nil {
@@ -161,10 +171,41 @@ func runUnitGroups(ctx context.Context, pool *sim.BatchPool, specs []Scenario, g
 		}
 	}
 	be, err := pool.Get(lanes)
+	defer func() { pool.Put(be) }()
 	if err != nil {
 		return nil, err
 	}
-	defer pool.Put(be)
+
+	// join builds the members of group si fresh, restores them from its
+	// final checkpoint, steps them on a side engine to the unit's step
+	// done and adds them to lanes.
+	join := func(si, done int) error {
+		s := sentinels[si]
+		var joined []*sim.Engine
+		for _, oi := range groups[si][1:] {
+			eng, err := newBatchLane(specs[oi], obs(oi))
+			if err != nil {
+				return err
+			}
+			if err := eng.Restore(s.ckpt); err != nil {
+				return err
+			}
+			eng.AppAware().ShareTransientCache(shared)
+			facades[oi] = eng
+			joined = append(joined, eng.Sim())
+		}
+		side, err := pool.Get(joined)
+		if err != nil {
+			return err
+		}
+		defer pool.Put(side)
+		if err := advanceChunked(ctx, side.RunSteps, done-s.ckptStep); err != nil {
+			return err
+		}
+		lanes = append(lanes, joined...)
+		return nil
+	}
+
 	var w snapbin.Writer
 	for done := 0; done < steps; {
 		if err := ctx.Err(); err != nil {
@@ -195,7 +236,8 @@ func runUnitGroups(ctx context.Context, pool *sim.BatchPool, specs []Scenario, g
 			return nil, err
 		}
 		done += n
-		for _, s := range sentinels {
+		before := len(lanes)
+		for si, s := range sentinels {
 			if !s.ticking {
 				continue
 			}
@@ -205,81 +247,55 @@ func runUnitGroups(ctx context.Context, pool *sim.BatchPool, specs []Scenario, g
 			// limit-dependent, so whatever the sensor holds then can
 			// only raise a false alarm, which costs a fork.
 			s.final = s.aware.EventCount() > 0 || s.facade.Sim().Platform().Sensor.Held() >= s.limitK
+			if s.final {
+				if err := join(si, done); err != nil {
+					return nil, err
+				}
+			}
+		}
+		if len(lanes) != before {
+			pool.Put(be)
+			if be, err = pool.Get(lanes); err != nil {
+				return nil, err
+			}
 		}
 	}
 
+	// Members of groups whose checkpoint never became final share the
+	// sentinel's metrics outright: their runs would be bitwise-identical.
 	out := make([]map[string]float64, len(specs))
-	for si, sub := range groups {
-		out[sub[0]] = sentinels[si].facade.Metrics()
-	}
-
-	// Fork stage, per group: members of groups whose checkpoint never
-	// became final share the sentinel's metrics outright (their runs
-	// would be bitwise-identical); the others restore the checkpoint
-	// and simulate the remaining steps, width members at a time.
-	for si, sub := range groups {
-		s := sentinels[si]
-		members := sub[1:]
-		if !s.final {
-			for _, oi := range members {
-				m := make(map[string]float64, len(out[sub[0]]))
-				for k, v := range out[sub[0]] {
-					m[k] = v
-				}
-				out[oi] = m
+	for _, sub := range groups {
+		sentinel := facades[sub[0]].Metrics()
+		out[sub[0]] = sentinel
+		for _, oi := range sub[1:] {
+			if facades[oi] != nil {
+				out[oi] = facades[oi].Metrics()
+			} else {
+				out[oi] = maps.Clone(sentinel)
 			}
-			continue
-		}
-		forkSteps := steps - s.ckptStep
-		for start := 0; start < len(members); start += width {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			chunk := members[start:min(start+width, len(members))]
-			facades := make([]*Engine, len(chunk))
-			forkLanes := make([]*sim.Engine, len(chunk))
-			// Forked lanes share one stability memo like sentinel
-			// lanes: they restart from a common state and feed the
-			// analysis bitwise-equal inputs until their limits
-			// diverge them.
-			shared := stability.NewTransientCache()
-			for i, oi := range chunk {
-				eng, err := newBatchLane(specs[oi], obs(oi))
-				if err != nil {
-					return nil, err
-				}
-				if err := eng.Restore(s.ckpt); err != nil {
-					return nil, err
-				}
-				eng.AppAware().ShareTransientCache(shared)
-				facades[i] = eng
-				forkLanes[i] = eng.Sim()
-			}
-			fbe, err := pool.Get(forkLanes)
-			if err != nil {
-				return nil, err
-			}
-			if err := advanceChunked(ctx, fbe.RunSteps, forkSteps); err != nil {
-				return nil, err
-			}
-			for i, oi := range chunk {
-				out[oi] = facades[i].Metrics()
-			}
-			pool.Put(fbe)
 		}
 	}
 	return out, nil
 }
 
 // partitionWarmSpecs splits a warm unit into its prefix groups, each
-// ordered by effective thermal limit ascending (sentinel first).
-// Group membership is re-derived from the same content keys the
-// planner used, so a unit of several groups partitions exactly as
-// planned.
+// ordered by effective thermal limit ascending (sentinel first), and
+// its cold cells, each a group of one. Group membership is re-derived
+// from the same content keys the planner used, so a unit partitions
+// exactly as planned: a limit-aware cold cell is the only cell of the
+// unit with its prefix, and a limit-agnostic cell stays alone whatever
+// prefix it shares.
 func partitionWarmSpecs(specs []Scenario) ([][]int, error) {
 	byKey := make(map[uint64][]int)
 	var order []uint64
+	var subs [][]int
 	for i, spec := range specs {
+		if !limitAware(spec.Governor) {
+			// A cold cell packed beside warm groups: it never forks,
+			// whatever prefix it shares.
+			subs = append(subs, []int{i})
+			continue
+		}
 		prefix, err := spec.PrefixKey()
 		if err != nil {
 			return nil, err
@@ -293,28 +309,29 @@ func partitionWarmSpecs(specs []Scenario) ([][]int, error) {
 	// rebuild the same platform per member.
 	effLimit := make([]float64, len(specs))
 	defaults := make(map[string]float64)
-	for i := range specs {
-		spec := specs[i]
-		if spec.LimitC == 0 && spec.PlatformSpec == nil {
-			if d, ok := defaults[spec.Platform]; ok {
+	for _, key := range order {
+		sub := byKey[key]
+		subs = append(subs, sub)
+		if len(sub) == 1 {
+			continue // a lone sentinel needs no limit order
+		}
+		for _, i := range sub {
+			spec := specs[i]
+			named := spec.LimitC == 0 && spec.PlatformSpec == nil
+			if d, ok := defaults[spec.Platform]; ok && named {
 				effLimit[i] = d
 				continue
 			}
+			l, err := effectiveLimitC(spec)
+			if err != nil {
+				return nil, err
+			}
+			effLimit[i] = l
+			if named {
+				defaults[spec.Platform] = l
+			}
 		}
-		l, err := effectiveLimitC(spec)
-		if err != nil {
-			return nil, err
-		}
-		effLimit[i] = l
-		if spec.LimitC == 0 && spec.PlatformSpec == nil {
-			defaults[spec.Platform] = l
-		}
-	}
-	subs := make([][]int, 0, len(order))
-	for _, key := range order {
-		sub := byKey[key]
 		sort.SliceStable(sub, func(a, b int) bool { return effLimit[sub[a]] < effLimit[sub[b]] })
-		subs = append(subs, sub)
 	}
 	return subs, nil
 }

@@ -150,7 +150,9 @@ func warmStartPlanSpecs(t *testing.T) []Scenario {
 // counts, units of equal width in build order, every cell covered once.
 // built lists the planner's units (a warm one prefixed with "w") in
 // build order: thermal-topology and duration groups in first-seen
-// order, each group's warm units before its cold ones.
+// order, each packed first-fit from its widest item (a warm prefix
+// group or a cold cell) down, then its units folded first-fit while
+// their first stages fit the width.
 func TestPlanMissesWidestFirst(t *testing.T) {
 	specs := warmStartPlanSpecs(t)
 	e := newCellEvaluator(&searchPlan{}, OptimizeConfig{})
@@ -182,11 +184,11 @@ func TestPlanMissesWidestFirst(t *testing.T) {
 		},
 		3: {
 			false: "0,1,2 3,4,5 12,13 6,7,8 9,10,11 14,15 16,17,18 19,20,21 28,29 22,23,24 25,26,27 30,31",
-			true:  "w0,2,4,1,3,5 12,13 w6,8,10,7,9,11 14,15 w16,18,20,17,19,21 28,29 w22,24,26,23,25,27 30,31",
+			true:  "w12,13,0,2,4 w1,3,5 w14,15,6,8,10 w7,9,11 w28,29,16,18,20 w17,19,21 w30,31,22,24,26 w23,25,27",
 		},
 		8: {
 			false: "0,1,2,3,4,5,12,13 6,7,8,9,10,11,14,15 16,17,18,19,20,21,28,29 22,23,24,25,26,27,30,31",
-			true:  "w0,2,4,1,3,5 12,13 w6,8,10,7,9,11 14,15 w16,18,20,17,19,21 28,29 w22,24,26,23,25,27 30,31",
+			true:  "w0,2,4,1,3,5,12,13 w6,8,10,7,9,11,14,15 w16,18,20,17,19,21,28,29 w22,24,26,23,25,27,30,31",
 		},
 	}
 	for _, warm := range []bool{false, true} {
@@ -231,10 +233,11 @@ func TestPlanMissesWidestFirst(t *testing.T) {
 
 // TestWarmStartPlan pins PlanBatchUnits' grouping policy over a matrix
 // mixing platforms, governor arms, limits, replicates and durations:
-// every cell is covered exactly once; warm units hold only appaware
-// cells, each sharing its prefix and duration with another cell of the
-// unit and with no cell outside it; cold units have at most width lanes
-// and never mix thermal topologies or durations.
+// every cell is covered exactly once; no unit mixes thermal topologies
+// or durations; a unit's first stage (its cold cells plus one sentinel
+// per warm prefix group) has at most width lanes, and so has a unit
+// with no warm group; with warm start every appaware prefix group lies
+// whole in one warm unit, and a unit is warm exactly when it holds one.
 func TestWarmStartPlan(t *testing.T) {
 	specs := warmStartPlanSpecs(t)
 	// A prefix group is one prefix at one duration: PrefixKey leaves
@@ -245,12 +248,16 @@ func TestWarmStartPlan(t *testing.T) {
 	}
 	groups := make([]groupKey, len(specs))
 	topos := make([]uint64, len(specs))
+	size := make(map[groupKey]int) // appaware cells per prefix group
 	for i, spec := range specs {
 		pk, err := spec.PrefixKey()
 		if err != nil {
 			t.Fatal(err)
 		}
 		groups[i] = groupKey{pk, spec.DurationS}
+		if limitAware(spec.Governor) {
+			size[groups[i]]++
+		}
 		if topos[i], err = thermalTopoKey(spec); err != nil {
 			t.Fatal(err)
 		}
@@ -268,43 +275,36 @@ func TestWarmStartPlan(t *testing.T) {
 				if len(u.Idx) == 0 {
 					t.Fatalf("width %d warm %v: unit %d is empty", width, warm, ui)
 				}
+				first := u.Idx[0]
+				inUnit := make(map[groupKey]int)
+				holdsGroup := false
 				for _, i := range u.Idx {
 					covered[i]++
-				}
-				if u.Warm {
-					if !warm {
-						t.Errorf("width %d: warm unit %d planned with warm start off", width, ui)
-					}
-					inUnit := make(map[groupKey]int)
-					for _, i := range u.Idx {
-						if !limitAware(specs[i].Governor) {
-							t.Errorf("width %d: limit-agnostic cell %d in warm unit %d", width, i, ui)
-						}
-						inUnit[groups[i]]++
-						if prev, ok := unitOf[groups[i]]; ok && prev != ui {
-							t.Errorf("width %d: prefix group of cell %d split across warm units %d and %d", width, i, prev, ui)
-						}
-						unitOf[groups[i]] = ui
-					}
-					for _, i := range u.Idx {
-						if inUnit[groups[i]] < 2 {
-							t.Errorf("width %d: cell %d shares its prefix with no other cell of warm unit %d", width, i, ui)
-						}
-					}
-					if len(inUnit) > width {
-						t.Errorf("width %d: warm unit %d packs %d prefix groups", width, ui, len(inUnit))
-					}
-					warmCells += len(u.Idx)
-					continue
-				}
-				if len(u.Idx) > width {
-					t.Errorf("width %d warm %v: cold unit %d has %d lanes", width, warm, ui, len(u.Idx))
-				}
-				first := u.Idx[0]
-				for _, i := range u.Idx {
 					if topos[i] != topos[first] || specs[i].DurationS != specs[first].DurationS {
-						t.Errorf("width %d warm %v: cold unit %d mixes cells %d and %d of different topology or duration", width, warm, ui, first, i)
+						t.Errorf("width %d warm %v: unit %d mixes cells %d and %d of different topology or duration", width, warm, ui, first, i)
 					}
+					if !warm || !limitAware(specs[i].Governor) || size[groups[i]] < 2 {
+						continue
+					}
+					holdsGroup = true
+					inUnit[groups[i]]++
+					if prev, ok := unitOf[groups[i]]; ok && prev != ui {
+						t.Errorf("width %d: prefix group of cell %d split across units %d and %d", width, i, prev, ui)
+					}
+					unitOf[groups[i]] = ui
+					warmCells++
+				}
+				if u.Warm != holdsGroup {
+					t.Errorf("width %d warm %v: unit %d Warm %v, holds a warm prefix group %v", width, warm, ui, u.Warm, holdsGroup)
+				}
+				// The first stage runs the unit's cold cells and one
+				// sentinel per warm prefix group.
+				lanes := len(u.Idx) + len(inUnit)
+				for _, n := range inUnit {
+					lanes -= n
+				}
+				if lanes > width || (!holdsGroup && len(u.Idx) > width) {
+					t.Errorf("width %d warm %v: unit %d has %d cells and %d first-stage lanes", width, warm, ui, len(u.Idx), lanes)
 				}
 			}
 			for i, n := range covered {
@@ -314,7 +314,7 @@ func TestWarmStartPlan(t *testing.T) {
 			}
 			// 2 durations x 2 platforms x 2 replicates x 3 limits.
 			if want := 24; warm && warmCells != want {
-				t.Errorf("width %d: warm units hold %d cells, want all %d appaware cells", width, warmCells, want)
+				t.Errorf("width %d: warm units hold %d grouped cells, want all %d appaware cells", width, warmCells, want)
 			}
 		}
 	}
