@@ -475,10 +475,11 @@ func BenchmarkBatchEngineStep(b *testing.B) {
 }
 
 // BenchmarkBatchNetworkStep measures the fused thermal RK4 step alone
-// at widths 4 (one padded 8-lane block), 8 (one full block) and 16
-// (two blocks). CI gates every width at 0 allocs/op.
+// at widths 2 and 4 (one half block), 8 (one full block), 12 (a full
+// block and a half block) and 16 (two blocks). CI gates every width at
+// 0 allocs/op.
 func BenchmarkBatchNetworkStep(b *testing.B) {
-	for _, width := range []int{4, 8, 16} {
+	for _, width := range []int{2, 4, 8, 12, 16} {
 		b.Run(fmt.Sprintf("width-%d", width), benchkit.BatchNetworkStep(width))
 	}
 }

@@ -252,8 +252,9 @@ func BatchEngineStep(width int) func(b *testing.B) {
 // thermal networks (distinct seeds, prewarmed to 50 °C) under a fixed
 // packed power injection, advanced one BatchNetwork.Step per
 // iteration. It isolates the RK4 layer of BatchEngineStep; CI gates it
-// at 0 allocs/op. Widths that are not a multiple of 8 run padded
-// 8-lane blocks, so ns/lane-step shows what a partial unit costs.
+// at 0 allocs/op. Widths that are not a multiple of 8 run a padded
+// last block (half a block when its lanes fit in four), so
+// ns/lane-step shows what a partial unit costs.
 func BatchNetworkStep(width int) func(b *testing.B) {
 	return func(b *testing.B) {
 		nets := make([]*thermal.Network, width)

@@ -169,9 +169,9 @@ func compareLane(t *testing.T, name string, scalar, batched *sim.Engine) {
 // TestBatchMatchesScalar is the batched path's oracle test: lanes with
 // distinct seeds and thermal arms, stepped in lockstep, must match
 // solo scalar runs bitwise. The widths cover the single-lane batch,
-// partial 8-lane kernel blocks (2, 3, 4, 7), one padded block after a
-// full one (9) and two full blocks (16), on all three topologies the
-// sweep benchmark runs.
+// half kernel blocks (2, 3, 4), a partial block that runs whole (7), a
+// half block after a full one (9) and two full blocks (16), on all
+// three topologies the sweep benchmark runs.
 func TestBatchMatchesScalar(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run simulation")

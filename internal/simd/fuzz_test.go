@@ -15,7 +15,9 @@ package simd
 //     delegated verbatim to mobisim.ParseMatrix / ParseScenario.
 
 import (
+	"encoding/binary"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -112,4 +114,58 @@ func FuzzJobRequest(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzDecodeCell corrupts disk cache entries. No input may panic the
+// decoder or make it allocate more than a map sized for maxCellMetrics
+// entries plus a few copies of the input, whatever its count and
+// length fields claim; an accepted entry holds at most maxCellMetrics
+// metrics, and re-encoding it decodes to the same metrics bit for bit.
+// Run it beyond the seeds with
+//
+//	go test ./internal/simd -run '^$' -fuzz FuzzDecodeCell
+func FuzzDecodeCell(f *testing.F) {
+	valid := encodeCell(testMetrics())
+	for _, n := range []int{len(valid), 0, len(cellMagic) - 1, len(cellMagic), len(cellMagic) + 3, len(cellMagic) + 4, len(cellMagic) + 6, len(valid) / 2, len(valid) - 1} {
+		f.Add(valid[:n])
+	}
+	hostile := binary.LittleEndian.AppendUint32([]byte(cellMagic), maxCellMetrics)
+	f.Add(binary.LittleEndian.AppendUint16(hostile, 0xffff))
+	f.Add(binary.LittleEndian.AppendUint32([]byte(cellMagic), 16*maxCellMetrics))
+	f.Add(append(append([]byte{}, valid...), 0))
+
+	mapBytes := allocatedBytes(func() { cellSink = make(map[string]float64, maxCellMetrics) })
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var m map[string]float64
+		var err error
+		used := allocatedBytes(func() { m, err = decodeCell(data) })
+		if bound := 2*mapBytes + 8*uint64(len(data)) + 1<<18; used > bound {
+			t.Fatalf("decoding %d bytes allocated %d bytes, more than %d", len(data), used, bound)
+		}
+		if err != nil {
+			if m != nil {
+				t.Fatalf("rejected entry returned %d metrics", len(m))
+			}
+			return
+		}
+		if len(m) > maxCellMetrics {
+			t.Fatalf("accepted entry holds %d metrics, more than %d", len(m), maxCellMetrics)
+		}
+		back, err := decodeCell(encodeCell(m))
+		if err != nil || !metricsBitwiseEqual(back, m) {
+			t.Fatalf("re-encoded entry decodes to %v (%v), want %v", back, err, m)
+		}
+	})
+}
+
+// cellSink keeps FuzzDecodeCell's reference map on the heap.
+var cellSink map[string]float64
+
+// allocatedBytes returns how many heap bytes f allocates.
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

@@ -12,11 +12,13 @@ import (
 // block k, node i of lane l lives at k*m*8 + i*8 + l, so node i's eight
 // lanes form one 64-byte lane row (the buffers are 64-byte aligned, one
 // lane row per cache line). One call of the 8-lane RK4 kernel
-// (kernel.go) integrates a whole block: packed SSE2 assembly on amd64,
-// the portable Go kernel elsewhere. Every width runs that kernel; a
-// partial last block is padded with lanes that hold lane 0's ambient
-// temperature under zero power, which stay exactly at ambient and whose
-// results go to a sink.
+// (kernel.go) integrates a block: packed SSE2 assembly on amd64, the
+// portable Go kernel elsewhere. Every width runs that kernel. A partial
+// last block whose live lanes fit in four is integrated on lanes 0–3
+// only, so a 2- to 4-lane batch pays for half a block; a partial block
+// of five to seven lanes runs whole. Either way the padding lanes that
+// are integrated hold lane 0's ambient temperature under zero power, so
+// they stay exactly at ambient, and their results go to a sink.
 //
 // The topology (node count, capacitances, ambient couplings and the
 // conductance matrix) is shared; the ambient temperature is per lane,
@@ -223,12 +225,16 @@ func (bn *BatchNetwork) Step(dt float64, powers []float64) error {
 	return bn.Advance(dt)
 }
 
-// advance runs kernel over every block; the kernel writes each lane's
-// new temperatures back to its network.
-func (bn *BatchNetwork) advance(dt float64, kernel func(t, p, scratch []float64, rows []nodeRow, pairs []couple, out *[8][]float64, amb *[8]float64, dt float64)) {
+// advance runs kernel over every block at its live width: 4 for a
+// block whose live lanes fit in four, else 8. The kernel writes each
+// lane's new temperatures back to its network.
+func (bn *BatchNetwork) advance(dt float64, kernel func(t, p, scratch []float64, rows []nodeRow, pairs []couple, out *[8][]float64, amb *[8]float64, dt float64, live int)) {
 	size := bn.m * 8
 	for k := range bn.outs {
-		o := k * size
-		kernel(bn.temps[o:o+size], bn.powers[o:o+size], bn.scratch, bn.rows, bn.pairs, &bn.outs[k], (*[8]float64)(bn.ambs[k*8:]), dt)
+		o, live := k*size, 8
+		if bn.lanes-8*k <= 4 {
+			live = 4
+		}
+		kernel(bn.temps[o:o+size], bn.powers[o:o+size], bn.scratch, bn.rows, bn.pairs, &bn.outs[k], (*[8]float64)(bn.ambs[k*8:]), dt, live)
 	}
 }

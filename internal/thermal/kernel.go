@@ -5,7 +5,10 @@ package thermal
 // block: node i's eight lane values form one 64-byte "lane row" at
 // [i*8, i*8+8). The topology (capacitances, ambient and internal
 // conductances) is shared by the block; the ambient temperature is per
-// lane, read from one 8-lane row like a temperature row. The amd64 build runs it in packed SSE2 assembly
+// lane, read from one 8-lane row like a temperature row. A block whose
+// live lanes fit in four is integrated on lanes 0–3 only (live = 4):
+// the layout stays eight lanes wide, and lanes 4–7 are neither read
+// nor written. The amd64 build runs the kernel in packed SSE2 assembly
 // (kernel_amd64.s); every other architecture runs rk4Block8Go, which is
 // compiled everywhere so the differential tests can pin the two to
 // each other and to Network.Step bit for bit.
@@ -46,12 +49,12 @@ type couple struct {
 const kernelScratch = 3
 
 // rk4Block8Go is the portable 8-lane kernel: one RK4 step of dt for
-// the block t (temperatures, updated in place) under powers p, lane l
-// coupled to ambient temperature amb[l]. t and p hold len(rows) lane
-// rows; scratch holds kernelScratch*len(rows) lane rows. The final
-// pass also writes lane l's new temperatures to out[l], which must hold
-// len(rows) values.
-func rk4Block8Go(t, p, scratch []float64, rows []nodeRow, pairs []couple, out *[8][]float64, amb *[8]float64, dt float64) {
+// lanes [0, live) of the block t (temperatures, updated in place) under
+// powers p, lane l coupled to ambient temperature amb[l]; live is 4 or
+// 8. t and p hold len(rows) lane rows; scratch holds
+// kernelScratch*len(rows) lane rows. The final pass also writes lane
+// l's new temperatures to out[l], which must hold len(rows) values.
+func rk4Block8Go(t, p, scratch []float64, rows []nodeRow, pairs []couple, out *[8][]float64, amb *[8]float64, dt float64, live int) {
 	n := len(rows) * 8
 	t, p = t[:n], p[:n]
 	acc, sa, sb := scratch[:n], scratch[n:2*n], scratch[2*n:3*n]
@@ -61,7 +64,8 @@ func rk4Block8Go(t, p, scratch []float64, rows []nodeRow, pairs []couple, out *[
 	// stage to stg: t → sa → sb → sa.
 	src, stg := t, sa
 	for pass := 0; pass < 4; pass++ {
-		var d [8]float64
+		var dl [8]float64
+		d := dl[:live]
 		c := 0
 		for i, r := range rows {
 			ti := (*[8]float64)(src[i*8:])

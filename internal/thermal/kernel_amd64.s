@@ -1,7 +1,7 @@
 #include "go_asm.h"
 #include "textflag.h"
 
-// func rk4Block8(t, p, scratch []float64, rows []nodeRow, pairs []couple, out *[8][]float64, amb *[8]float64, dt float64)
+// func rk4Block8(t, p, scratch []float64, rows []nodeRow, pairs []couple, out *[8][]float64, amb *[8]float64, dt float64, live int)
 //
 // The packed-SSE2 form of rk4Block8Go: each XMM register holds two
 // lanes, so a lane row (eight lanes, 64 bytes) is four registers and
@@ -9,6 +9,12 @@
 // the scalar rounding. t, p and scratch must be 16-byte aligned (the
 // packed memory operands fault otherwise); BatchNetwork allocates them
 // 64-byte aligned, one lane row per cache line.
+//
+// live is 4 or 8. At 8 every pass runs the node body over all four
+// register pairs of a lane row; at 4 it runs the half body, the same
+// instructions on the low two pairs (lanes 0–3) only, so lanes 4–7 of
+// t, p, scratch and amb are neither read nor written. Each pair's
+// operations are the same macros in the same order in both bodies.
 //
 // The final pass also stores each lane's new temperatures to
 // out[l][i], the member network's own storage (or a sink for padding
@@ -27,7 +33,41 @@
 //	R14 amb (ABI0 code may clobber R14; the ABI wrapper restores g)
 //	X0-X3 src row i    X4-X7 derivative d    X9 stage factor
 //	X10 broadcast scalar (gAmb, g, capc)     X11-X14 temporaries
-TEXT ·rk4Block8(SB), NOSPLIT, $0-144
+//
+// Each macro below is one register pair's share of a step: the pair at
+// byte offset off of a lane row, source temperatures s, derivative d
+// and temporary x.
+
+// d = p - gAmb*(s - amb), gAmb broadcast in X10.
+#define AMBIENT(off, s, x, d) \
+	MOVAPD s, x; SUBPD off(R14), x; MULPD X10, x; MOVAPD off(R9)(CX*8), d; SUBPD x, d
+
+// d -= g*(s - src[j]), g broadcast in X10 and &src[j*8] in R13.
+#define COUPLE(off, s, x, d) \
+	MOVAPD s, x; SUBPD off(R13), x; MULPD X10, x; SUBPD x, d
+
+// stage = t + factor*d, factor broadcast in X9.
+#define STAGE(off, d, x) \
+	MOVAPD d, x; MULPD X9, x; ADDPD off(R8)(CX*8), x; MOVAPD x, off(R12)(CX*8)
+
+// acc = acc + 2*d (d+d is 2*d exactly).
+#define ACCUMULATE(off, d) \
+	ADDPD d, d; ADDPD off(R10)(CX*8), d; MOVAPD d, off(R10)(CX*8)
+
+// x = t = t + dt/6*(acc + d), in place, dt/6 broadcast in X9.
+#define FINAL(off, d, x) \
+	MOVAPD off(R10)(CX*8), x; ADDPD d, x; MULPD X9, x; ADDPD off(R8)(CX*8), x; MOVAPD x, off(R8)(CX*8)
+
+// Scatter x's two lanes, whose out entries are at lo and hi(AX), to
+// node i of their own storage.
+#define SCATTER(lo, hi, x) \
+	MOVQ lo(AX), R13; MOVSD x, (R13)(CX*1); MOVQ hi(AX), R13; MOVHPD x, (R13)(CX*1)
+
+// Load coupling c's g into X10 and &src[j*8] into R13.
+#define LOADCOUPLE \
+	MOVQ couple_j(SI), R13; SHLQ $6, R13; ADDQ R11, R13; MOVSD couple_g(SI), X10; UNPCKLPD X10, X10
+
+TEXT ·rk4Block8(SB), NOSPLIT, $0-152
 	MOVQ t_base+0(FP), R8
 	MOVQ p_base+24(FP), R9
 	MOVQ scratch_base+48(FP), R10
@@ -47,6 +87,8 @@ pass:
 	MOVQ rows_base+72(FP), DI
 	MOVQ pairs_base+96(FP), SI
 	XORQ CX, CX
+	CMPQ live+144(FP), $4
+	JEQ half
 
 node:
 	MOVAPD (R11)(CX*8), X0
@@ -54,57 +96,24 @@ node:
 	MOVAPD 32(R11)(CX*8), X2
 	MOVAPD 48(R11)(CX*8), X3
 
-	// d = p - gAmb*(t - amb)
 	MOVSD nodeRow_gAmb(DI), X10
 	UNPCKLPD X10, X10
-	MOVAPD X0, X11
-	SUBPD (R14), X11
-	MULPD X10, X11
-	MOVAPD (R9)(CX*8), X4
-	SUBPD X11, X4
-	MOVAPD X1, X12
-	SUBPD 16(R14), X12
-	MULPD X10, X12
-	MOVAPD 16(R9)(CX*8), X5
-	SUBPD X12, X5
-	MOVAPD X2, X13
-	SUBPD 32(R14), X13
-	MULPD X10, X13
-	MOVAPD 32(R9)(CX*8), X6
-	SUBPD X13, X6
-	MOVAPD X3, X14
-	SUBPD 48(R14), X14
-	MULPD X10, X14
-	MOVAPD 48(R9)(CX*8), X7
-	SUBPD X14, X7
+	AMBIENT(0, X0, X11, X4)
+	AMBIENT(16, X1, X12, X5)
+	AMBIENT(32, X2, X13, X6)
+	AMBIENT(48, X3, X14, X7)
 
-	// d -= g*(t - src[j]) for each coupling of row i, ascending j.
+	// Each coupling of row i, ascending j.
 	MOVQ nodeRow_n(DI), AX
 	TESTQ AX, AX
 	JZ divide
 
 couple:
-	MOVQ couple_j(SI), R13
-	SHLQ $6, R13
-	ADDQ R11, R13
-	MOVSD couple_g(SI), X10
-	UNPCKLPD X10, X10
-	MOVAPD X0, X11
-	SUBPD (R13), X11
-	MULPD X10, X11
-	SUBPD X11, X4
-	MOVAPD X1, X12
-	SUBPD 16(R13), X12
-	MULPD X10, X12
-	SUBPD X12, X5
-	MOVAPD X2, X13
-	SUBPD 32(R13), X13
-	MULPD X10, X13
-	SUBPD X13, X6
-	MOVAPD X3, X14
-	SUBPD 48(R13), X14
-	MULPD X10, X14
-	SUBPD X14, X7
+	LOADCOUPLE
+	COUPLE(0, X0, X11, X4)
+	COUPLE(16, X1, X12, X5)
+	COUPLE(32, X2, X13, X6)
+	COUPLE(48, X3, X14, X7)
 	ADDQ $couple__size, SI
 	DECQ AX
 	JNZ couple
@@ -120,23 +129,10 @@ divide:
 	CMPQ BX, $3
 	JEQ final
 
-	// stage = t + factor*d
-	MOVAPD X4, X11
-	MULPD X9, X11
-	ADDPD (R8)(CX*8), X11
-	MOVAPD X11, (R12)(CX*8)
-	MOVAPD X5, X12
-	MULPD X9, X12
-	ADDPD 16(R8)(CX*8), X12
-	MOVAPD X12, 16(R12)(CX*8)
-	MOVAPD X6, X13
-	MULPD X9, X13
-	ADDPD 32(R8)(CX*8), X13
-	MOVAPD X13, 32(R12)(CX*8)
-	MOVAPD X7, X14
-	MULPD X9, X14
-	ADDPD 48(R8)(CX*8), X14
-	MOVAPD X14, 48(R12)(CX*8)
+	STAGE(0, X4, X11)
+	STAGE(16, X5, X12)
+	STAGE(32, X6, X13)
+	STAGE(48, X7, X14)
 
 	TESTQ BX, BX
 	JNZ accumulate
@@ -149,62 +145,24 @@ divide:
 	JMP next
 
 accumulate:
-	// Passes 1 and 2: acc = acc + 2*k (d+d is 2*d exactly).
-	ADDPD X4, X4
-	ADDPD (R10)(CX*8), X4
-	MOVAPD X4, (R10)(CX*8)
-	ADDPD X5, X5
-	ADDPD 16(R10)(CX*8), X5
-	MOVAPD X5, 16(R10)(CX*8)
-	ADDPD X6, X6
-	ADDPD 32(R10)(CX*8), X6
-	MOVAPD X6, 32(R10)(CX*8)
-	ADDPD X7, X7
-	ADDPD 48(R10)(CX*8), X7
-	MOVAPD X7, 48(R10)(CX*8)
+	// Passes 1 and 2.
+	ACCUMULATE(0, X4)
+	ACCUMULATE(16, X5)
+	ACCUMULATE(32, X6)
+	ACCUMULATE(48, X7)
 	JMP next
 
 final:
-	// Pass 3: t = t + dt/6*(acc + k4), in place.
-	MOVAPD (R10)(CX*8), X11
-	ADDPD X4, X11
-	MULPD X9, X11
-	ADDPD (R8)(CX*8), X11
-	MOVAPD X11, (R8)(CX*8)
-	MOVAPD 16(R10)(CX*8), X12
-	ADDPD X5, X12
-	MULPD X9, X12
-	ADDPD 16(R8)(CX*8), X12
-	MOVAPD X12, 16(R8)(CX*8)
-	MOVAPD 32(R10)(CX*8), X13
-	ADDPD X6, X13
-	MULPD X9, X13
-	ADDPD 32(R8)(CX*8), X13
-	MOVAPD X13, 32(R8)(CX*8)
-	MOVAPD 48(R10)(CX*8), X14
-	ADDPD X7, X14
-	MULPD X9, X14
-	ADDPD 48(R8)(CX*8), X14
-	MOVAPD X14, 48(R8)(CX*8)
-
-	// Scatter lane l's node i to out[l][i].
+	// Pass 3, then lane l's node i to out[l][i].
+	FINAL(0, X4, X11)
+	FINAL(16, X5, X12)
+	FINAL(32, X6, X13)
+	FINAL(48, X7, X14)
 	MOVQ out+120(FP), AX
-	MOVQ 0(AX), R13
-	MOVSD X11, (R13)(CX*1)
-	MOVQ 24(AX), R13
-	MOVHPD X11, (R13)(CX*1)
-	MOVQ 48(AX), R13
-	MOVSD X12, (R13)(CX*1)
-	MOVQ 72(AX), R13
-	MOVHPD X12, (R13)(CX*1)
-	MOVQ 96(AX), R13
-	MOVSD X13, (R13)(CX*1)
-	MOVQ 120(AX), R13
-	MOVHPD X13, (R13)(CX*1)
-	MOVQ 144(AX), R13
-	MOVSD X14, (R13)(CX*1)
-	MOVQ 168(AX), R13
-	MOVHPD X14, (R13)(CX*1)
+	SCATTER(0, 24, X11)
+	SCATTER(48, 72, X12)
+	SCATTER(96, 120, X13)
+	SCATTER(144, 168, X14)
 
 next:
 	ADDQ $nodeRow__size, DI
@@ -212,6 +170,7 @@ next:
 	CMPQ CX, DX
 	JLT node
 
+endpass:
 	INCQ BX
 	CMPQ BX, $1
 	JNE pass2
@@ -243,3 +202,63 @@ pass3:
 
 done:
 	RET
+
+	// The half body: the node body on register pairs 0 and 1.
+half:
+	MOVAPD (R11)(CX*8), X0
+	MOVAPD 16(R11)(CX*8), X1
+
+	MOVSD nodeRow_gAmb(DI), X10
+	UNPCKLPD X10, X10
+	AMBIENT(0, X0, X11, X4)
+	AMBIENT(16, X1, X12, X5)
+
+	MOVQ nodeRow_n(DI), AX
+	TESTQ AX, AX
+	JZ hdivide
+
+hcouple:
+	LOADCOUPLE
+	COUPLE(0, X0, X11, X4)
+	COUPLE(16, X1, X12, X5)
+	ADDQ $couple__size, SI
+	DECQ AX
+	JNZ hcouple
+
+hdivide:
+	MOVSD nodeRow_capc(DI), X10
+	UNPCKLPD X10, X10
+	DIVPD X10, X4
+	DIVPD X10, X5
+
+	CMPQ BX, $3
+	JEQ hfinal
+
+	STAGE(0, X4, X11)
+	STAGE(16, X5, X12)
+
+	TESTQ BX, BX
+	JNZ haccumulate
+
+	MOVAPD X4, (R10)(CX*8)
+	MOVAPD X5, 16(R10)(CX*8)
+	JMP hnext
+
+haccumulate:
+	ACCUMULATE(0, X4)
+	ACCUMULATE(16, X5)
+	JMP hnext
+
+hfinal:
+	FINAL(0, X4, X11)
+	FINAL(16, X5, X12)
+	MOVQ out+120(FP), AX
+	SCATTER(0, 24, X11)
+	SCATTER(48, 72, X12)
+
+hnext:
+	ADDQ $nodeRow__size, DI
+	ADDQ $8, CX
+	CMPQ CX, DX
+	JLT half
+	JMP endpass

@@ -90,12 +90,13 @@ func cloneNetworks(t *testing.T, nets []*Network) []*Network {
 
 // FuzzBatchNetworkMatchesScalar is the seeded differential referee of
 // the thermal kernel: for a random topology (1–12 nodes), width (1–17
-// lanes, so partial blocks and several blocks both occur), a distinct
-// ambient per lane, lane temperatures, per-step powers and dt, 50
-// steps through the SSE2
-// kernel (on amd64), the portable Go kernel and per-network
-// Network.Step must agree bit for bit. The seed corpus below runs in
-// every `go test`; `go test -fuzz` explores beyond it.
+// lanes, so half blocks, partial blocks that run whole and several
+// blocks all occur), a distinct ambient per lane, lane temperatures,
+// per-step powers and dt, 50 steps through the SSE2 kernel (on amd64),
+// the portable Go kernel (given the same live width per block, by
+// advance) and per-network Network.Step must agree bit for bit. The
+// seed corpus below runs in every `go test`; `go test -fuzz` explores
+// beyond it.
 func FuzzBatchNetworkMatchesScalar(f *testing.F) {
 	for seed := int64(0); seed < 34; seed++ {
 		f.Add(seed, uint8(seed%17), uint8(seed%12))
@@ -152,42 +153,130 @@ func FuzzBatchNetworkMatchesScalar(f *testing.F) {
 }
 
 // TestBatchNetworkPaddingStaysAmbient pins the padding contract of a
-// partial block: padding lanes hold ambient under zero power, so they
-// never move, and a rebind to the same shape clears staged powers.
+// partial block, for a 3-lane half block and a 6-lane partial block
+// that runs whole: padding lanes hold ambient under zero power, so
+// they never move; a half block leaves lanes 4–7 untouched, while a
+// whole block integrates every padding lane; and a rebind to the same
+// shape clears staged powers and resets padding to the new ambient.
 func TestBatchNetworkPaddingStaysAmbient(t *testing.T) {
-	nets := []*Network{buildTestNetwork(t, 300), buildTestNetwork(t, 300), buildTestNetwork(t, 300)}
-	bn, err := NewBatchNetwork(nets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for l := range nets {
-		bn.SetLanePowers(l, []float64{3, 1, 4, 1})
-	}
-	for step := 0; step < 100; step++ {
+	for _, tc := range []struct {
+		lanes int
+		half  bool
+	}{{3, true}, {6, false}} {
+		build := func(ambient float64) []*Network {
+			nets := make([]*Network, tc.lanes)
+			for l := range nets {
+				nets[l] = buildTestNetwork(t, ambient)
+			}
+			return nets
+		}
+		bn, err := NewBatchNetwork(build(300))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for l := 0; l < tc.lanes; l++ {
+			bn.SetLanePowers(l, []float64{3, 1, 4, 1})
+		}
+		for step := 0; step < 100; step++ {
+			if err := bn.Advance(0.01); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for l := tc.lanes; l < 8; l++ {
+			for i := 0; i < bn.NumNodes(); i++ {
+				if got := bn.temps[bn.slot(l)+i*8]; got != 300 {
+					t.Fatalf("%d lanes: padding lane %d node %d drifted to %v", tc.lanes, l, i, got)
+				}
+			}
+		}
+
+		// Move every padding lane off ambient: one step pulls an
+		// integrated lane back toward it, and leaves the rest alone.
+		for l := tc.lanes; l < 8; l++ {
+			bn.temps[bn.slot(l)] = 250
+		}
 		if err := bn.Advance(0.01); err != nil {
 			t.Fatal(err)
 		}
-	}
-	for l := bn.Lanes(); l < 8; l++ {
-		for i := 0; i < bn.NumNodes(); i++ {
-			if got := bn.temps[bn.slot(l)+i*8]; got != 300 {
-				t.Fatalf("padding lane %d node %d drifted to %v", l, i, got)
+		for l := tc.lanes; l < 8; l++ {
+			integrated := !tc.half || l < 4
+			if moved := bn.temps[bn.slot(l)] != 250; moved != integrated {
+				t.Fatalf("%d lanes: padding lane %d moved %v, want %v", tc.lanes, l, moved, integrated)
 			}
 		}
-	}
-	if err := bn.Rebind([]*Network{buildTestNetwork(t, 310), buildTestNetwork(t, 310), buildTestNetwork(t, 310)}); err != nil {
-		t.Fatal(err)
-	}
-	for x, p := range bn.powers {
-		if p != 0 {
-			t.Fatalf("staged power %d survived a rebind: %v", x, p)
+
+		if err := bn.Rebind(build(310)); err != nil {
+			t.Fatal(err)
+		}
+		for x, p := range bn.powers {
+			if p != 0 {
+				t.Fatalf("%d lanes: staged power %d survived a rebind: %v", tc.lanes, x, p)
+			}
+		}
+		if got := bn.temps[bn.slot(7)]; got != 310 {
+			t.Fatalf("%d lanes: padding lane not reset to the new ambient: %v", tc.lanes, got)
+		}
+		if err := bn.Advance(0); err == nil {
+			t.Error("zero dt should be rejected")
 		}
 	}
-	if got := bn.temps[bn.slot(7)]; got != 310 {
-		t.Fatalf("padding lane not reset to the new ambient: %v", got)
-	}
-	if err := bn.Advance(0); err == nil {
-		t.Error("zero dt should be rejected")
+}
+
+// TestBatchNetworkRebindAcrossHalfBlock rebinds one shell through 8,
+// 3, 8 and 12 lanes, so full blocks, a half block, and a half block
+// stepped after a full block in the same call all reuse scratch that
+// other lanes wrote. At every stage each lane must match its own
+// Network.Step bit for bit: lanes 4–7 of a half block's scratch may
+// hold anything, and none of it may leak into a live lane.
+func TestBatchNetworkRebindAcrossHalfBlock(t *testing.T) {
+	var bn *BatchNetwork
+	for stage, lanes := range []int{8, 3, 8, 12} {
+		batched := make([]*Network, lanes)
+		scalar := make([]*Network, lanes)
+		for l := range batched {
+			ambient := 290 + 2*float64(stage) + float64(l)
+			batched[l], scalar[l] = buildTestNetwork(t, ambient), buildTestNetwork(t, ambient)
+			for i := 0; i < batched[l].NumNodes(); i++ {
+				temp := ambient + 5*float64(stage+1) + float64(l+i)
+				if err := batched[l].SetTemperature(NodeID(i), temp); err != nil {
+					t.Fatal(err)
+				}
+				if err := scalar[l].SetTemperature(NodeID(i), temp); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if bn == nil {
+			var err error
+			if bn, err = NewBatchNetwork(batched); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := bn.Rebind(batched); err != nil {
+			t.Fatal(err)
+		}
+		m := bn.NumNodes()
+		p := make([]float64, m)
+		for step := 0; step < 100; step++ {
+			for l, s := range scalar {
+				for i := range p {
+					p[i] = float64((step+3*l+i+stage)%7) * 0.9
+				}
+				if err := s.Step(0.005, p); err != nil {
+					t.Fatal(err)
+				}
+				bn.SetLanePowers(l, p)
+			}
+			if err := bn.Advance(0.005); err != nil {
+				t.Fatal(err)
+			}
+			for l := range scalar {
+				for i, want := range scalar[l].temps {
+					if got := batched[l].temps[i]; math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%d lanes, step %d: lane %d node %d: batch %v, scalar %v", lanes, step, l, i, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 
