@@ -58,13 +58,13 @@ type BatchPlanUnit struct {
 // running engine. Within a topology and duration, whole warm groups
 // and single cold cells are packed into units of at most width cells,
 // largest first (a warm group wider than width starts a unit of its
-// own), and then units fold, balanced, while their first stages — one
-// lane per cold cell and per warm group's sentinel — fit in width
-// lanes (see foldBalanced); a unit holding a warm group is Warm. A
-// width of 0 lets the planner choose (see PlanBatchUnitsFor) for
-// GOMAXPROCS workers; a negative width is ErrNegativeBatchWidth. Unit
-// shape never changes output bytes, only wall-clock; every unit is
-// independently executable, so callers schedule them freely.
+// own), and then units fold while their first stages — one lane per
+// cold cell and per warm group's sentinel — fit in width lanes; a unit
+// holding a warm group is Warm. A width of 0 lets the
+// planner choose (see PlanBatchUnitsFor) for GOMAXPROCS workers; a
+// negative width is ErrNegativeBatchWidth. Unit shape never changes
+// output bytes, only wall-clock; every unit is independently
+// executable, so callers schedule them freely.
 func PlanBatchUnits(specs []Scenario, width int, warmStart bool) ([]BatchPlanUnit, error) {
 	return PlanBatchUnitsFor(specs, width, 0, warmStart)
 }
@@ -152,11 +152,11 @@ func planUnits(specs []Scenario, width, workers int, warmStart bool, topo, prefi
 	var units []BatchPlanUnit
 	for _, g := range groups {
 		// Pack whole items into bins of at most cellW cells, then fold
-		// the bins, balanced, while their first stages fit in laneW
-		// lanes, so the sentinels of groups too wide to share a bin
-		// still advance together.
+		// the bins while their first stages fit in laneW lanes, so the
+		// sentinels of groups too wide to share a bin still advance
+		// together.
 		bins := firstFit(len(g.items), func(i int) int { return len(g.items[i]) }, cellW)
-		for _, fold := range foldBalanced(len(bins), func(b int) int { return len(bins[b]) }, laneW) {
+		for _, fold := range firstFit(len(bins), func(b int) int { return len(bins[b]) }, laneW) {
 			var u BatchPlanUnit
 			for _, b := range fold {
 				for _, it := range bins[b] {
@@ -175,7 +175,11 @@ func planUnits(specs []Scenario, width, workers int, warmStart bool, topo, prefi
 // has room (an item larger than capacity gets a bin of its own). It
 // returns the bins as item positions.
 func firstFit(n int, size func(i int) int, capacity int) [][]int {
-	order := largestFirst(n, size)
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return size(b) - size(a) })
 	var bins [][]int
 	var used []int
 	full := 0 // the bins before full have no room left
@@ -194,85 +198,6 @@ func firstFit(n int, size func(i int) int, capacity int) [][]int {
 		used[b] += size(i)
 	}
 	return bins
-}
-
-// foldBalanced folds n items into bins of at most capacity, balanced:
-// an item larger than capacity gets a bin of its own, and the rest go,
-// largest first (stable), each into the emptiest of k bins (the
-// earliest of equals), for the least k from ceil(total/capacity) up
-// for which every item fits. Each bin's last item went into the
-// emptiest bin, so the bins' totals differ by at most the largest
-// item, where first fit fills one bin before the next (3 + 1 lanes
-// where 2 + 2 fit). It returns the bins as item positions.
-func foldBalanced(n int, size func(i int) int, capacity int) [][]int {
-	order := largestFirst(n, size)
-	var bins [][]int
-	total := 0
-	for _, i := range order {
-		if s := size(i); s > capacity {
-			bins = append(bins, []int{i})
-		} else {
-			total += s
-		}
-	}
-	fits := order[len(bins):]
-	if len(fits) == 0 {
-		return bins
-	}
-	for k := max(1, (total+capacity-1)/capacity); ; k++ {
-		if folded := foldInto(k, fits, size, capacity); folded != nil {
-			return append(bins, folded...)
-		}
-	}
-}
-
-// foldInto puts items, in order, each into the emptiest of k bins (the
-// earliest of equals), or returns nil if one does not fit.
-func foldInto(k int, items []int, size func(i int) int, capacity int) [][]int {
-	bins, used := make([][]int, k), make([]int, k)
-	// emptiest is a binary min-heap of bin positions by (used,
-	// position); only its root ever grows.
-	emptiest := make([]int, k)
-	for b := range emptiest {
-		emptiest[b] = b
-	}
-	less := func(x, y int) bool {
-		a, b := emptiest[x], emptiest[y]
-		return used[a] < used[b] || used[a] == used[b] && a < b
-	}
-	for _, i := range items {
-		b := emptiest[0]
-		if used[b]+size(i) > capacity {
-			return nil
-		}
-		bins[b] = append(bins[b], i)
-		used[b] += size(i)
-		for x := 0; ; {
-			m := x
-			for _, c := range []int{2*x + 1, 2*x + 2} {
-				if c < k && less(c, m) {
-					m = c
-				}
-			}
-			if m == x {
-				break
-			}
-			emptiest[x], emptiest[m] = emptiest[m], emptiest[x]
-			x = m
-		}
-	}
-	return bins
-}
-
-// largestFirst returns the positions 0..n-1 ordered by size, largest
-// first, stable among equals.
-func largestFirst(n int, size func(i int) int) []int {
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortStableFunc(order, func(a, b int) int { return size(b) - size(a) })
-	return order
 }
 
 // BatchRunOptions tunes one RunUnit execution. Nothing here can change
