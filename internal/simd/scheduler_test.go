@@ -109,6 +109,31 @@ func TestSchedulerColdThenCached(t *testing.T) {
 	}
 }
 
+// TestRunCellsSplitsStepSizes: a job whose cells differ only in
+// step_s runs them in separate units, each as it runs alone, at the
+// default width and at one lane.
+func TestRunCellsSplitsStepSizes(t *testing.T) {
+	var cells []mobisim.Cell
+	for _, step := range []float64{0.001, 0.002, 0.0005} {
+		cells = append(cells, mustCell(t, mobisim.Scenario{
+			Platform: mobisim.PlatformOdroidXU3, Workload: "3dmark",
+			Governor: mobisim.GovIPA, DurationS: 1, Seed: 1, StepS: step,
+		}))
+	}
+	for _, width := range []int{0, 1} {
+		sched, _ := newTestScheduler(t)
+		got, _, err := sched.RunCells(context.Background(), cells, width, 1, nil, nil)
+		if err != nil {
+			t.Fatalf("width %d: %v", width, err)
+		}
+		for i, c := range cells {
+			if !metricsBitwiseEqual(got[i], coldMetrics(t, c.Spec)) {
+				t.Errorf("width %d: cell %d (step_s %g) differs from its lone run", width, i, c.Spec.StepS)
+			}
+		}
+	}
+}
+
 func mustReopen(t *testing.T, c *Cache) *Cache {
 	t.Helper()
 	fresh, err := NewCache(c.Dir(), 64)

@@ -17,6 +17,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // dualPlatformMatrix sweeps both golden platforms through limit-aware
@@ -310,10 +312,10 @@ func TestRunUnitCancelIsPrompt(t *testing.T) {
 }
 
 // TestRunUnitRejectsMixedDurations: PrefixKey leaves the duration out,
-// so a unit built outside the planner can group cells of different
-// lengths. Every cell of a unit must span one step count, warm or
-// cold; otherwise the unit fails instead of running every lane for
-// the first cell's duration.
+// and a unit built outside the planner may mix cells of different
+// lengths. Every cell of a unit must span one step count; otherwise the
+// unit fails instead of running every lane for the first cell's
+// duration.
 func TestRunUnitRejectsMixedDurations(t *testing.T) {
 	base := Scenario{
 		Platform: PlatformOdroidXU3, Workload: "3dmark+bml",
@@ -322,12 +324,76 @@ func TestRunUnitRejectsMixedDurations(t *testing.T) {
 	short, long := base, base
 	short.LimitC, short.DurationS = 52, 3
 	long.LimitC, long.DurationS = 58, 5
-	specs := []Scenario{short, long}
-	for _, warm := range []bool{false, true} {
-		var r BatchRunner
-		_, err := r.RunUnit(context.Background(), specs, BatchPlanUnit{Idx: []int{0, 1}, Warm: warm}, 0, BatchRunOptions{})
-		if err == nil || !strings.Contains(err.Error(), "mixed durations") {
-			t.Errorf("warm %v: mixed-duration unit returned %v, want a mixed durations error", warm, err)
+	var r BatchRunner
+	_, err := r.RunUnit(context.Background(), []Scenario{short, long}, BatchPlanUnit{Idx: []int{0, 1}}, 0, BatchRunOptions{})
+	if err == nil || !strings.Contains(err.Error(), "mixed durations") {
+		t.Errorf("mixed-duration unit returned %v, want a mixed durations error", err)
+	}
+}
+
+// TestRunUnitRejectsStaleGroups: a planned unit whose cells change
+// after planning no longer matches the groups the planner recorded, and
+// fails instead of running groups that are not its own.
+func TestRunUnitRejectsStaleGroups(t *testing.T) {
+	low := Scenario{Platform: PlatformOdroidXU3, Workload: "3dmark+bml", Governor: GovAppAware, LimitC: 52, DurationS: 1, Seed: 1}
+	high := low
+	high.LimitC = 58
+	specs := []Scenario{high, low}
+	units, err := PlanBatchUnits(specs, 8, true)
+	if err != nil || len(units) != 1 || !units[0].Warm {
+		t.Fatalf("planned %+v (%v), want one warm unit", units, err)
+	}
+	if got := units[0].Idx; got[0] != 1 {
+		t.Fatalf("warm unit %v, want the lower limit (cell 1) first", got)
+	}
+	stale := units[0]
+	stale.Idx = stale.Idx[:1]
+	var r BatchRunner
+	if _, err := r.RunUnit(context.Background(), specs, stale, 0, BatchRunOptions{}); err == nil || !strings.Contains(err.Error(), "groups end at") {
+		t.Errorf("stale unit returned %v, want a groups error", err)
+	}
+}
+
+// TestRunScenariosSplitsStepSizes: cells that differ only in step_s
+// span different step counts and integrate with different steps, so
+// the planner never puts them in one unit, cold or warm, at any width;
+// each runs as it does alone. An unset step_s is the default step and
+// shares a unit with an explicit one.
+func TestRunScenariosSplitsStepSizes(t *testing.T) {
+	base := Scenario{Platform: PlatformOdroidXU3, Workload: "3dmark", Governor: GovIPA, DurationS: 1, Seed: 1}
+	for _, tc := range []struct {
+		steps []float64
+		units int
+	}{
+		{[]float64{0.001, 0.002}, 2},
+		{[]float64{0.001, 0.0005}, 2},
+		{[]float64{0, sim.DefaultStepS}, 1},
+	} {
+		specs := make([]Scenario, len(tc.steps))
+		want := make([]map[string]float64, len(tc.steps))
+		for i, step := range tc.steps {
+			specs[i] = base
+			specs[i].StepS = step
+			m, err := RunScenarioMetrics(context.Background(), specs[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = m
+		}
+		for _, width := range []int{0, 8} {
+			for _, warm := range []bool{false, true} {
+				units, err := PlanBatchUnitsFor(specs, width, 1, warm)
+				if err != nil || len(units) != tc.units {
+					t.Errorf("steps %v width %d warm %v: planned %v (%v), want %d units", tc.steps, width, warm, units, err, tc.units)
+				}
+				got, err := RunScenarios(context.Background(), specs, SweepConfig{BatchWidth: width, Workers: 1, WarmStart: warm})
+				if err != nil {
+					t.Fatalf("steps %v width %d warm %v: %v", tc.steps, width, warm, err)
+				}
+				for i := range specs {
+					assertMetricsBitwiseEqual(t, fmt.Sprintf("steps %v width %d warm %v cell %d", tc.steps, width, warm, i), want[i], got[i])
+				}
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package mobisim
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"sync"
 
 	"repro/internal/sim"
+	"repro/internal/thermal"
 )
 
 // Exported batch-execution seam.
@@ -39,23 +41,29 @@ const DefaultBatchWidth = 8
 const CtxCheckSteps = 4096
 
 // BatchPlanUnit is one executable unit of a batch plan: positions into
-// the planned scenario slice, all sharing a thermal topology and step
-// count. A warm unit additionally groups limit-aware cells by prefix
-// for sentinel/checkpoint/fork execution.
+// the planned scenario slice, all sharing a thermal topology, step size
+// and step count. A warm unit additionally groups limit-aware cells by
+// prefix for sentinel/checkpoint/fork execution.
 type BatchPlanUnit struct {
-	// Idx are positions into the spec slice the plan was built from.
+	// Idx are positions into the spec slice the plan was built from;
+	// each warm prefix group is contiguous, its sentinel first.
 	Idx []int
-	// Warm marks a prefix warm-start unit.
+	// Warm marks a unit in which the planner grouped two or more cells.
 	Warm bool
+	// ends are the exclusive ends in Idx of a warm unit's groups: its
+	// prefix groups and its cold cells, one group each. A cold unit,
+	// or one built by hand, has none and runs one group per cell.
+	ends []int
 }
 
 // PlanBatchUnits partitions fully-resolved scenarios into lockstep
 // execution units of at most width cells. Cells are grouped by
-// thermal-topology key and duration — only such cells may share a
-// lockstep engine — and, when warmStart is set, limit-aware cells
-// sharing a warm-up prefix (two or more per prefix) form warm groups
-// whose sentinels advance together and whose forked members join the
-// running engine. Within a topology and duration, whole warm groups
+// thermal-topology key, duration and step size — only such cells may
+// share a lockstep engine — and, when warmStart is set, limit-aware
+// cells sharing a warm-up prefix (two or more per prefix) form warm
+// groups, each ordered sentinel (lowest effective limit) first, whose
+// sentinels advance together and whose forked members join the running
+// engine. Within a topology, duration and step size, whole warm groups
 // and single cold cells are packed into units of at most width cells,
 // largest first (a warm group wider than width starts a unit of its
 // own), and then units fold while their first stages — one lane per
@@ -93,8 +101,8 @@ func PlanBatchUnitsFor(specs []Scenario, width, workers int, warmStart bool) ([]
 // and PrefixKey of specs[i], the latter only when needed); width >= 0.
 func planUnits(specs []Scenario, width, workers int, warmStart bool, topo, prefix func(i int) (uint64, error)) ([]BatchPlanUnit, error) {
 	type groupKey struct {
-		topo      uint64
-		durationS float64
+		topo             uint64
+		durationS, stepS float64
 	}
 	// group is one lockstep-compatible partition: its cells in
 	// first-seen order, limit-aware ones (with warmStart) by prefix.
@@ -110,7 +118,10 @@ func planUnits(specs []Scenario, width, workers int, warmStart bool, topo, prefi
 		if err != nil {
 			return nil, err
 		}
-		key := groupKey{topo: tk, durationS: specs[i].DurationS}
+		key := groupKey{topo: tk, durationS: specs[i].DurationS, stepS: specs[i].StepS}
+		if key.stepS == 0 {
+			key.stepS = sim.DefaultStepS
+		}
 		g := byKey[key]
 		if g == nil {
 			g = &group{byPrefix: make(map[uint64][]int)}
@@ -131,11 +142,18 @@ func planUnits(specs []Scenario, width, workers int, warmStart bool, topo, prefi
 		g.byPrefix[pk] = append(g.byPrefix[pk], i)
 	}
 	lanes := 0
+	defaults := make(map[string]float64)
 	for _, g := range groups {
 		// A prefix group of two or more cells is warm; a groupless
 		// cell has no prefix to share and runs cold.
 		for _, pk := range g.prefixes {
-			g.items = append(g.items, g.byPrefix[pk])
+			sub := g.byPrefix[pk]
+			if len(sub) > 1 {
+				if err := sentinelFirst(specs, sub, defaults); err != nil {
+					return nil, err
+				}
+			}
+			g.items = append(g.items, sub)
 		}
 		lanes += len(g.items)
 	}
@@ -161,13 +179,70 @@ func planUnits(specs []Scenario, width, workers int, warmStart bool, topo, prefi
 			for _, b := range fold {
 				for _, it := range bins[b] {
 					u.Idx = append(u.Idx, g.items[it]...)
+					u.ends = append(u.ends, len(u.Idx))
 					u.Warm = u.Warm || len(g.items[it]) > 1
 				}
+			}
+			if !u.Warm {
+				u.ends = nil
 			}
 			units = append(units, u)
 		}
 	}
 	return units, nil
+}
+
+// sentinelFirst orders a warm prefix group by effective thermal
+// limit, ascending and stable, so its sentinel comes first: the lowest
+// limit acts no later than any other member's, so its checkpoint is
+// safe for every member to fork from. defaults memoizes named-platform
+// default limits per name, so a plan does not rebuild the same
+// platform per member.
+func sentinelFirst(specs []Scenario, sub []int, defaults map[string]float64) error {
+	type member struct {
+		i      int
+		limitC float64
+	}
+	ms := make([]member, len(sub))
+	for k, i := range sub {
+		spec := specs[i]
+		named := spec.LimitC == 0 && spec.PlatformSpec == nil
+		lim, ok := defaults[spec.Platform]
+		if !ok || !named {
+			var err error
+			if lim, err = effectiveLimitC(spec); err != nil {
+				return err
+			}
+			if named {
+				defaults[spec.Platform] = lim
+			}
+		}
+		ms[k] = member{i, lim}
+	}
+	slices.SortStableFunc(ms, func(a, b member) int { return cmp.Compare(a.limitC, b.limitC) })
+	for k, m := range ms {
+		sub[k] = m.i
+	}
+	return nil
+}
+
+// effectiveLimitC resolves the thermal limit a scenario actually runs
+// under: an explicit LimitC wins, otherwise the platform default. An
+// inline spec's default goes through the same Celsius-Kelvin-Celsius
+// round-trip the compiled platform applies, so the ordering this
+// produces matches the limits the engine enforces bitwise.
+func effectiveLimitC(spec Scenario) (float64, error) {
+	if spec.LimitC != 0 {
+		return spec.LimitC, nil
+	}
+	if spec.PlatformSpec != nil {
+		return thermal.ToCelsius(thermal.ToKelvin(spec.PlatformSpec.ThermalLimitC)), nil
+	}
+	plat, err := LookupPlatform(spec.Platform, spec.Seed)
+	if err != nil {
+		return 0, err
+	}
+	return thermal.ToCelsius(plat.ThermalLimitK()), nil
 }
 
 // firstFit packs n items, largest first (stable), each into the first
@@ -226,10 +301,12 @@ type BatchRunner struct {
 // RunUnit executes one planned unit against the spec slice the plan
 // was built from, returning metric sets in u.Idx order — each
 // bitwise-identical to a sequential Engine.Run of the same scenario.
-// width is ignored: the planner sized the unit, and a warm unit's
-// forked members join its running lockstep engine, so no stage packs
-// lanes of its own. Every stage polls ctx at least every CtxCheckSteps
-// steps.
+// It runs the groups the planner recorded, each sentinel first; a unit
+// built by hand runs one group per cell, with the same bytes but no
+// warm start. width is ignored: the planner sized the unit, and a warm
+// unit's forked members join its running lockstep engine, so no stage
+// packs lanes of its own. Every stage polls ctx at least every
+// CtxCheckSteps steps.
 func (r *BatchRunner) RunUnit(ctx context.Context, specs []Scenario, u BatchPlanUnit, width int, opt BatchRunOptions) ([]map[string]float64, error) {
 	sub := make([]Scenario, len(u.Idx))
 	for k, i := range u.Idx {
@@ -238,25 +315,26 @@ func (r *BatchRunner) RunUnit(ctx context.Context, specs []Scenario, u BatchPlan
 		}
 		sub[k] = specs[i]
 	}
+	// pos[k] = k: each group is a run pos[start:end] of unit positions.
+	pos := make([]int, len(sub)+1)
+	for k := range pos {
+		pos[k] = k
+	}
+	ends := u.ends
+	if ends == nil {
+		ends = pos[1:] // one group per cell
+	}
+	groups := make([][]int, len(ends))
+	start := 0
+	for g, end := range ends {
+		if end <= start || end > len(sub) || (g == len(ends)-1 && end != len(sub)) {
+			return nil, fmt.Errorf("mobisim: batch unit groups end at %v, but the unit has %d cells", ends, len(sub))
+		}
+		groups[g], start = pos[start:end], end
+	}
 	obs := func(int) Observer { return nil }
 	if opt.Observer != nil {
 		obs = func(k int) Observer { return opt.Observer(u.Idx[k]) }
-	}
-	// A cold unit is one group per cell: it pays no prefix hashing and
-	// no limit resolution.
-	var groups [][]int
-	if u.Warm {
-		var err error
-		if groups, err = partitionWarmSpecs(sub); err != nil {
-			return nil, err
-		}
-	} else {
-		idx := make([]int, len(sub))
-		groups = make([][]int, len(sub))
-		for k := range idx {
-			idx[k] = k
-			groups[k] = idx[k : k+1]
-		}
 	}
 	return runUnitGroups(ctx, &r.pool, sub, groups, obs)
 }

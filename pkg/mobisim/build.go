@@ -98,9 +98,9 @@ func New(spec Scenario, opts ...Option) (*Engine, error) {
 		Platform:         plat,
 		Apps:             apps,
 		Governors:        govs,
-		StepS:            firstNonZero(bc.stepS, spec.StepS),
-		TracePeriodS:     firstNonZero(bc.tracePeriodS, spec.TracePeriodS),
-		TaskWindowS:      firstNonZero(bc.taskWindowS, spec.TaskWindowS),
+		StepS:            spec.StepS,
+		TracePeriodS:     spec.TracePeriodS,
+		TaskWindowS:      spec.TaskWindowS,
 		DAQ:              bc.daq,
 		Observers:        bc.observers,
 		DisableRecording: bc.disableRecording,
@@ -155,14 +155,6 @@ func New(spec Scenario, opts ...Option) (*Engine, error) {
 		aware: aware,
 		daq:   bc.daq,
 	}, nil
-}
-
-// firstNonZero picks the option override over the spec value.
-func firstNonZero(override, specValue float64) float64 {
-	if override != 0 {
-		return override
-	}
-	return specValue
 }
 
 // cpuGovernors builds the CPUfreq governor set for a platform: its

@@ -13,9 +13,10 @@
 //     lists that expand into many scenarios.
 //
 //   - Engine construction. New(spec, opts...) assembles a runnable
-//     Engine from a spec, with functional options (WithStep, WithDAQ,
-//     WithObserver, WithoutRecording, ...) for the knobs that are
-//     engine concerns rather than scenario identity.
+//     Engine from a spec, with functional options (WithObserver,
+//     WithoutRecording, WithDAQ) for the knobs that are engine
+//     concerns rather than scenario identity. The integration step,
+//     trace period and task window are scenario fields.
 //
 //   - Streaming observers. The engine publishes a Sample (temperatures,
 //     per-rail power, frequencies) once per trace period to every

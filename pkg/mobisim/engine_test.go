@@ -252,6 +252,8 @@ func TestNewRejectsBadSpecsAndOptions(t *testing.T) {
 		{Platform: PlatformOdroidXU3, Workload: "3dmark", Governor: GovStepwise, DurationS: 1, Seed: 1},
 		{Platform: PlatformNexus6P, Workload: "paper.io", Governor: GovIPA, DurationS: 1, Seed: 1},
 		{Platform: PlatformNexus6P, Workload: "paper.io", CPUGovernor: "warp", DurationS: 1, Seed: 1},
+		{Platform: PlatformNexus6P, Workload: "paper.io", DurationS: 1, Seed: 1, StepS: -1},
+		{Platform: PlatformNexus6P, Workload: "paper.io", DurationS: 1, Seed: 1, StepS: MinStepS / 2},
 	}
 	for _, spec := range bad {
 		if _, err := New(spec); err == nil {
@@ -259,9 +261,6 @@ func TestNewRejectsBadSpecsAndOptions(t *testing.T) {
 		}
 	}
 	good := Scenario{Platform: PlatformNexus6P, Workload: "paper.io", DurationS: 1, Seed: 1}
-	if _, err := New(good, WithStep(-1)); err == nil {
-		t.Error("WithStep(-1) should be rejected")
-	}
 	if _, err := New(good, WithObserver(nil)); err == nil {
 		t.Error("WithObserver(nil) should be rejected")
 	}

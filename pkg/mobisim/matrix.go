@@ -369,16 +369,17 @@ type SweepConfig struct {
 	// Output bytes are identical for every width.
 	BatchWidth int
 	// WarmStart plans limit-aware cells sharing a prefix content key
-	// (Scenario.PrefixKey) into warm units: each group's lowest-limit
+	// (Scenario.PrefixKey) into warm groups: each group's lowest-limit
 	// sentinel simulates the shared warm-up, its engine is
 	// snapshotted, and every other member forks from the restored
 	// state instead of re-simulating the prefix — the big win on
 	// replicate-heavy matrices sweeping the limits axis. A warm unit
-	// advances up to BatchWidth sentinels in lockstep and forks members
-	// BatchWidth (at width 0, DefaultBatchWidth) at a time. Cells that
-	// do not group (limit-agnostic arms, singleton groups) run in cold
-	// units. Output bytes are identical with and without WarmStart (the
-	// sweep tests pin this); only execution cost changes.
+	// advances its sentinels and cold cells in lockstep, and forked
+	// members join that running engine. Cells that do not group
+	// (limit-agnostic arms, singleton groups) run cold, beside warm
+	// groups or in units of their own. Output bytes are identical with
+	// and without WarmStart (the sweep tests pin this); only execution
+	// cost changes.
 	WarmStart bool
 }
 

@@ -321,9 +321,10 @@ func (e *cellEvaluator) evaluate(ctx context.Context, gens [][]point) ([][]Searc
 // two engines to share a lockstep batch: the thermal network's nodes
 // and couplings. The ambient temperature is per lane in the batch
 // kernel, so it is not part of the key. Equal keys imply equal
-// normalized JSON of those sections, which implies batch
-// compatibility; unequal keys merely split cells into separate
-// batches, which never changes output bytes.
+// normalized JSON of those sections, but not batch compatibility on
+// their own: cells must also share a step size and a step count, which
+// the planner keys separately. Unequal keys merely split cells into
+// separate batches, which never changes output bytes.
 func thermalTopoKey(s Scenario) (uint64, error) {
 	ps, err := resolvedPlatformSpec(s)
 	if err != nil {

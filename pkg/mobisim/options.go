@@ -8,55 +8,17 @@ import (
 )
 
 // Option adjusts engine construction without changing what the
-// scenario simulates: observers, instrumentation, and overrides of the
-// timing knobs. Options take precedence over the matching Scenario
-// fields.
+// scenario simulates: observers, recording and instrumentation. The
+// timing knobs are Scenario fields (step_s, trace_period_s,
+// task_window_s), so Validate bounds them and CellKey covers them.
 type Option func(*buildConfig) error
 
 // buildConfig accumulates option effects before New assembles the
 // sim.Config.
 type buildConfig struct {
-	stepS            float64
-	tracePeriodS     float64
-	taskWindowS      float64
 	observers        []sim.Observer
 	disableRecording bool
 	daq              *daq.Channel
-}
-
-// WithStep overrides the integration step in seconds.
-func WithStep(stepS float64) Option {
-	return func(bc *buildConfig) error {
-		if stepS <= 0 {
-			return fmt.Errorf("mobisim: WithStep needs a positive step, got %v", stepS)
-		}
-		bc.stepS = stepS
-		return nil
-	}
-}
-
-// WithTracePeriod overrides the observer/trace sampling period in
-// seconds.
-func WithTracePeriod(periodS float64) Option {
-	return func(bc *buildConfig) error {
-		if periodS <= 0 {
-			return fmt.Errorf("mobisim: WithTracePeriod needs a positive period, got %v", periodS)
-		}
-		bc.tracePeriodS = periodS
-		return nil
-	}
-}
-
-// WithTaskWindow overrides the per-task power averaging window in
-// seconds.
-func WithTaskWindow(windowS float64) Option {
-	return func(bc *buildConfig) error {
-		if windowS <= 0 {
-			return fmt.Errorf("mobisim: WithTaskWindow needs a positive window, got %v", windowS)
-		}
-		bc.taskWindowS = windowS
-		return nil
-	}
 }
 
 // WithObserver registers a streaming observer; it receives one Sample

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -55,8 +56,9 @@ func mixedUnitSpecs(t *testing.T) (specs []Scenario, groups [][]int) {
 // warm unit mixing prefix groups that fork at different ticks, a group
 // that never forks, cold singletons and two ambient temperatures must
 // give every cell the metrics of a lone RunScenarioMetrics bit for bit,
-// whether the unit runs whole or as planned at explicit widths and at
-// the planner's width for one and two workers.
+// whether the unit runs as the one unit the planner makes at width 17
+// or as planned at narrower widths and at the planner's width for one
+// and two workers.
 func TestRunUnitMixedMatchesLoneRuns(t *testing.T) {
 	specs, groups := mixedUnitSpecs(t)
 	want := make([]map[string]float64, len(specs))
@@ -81,17 +83,34 @@ func TestRunUnitMixedMatchesLoneRuns(t *testing.T) {
 		}
 	}
 
-	// The whole set as one warm unit, observed: a forked member observes
-	// only its steps after the fork, a shared one none.
-	all := BatchPlanUnit{Warm: true}
-	for i := range specs {
-		all.Idx = append(all.Idx, i)
+	// Ambient is per lane, so at width 17 the planner packs the whole
+	// set into one warm unit: the referee's prefix groups, sentinel
+	// first, and its cold cells, one group each.
+	units, err := PlanBatchUnits(specs, 17, true)
+	if err != nil || len(units) != 1 || !units[0].Warm || len(units[0].Idx) != len(specs) {
+		t.Fatalf("width 17: planned %+v (%v), want one warm unit of all %d cells", units, err, len(specs))
 	}
+	all := units[0]
+	var planned [][]int
+	for _, g := range unitGroups(all) {
+		if len(g) > 1 {
+			planned = append(planned, g)
+		}
+	}
+	if warmGroups := groups[:3]; !reflect.DeepEqual(planned, warmGroups) {
+		t.Fatalf("width 17: planned prefix groups %v, want %v", planned, warmGroups)
+	}
+	// Run it observed: a forked member observes only its steps after
+	// the fork, a shared one none.
 	sinks := make([]StatsSink, len(specs))
 	var r BatchRunner
-	got, err := r.RunUnit(context.Background(), specs, all, 0, BatchRunOptions{Observer: func(i int) Observer { return &sinks[i] }})
+	out, err := r.RunUnit(context.Background(), specs, all, 0, BatchRunOptions{Observer: func(i int) Observer { return &sinks[i] }})
 	if err != nil {
 		t.Fatal(err)
+	}
+	got := make([]map[string]float64, len(specs))
+	for k, i := range all.Idx {
+		got[i] = out[k]
 	}
 	same(t, "one unit", got)
 	full := sinks[0].Samples()
@@ -118,11 +137,6 @@ func TestRunUnitMixedMatchesLoneRuns(t *testing.T) {
 		t.Errorf("forks joined at %d distinct steps, want groups forking at different ticks", len(forkAt))
 	}
 
-	// Ambient is per lane, so at width 17 the planner itself packs the
-	// whole set into this one warm unit.
-	if units, err := PlanBatchUnits(specs, 17, true); err != nil || len(units) != 1 || !units[0].Warm || len(units[0].Idx) != len(specs) {
-		t.Fatalf("width 17: planned %+v (%v), want one warm unit of all %d cells", units, err, len(specs))
-	}
 	for _, tc := range []struct{ width, workers int }{{1, 2}, {3, 2}, {8, 2}, {17, 2}, {0, 1}, {0, 2}} {
 		got, err := RunScenarios(context.Background(), specs, SweepConfig{BatchWidth: tc.width, Workers: tc.workers, WarmStart: true})
 		if err != nil {

@@ -4,12 +4,10 @@ import (
 	"context"
 	"fmt"
 	"maps"
-	"sort"
 
 	"repro/internal/sim"
 	"repro/internal/snapbin"
 	"repro/internal/stability"
-	"repro/internal/thermal"
 )
 
 // The unit runner (BatchRunner.RunUnit) with content-addressed prefix
@@ -26,16 +24,19 @@ import (
 //
 //  1. PlanBatchUnits groups limit-aware cells by PrefixKey — the
 //     content hash of everything but the limit — within a thermal
-//     topology and duration, so one fork step count serves a group,
-//     and packs whole groups and cold cells into units by cell count,
-//     then folds units whose first stages (one lane per group) fit the
-//     width. A cold cell is a group of one.
-//  2. Each group's sentinel — the member with the lowest effective
-//     limit — runs the full horizon, snapshotting its state right
-//     before each control tick. Its checkpoint becomes final at the
-//     first tick where it acts or where its sensor reads at or above
-//     its own limit: past that tick a member with a higher limit may
-//     act first, so only states before it are shared by every member.
+//     topology, duration and step size, so one fork step count serves
+//     a group, and orders each group by effective limit. It packs
+//     whole groups and cold cells into units by cell count, then folds
+//     units whose first stages (one lane per group) fit the width, and
+//     records each warm unit's groups. A cold cell is a group of one.
+//     RunUnit runs the recorded groups and derives none itself.
+//  2. Each group's sentinel — its first member, the one with the
+//     lowest effective limit — runs the full horizon, snapshotting its
+//     state right before each control tick. Its checkpoint becomes
+//     final at the first tick where it acts or where its sensor reads
+//     at or above its own limit: past that tick a member with a higher
+//     limit may act first, so only states before it are shared by
+//     every member.
 //     A group of one has no member to fork, so its checkpoint is never
 //     tracked. The sentinels of a unit advance together as lanes of
 //     one lockstep engine.
@@ -110,8 +111,8 @@ func (s *sentinelRun) snapshotInto(w *snapbin.Writer, step int) error {
 }
 
 // runUnitGroups executes one unit of facade scenarios split into
-// groups, each sentinel first (partitionWarmSpecs for a warm unit, one
-// group per cell for a cold one): sentinel, checkpoint, join. Every
+// groups, each sentinel first (the planner's groups for a warm unit,
+// one group per cell otherwise): sentinel, checkpoint, join. Every
 // lane must share a thermal topology with equal node and coupling
 // parameters (the pool rejects mixed batches; ambient may differ) and
 // every cell must span the same step count; PlanBatchUnits plans
@@ -276,81 +277,4 @@ func runUnitGroups(ctx context.Context, pool *sim.BatchPool, specs []Scenario, g
 		}
 	}
 	return out, nil
-}
-
-// partitionWarmSpecs splits a warm unit into its prefix groups, each
-// ordered by effective thermal limit ascending (sentinel first), and
-// its cold cells, each a group of one. Group membership is re-derived
-// from the same content keys the planner used, so a unit partitions
-// exactly as planned: a limit-aware cold cell is the only cell of the
-// unit with its prefix, and a limit-agnostic cell stays alone whatever
-// prefix it shares.
-func partitionWarmSpecs(specs []Scenario) ([][]int, error) {
-	byKey := make(map[uint64][]int)
-	var order []uint64
-	var subs [][]int
-	for i, spec := range specs {
-		if !limitAware(spec.Governor) {
-			// A cold cell packed beside warm groups: it never forks,
-			// whatever prefix it shares.
-			subs = append(subs, []int{i})
-			continue
-		}
-		prefix, err := spec.PrefixKey()
-		if err != nil {
-			return nil, err
-		}
-		if _, seen := byKey[prefix]; !seen {
-			order = append(order, prefix)
-		}
-		byKey[prefix] = append(byKey[prefix], i)
-	}
-	// Named-platform defaults are memoized per name so a unit does not
-	// rebuild the same platform per member.
-	effLimit := make([]float64, len(specs))
-	defaults := make(map[string]float64)
-	for _, key := range order {
-		sub := byKey[key]
-		subs = append(subs, sub)
-		if len(sub) == 1 {
-			continue // a lone sentinel needs no limit order
-		}
-		for _, i := range sub {
-			spec := specs[i]
-			named := spec.LimitC == 0 && spec.PlatformSpec == nil
-			if d, ok := defaults[spec.Platform]; ok && named {
-				effLimit[i] = d
-				continue
-			}
-			l, err := effectiveLimitC(spec)
-			if err != nil {
-				return nil, err
-			}
-			effLimit[i] = l
-			if named {
-				defaults[spec.Platform] = l
-			}
-		}
-		sort.SliceStable(sub, func(a, b int) bool { return effLimit[sub[a]] < effLimit[sub[b]] })
-	}
-	return subs, nil
-}
-
-// effectiveLimitC resolves the thermal limit a scenario actually runs
-// under: an explicit LimitC wins, otherwise the platform default. An
-// inline spec's default goes through the same Celsius-Kelvin-Celsius
-// round-trip the compiled platform applies, so the ordering this
-// produces matches the limits the engine enforces bitwise.
-func effectiveLimitC(spec Scenario) (float64, error) {
-	if spec.LimitC != 0 {
-		return spec.LimitC, nil
-	}
-	if spec.PlatformSpec != nil {
-		return thermal.ToCelsius(thermal.ToKelvin(spec.PlatformSpec.ThermalLimitC)), nil
-	}
-	plat, err := LookupPlatform(spec.Platform, spec.Seed)
-	if err != nil {
-		return 0, err
-	}
-	return thermal.ToCelsius(plat.ThermalLimitK()), nil
 }
