@@ -16,7 +16,8 @@
 //
 // Unlike the default governors, which throttle every domain, only the
 // offending process is penalized; registered real-time processes are
-// never chosen as victims.
+// never chosen as victims. A victim stays on the LITTLE cluster for the
+// rest of the run, as in the paper's experiments.
 //
 // Each tick decides steps 1 and 2 from one exponential apiece, and runs
 // the exact analysis only where a certified test cannot answer or a
@@ -31,9 +32,7 @@
 //     the time-to-limit integration would return +Inf (no crossing
 //     within the horizon). Otherwise the tick integrates as before.
 //   - The exact fixed point is computed only when it is read: for the
-//     PredictedFixedK of an event the tick records, and for the restore
-//     and unthrottle dwell checks while they are live (restoration
-//     enabled with a victim on the stack, or the big cluster capped).
+//     PredictedFixedK of an event the tick records.
 //
 // A certified answer equals the exact one on every input, so decisions,
 // events and the prediction count are bitwise those of running the
@@ -45,43 +44,13 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/platform"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stability"
 )
 
-// Policy selects what the governor does when a violation is imminent.
-type Policy int
-
-// Victim policies.
-const (
-	// PolicyMigrate moves the most power-hungry non-real-time process
-	// to the LITTLE cluster — the paper's proposal.
-	PolicyMigrate Policy = iota
-	// PolicyThrottle instead steps the big cluster's frequency cap down
-	// one OPP (and back up when the prediction clears). It uses the same
-	// fixed-point prediction but punishes every process on the cluster —
-	// the comparator for the migration-vs-throttling ablation.
-	PolicyThrottle
-)
-
-// String names the policy.
-func (p Policy) String() string {
-	switch p {
-	case PolicyMigrate:
-		return "migrate"
-	case PolicyThrottle:
-		return "throttle"
-	default:
-		return fmt.Sprintf("policy(%d)", int(p))
-	}
-}
-
 // Config parameterizes the governor.
 type Config struct {
-	// Policy selects the mitigation action (default PolicyMigrate).
-	Policy Policy
 	// ThermalLimitK is the temperature limit; 0 means the platform's
 	// configured limit.
 	ThermalLimitK float64
@@ -90,62 +59,32 @@ type Config struct {
 	HorizonS float64
 	// IntervalS is the control period (default 0.1 s, as in the paper).
 	IntervalS float64
-	// RestoreMarginK and RestoreAfterS govern migrating victims back:
-	// once the predicted fixed point stays below limit − margin for the
-	// dwell time, the most recent victim returns to the big cluster.
-	// RestoreAfterS = 0 disables restoration (the paper's experiments
-	// keep the victim on LITTLE).
-	RestoreMarginK float64
-	RestoreAfterS  float64
-	// SkinLimitK optionally adds a skin-temperature constraint (the
-	// user-experience quantity the paper's introduction motivates and
-	// its conclusion proposes as future work): the governor predicts the
-	// steady-state temperature of the platform's "skin" node from the
-	// full RC network under the current power pattern, and treats a
-	// predicted exceedance as a violation too. 0 disables the check;
-	// it is also inert on platforms without a "skin" node.
-	SkinLimitK float64
 }
 
-// DefaultConfig mirrors the paper's parameters: 100 ms control period,
-// 1 s power window (owned by the engine), no restore.
+// DefaultConfig mirrors the paper's parameters: a 10 s horizon and a
+// 100 ms control period (the 1 s power window is the engine's). A
+// victim stays on the LITTLE cluster once migrated, as in the paper's
+// experiments.
 func DefaultConfig() Config {
 	return Config{
-		HorizonS:       10,
-		IntervalS:      0.1,
-		RestoreMarginK: 5,
+		HorizonS:  10,
+		IntervalS: 0.1,
 	}
 }
 
 // EventKind labels governor decisions.
 type EventKind int
 
-// Event kinds.
-const (
-	// EventMigrate moved a process to the LITTLE cluster.
-	EventMigrate EventKind = iota
-	// EventRestore moved a process back to the big cluster.
-	EventRestore
-	// EventThrottle stepped the big-cluster cap down (PolicyThrottle).
-	EventThrottle
-	// EventUnthrottle stepped the big-cluster cap up (PolicyThrottle).
-	EventUnthrottle
-)
+// EventMigrate moved a process to the LITTLE cluster, the only decision
+// the governor takes.
+const EventMigrate EventKind = 0
 
 // String names the event kind.
 func (k EventKind) String() string {
-	switch k {
-	case EventMigrate:
+	if k == EventMigrate {
 		return "migrate"
-	case EventRestore:
-		return "restore"
-	case EventThrottle:
-		return "throttle"
-	case EventUnthrottle:
-		return "unthrottle"
-	default:
-		return fmt.Sprintf("event(%d)", int(k))
 	}
+	return fmt.Sprintf("event(%d)", int(k))
 }
 
 // Event is one recorded governor decision.
@@ -171,11 +110,7 @@ type Governor struct {
 	params stability.Params
 	haveP  bool
 
-	events  []Event
-	victims []int // migration stack, most recent last
-
-	coolSince float64 // when the prediction last dropped below the
-	// restore threshold; -1 when currently hot
+	events      []Event
 	predictions int
 
 	// avgPowerFn caches avgPowerEng's per-task power lookup so victim
@@ -205,15 +140,10 @@ func New(cfg Config) (*Governor, error) {
 		return nil, fmt.Errorf("appaware: horizon must be finite and > 0, got %v", cfg.HorizonS)
 	case !(cfg.IntervalS > 0) || math.IsInf(cfg.IntervalS, 1):
 		return nil, fmt.Errorf("appaware: interval must be finite and > 0, got %v", cfg.IntervalS)
-	case !(cfg.RestoreMarginK >= 0) || math.IsInf(cfg.RestoreMarginK, 1) ||
-		!(cfg.RestoreAfterS >= 0) || math.IsInf(cfg.RestoreAfterS, 1):
-		return nil, fmt.Errorf("appaware: restore parameters must be finite and >= 0, got margin %v, dwell %v", cfg.RestoreMarginK, cfg.RestoreAfterS)
 	case !(cfg.ThermalLimitK >= 0) || math.IsInf(cfg.ThermalLimitK, 1):
 		return nil, fmt.Errorf("appaware: thermal limit must be finite and >= 0 Kelvin, got %v", cfg.ThermalLimitK)
-	case !(cfg.SkinLimitK >= 0) || math.IsInf(cfg.SkinLimitK, 1):
-		return nil, fmt.Errorf("appaware: skin limit must be finite and >= 0 Kelvin, got %v", cfg.SkinLimitK)
 	}
-	return &Governor{cfg: cfg, coolSince: -1}, nil
+	return &Governor{cfg: cfg}, nil
 }
 
 // MustNew is New that panics on error.
@@ -291,27 +221,6 @@ func (g *Governor) LimitK(e *sim.Engine) float64 {
 	return e.Platform().ThermalLimitK()
 }
 
-// prediction is one control tick's fixed-point analysis, run at most
-// once and only when its result is consumed.
-type prediction struct {
-	pdW  float64
-	an   stability.Analysis
-	done bool
-}
-
-// stableTempK returns the tick's exact stable fixed-point temperature
-// (0 for runaway), running the analysis on first use.
-func (g *Governor) stableTempK(p *prediction) float64 {
-	if !p.done {
-		// Control reaches here without an analysis only after
-		// DecideAbove certified the tick, which it does only where
-		// Analyze succeeds, so the error is always nil.
-		p.an, _ = g.analyze(p.pdW)
-		p.done = true
-	}
-	return p.an.StableTempK
-}
-
 // Control implements sim.Controller: one decision of Section IV-B.
 func (g *Governor) Control(nowS float64, e *sim.Engine) {
 	if !g.haveP {
@@ -327,65 +236,47 @@ func (g *Governor) Control(nowS float64, e *sim.Engine) {
 		return
 	}
 	limitK := g.LimitK(e)
-	pred := prediction{pdW: pd}
+	// The exact analysis runs only where DecideAbove cannot answer or an
+	// event reads its fixed point, at most once per tick.
+	var an stability.Analysis
 	chipViolation, certain := g.params.DecideAbove(pd, limitK)
 	if !certain {
-		an, err := g.analyze(pd)
-		if err != nil {
+		var err error
+		if an, err = g.analyze(pd); err != nil {
 			return
 		}
-		pred.an, pred.done = an, true
 		chipViolation = an.Class == stability.Runaway || an.StableTempK > limitK
 	}
 	g.predictions++
+	// Read the sensor every tick, violation or not: a read can draw the
+	// sensor's noise stream and advance its sample clock.
 	tempK := e.SensorTempK()
-
-	skinViolation := g.skinViolation(e)
-	if !chipViolation && !skinViolation {
-		if g.cfg.Policy == PolicyThrottle {
-			g.maybeUnthrottle(nowS, e, &pred, limitK)
-		} else {
-			g.maybeRestore(nowS, e, &pred, limitK)
-		}
+	if !chipViolation {
 		return
 	}
-	g.coolSince = -1
 
-	// A chip-limit violation acts only when imminent; a predicted skin
-	// exceedance acts immediately (skin dynamics are much slower, so by
-	// the time it is "imminent" the user already feels it).
-	tta := 0.0
-	if chipViolation {
-		// Without a skin constraint, any crossing beyond HorizonS is
-		// handled identically ("distant, recheck next tick"), so the
-		// integration horizon is capped at HorizonS: a crossing inside
-		// it yields the same tta bitwise, a crossing beyond it the same
-		// decision. The cap is only taken when it leaves the
-		// integrator's step choice (min(R·C/200, horizon/10))
-		// untouched, and skin-constrained configs keep the 2× horizon
-		// because they log tta values from the (HorizonS, 2·HorizonS]
-		// band.
-		horizon := g.cfg.HorizonS * 2
-		if !skinViolation && g.params.ResistanceKPerW*g.params.CapacitanceJPerK/200 <= g.cfg.HorizonS/10 {
-			horizon = g.cfg.HorizonS
-		}
-		if g.params.ProvablyBelow(pd, tempK, limitK, horizon) {
-			tta = math.Inf(1) // what the integration would return
-		} else {
-			var err error
-			tta, err = g.timeToThreshold(pd, tempK, limitK, horizon)
-			if err != nil {
-				return
-			}
-		}
-		if tta > g.cfg.HorizonS && !skinViolation {
-			return // violation is distant; act next time it is imminent
+	// Any crossing beyond HorizonS is handled identically ("distant,
+	// recheck next tick"), so the integration horizon is capped at
+	// HorizonS: a crossing inside it yields the same tta bitwise, a
+	// crossing beyond it the same decision. The cap is only taken when
+	// it leaves the integrator's step choice (min(R·C/200, horizon/10))
+	// untouched; otherwise the horizon stays at 2·HorizonS.
+	horizon := g.cfg.HorizonS * 2
+	if g.params.ResistanceKPerW*g.params.CapacitanceJPerK/200 <= g.cfg.HorizonS/10 {
+		horizon = g.cfg.HorizonS
+	}
+	var tta float64
+	if g.params.ProvablyBelow(pd, tempK, limitK, horizon) {
+		tta = math.Inf(1) // what the integration would return
+	} else {
+		var err error
+		tta, err = g.timeToThreshold(pd, tempK, limitK, horizon)
+		if err != nil {
+			return
 		}
 	}
-
-	if g.cfg.Policy == PolicyThrottle {
-		g.throttle(nowS, e, &pred, tta)
-		return
+	if tta > g.cfg.HorizonS {
+		return // violation is distant; act next time it is imminent
 	}
 
 	if g.avgPowerEng != e {
@@ -399,114 +290,16 @@ func (g *Governor) Control(nowS float64, e *sim.Engine) {
 	if err := e.Scheduler().Migrate(pid, sched.Little); err != nil {
 		return
 	}
-	g.victims = append(g.victims, pid)
+	if certain {
+		// DecideAbove certifies a tick only where Analyze succeeds, so
+		// the error is always nil.
+		an, _ = g.analyze(pd)
+	}
 	g.events = append(g.events, Event{
 		TimeS:           nowS,
 		Kind:            EventMigrate,
 		PID:             pid,
-		PredictedFixedK: g.stableTempK(&pred),
+		PredictedFixedK: an.StableTempK,
 		TimeToLimitS:    tta,
-	})
-}
-
-// skinViolation predicts the skin node's steady-state temperature from
-// the full RC network under the current power pattern; it reports true
-// when the prediction exceeds the configured skin limit.
-func (g *Governor) skinViolation(e *sim.Engine) bool {
-	if g.cfg.SkinLimitK == 0 {
-		return false
-	}
-	skinID, ok := e.Platform().NodeByName("skin")
-	if !ok {
-		return false
-	}
-	temps, err := e.Platform().Net.SteadyState(e.NodePowers())
-	if err != nil {
-		return false
-	}
-	return temps[skinID] > g.cfg.SkinLimitK
-}
-
-// throttle steps the big cluster's frequency cap one OPP down.
-func (g *Governor) throttle(nowS float64, e *sim.Engine, pred *prediction, tta float64) {
-	dom := e.Platform().Domain(platform.DomBig)
-	table := dom.Table()
-	cur := dom.Cap()
-	if cur == 0 {
-		cur = table.Max().FreqHz
-	}
-	i := table.IndexOf(table.Floor(cur).FreqHz)
-	if i <= 0 {
-		return // already at the bottom
-	}
-	dom.SetCap(table.At(i - 1).FreqHz)
-	g.events = append(g.events, Event{
-		TimeS:           nowS,
-		Kind:            EventThrottle,
-		PredictedFixedK: g.stableTempK(pred),
-		TimeToLimitS:    tta,
-	})
-}
-
-// maybeUnthrottle lifts the big-cluster cap one OPP after the
-// prediction has stayed below limit − margin for the dwell time.
-func (g *Governor) maybeUnthrottle(nowS float64, e *sim.Engine, pred *prediction, limitK float64) {
-	dom := e.Platform().Domain(platform.DomBig)
-	if dom.Cap() == 0 {
-		return
-	}
-	fixedK := g.stableTempK(pred)
-	if fixedK >= limitK-g.cfg.RestoreMarginK {
-		g.coolSince = -1
-		return
-	}
-	if g.coolSince < 0 {
-		g.coolSince = nowS
-		return
-	}
-	if g.cfg.RestoreAfterS != 0 && nowS-g.coolSince < g.cfg.RestoreAfterS {
-		return
-	}
-	table := dom.Table()
-	i := table.IndexOf(table.Floor(dom.Cap()).FreqHz)
-	if i+1 >= table.Len() {
-		dom.SetCap(0)
-	} else {
-		dom.SetCap(table.At(i + 1).FreqHz)
-	}
-	g.coolSince = -1
-	g.events = append(g.events, Event{TimeS: nowS, Kind: EventUnthrottle, PredictedFixedK: fixedK})
-}
-
-// maybeRestore returns the most recent victim to the big cluster after
-// the prediction has stayed comfortably below the limit for the dwell
-// time.
-func (g *Governor) maybeRestore(nowS float64, e *sim.Engine, pred *prediction, limitK float64) {
-	if g.cfg.RestoreAfterS == 0 || len(g.victims) == 0 {
-		return
-	}
-	fixedK := g.stableTempK(pred)
-	if fixedK >= limitK-g.cfg.RestoreMarginK {
-		g.coolSince = -1
-		return
-	}
-	if g.coolSince < 0 {
-		g.coolSince = nowS
-		return
-	}
-	if nowS-g.coolSince < g.cfg.RestoreAfterS {
-		return
-	}
-	pid := g.victims[len(g.victims)-1]
-	if err := e.Scheduler().Migrate(pid, sched.Big); err != nil {
-		return
-	}
-	g.victims = g.victims[:len(g.victims)-1]
-	g.coolSince = -1
-	g.events = append(g.events, Event{
-		TimeS:           nowS,
-		Kind:            EventRestore,
-		PID:             pid,
-		PredictedFixedK: fixedK,
 	})
 }

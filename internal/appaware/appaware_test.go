@@ -20,8 +20,6 @@ func TestNewValidates(t *testing.T) {
 		{HorizonS: -1, IntervalS: 0.1},
 		{HorizonS: math.NaN(), IntervalS: 0.1},
 		{HorizonS: 10, IntervalS: -0.1},
-		{HorizonS: 10, IntervalS: 0.1, RestoreMarginK: -1},
-		{HorizonS: 10, IntervalS: 0.1, RestoreAfterS: -1},
 		{HorizonS: 10, IntervalS: 0.1, ThermalLimitK: -5},
 		{HorizonS: math.Inf(1), IntervalS: 0.1},
 		{HorizonS: 10, IntervalS: math.NaN()},
@@ -29,12 +27,6 @@ func TestNewValidates(t *testing.T) {
 		{HorizonS: 10, IntervalS: math.Inf(-1)},
 		{HorizonS: 10, IntervalS: 0.1, ThermalLimitK: math.NaN()},
 		{HorizonS: 10, IntervalS: 0.1, ThermalLimitK: math.Inf(1)},
-		{HorizonS: 10, IntervalS: 0.1, RestoreMarginK: math.NaN()},
-		{HorizonS: 10, IntervalS: 0.1, RestoreMarginK: math.Inf(1)},
-		{HorizonS: 10, IntervalS: 0.1, RestoreAfterS: math.NaN()},
-		{HorizonS: 10, IntervalS: 0.1, RestoreAfterS: math.Inf(1)},
-		{HorizonS: 10, IntervalS: 0.1, SkinLimitK: math.NaN()},
-		{HorizonS: 10, IntervalS: 0.1, SkinLimitK: math.Inf(1)},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
@@ -64,8 +56,8 @@ func TestZeroedConfigGetsDefaults(t *testing.T) {
 }
 
 func TestEventKindString(t *testing.T) {
-	if EventMigrate.String() != "migrate" || EventRestore.String() != "restore" {
-		t.Error("event names wrong")
+	if EventMigrate.String() != "migrate" {
+		t.Error("event name wrong")
 	}
 	if !strings.Contains(EventKind(9).String(), "9") {
 		t.Error("unknown kind should include number")
@@ -234,49 +226,6 @@ func TestMigrationEventRecordsPrediction(t *testing.T) {
 	}
 	if ev.TimeToLimitS < 0 || ev.TimeToLimitS > DefaultConfig().HorizonS {
 		t.Errorf("time-to-limit %v outside (0, horizon]", ev.TimeToLimitS)
-	}
-}
-
-func TestRestoreAfterCooling(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.RestoreAfterS = 2
-	cfg.RestoreMarginK = 1
-	g := MustNew(cfg)
-	e, _ := buildEngine(t, g)
-	// After BML migrates to the powersave little cluster, dynamic power
-	// collapses and the prediction cools; the dwell clock should then
-	// restore the victim, which heats things back up — verifying both
-	// directions.
-	if err := e.Run(30); err != nil {
-		t.Fatal(err)
-	}
-	var sawMigrate, sawRestore bool
-	for _, ev := range g.Events() {
-		switch ev.Kind {
-		case EventMigrate:
-			sawMigrate = true
-		case EventRestore:
-			sawRestore = true
-		}
-	}
-	if !sawMigrate {
-		t.Fatal("expected an initial migration")
-	}
-	if !sawRestore {
-		t.Error("expected a restore after cooling with RestoreAfterS set")
-	}
-}
-
-func TestNoRestoreWhenDisabled(t *testing.T) {
-	g := MustNew(DefaultConfig()) // RestoreAfterS = 0
-	e, _ := buildEngine(t, g)
-	if err := e.Run(30); err != nil {
-		t.Fatal(err)
-	}
-	for _, ev := range g.Events() {
-		if ev.Kind == EventRestore {
-			t.Error("restore fired despite RestoreAfterS = 0")
-		}
 	}
 }
 

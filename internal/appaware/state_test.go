@@ -2,6 +2,7 @@ package appaware
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -18,37 +19,62 @@ func saveState(g *Governor) []byte {
 	return bytes.Clone(w.Bytes())
 }
 
-// restoringConfig migrates and restores within a few seconds on the
-// fast platform, so a mid-run state holds events, a victim stack and a
-// running dwell clock.
-func restoringConfig() Config {
-	cfg := DefaultConfig()
-	cfg.RestoreAfterS = 2
-	cfg.RestoreMarginK = 1
-	return cfg
+// migratedState runs the fast platform long enough for the governor to
+// migrate, so its state holds events and a prediction count.
+func migratedState(t *testing.T) *Governor {
+	t.Helper()
+	g := MustNew(DefaultConfig())
+	e, _ := buildEngine(t, g)
+	if err := e.Run(20); err != nil {
+		t.Fatal(err)
+	}
+	if g.EventCount() == 0 || g.Predictions() == 0 {
+		t.Fatalf("mid-run state is empty: %d events, %d predictions", g.EventCount(), g.Predictions())
+	}
+	return g
+}
+
+// v1State writes the version-1 snapshot layout of a governor field by
+// field: the event log, the victim stack, the restore clock and the
+// prediction count.
+func v1State(events []Event, victims []int, clock float64, predictions int) []byte {
+	var w snapbin.Writer
+	w.PutInt(len(events))
+	for _, ev := range events {
+		w.PutF64(ev.TimeS)
+		w.PutInt(int(ev.Kind))
+		w.PutInt(ev.PID)
+		w.PutF64(ev.PredictedFixedK)
+		w.PutF64(ev.TimeToLimitS)
+	}
+	w.PutInts(victims)
+	w.PutF64(clock)
+	w.PutInt(predictions)
+	return w.Bytes()
 }
 
 // TestStateRoundTrip saves a governor mid-run and loads it into a fresh
 // one and into one with a longer history of its own: both must
-// re-encode to the saved bytes and report the same events, prediction
-// count and victims.
+// re-encode to the saved bytes and report the same events and
+// prediction count. The saved bytes are the version-1 layout with the
+// events' PIDs as the victim stack and -1 as the restore clock.
 func TestStateRoundTrip(t *testing.T) {
-	g := MustNew(restoringConfig())
-	e, _ := buildEngine(t, g)
-	if err := e.Run(10); err != nil {
-		t.Fatal(err)
-	}
-	if g.EventCount() == 0 || g.Predictions() == 0 || len(g.victims) == 0 {
-		t.Fatalf("mid-run state is empty: %d events, %d predictions, victims %v", g.EventCount(), g.Predictions(), g.victims)
-	}
+	g := migratedState(t)
 	saved := saveState(g)
+	var pids []int
+	for _, ev := range g.Events() {
+		pids = append(pids, ev.PID)
+	}
+	if want := v1State(g.Events(), pids, -1, g.Predictions()); !bytes.Equal(saved, want) {
+		t.Fatal("saved state is not the version-1 layout")
+	}
 
-	longer := MustNew(restoringConfig())
+	longer := MustNew(DefaultConfig())
 	le, _ := buildEngine(t, longer)
 	if err := le.Run(30); err != nil {
 		t.Fatal(err)
 	}
-	for name, dst := range map[string]*Governor{"fresh": MustNew(restoringConfig()), "reused": longer} {
+	for name, dst := range map[string]*Governor{"fresh": MustNew(DefaultConfig()), "reused": longer} {
 		if err := dst.LoadState(snapbin.NewReader(saved)); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -58,11 +84,46 @@ func TestStateRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(dst.Events(), g.Events()) || dst.EventCount() != g.EventCount() {
 			t.Errorf("%s: events %+v, want %+v", name, dst.Events(), g.Events())
 		}
-		if dst.Predictions() != g.Predictions() || dst.coolSince != g.coolSince {
-			t.Errorf("%s: predictions %d, cool since %v; want %d, %v", name, dst.Predictions(), dst.coolSince, g.Predictions(), g.coolSince)
+		if dst.Predictions() != g.Predictions() {
+			t.Errorf("%s: predictions %d, want %d", name, dst.Predictions(), g.Predictions())
 		}
-		if !slices.Equal(dst.victims, g.victims) {
-			t.Errorf("%s: victims %v, want %v", name, dst.victims, g.victims)
+	}
+}
+
+// TestLoadStateRejectsWhatSaveStateCannotWrite feeds LoadState
+// version-1 blobs that SaveState never writes: an event other than a
+// migration, a victim stack that is not the events' PIDs, and a
+// restore clock other than -1. Each must fail without touching the
+// governor.
+func TestLoadStateRejectsWhatSaveStateCannotWrite(t *testing.T) {
+	g := migratedState(t)
+	events, n := g.Events(), g.Predictions()
+	var pids []int
+	for _, ev := range events {
+		pids = append(pids, ev.PID)
+	}
+	otherKind := slices.Clone(events)
+	otherKind[0].Kind = 1
+	otherPID := slices.Clone(pids)
+	otherPID[len(otherPID)-1]++
+	bad := map[string][]byte{
+		"event kind":       v1State(otherKind, pids, -1, n),
+		"short stack":      v1State(events, pids[:len(pids)-1], -1, n),
+		"long stack":       v1State(events, append(slices.Clone(pids), pids[0]), -1, n),
+		"other victim":     v1State(events, otherPID, -1, n),
+		"running clock":    v1State(events, pids, 2.5, n),
+		"zero clock":       v1State(events, pids, 0, n),
+		"NaN clock":        v1State(events, pids, math.NaN(), n),
+		"clock, no events": v1State(nil, nil, 0, 0),
+	}
+	for name, blob := range bad {
+		dst := MustNew(DefaultConfig())
+		before := saveState(dst)
+		if err := dst.LoadState(snapbin.NewReader(blob)); err == nil {
+			t.Errorf("%s: loaded", name)
+		}
+		if !bytes.Equal(saveState(dst), before) {
+			t.Errorf("%s: a failed load changed the governor", name)
 		}
 	}
 }
@@ -71,14 +132,9 @@ func TestStateRoundTrip(t *testing.T) {
 // requires each cut to fail without touching the governor, and rejects
 // an event count the input cannot hold.
 func TestLoadStateRejectsTruncated(t *testing.T) {
-	g := MustNew(restoringConfig())
-	e, _ := buildEngine(t, g)
-	if err := e.Run(10); err != nil {
-		t.Fatal(err)
-	}
-	saved := saveState(g)
+	saved := saveState(migratedState(t))
 	for cut := 0; cut < len(saved); cut++ {
-		dst := MustNew(restoringConfig())
+		dst := MustNew(DefaultConfig())
 		before := saveState(dst)
 		if err := dst.LoadState(snapbin.NewReader(saved[:cut])); err == nil {
 			t.Fatalf("state cut at %d of %d bytes loaded", cut, len(saved))
@@ -106,7 +162,7 @@ func TestSharedCacheMatchesPrivate(t *testing.T) {
 	var sharedGovs, privateGovs []*Governor
 	var engines []*sim.Engine
 	for _, limitK := range limits {
-		cfg := restoringConfig()
+		cfg := DefaultConfig()
 		cfg.ThermalLimitK = limitK
 		sg, pg := MustNew(cfg), MustNew(cfg)
 		sg.ShareTransientCache(shared)

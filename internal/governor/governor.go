@@ -1,6 +1,6 @@
 // Package governor implements the CPUfreq frequency governors the paper
-// exercises: performance, powersave, userspace, ondemand and the Android
-// interactive governor with touch boost. Governors observe domain load
+// exercises: performance, powersave, ondemand, conservative and the
+// Android interactive governor with touch boost. Governors observe domain load
 // and request target frequencies; thermal caps are applied inside the
 // dvfs.Domain, which is exactly the layering that makes the paper's
 // "frequency governor fights thermal governor" observation possible.
@@ -93,27 +93,6 @@ func (Powersave) IntervalS() float64 { return 0.1 }
 func (Powersave) Decide(in Input, d *dvfs.Domain) uint64 {
 	return d.Table().Min().FreqHz
 }
-
-// Userspace holds a caller-set frequency, like the sysfs scaling_setspeed
-// interface.
-type Userspace struct {
-	freqHz uint64
-}
-
-// NewUserspace creates a userspace governor initially targeting freqHz.
-func NewUserspace(freqHz uint64) *Userspace { return &Userspace{freqHz: freqHz} }
-
-// Name implements Governor.
-func (*Userspace) Name() string { return "userspace" }
-
-// IntervalS implements Governor.
-func (*Userspace) IntervalS() float64 { return 0.1 }
-
-// Set changes the target frequency.
-func (u *Userspace) Set(freqHz uint64) { u.freqHz = freqHz }
-
-// Decide implements Governor.
-func (u *Userspace) Decide(in Input, d *dvfs.Domain) uint64 { return u.freqHz }
 
 // OndemandConfig parameterizes the ondemand governor.
 type OndemandConfig struct {

@@ -1,11 +1,13 @@
 package governor
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/dvfs"
+	"repro/internal/snapbin"
 )
 
 // testTable mirrors the Adreno 430 ladder used throughout the paper.
@@ -70,18 +72,6 @@ func TestPowersaveAlwaysMin(t *testing.T) {
 		if got := g.Decide(Input{UtilCores: util, OnlineCores: 4}, d); got != 180e6 {
 			t.Errorf("util %v: freq = %d, want min", util, got)
 		}
-	}
-}
-
-func TestUserspaceHoldsSetpoint(t *testing.T) {
-	d := testDomain(t)
-	g := NewUserspace(390e6)
-	if got := g.Decide(Input{UtilCores: 4, OnlineCores: 4}, d); got != 390e6 {
-		t.Errorf("freq = %d, want setpoint 390MHz", got)
-	}
-	g.Set(510e6)
-	if got := g.Decide(Input{}, d); got != 510e6 {
-		t.Errorf("freq = %d, want new setpoint 510MHz", got)
 	}
 }
 
@@ -244,7 +234,8 @@ func TestGovernorsAlwaysReturnTableFrequencies(t *testing.T) {
 	d, _ := dvfs.NewDomain("gpu", table, 0)
 	od, _ := NewOndemand(DefaultOndemandConfig())
 	ia, _ := NewInteractive(DefaultInteractiveConfig())
-	govs := []Governor{Performance{}, Powersave{}, NewUserspace(390e6), od, ia}
+	cons, _ := NewConservative(DefaultConservativeConfig())
+	govs := []Governor{Performance{}, Powersave{}, od, cons, ia}
 	f := func(util, maxLoad float64, cores uint8, now float64, touch bool) bool {
 		in := Input{
 			NowS:        math.Abs(math.Mod(now, 1e6)),
@@ -270,9 +261,93 @@ func TestGovernorsAlwaysReturnTableFrequencies(t *testing.T) {
 func TestGovernorIntervals(t *testing.T) {
 	od, _ := NewOndemand(DefaultOndemandConfig())
 	ia, _ := NewInteractive(DefaultInteractiveConfig())
-	for _, g := range []Governor{Performance{}, Powersave{}, NewUserspace(1), od, ia} {
+	cons, _ := NewConservative(DefaultConservativeConfig())
+	for _, g := range []Governor{Performance{}, Powersave{}, od, cons, ia} {
 		if g.IntervalS() <= 0 {
 			t.Errorf("%s interval = %v, want > 0", g.Name(), g.IntervalS())
+		}
+	}
+}
+
+// snapshotter is the snapshot interface the sim layer requires of
+// every governor.
+type snapshotter interface {
+	Governor
+	SaveState(w *snapbin.Writer)
+	LoadState(r *snapbin.Reader) error
+}
+
+// TestGovernorStateRoundTrip drives each governor partway through a
+// load trace, saves it, loads the state into a fresh governor, and
+// requires the copy to re-encode to the saved bytes and to decide the
+// rest of the trace exactly as the original. A truncated state must
+// fail to load.
+func TestGovernorStateRoundTrip(t *testing.T) {
+	builds := map[string]func() snapshotter{
+		"performance": func() snapshotter { return Performance{} },
+		"powersave":   func() snapshotter { return Powersave{} },
+		"conservative": func() snapshotter {
+			g, _ := NewConservative(DefaultConservativeConfig())
+			return g
+		},
+		"ondemand": func() snapshotter {
+			cfg := DefaultOndemandConfig()
+			cfg.SamplingDownFactor = 4
+			g, _ := NewOndemand(cfg)
+			return g
+		},
+		"interactive": func() snapshotter {
+			cfg := DefaultInteractiveConfig()
+			cfg.HispeedFreqHz = 390e6
+			g, _ := NewInteractive(cfg)
+			return g
+		},
+	}
+	// Full load from step 14 on holds the save point (step 17) inside
+	// the interactive governor's above-hispeed delay.
+	var trace []Input
+	for i := 0; i < 40; i++ {
+		in := Input{
+			NowS:        float64(i) * 0.02,
+			UtilCores:   float64(i%7) * 0.6,
+			MaxCoreLoad: float64(i%5) / 4,
+			OnlineCores: 4,
+			Touch:       i%13 == 3,
+		}
+		if i >= 14 && i < 24 {
+			in.MaxCoreLoad = 1
+		}
+		trace = append(trace, in)
+	}
+	save := func(g snapshotter) []byte {
+		var w snapbin.Writer
+		g.SaveState(&w)
+		return bytes.Clone(w.Bytes())
+	}
+	for name, build := range builds {
+		src, d := build(), testDomain(t)
+		for _, in := range trace[:17] {
+			d.Request(in.NowS, src.Decide(in, d))
+		}
+		saved := save(src)
+		dst := build()
+		if err := dst.LoadState(snapbin.NewReader(saved)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(save(dst), saved) {
+			t.Errorf("%s: loaded state re-encodes differently", name)
+		}
+		for _, in := range trace[17:] {
+			want := src.Decide(in, d)
+			if got := dst.Decide(in, d); got != want {
+				t.Fatalf("%s at %v s: restored copy decides %d Hz, original %d Hz", name, in.NowS, got, want)
+			}
+			d.Request(in.NowS, want)
+		}
+		for cut := 0; cut < len(saved); cut++ {
+			if err := build().LoadState(snapbin.NewReader(saved[:cut])); err == nil {
+				t.Errorf("%s: state cut at %d of %d bytes loaded", name, cut, len(saved))
+			}
 		}
 	}
 }

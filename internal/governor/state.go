@@ -31,19 +31,6 @@ func (*Conservative) SaveState(w *snapbin.Writer) {}
 // LoadState implements the sim snapshot interface (stateless: no-op).
 func (*Conservative) LoadState(r *snapbin.Reader) error { return nil }
 
-// SaveState serializes the userspace governor's target frequency.
-func (u *Userspace) SaveState(w *snapbin.Writer) { w.PutU64(u.freqHz) }
-
-// LoadState restores state saved by SaveState.
-func (u *Userspace) LoadState(r *snapbin.Reader) error {
-	freq := r.U64()
-	if err := r.Err(); err != nil {
-		return fmt.Errorf("governor: userspace: %w", err)
-	}
-	u.freqHz = freq
-	return nil
-}
-
 // SaveState serializes the ondemand governor's down-sampling hold.
 func (o *Ondemand) SaveState(w *snapbin.Writer) { w.PutInt(o.hold) }
 

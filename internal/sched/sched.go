@@ -81,18 +81,6 @@ type Capacity struct {
 // TotalHz is the aggregate cycle capacity (cores × frequency).
 func (c Capacity) TotalHz() float64 { return float64(c.Cores) * float64(c.FreqHz) }
 
-// Result reports one scheduling step.
-type Result struct {
-	// AchievedHz maps PID to granted execution rate (cycles/s).
-	AchievedHz map[int]float64
-	// UtilCores maps cluster to total busy capacity in units of cores
-	// (0..Cores).
-	UtilCores map[ClusterID]float64
-	// BusyShare maps PID to its fraction of its cluster's busy cycles;
-	// the power model attributes per-process dynamic power with it.
-	BusyShare map[int]float64
-}
-
 // Scheduler holds the task set.
 type Scheduler struct {
 	tasks      map[int]*Task
@@ -140,8 +128,8 @@ func (s *Scheduler) Remove(pid int) error {
 
 // Epoch returns a counter bumped whenever the task-set layout changes
 // (Add or Remove, not demand/placement updates). Callers caching
-// per-task state — Assignment's slot map, the sim layer's task-pointer
-// cache — key their invalidation on it.
+// per-task state, such as the sim layer's task-pointer cache, key their
+// invalidation on it.
 func (s *Scheduler) Epoch() uint64 { return s.epoch }
 
 // Len reports how many tasks the scheduler holds.
@@ -252,8 +240,7 @@ func (s *Scheduler) SaveState(w *snapbin.Writer) {
 
 // LoadState restores state saved by SaveState into a scheduler with an
 // identical task-set layout. Task fields are written through the live
-// pointers, so Assignment layouts and sim-layer task caches keyed on
-// Epoch stay valid.
+// pointers, so sim-layer task caches keyed on Epoch stay valid.
 func (s *Scheduler) LoadState(r *snapbin.Reader) error {
 	n := r.Int()
 	if r.Err() == nil && n != len(s.order) {
@@ -286,72 +273,21 @@ func (s *Scheduler) LoadState(r *snapbin.Reader) error {
 	return nil
 }
 
-// Assignment is a reusable, index-addressed scheduling result: the
-// allocation-free counterpart of Result. Grants are stored in flat
-// slices parallel to the scheduler's ascending-PID order; a PID→slot
-// map is rebuilt only when the task set changes, so repeated
-// AssignInto calls on a stable task set perform zero allocations.
-// The zero value is ready to use.
+// Assignment is a reusable scheduling result. Grants are stored in
+// flat slices parallel to the scheduler's ascending-PID order
+// (Scheduler.Slot maps a PID to its slot); they are reallocated only
+// when the task count changes, so repeated AssignInto calls on a
+// stable task set perform zero allocations. The zero value is ready to
+// use.
 type Assignment struct {
-	pids       []int
 	achievedHz []float64
 	busyShare  []float64
 	utilCores  [numClusters]float64
-
-	slot  map[int]int
-	epoch uint64
-	owner *Scheduler // scheduler the layout was built for
-}
-
-// sync rebuilds the flat layout when the scheduler — or its task set —
-// changed since the last call; otherwise it only clears the per-call
-// values.
-func (a *Assignment) sync(s *Scheduler) {
-	if a.owner != s || a.epoch != s.epoch || len(a.pids) != len(s.order) {
-		a.pids = append(a.pids[:0], s.order...)
-		a.achievedHz = make([]float64, len(a.pids))
-		a.busyShare = make([]float64, len(a.pids))
-		a.slot = make(map[int]int, len(a.pids))
-		for i, pid := range a.pids {
-			a.slot[pid] = i
-		}
-		a.epoch = s.epoch
-		a.owner = s
-	}
-	for i := range a.achievedHz {
-		a.achievedHz[i] = 0
-		a.busyShare[i] = 0
-	}
-	a.utilCores = [numClusters]float64{}
-}
-
-// PIDs returns the assignment's task IDs in ascending order. The slice
-// is reused between AssignInto calls; callers must not retain it.
-func (a *Assignment) PIDs() []int { return a.pids }
-
-// AchievedHz returns the granted execution rate of pid (0 for unknown
-// PIDs).
-func (a *Assignment) AchievedHz(pid int) float64 {
-	if i, ok := a.slot[pid]; ok {
-		return a.achievedHz[i]
-	}
-	return 0
-}
-
-// BusyShare returns pid's fraction of its cluster's busy cycles (0 for
-// unknown PIDs).
-func (a *Assignment) BusyShare(pid int) float64 {
-	if i, ok := a.slot[pid]; ok {
-		return a.busyShare[i]
-	}
-	return 0
 }
 
 // AchievedHzAt returns the granted execution rate of the task at the
 // given slot of the scheduler's ascending-PID order (Scheduler.Slot);
-// out-of-range slots report 0, matching AchievedHz for unknown PIDs.
-// It is the index-addressed counterpart of AchievedHz for hot loops
-// that resolve slots once per task-set change instead of per call.
+// out-of-range slots report 0.
 func (a *Assignment) AchievedHzAt(slot int) float64 {
 	if slot < 0 || slot >= len(a.achievedHz) {
 		return 0
@@ -359,9 +295,9 @@ func (a *Assignment) AchievedHzAt(slot int) float64 {
 	return a.achievedHz[slot]
 }
 
-// BusyShareAt returns the busy-cycle share of the task at the given
-// slot (0 for out-of-range slots), the index-addressed counterpart of
-// BusyShare.
+// BusyShareAt returns the task's fraction of its cluster's busy cycles
+// at the given slot (0 for out-of-range slots); the power model
+// attributes per-process dynamic power with it.
 func (a *Assignment) BusyShareAt(slot int) float64 {
 	if slot < 0 || slot >= len(a.busyShare) {
 		return 0
@@ -377,44 +313,12 @@ func (a *Assignment) UtilCores(c ClusterID) float64 {
 	return a.utilCores[c]
 }
 
-// Assign computes one step of proportional-share scheduling under the
-// given per-cluster capacities. Real-time tasks are served first; the
-// remaining capacity is split among normal tasks proportionally to their
-// (thread-bounded) requests.
-//
-// Assign is the map-view convenience API; hot loops use AssignInto,
-// which produces identical grants without allocating.
-func (s *Scheduler) Assign(caps map[ClusterID]Capacity) (Result, error) {
-	for _, c := range Clusters() {
-		// Capacity validity itself is AssignInto's job; only the
-		// map-shaped concern — a missing cluster — is checked here.
-		if _, ok := caps[c]; !ok {
-			return Result{}, fmt.Errorf("sched: missing capacity for cluster %s", c)
-		}
-	}
-	var a Assignment
-	if err := s.AssignInto(caps[Little], caps[Big], &a); err != nil {
-		return Result{}, err
-	}
-	res := Result{
-		AchievedHz: make(map[int]float64, len(a.pids)),
-		UtilCores:  make(map[ClusterID]float64, int(numClusters)),
-		BusyShare:  make(map[int]float64, len(a.pids)),
-	}
-	for i, pid := range a.pids {
-		res.AchievedHz[pid] = a.achievedHz[i]
-		res.BusyShare[pid] = a.busyShare[i]
-	}
-	for _, c := range Clusters() {
-		res.UtilCores[c] = a.utilCores[c]
-	}
-	return res, nil
-}
-
-// AssignInto computes one scheduling step into the reusable out
-// assignment: the allocation-free fast path of Assign, producing
-// bitwise-identical grants. It allocates only when the task set changed
-// since out's previous use.
+// AssignInto computes one step of proportional-share scheduling under
+// the given per-cluster capacities into the reusable out assignment.
+// Real-time tasks are served first; the remaining capacity is split
+// among normal tasks proportionally to their (thread-bounded) requests.
+// It allocates only when the task count changed since out's previous
+// use.
 func (s *Scheduler) AssignInto(little, big Capacity, out *Assignment) error {
 	caps := [numClusters]Capacity{Little: little, Big: big}
 	for _, c := range Clusters() {
@@ -423,7 +327,12 @@ func (s *Scheduler) AssignInto(little, big Capacity, out *Assignment) error {
 			return fmt.Errorf("sched: invalid capacity %+v for cluster %s", cap, c)
 		}
 	}
-	out.sync(s)
+	// Every task sits on one of the two clusters, so the cluster passes
+	// write every slot and both utilizations: nothing needs clearing.
+	if n := len(s.order); len(out.achievedHz) != n {
+		out.achievedHz = make([]float64, n)
+		out.busyShare = make([]float64, n)
+	}
 	for _, c := range Clusters() {
 		s.assignCluster(c, caps[c], out)
 	}
@@ -432,9 +341,8 @@ func (s *Scheduler) AssignInto(little, big Capacity, out *Assignment) error {
 
 // assignCluster fills out for one cluster. The accumulation order —
 // real-time grants in ascending PID order, then normal grants in
-// ascending PID order — matches the original map-based implementation
-// exactly; float addition is not associative, and the determinism
-// invariant pins the sums bitwise.
+// ascending PID order — is part of the result: float addition is not
+// associative, and the determinism invariant pins the sums bitwise.
 func (s *Scheduler) assignCluster(c ClusterID, cap Capacity, out *Assignment) {
 	total := cap.TotalHz()
 	freq := float64(cap.FreqHz)
@@ -519,17 +427,11 @@ func (s *Scheduler) assignCluster(c ClusterID, cap Capacity, out *Assignment) {
 	}
 }
 
-// MostPowerHungry returns the PID on the given cluster with the highest
-// window-averaged power among non-real-time tasks, using the caller's
-// per-PID averages. It returns (-1, false) when no eligible task exists.
-// This is the victim-selection rule of the paper's governor.
-func (s *Scheduler) MostPowerHungry(c ClusterID, avgPowerW map[int]float64) (int, bool) {
-	return s.MostPowerHungryFunc(c, func(pid int) float64 { return avgPowerW[pid] })
-}
-
-// MostPowerHungryFunc is MostPowerHungry with a lookup function instead
-// of a materialized map, so periodic controllers can select victims
-// without building a per-call power map.
+// MostPowerHungryFunc returns the PID on the given cluster with the
+// highest window-averaged power among non-real-time tasks, looking each
+// task's average up through avgPowerW. It returns (-1, false) when no
+// eligible task exists. This is the victim-selection rule of the
+// paper's governor.
 func (s *Scheduler) MostPowerHungryFunc(c ClusterID, avgPowerW func(pid int) float64) (int, bool) {
 	bestPID, bestW := -1, -1.0
 	for _, pid := range s.order {

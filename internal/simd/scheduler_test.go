@@ -134,6 +134,42 @@ func TestRunCellsSplitsStepSizes(t *testing.T) {
 	}
 }
 
+// TestRunCellsBoundsFlightSamples runs one cell that traces every step
+// for more than maxFlightSamples steps: its tap must receive exactly
+// maxFlightSamples samples, in time order, and the truncated stream
+// must leave the cell's metrics equal to a lone run's.
+func TestRunCellsBoundsFlightSamples(t *testing.T) {
+	spec := mobisim.Scenario{
+		Platform: mobisim.PlatformOdroidXU3, Workload: "3dmark",
+		Governor: mobisim.GovIPA, DurationS: 66, Seed: 1,
+		StepS: 0.001, TracePeriodS: 0.001,
+	}
+	if steps := spec.DurationS / spec.StepS; steps <= maxFlightSamples {
+		t.Fatalf("%v steps do not exceed the %d-sample bound", steps, maxFlightSamples)
+	}
+	sched, _ := newTestScheduler(t)
+	var samples []Sample
+	got, _, err := runCell(context.Background(), sched, mustCell(t, spec), func(s Sample) { samples = append(samples, s) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(samples) != maxFlightSamples {
+		t.Fatalf("tap received %d samples, want %d", len(samples), maxFlightSamples)
+	}
+	for i := 1; i < len(samples); i++ {
+		if !(samples[i].TimeS > samples[i-1].TimeS) {
+			t.Fatalf("sample %d at %v s follows one at %v s", i, samples[i].TimeS, samples[i-1].TimeS)
+		}
+	}
+	want, err := mobisim.RunScenarioMetrics(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !metricsBitwiseEqual(got, want) {
+		t.Error("metrics differ from a lone run")
+	}
+}
+
 func mustReopen(t *testing.T, c *Cache) *Cache {
 	t.Helper()
 	fresh, err := NewCache(c.Dir(), 64)

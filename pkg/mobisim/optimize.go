@@ -417,40 +417,57 @@ func numericParam(name string) bool {
 	return err == nil
 }
 
-// splitPlatformParam parses a "platform." parameter path into its
-// scope ("", "domain.<id>" or "node.<name>") and field name.
-func splitPlatformParam(name string) (scope, field string, err error) {
+// platformFields lists every mutable platform field once: the scope
+// of its parameter path ("" for platform.<name>, "domain" for
+// platform.domain.<id>.<name>, "node" for platform.node.<name>.<name>)
+// and the field it addresses, given the index of its domain or node.
+var platformFields = []struct {
+	scope, name string
+	ptr         func(ps *PlatformSpec, i int) *float64
+}{
+	{"", "ambient_c", func(ps *PlatformSpec, _ int) *float64 { return &ps.AmbientC }},
+	{"", "thermal_limit_c", func(ps *PlatformSpec, _ int) *float64 { return &ps.ThermalLimitC }},
+	{"domain", "ceff_f", func(ps *PlatformSpec, i int) *float64 { return &ps.Domains[i].CeffF }},
+	{"domain", "idle_w", func(ps *PlatformSpec, i int) *float64 { return &ps.Domains[i].IdleW }},
+	{"domain", "leak_k", func(ps *PlatformSpec, i int) *float64 { return &ps.Domains[i].LeakK }},
+	{"domain", "leak_q", func(ps *PlatformSpec, i int) *float64 { return &ps.Domains[i].LeakQ }},
+	{"node", "capacitance_j_per_k", func(ps *PlatformSpec, i int) *float64 { return &ps.Nodes[i].CapacitanceJPerK }},
+	{"node", "g_ambient_w_per_k", func(ps *PlatformSpec, i int) *float64 { return &ps.Nodes[i].GAmbientWPerK }},
+}
+
+// splitPlatformParam parses a "platform." parameter path into the
+// index of its platformFields entry and, for a domain or node field,
+// the domain ID or node name it addresses.
+func splitPlatformParam(name string) (field int, owner string, err error) {
 	rest, ok := strings.CutPrefix(name, "platform.")
 	if !ok {
-		return "", "", fmt.Errorf("mobisim: unknown mutation param %q", name)
+		return 0, "", fmt.Errorf("mobisim: unknown mutation param %q", name)
 	}
-	switch rest {
-	case "ambient_c", "thermal_limit_c":
-		return "", rest, nil
+	scope, path := "", rest
+	for _, sc := range []struct{ scope, key string }{{"domain", "id"}, {"node", "name"}} {
+		if sub, ok := strings.CutPrefix(rest, sc.scope+"."); ok {
+			scope = sc.scope
+			if owner, path, ok = strings.Cut(sub, "."); !ok || owner == "" {
+				return 0, "", fmt.Errorf("mobisim: mutation param %q: want platform.%s.<%s>.<field>", name, sc.scope, sc.key)
+			}
+			break
+		}
 	}
-	if sub, ok := strings.CutPrefix(rest, "domain."); ok {
-		id, field, ok := strings.Cut(sub, ".")
-		if !ok || id == "" {
-			return "", "", fmt.Errorf("mobisim: mutation param %q: want platform.domain.<id>.<field>", name)
+	var names []string
+	for i, f := range platformFields {
+		if f.scope != scope {
+			continue
 		}
-		switch field {
-		case "ceff_f", "idle_w", "leak_k", "leak_q":
-			return "domain." + id, field, nil
+		if f.name == path {
+			return i, owner, nil
 		}
-		return "", "", fmt.Errorf("mobisim: mutation param %q: unknown domain field %q (want ceff_f, idle_w, leak_k or leak_q)", name, field)
+		names = append(names, f.name)
 	}
-	if sub, ok := strings.CutPrefix(rest, "node."); ok {
-		node, field, ok := strings.Cut(sub, ".")
-		if !ok || node == "" {
-			return "", "", fmt.Errorf("mobisim: mutation param %q: want platform.node.<name>.<field>", name)
-		}
-		switch field {
-		case "capacitance_j_per_k", "g_ambient_w_per_k":
-			return "node." + node, field, nil
-		}
-		return "", "", fmt.Errorf("mobisim: mutation param %q: unknown node field %q (want capacitance_j_per_k or g_ambient_w_per_k)", name, field)
+	if scope == "" {
+		return 0, "", fmt.Errorf("mobisim: unknown platform mutation param %q", name)
 	}
-	return "", "", fmt.Errorf("mobisim: unknown platform mutation param %q", name)
+	last := len(names) - 1
+	return 0, "", fmt.Errorf("mobisim: mutation param %q: unknown %s field %q (want %s or %s)", name, scope, path, strings.Join(names[:last], ", "), names[last])
 }
 
 // catParamValues returns the legal value set of a categorical
@@ -468,55 +485,28 @@ func catParamValues(name string) []string {
 // platformFieldPtr resolves a "platform." parameter path to the field
 // it addresses inside ps.
 func platformFieldPtr(ps *PlatformSpec, name string) (*float64, error) {
-	scope, field, err := splitPlatformParam(name)
+	field, owner, err := splitPlatformParam(name)
 	if err != nil {
 		return nil, err
 	}
-	switch scope {
-	case "":
-		switch field {
-		case "ambient_c":
-			return &ps.AmbientC, nil
-		case "thermal_limit_c":
-			return &ps.ThermalLimitC, nil
-		}
-	default:
-		if id, ok := strings.CutPrefix(scope, "domain."); ok {
-			for i := range ps.Domains {
-				if ps.Domains[i].ID != id {
-					continue
-				}
-				d := &ps.Domains[i]
-				switch field {
-				case "ceff_f":
-					return &d.CeffF, nil
-				case "idle_w":
-					return &d.IdleW, nil
-				case "leak_k":
-					return &d.LeakK, nil
-				case "leak_q":
-					return &d.LeakQ, nil
-				}
+	f := platformFields[field]
+	switch f.scope {
+	case "domain":
+		for i := range ps.Domains {
+			if ps.Domains[i].ID == owner {
+				return f.ptr(ps, i), nil
 			}
-			return nil, fmt.Errorf("mobisim: mutation param %q: platform %q has no domain %q", name, ps.Name, id)
 		}
-		if node, ok := strings.CutPrefix(scope, "node."); ok {
-			for i := range ps.Nodes {
-				if ps.Nodes[i].Name != node {
-					continue
-				}
-				n := &ps.Nodes[i]
-				switch field {
-				case "capacitance_j_per_k":
-					return &n.CapacitanceJPerK, nil
-				case "g_ambient_w_per_k":
-					return &n.GAmbientWPerK, nil
-				}
+		return nil, fmt.Errorf("mobisim: mutation param %q: platform %q has no domain %q", name, ps.Name, owner)
+	case "node":
+		for i := range ps.Nodes {
+			if ps.Nodes[i].Name == owner {
+				return f.ptr(ps, i), nil
 			}
-			return nil, fmt.Errorf("mobisim: mutation param %q: platform %q has no node %q", name, ps.Name, node)
 		}
+		return nil, fmt.Errorf("mobisim: mutation param %q: platform %q has no node %q", name, ps.Name, owner)
 	}
-	return nil, fmt.Errorf("mobisim: unknown mutation param %q", name)
+	return f.ptr(ps, -1), nil
 }
 
 // searchPlan is a validated spec compiled for the search: the
