@@ -25,6 +25,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stability"
+	"repro/internal/stats"
 	"repro/internal/thermal"
 	"repro/internal/workload"
 	"repro/pkg/mobisim"
@@ -408,15 +409,16 @@ func BenchmarkSweepSequentialBaseline(b *testing.B) {
 // once on a sentinel, members forked from an engine snapshot. The
 // cells/sec metric is the PR-6 headline — the target is ≥1.5× the cold
 // batched executor on the same matrix — and warm output bytes are
-// pinned identical to cold by the mobisim warm-start tests.
+// pinned to every cell run alone by the mobisim warm-start tests.
 func BenchmarkSweepWarm(b *testing.B) {
 	b.Run("batched-8", benchkit.SweepWarm(8))
 	b.Run("scalar", benchkit.SweepWarm(1))
 }
 
 // BenchmarkSweepWarmColdBaseline is the cold counterpart of
-// BenchmarkSweepWarm: the same replicate-heavy matrix on the batched
-// executor without warm-start, so benchdiff can compare like with like.
+// BenchmarkSweepWarm: the same replicate-heavy matrix planned without
+// prefix groups and run unit by unit through BatchRunner.RunUnit, so
+// benchdiff can compare like with like.
 func BenchmarkSweepWarmColdBaseline(b *testing.B) {
 	benchkit.SweepWarmColdBaseline(8)(b)
 }
@@ -651,6 +653,65 @@ func BenchmarkSchedulerAssign(b *testing.B) {
 		if err := s.AssignInto(little, big, &a); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// fullWindow returns a window of capacity samples that has turned
+// twice, so its run storage has reached its steady size.
+func fullWindow(capacity int, sample func(i int) float64) *stats.Window {
+	w := stats.NewWindow(capacity)
+	for i := 0; i < 2*capacity; i++ {
+		w.Push(sample(i))
+	}
+	return w
+}
+
+// BenchmarkWindowPush measures one push into a full 1 s power window
+// (1000 samples at the default 1 ms step): steady input, the engine's
+// common case, extends one run, and input that changes every push
+// starts a run per push. CI gates both at 0 allocs/op.
+func BenchmarkWindowPush(b *testing.B) {
+	for _, tc := range []struct {
+		name   string
+		sample func(i int) float64
+	}{
+		{"steady", func(int) float64 { return 1.25 }},
+		{"alternating", func(i int) float64 { return float64(i % 2) }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			w := fullWindow(1000, tc.sample)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.Push(tc.sample(i))
+			}
+		})
+	}
+}
+
+// BenchmarkWindowMean measures a push followed by the window mean, as
+// an app-aware tick reads it: memo pushes the evicted sample's bits
+// again, so the memoized sum serves, and fresh alternates two values
+// in a window of odd capacity, so every push evicts other bits and the
+// mean sums all 999 one-sample runs. CI gates both at 0 allocs/op.
+func BenchmarkWindowMean(b *testing.B) {
+	for _, tc := range []struct {
+		name     string
+		capacity int
+		sample   func(i int) float64
+	}{
+		{"memo", 1000, func(int) float64 { return 1.25 }},
+		{"fresh", 999, func(i int) float64 { return float64(i % 2) }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			w := fullWindow(tc.capacity, tc.sample)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.Push(tc.sample(i))
+				if _, err := w.Mean(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -4,7 +4,7 @@
 // each generation (0 and 1 together) run as one lockstep batch, and
 // emits the full search trace as JSON or CSV. The trajectory is a pure
 // function of the spec: identical seeds produce byte-identical traces
-// regardless of -workers, -batch, warm-start grouping, or cache state.
+// regardless of -workers, -batch, or cache state.
 //
 // Usage:
 //
@@ -42,7 +42,6 @@ func main() {
 		patience     = flag.Int("patience", 0, "override the spec's convergence patience")
 		workers      = flag.Int("workers", 0, "evaluation workers (0 = GOMAXPROCS; never changes output bytes)")
 		batch        = flag.Int("batch", 0, "lockstep batch width for candidate evaluation (0 = planner's choice: fill the workers, then up to 8 lanes per unit; never changes output bytes)")
-		noWarmStart  = flag.Bool("no-warm-start", false, "disable prefix-snapshot warm-start grouping (output bytes are identical either way)")
 		cacheDir     = flag.String("cache-dir", "", "content-addressed result cache root shared with the simd daemon; cached cells skip simulation (trajectory bytes are identical either way)")
 		daemonURL    = flag.String("daemon", "", "base URL of a running simd daemon; cache-miss cells are evaluated remotely per generation (generations 0 and 1 as one job), retried with backoff across daemon restarts (trajectory bytes are identical either way)")
 		format       = flag.String("format", "json", "output format: json or csv")
@@ -88,9 +87,8 @@ func main() {
 	}
 
 	cfg := mobisim.OptimizeConfig{
-		Workers:     *workers,
-		BatchWidth:  *batch,
-		NoWarmStart: *noWarmStart,
+		Workers:    *workers,
+		BatchWidth: *batch,
 	}
 	if *cacheDir != "" {
 		cache, err := simd.NewCache(*cacheDir, 0)

@@ -2,7 +2,10 @@
 // spec file or from flags — and runs it on the parallel worker pool,
 // emitting aggregated summaries (and optionally raw per-scenario
 // results) as JSON or CSV. Scenario runs are constant-memory: metrics
-// stream out of accumulators instead of materialized traces.
+// stream out of accumulators instead of materialized traces. Limit-aware
+// cells that differ only in their limit simulate their shared warm-up
+// once and fork from an engine snapshot; output bytes equal those of
+// every cell run alone.
 //
 // Usage:
 //
@@ -12,8 +15,7 @@
 //	sweep -governors appaware,ipa -format csv       # arm comparison as CSV
 //	sweep -platforms nexus6p -workloads paper.io -governors stepwise,none
 //	sweep -platform-spec testdata/platforms/smalldie.json -platforms smalldie -workloads gen-bursty -governors none
-//	sweep -batch 1                                  # one lane per unit, each engine stepping alone
-//	sweep -warm-start -replicates 8                 # fork limit cells from shared-prefix snapshots
+//	sweep -batch 1                                  # one unit per cold cell or warm prefix group
 //	sweep -cache-dir ~/.cache/mobisim               # memoize cells in the daemon's disk cache
 //	sweep -daemon http://localhost:8377             # submit to a running simd daemon
 //	sweep -cpuprofile cpu.out -memprofile mem.out   # profile the sweep hot path
@@ -51,9 +53,8 @@ func main() {
 		duration     = flag.Float64("duration", 120, "simulated seconds per scenario")
 		seed         = flag.Int64("seed", 1, "base seed for per-replicate seed derivation")
 		workers      = flag.Int("workers", 0, "pool workers (0 = GOMAXPROCS)")
-		batch        = flag.Int("batch", 0, "lockstep batch width: scenarios stepped together through the fused SoA kernel (0 = planner's choice: fill the workers, then up to 8 lanes per unit; 1 = each engine stepping alone); output bytes are identical at every width")
-		warmStart    = flag.Bool("warm-start", false, "group limit-aware cells by prefix content key, simulate each group's shared warm-up once, and fork members from an engine snapshot (output bytes are identical either way)")
-		cacheDir     = flag.String("cache-dir", "", "content-addressed result cache root shared with the simd daemon; cached cells are served from disk instead of resimulated, and misses run on the daemon's executor at -batch lanes with prefix warm-start (output bytes are identical either way)")
+		batch        = flag.Int("batch", 0, "lockstep batch width: scenarios stepped together through the fused SoA kernel (0 = planner's choice: fill the workers, then up to 8 lanes per unit; 1 = one unit per cold cell or warm prefix group); output bytes are identical at every width")
+		cacheDir     = flag.String("cache-dir", "", "content-addressed result cache root shared with the simd daemon; cached cells are served from disk instead of resimulated, and misses run on the daemon's executor at -batch lanes (output bytes are identical either way)")
 		daemonURL    = flag.String("daemon", "", "base URL of a running simd daemon; the sweep is submitted as a job and the daemon's result bytes are emitted verbatim (json only, retried with backoff across daemon restarts)")
 		format       = flag.String("format", "json", "output format: json or csv")
 		raw          = flag.Bool("raw", false, "include raw per-scenario results (json only)")
@@ -80,8 +81,8 @@ func main() {
 	}
 
 	if *daemonURL != "" {
-		if *cacheDir != "" || *batch != 0 || *warmStart {
-			fatal(fmt.Errorf("-daemon is incompatible with -cache-dir, -batch and -warm-start (the daemon schedules cells itself)"))
+		if *cacheDir != "" || *batch != 0 {
+			fatal(fmt.Errorf("-daemon is incompatible with -cache-dir and -batch (the daemon schedules cells itself)"))
 		}
 		if *format != "json" {
 			fatal(fmt.Errorf("-daemon emits the daemon's result bytes verbatim, which are json; use -format json"))
@@ -160,11 +161,6 @@ func main() {
 	// The disk cache degrades instead of gating the sweep: an unusable
 	// -cache-dir warns and runs uncached rather than aborting.
 	cache := openCacheOrWarn(*cacheDir, os.Stderr)
-	// A cached sweep runs its misses on the daemon's executor, which
-	// always plans prefix warm units.
-	if *warmStart || cache != nil {
-		mode += ", prefix warm-start"
-	}
 	if cache != nil {
 		mode += ", result cache at " + *cacheDir
 	}
@@ -198,7 +194,7 @@ func main() {
 	}
 
 	start := time.Now()
-	cfg := mobisim.SweepConfig{Workers: nWorkers, IncludeRaw: *raw, BatchWidth: *batch, WarmStart: *warmStart}
+	cfg := mobisim.SweepConfig{Workers: nWorkers, IncludeRaw: *raw, BatchWidth: *batch}
 	var out *mobisim.SweepOutput
 	if cache != nil {
 		var stats simd.RunStats

@@ -101,21 +101,57 @@ func WarmSweepMatrix() mobisim.Matrix {
 	}
 }
 
-// SweepWarm returns the warm-start sweep benchmark: the replicate-heavy
-// matrix with prefix grouping and fork-from-snapshot enabled, forks
-// running at the given lane width.
+// SweepWarm returns the warm-start sweep benchmark: RunSweep of the
+// replicate-heavy matrix, whose prefix groups fork from snapshots, at
+// the given lane width.
 func SweepWarm(width int) func(b *testing.B) {
 	return sweepBenchOn(WarmSweepMatrix(), 4, WarmSweepCells,
-		mobisim.SweepConfig{Workers: 1, BatchWidth: width, WarmStart: true})
+		mobisim.SweepConfig{Workers: 1, BatchWidth: width})
 }
 
 // SweepWarmColdBaseline returns the cold counterpart of SweepWarm: the
-// same replicate-heavy matrix on the batched lockstep executor without
-// warm-start, so the committed trajectory carries both sides of the
-// comparison.
+// same replicate-heavy matrix planned without prefix groups
+// (PlanBatchUnits with warmStart false) and run unit by unit on one
+// goroutine, so the committed trajectory carries both sides of the
+// comparison. The cells are expanded once, outside the timed loop.
 func SweepWarmColdBaseline(width int) func(b *testing.B) {
-	return sweepBenchOn(WarmSweepMatrix(), 4, WarmSweepCells,
-		mobisim.SweepConfig{Workers: 1, BatchWidth: width})
+	return func(b *testing.B) {
+		ctx := context.Background()
+		cells, err := mobisim.ExpandCells(WarmSweepMatrix())
+		if err != nil {
+			b.Fatal(err)
+		}
+		specs := make([]mobisim.Scenario, len(cells))
+		for i, c := range cells {
+			specs[i] = c.Spec
+		}
+		var r mobisim.BatchRunner
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			units, err := mobisim.PlanBatchUnits(specs, width, false)
+			if err != nil {
+				b.Fatal(err)
+			}
+			metrics := make([]map[string]float64, len(specs))
+			for _, u := range units {
+				ms, err := r.RunUnit(ctx, specs, u, width, mobisim.BatchRunOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for k, j := range u.Idx {
+					metrics[j] = ms[k]
+				}
+			}
+			out, err := mobisim.AggregateCells(cells, metrics, false)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(out.Summaries) != 4 {
+				b.Fatalf("want 4 cells, got %d", len(out.Summaries))
+			}
+		}
+		b.ReportMetric(float64(WarmSweepCells*b.N)/b.Elapsed().Seconds(), "cells/sec")
+	}
 }
 
 // NewEngine builds the Odroid 3DMark+BML application-aware scenario —

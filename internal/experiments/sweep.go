@@ -55,7 +55,7 @@ func LimitSweep(limitsC []float64, durationS float64, seed int64) ([]SweepPoint,
 			ModelOnlyBML: true,
 		}
 	}
-	metrics, err := mobisim.RunScenarios(context.Background(), specs, mobisim.SweepConfig{WarmStart: true})
+	metrics, err := mobisim.RunScenarios(context.Background(), specs, mobisim.SweepConfig{})
 	if err != nil {
 		return nil, err
 	}

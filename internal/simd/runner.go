@@ -34,8 +34,8 @@ func (s RunStats) Deduped() int { return s.ByOrigin[OriginDeduped] }
 // mobisim.ErrNegativeBatchWidth) on cfg.Workers workers, and folds
 // the metric sets through the same aggregation tail RunSweep uses, so
 // its output is byte-identical to RunSweep for every matrix, hit or
-// miss. Misses always plan prefix warm units, like the daemon;
-// cfg.WarmStart changes nothing. It backs `sweep -cache-dir`, sharing
+// miss. Misses plan prefix warm units, like every executor. It backs
+// `sweep -cache-dir`, sharing
 // the on-disk store with the daemon.
 func RunSweepCached(ctx context.Context, m mobisim.Matrix, cfg mobisim.SweepConfig, cache *Cache) (*mobisim.SweepOutput, RunStats, error) {
 	cells, err := mobisim.ExpandCells(m)

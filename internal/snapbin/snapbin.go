@@ -82,6 +82,16 @@ func (w *Writer) PutF64s(vs []float64) {
 	}
 }
 
+// PutF64Run appends n copies of v's bits, unprefixed: the bytes n PutF64
+// calls would write, for run-length storage that serializes expanded.
+func (w *Writer) PutF64Run(v float64, n int) {
+	dst := w.grow(8 * n)
+	bits := math.Float64bits(v)
+	for i := 0; i < n; i++ {
+		binary.LittleEndian.PutUint64(dst[8*i:], bits)
+	}
+}
+
 // PutI64s appends a length-prefixed int64 slice.
 func (w *Writer) PutI64s(vs []int64) {
 	w.PutU64(uint64(len(vs)))

@@ -201,102 +201,6 @@ func (r *Running) LoadState(rd *snapbin.Reader) error {
 	return nil
 }
 
-// Window is a fixed-capacity sliding window of float64 samples with O(1)
-// insertion and O(n) aggregate queries. It backs the governor's 1-second
-// utilization averages.
-type Window struct {
-	buf  []float64
-	head int
-	full bool
-}
-
-// NewWindow returns a window holding up to capacity samples.
-// It panics if capacity < 1, since a zero-length window is meaningless.
-func NewWindow(capacity int) *Window {
-	if capacity < 1 {
-		panic("stats: window capacity must be >= 1")
-	}
-	return &Window{buf: make([]float64, 0, capacity)}
-}
-
-// Push appends a sample, evicting the oldest when full.
-func (w *Window) Push(x float64) {
-	if len(w.buf) < cap(w.buf) {
-		w.buf = append(w.buf, x)
-		return
-	}
-	w.full = true
-	w.buf[w.head] = x
-	w.head++
-	if w.head == len(w.buf) {
-		w.head = 0
-	}
-}
-
-// Len reports the number of samples currently held.
-func (w *Window) Len() int { return len(w.buf) }
-
-// Cap reports the window capacity.
-func (w *Window) Cap() int { return cap(w.buf) }
-
-// Full reports whether the window has wrapped at least once.
-func (w *Window) Full() bool { return w.full }
-
-// Mean returns the mean of the samples currently in the window.
-func (w *Window) Mean() (float64, error) {
-	if len(w.buf) == 0 {
-		return 0, ErrEmpty
-	}
-	return Sum(w.buf) / float64(len(w.buf)), nil
-}
-
-// Max returns the maximum sample currently in the window.
-func (w *Window) Max() (float64, error) { return Max(w.buf) }
-
-// SaveState serializes the window's contents: length, ring head, wrap
-// flag and samples.
-func (w *Window) SaveState(sw *snapbin.Writer) {
-	sw.PutInt(w.head)
-	sw.PutBool(w.full)
-	sw.PutF64s(w.buf)
-}
-
-// LoadState restores state saved by SaveState into a window of the
-// same capacity without reallocating its buffer.
-func (w *Window) LoadState(r *snapbin.Reader) error {
-	head := r.Int()
-	full := r.Bool()
-	n := r.U64()
-	if err := r.Err(); err != nil {
-		return fmt.Errorf("stats: window: %w", err)
-	}
-	if n > uint64(cap(w.buf)) {
-		return fmt.Errorf("stats: window holds %d samples, capacity is %d", n, cap(w.buf))
-	}
-	// Push writes at head only once the window is at capacity; before
-	// that the ring has not turned, so head is 0 and full is false.
-	if head < 0 || head >= cap(w.buf) || (int(n) < cap(w.buf) && (head != 0 || full)) {
-		return fmt.Errorf("stats: window ring head %d (full %t) is invalid for %d of %d samples", head, full, n, cap(w.buf))
-	}
-	w.buf = w.buf[:n]
-	for i := range w.buf {
-		w.buf[i] = r.F64()
-	}
-	if err := r.Err(); err != nil {
-		return fmt.Errorf("stats: window: %w", err)
-	}
-	w.head = head
-	w.full = full
-	return nil
-}
-
-// Reset empties the window, retaining capacity.
-func (w *Window) Reset() {
-	w.buf = w.buf[:0]
-	w.head = 0
-	w.full = false
-}
-
 // Clamp limits x to [lo, hi].
 func Clamp(x, lo, hi float64) float64 {
 	if x < lo {

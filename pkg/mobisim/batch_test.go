@@ -71,28 +71,54 @@ func cellOracle(t *testing.T, m Matrix) (jsonB, csvB []byte) {
 }
 
 // assertSweepMatchesOracle byte-compares RunSweep's JSON and CSV at
-// widths 0, 1, 3 and 8, with warm start off and on, on each worker
-// count, against the per-cell oracle.
+// widths 0, 1, 3 and 8, on each worker count, against the per-cell
+// oracle.
 func assertSweepMatchesOracle(t *testing.T, m Matrix, workers ...int) {
 	t.Helper()
 	wantJSON, wantCSV := cellOracle(t, m)
 	for _, w := range workers {
-		for _, warm := range []bool{false, true} {
-			for _, width := range []int{0, 1, 3, 8} {
-				out, err := RunSweep(context.Background(), m, SweepConfig{Workers: w, BatchWidth: width, WarmStart: warm, IncludeRaw: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotJSON, gotCSV := encodeSweep(t, out)
-				if !bytes.Equal(gotJSON, wantJSON) {
-					t.Errorf("workers %d width %d warm %v: JSON differs from the per-cell oracle:\n--- sweep ---\n%s\n--- oracle ---\n%s", w, width, warm, gotJSON, wantJSON)
-				}
-				if !bytes.Equal(gotCSV, wantCSV) {
-					t.Errorf("workers %d width %d warm %v: CSV differs from the per-cell oracle:\n--- sweep ---\n%s\n--- oracle ---\n%s", w, width, warm, gotCSV, wantCSV)
-				}
+		for _, width := range []int{0, 1, 3, 8} {
+			out, err := RunSweep(context.Background(), m, SweepConfig{Workers: w, BatchWidth: width, IncludeRaw: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotJSON, gotCSV := encodeSweep(t, out)
+			if !bytes.Equal(gotJSON, wantJSON) {
+				t.Errorf("workers %d width %d: JSON differs from the per-cell oracle:\n--- sweep ---\n%s\n--- oracle ---\n%s", w, width, gotJSON, wantJSON)
+			}
+			if !bytes.Equal(gotCSV, wantCSV) {
+				t.Errorf("workers %d width %d: CSV differs from the per-cell oracle:\n--- sweep ---\n%s\n--- oracle ---\n%s", w, width, gotCSV, wantCSV)
 			}
 		}
 	}
+}
+
+// registerCorpus registers every testdata/platforms spec under prefix
+// plus its name, a private name that keeps the registry free of clashes
+// with other tests' specs, and returns the registered names.
+func registerCorpus(t *testing.T, prefix string) []string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "platforms", "*.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("platform corpus: %v (%d files)", err, len(paths))
+	}
+	var names []string
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := ParsePlatformSpec(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Name = prefix + spec.Name
+		if err := RegisterPlatform(spec); err != nil {
+			t.Fatal(err)
+		}
+		names = append(names, spec.Name)
+	}
+	return names
 }
 
 // TestSweepMatchesOracleSeeded is the tier-1 slice of the executor
@@ -105,28 +131,7 @@ func TestSweepMatchesOracleSeeded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run simulation")
 	}
-	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "platforms", "*.json"))
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("platform corpus: %v (%d files)", err, len(paths))
-	}
-	var corpus []string
-	for _, path := range paths {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec, err := ParsePlatformSpec(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// A private name keeps the registry free of clashes with other
-		// tests' specs of the same name.
-		spec.Name = "seeded-" + spec.Name
-		if err := RegisterPlatform(spec); err != nil {
-			t.Fatal(err)
-		}
-		corpus = append(corpus, spec.Name)
-	}
+	corpus := registerCorpus(t, "seeded-")
 	// Each preset with the limit-agnostic arm calibrated for it; only
 	// GovNone runs on every platform.
 	presets := []struct {
@@ -180,9 +185,8 @@ func TestSweepMatchesOracleSeeded(t *testing.T) {
 }
 
 // TestBatchedSweepMatchesSequential is the executor differential: for
-// every batch width — including 0 and 1, one lane per unit — with warm
-// start off and on, the sweep's JSON and CSV bytes must equal the
-// per-cell oracle's on the nexus6p + odroid-xu3 matrix.
+// every batch width, 0 and 1 included, the sweep's JSON and CSV bytes
+// must equal the per-cell oracle's on the nexus6p + odroid-xu3 matrix.
 func TestBatchedSweepMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run simulation")
@@ -386,13 +390,13 @@ func TestRunScenariosSplitsStepSizes(t *testing.T) {
 				if err != nil || len(units) != tc.units {
 					t.Errorf("steps %v width %d warm %v: planned %v (%v), want %d units", tc.steps, width, warm, units, err, tc.units)
 				}
-				got, err := RunScenarios(context.Background(), specs, SweepConfig{BatchWidth: width, Workers: 1, WarmStart: warm})
-				if err != nil {
-					t.Fatalf("steps %v width %d warm %v: %v", tc.steps, width, warm, err)
-				}
-				for i := range specs {
-					assertMetricsBitwiseEqual(t, fmt.Sprintf("steps %v width %d warm %v cell %d", tc.steps, width, warm, i), want[i], got[i])
-				}
+			}
+			got, err := RunScenarios(context.Background(), specs, SweepConfig{BatchWidth: width, Workers: 1})
+			if err != nil {
+				t.Fatalf("steps %v width %d: %v", tc.steps, width, err)
+			}
+			for i := range specs {
+				assertMetricsBitwiseEqual(t, fmt.Sprintf("steps %v width %d cell %d", tc.steps, width, i), want[i], got[i])
 			}
 		}
 	}

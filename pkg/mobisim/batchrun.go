@@ -68,9 +68,11 @@ type BatchPlanUnit struct {
 // largest first (a warm group wider than width starts a unit of its
 // own), and then units fold while their first stages — one lane per
 // cold cell and per warm group's sentinel — fit in width lanes; a unit
-// holding a warm group is Warm. A width of 0 lets the
-// planner choose (see PlanBatchUnitsFor) for GOMAXPROCS workers; a
-// negative width is ErrNegativeBatchWidth. Unit shape never changes
+// holding a warm group is Warm. Every executor plans warm; a cold
+// plan (warmStart false) is the baseline benchmarks compare it
+// against. A width of 0 lets the planner choose (see
+// PlanBatchUnitsFor) for GOMAXPROCS workers; a negative width is
+// ErrNegativeBatchWidth. Unit shape never changes
 // output bytes, only wall-clock; every unit is independently
 // executable, so callers schedule them freely.
 func PlanBatchUnits(specs []Scenario, width int, warmStart bool) ([]BatchPlanUnit, error) {
@@ -98,37 +100,53 @@ func PlanBatchUnitsFor(specs []Scenario, width, workers int, warmStart bool) ([]
 }
 
 // planUnits is PlanBatchUnitsFor over caller-supplied keys (thermalTopoKey
-// and PrefixKey of specs[i], the latter only when needed); width >= 0.
+// and PrefixKey of specs[i], the latter only for limit-aware cells whose
+// seed another limit-aware cell of their partition shares); width >= 0.
 func planUnits(specs []Scenario, width, workers int, warmStart bool, topo, prefix func(i int) (uint64, error)) ([]BatchPlanUnit, error) {
 	type groupKey struct {
 		topo             uint64
 		durationS, stepS float64
 	}
 	// group is one lockstep-compatible partition: its cells in
-	// first-seen order, limit-aware ones (with warmStart) by prefix.
+	// first-seen order, limit-aware ones of a shared seed (with
+	// warmStart) by prefix.
 	type group struct {
 		items    [][]int // a cold cell, or a warm prefix group
 		prefixes []uint64
 		byPrefix map[uint64][]int
 	}
-	byKey := make(map[groupKey]*group)
-	var groups []*group
+	// A prefix covers the seed, so a prefix group needs two
+	// limit-aware cells of one seed in one lockstep partition; a cell
+	// whose seed no other shares runs cold without hashing its prefix.
+	type seedKey struct {
+		groupKey
+		seed int64
+	}
+	keys := make([]groupKey, len(specs))
+	seeds := make(map[seedKey]int)
 	for i := range specs {
 		tk, err := topo(i)
 		if err != nil {
 			return nil, err
 		}
-		key := groupKey{topo: tk, durationS: specs[i].DurationS, stepS: specs[i].StepS}
-		if key.stepS == 0 {
-			key.stepS = sim.DefaultStepS
+		keys[i] = groupKey{topo: tk, durationS: specs[i].DurationS, stepS: specs[i].StepS}
+		if keys[i].stepS == 0 {
+			keys[i].stepS = sim.DefaultStepS
 		}
+		if warmStart && limitAware(specs[i].Governor) {
+			seeds[seedKey{keys[i], specs[i].Seed}]++
+		}
+	}
+	byKey := make(map[groupKey]*group)
+	var groups []*group
+	for i, key := range keys {
 		g := byKey[key]
 		if g == nil {
 			g = &group{byPrefix: make(map[uint64][]int)}
 			byKey[key] = g
 			groups = append(groups, g)
 		}
-		if !warmStart || !limitAware(specs[i].Governor) {
+		if seeds[seedKey{key, specs[i].Seed}] < 2 || !limitAware(specs[i].Governor) {
 			g.items = append(g.items, []int{i})
 			continue
 		}
@@ -344,12 +362,11 @@ func (r *BatchRunner) RunUnit(ctx context.Context, specs []Scenario, u BatchPlan
 // RunScenarioMetrics of the same scenario. The planner partitions the
 // specs into units of at most cfg.BatchWidth lanes (0 lets it choose
 // for cfg.Workers workers; negative is ErrNegativeBatchWidth), with
-// prefix warm units when cfg.WarmStart is set, and every unit runs as
-// one runTasks task on cfg.Workers workers. cfg.IncludeRaw is
-// ignored. It stops early on the first unit error or on context
-// cancellation.
+// prefix warm units, and every unit runs as one runTasks task on
+// cfg.Workers workers. cfg.IncludeRaw is ignored. It stops early on
+// the first unit error or on context cancellation.
 func RunScenarios(ctx context.Context, specs []Scenario, cfg SweepConfig) ([]map[string]float64, error) {
-	units, err := PlanBatchUnitsFor(specs, cfg.BatchWidth, cfg.Workers, cfg.WarmStart)
+	units, err := PlanBatchUnitsFor(specs, cfg.BatchWidth, cfg.Workers, true)
 	if err != nil {
 		return nil, err
 	}

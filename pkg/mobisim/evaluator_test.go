@@ -16,7 +16,23 @@ type countingRunner struct{ calls int }
 
 func (c *countingRunner) RunScenarios(ctx context.Context, specs []Scenario) ([]map[string]float64, error) {
 	c.calls++
-	return RunScenarios(ctx, specs, SweepConfig{WarmStart: true})
+	return RunScenarios(ctx, specs, SweepConfig{})
+}
+
+// loneRunner is a CellRunner that simulates every cell alone through
+// RunScenarioMetrics: the cold oracle of the evaluator's warm units.
+type loneRunner struct{}
+
+func (loneRunner) RunScenarios(ctx context.Context, specs []Scenario) ([]map[string]float64, error) {
+	out := make([]map[string]float64, len(specs))
+	for i, s := range specs {
+		m, err := RunScenarioMetrics(ctx, s)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = m
+	}
+	return out, nil
 }
 
 // testPlatformOptimizeSpec mirrors the explore-search benchmark: the

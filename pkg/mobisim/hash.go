@@ -25,8 +25,8 @@ import (
 //     with the thermal limit (LimitC) and run length (DurationS)
 //     removed. Cells that agree on PrefixKey follow bitwise-identical
 //     trajectories until the first limit-dependent control action, so
-//     a sweep executor may simulate the prefix once, snapshot, and
-//     fork each cell from the restored state (SweepConfig.WarmStart).
+//     every executor simulates the prefix once, snapshots, and forks
+//     each cell from the restored state (the planner's warm groups).
 //     The seed participates in the prefix: replicates form separate
 //     prefix groups, each groupable across the limit axis.
 //

@@ -360,33 +360,26 @@ type SweepConfig struct {
 	// BatchWidth is the lockstep lane count: the planner packs cells
 	// sharing a thermal topology and duration into units of at most
 	// BatchWidth lanes, stepped together through the fused
-	// structure-of-arrays kernel on pooled, reusable engines. 1 is one
-	// lane per unit, where each engine steps alone; wider units trade
-	// a larger per-worker working set for fused-kernel throughput, with
-	// 8 (DefaultBatchWidth) the sweet spot on typical L1 sizes. 0 lets
-	// the planner choose: it fills Workers before it widens units, up
-	// to DefaultBatchWidth. A negative width is ErrNegativeBatchWidth.
-	// Output bytes are identical for every width.
+	// structure-of-arrays kernel on pooled, reusable engines. 1 gives
+	// every cold cell and every warm prefix group a unit of its own, so
+	// only the forked members of a group share an engine; wider units
+	// trade a larger per-worker working set for fused-kernel
+	// throughput, with 8 (DefaultBatchWidth) the sweet spot on typical
+	// L1 sizes. 0 lets the planner choose: it fills Workers before it
+	// widens units, up to DefaultBatchWidth. A negative width is
+	// ErrNegativeBatchWidth. Output bytes are identical for every
+	// width.
 	BatchWidth int
-	// WarmStart plans limit-aware cells sharing a prefix content key
-	// (Scenario.PrefixKey) into warm groups: each group's lowest-limit
-	// sentinel simulates the shared warm-up, its engine is
-	// snapshotted, and every other member forks from the restored
-	// state instead of re-simulating the prefix — the big win on
-	// replicate-heavy matrices sweeping the limits axis. A warm unit
-	// advances its sentinels and cold cells in lockstep, and forked
-	// members join that running engine. Cells that do not group
-	// (limit-agnostic arms, singleton groups) run cold, beside warm
-	// groups or in units of their own. Output bytes are identical with
-	// and without WarmStart (the sweep tests pin this); only execution
-	// cost changes.
-	WarmStart bool
 }
 
 // RunSweep expands the matrix and executes it through RunScenarios:
-// the planner partitions the expanded cells into units and each unit
-// runs as one task through BatchRunner.RunUnit, the same seam
-// Optimize's evaluator and the simd daemon use. Scenario runs are
+// the planner partitions the expanded cells into units, with
+// limit-aware cells that share a warm-up prefix (Scenario.PrefixKey)
+// grouped so the group simulates that prefix once and its members fork
+// from a snapshot (see warmstart.go), and each unit runs as one task
+// through BatchRunner.RunUnit, the same seam Optimize's evaluator and
+// the simd daemon use. Output bytes equal those of every cell run
+// alone (the sweep tests pin this). Scenario runs are
 // constant-memory (no trace series are materialized). It stops early
 // on the first unit error or on context cancellation.
 func RunSweep(ctx context.Context, m Matrix, cfg SweepConfig) (*SweepOutput, error) {

@@ -52,17 +52,13 @@ type OptimizeConfig struct {
 	// scalar-equivalent single-lane configuration, and a negative
 	// width is ErrNegativeBatchWidth.
 	BatchWidth int
-	// NoWarmStart disables prefix warm-start grouping; the zero value
-	// keeps it on (neighbors along a limit axis share their prefix, so
-	// warm groups are the common case in a search).
-	NoWarmStart bool
 	// Cache optionally shares results across searches and with sweep
 	// runs (cmd/explore wires the simd result cache here).
 	Cache CellCache
 	// Runner, when set, evaluates each evaluator call's cache-miss cells
 	// instead of the local engine pool (cmd/explore wires the simd
-	// daemon client here). Workers, BatchWidth and NoWarmStart are
-	// then the remote executor's concern.
+	// daemon client here). Workers and BatchWidth are then the remote
+	// executor's concern.
 	Runner CellRunner
 }
 
@@ -72,9 +68,9 @@ type OptimizeConfig struct {
 // deduplicated by CellKey in a persistent per-search store. The spec
 // is normalized and checked by OptimizeSpec.Validate, the only
 // validation the search applies. Identical spec (and seed) produces a
-// bitwise-identical SearchResult regardless of Workers, BatchWidth and
-// warm-start configuration; with a Cache attached, only provenance
-// fields (cached flags and hit counters) can differ.
+// bitwise-identical SearchResult regardless of Workers and BatchWidth;
+// with a Cache attached, only provenance fields (cached flags and hit
+// counters) can differ.
 func Optimize(ctx context.Context, spec OptimizeSpec, cfg OptimizeConfig) (*SearchResult, error) {
 	spec.Scenario = spec.Scenario.cloneRefs()
 	spec.Normalize()
@@ -171,11 +167,11 @@ type missJob struct {
 	pe   *platformEntry
 }
 
-// planMisses is PlanBatchUnitsFor(specs) from the misses' memoized
-// keys, most cells first (stable): a call's cells share one duration,
+// planMisses is PlanBatchUnitsFor(specs, cfg.BatchWidth, cfg.Workers,
+// true) from the misses' memoized keys, most cells first (stable): a call's cells share one duration,
 // so runUnits, which starts units in order, starts its biggest first.
 func planMisses(specs []Scenario, misses []missJob, cfg SweepConfig) ([]BatchPlanUnit, error) {
-	units, err := planUnits(specs, cfg.BatchWidth, cfg.Workers, cfg.WarmStart,
+	units, err := planUnits(specs, cfg.BatchWidth, cfg.Workers, true,
 		func(i int) (uint64, error) { return misses[i].pe.topo() },
 		func(i int) (uint64, error) { return misses[i].pe.key(specs[i], true) })
 	slices.SortStableFunc(units, func(a, b BatchPlanUnit) int { return len(b.Idx) - len(a.Idx) })
@@ -265,7 +261,7 @@ func (e *cellEvaluator) evaluate(ctx context.Context, gens [][]point) ([][]Searc
 		} else {
 			// The evaluator's own engine pool recycles engine shells
 			// across calls.
-			cfg := SweepConfig{Workers: e.cfg.Workers, BatchWidth: e.cfg.BatchWidth, WarmStart: !e.cfg.NoWarmStart}
+			cfg := SweepConfig{Workers: e.cfg.Workers, BatchWidth: e.cfg.BatchWidth}
 			var units []BatchPlanUnit
 			if units, err = planMisses(specs, misses, cfg); err == nil {
 				results, err = e.runner.runUnits(ctx, specs, units, cfg)

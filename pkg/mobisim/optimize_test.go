@@ -67,15 +67,15 @@ func TestOptimizeDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestOptimizeExecutorEquivalence pins that the execution shape —
-// scalar-equivalent single-lane batches, wide batches, odd widths,
-// warm-start on or off — never changes output bytes.
+// single-lane batches, wide batches, odd widths, or every cell
+// simulated alone — never changes output bytes.
 func TestOptimizeExecutorEquivalence(t *testing.T) {
 	_, base := optimizeJSON(t, testOptimizeSpec(), OptimizeConfig{})
 	for _, cfg := range []OptimizeConfig{
-		{BatchWidth: 1, NoWarmStart: true},
+		{BatchWidth: 1},
 		{BatchWidth: 8},
 		{BatchWidth: 3, Workers: 4},
-		{NoWarmStart: true},
+		{Runner: loneRunner{}},
 	} {
 		_, got := optimizeJSON(t, testOptimizeSpec(), cfg)
 		if !bytes.Equal(base, got) {

@@ -218,6 +218,43 @@ func TestPlanUnitsReferee(t *testing.T) {
 	}
 }
 
+// TestPlanUnitsHashesSharedSeedsOnly pins the planner's hashing rule: a
+// prefix covers the seed, so only limit-aware cells whose seed another
+// limit-aware cell of their lockstep partition shares get a PrefixKey.
+// One limit over eight replicates hashes nothing and plans every cell
+// cold; a second limit hashes every appaware cell.
+func TestPlanUnitsHashesSharedSeedsOnly(t *testing.T) {
+	m := Matrix{
+		Platforms: []string{PlatformOdroidXU3, PlatformNexus6P}, Workloads: []string{"3dmark+bml"},
+		Governors: []string{GovAppAware, GovNone}, LimitsC: []float64{60}, Replicates: 8, DurationS: 1, BaseSeed: 3,
+	}
+	for _, tc := range []struct {
+		limits []float64
+		hashed int
+	}{{[]float64{60}, 0}, {[]float64{60, 70}, 32}} {
+		m.LimitsC = tc.limits
+		cells, err := ExpandCells(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs := make([]Scenario, len(cells))
+		for i, c := range cells {
+			specs[i] = c.Spec
+		}
+		hashed := 0
+		units, err := planUnits(specs, 0, 2, true,
+			func(i int) (uint64, error) { return thermalTopoKey(specs[i]) },
+			func(i int) (uint64, error) { hashed++; return specs[i].PrefixKey() })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hashed != tc.hashed {
+			t.Errorf("limits %v: hashed %d prefixes, want %d", tc.limits, hashed, tc.hashed)
+		}
+		refereePlan(t, fmt.Sprintf("limits %v", tc.limits), specs, units, 0, true)
+	}
+}
+
 // TestPlanMissesReferee referees the explore evaluator's plan, from
 // keys memoized per candidate platform, over random generations of a
 // search that mutates the limit, the ambient temperature, a thermal
@@ -264,15 +301,12 @@ func TestPlanMissesReferee(t *testing.T) {
 				misses = append(misses, missJob{spec: cell, pe: e.platform(cell)})
 			}
 		}
-		for _, warm := range []bool{false, true} {
-			for _, width := range []int{0, 3, 8} {
-				cfg := SweepConfig{Workers: 2, BatchWidth: width, WarmStart: warm}
-				units, err := planMisses(specs, misses, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				refereePlan(t, fmt.Sprintf("generation %d width %d warm %v", gen, width, warm), specs, units, width, warm)
+		for _, width := range []int{0, 3, 8} {
+			units, err := planMisses(specs, misses, SweepConfig{Workers: 2, BatchWidth: width})
+			if err != nil {
+				t.Fatal(err)
 			}
+			refereePlan(t, fmt.Sprintf("generation %d width %d", gen, width), specs, units, width, true)
 		}
 	}
 }

@@ -138,7 +138,7 @@ func TestRunUnitMixedMatchesLoneRuns(t *testing.T) {
 	}
 
 	for _, tc := range []struct{ width, workers int }{{1, 2}, {3, 2}, {8, 2}, {17, 2}, {0, 1}, {0, 2}} {
-		got, err := RunScenarios(context.Background(), specs, SweepConfig{BatchWidth: tc.width, Workers: tc.workers, WarmStart: true})
+		got, err := RunScenarios(context.Background(), specs, SweepConfig{BatchWidth: tc.width, Workers: tc.workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +175,7 @@ func TestPlanMissesAmbientsShareUnits(t *testing.T) {
 		specs = append(specs, s)
 		misses = append(misses, missJob{spec: s, pe: e.platform(s)})
 	}
-	units, err := planMisses(specs, misses, SweepConfig{Workers: 2, WarmStart: true})
+	units, err := planMisses(specs, misses, SweepConfig{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

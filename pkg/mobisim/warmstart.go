@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"sync"
 
 	"repro/internal/sim"
 	"repro/internal/snapbin"
@@ -11,8 +12,8 @@ import (
 )
 
 // The unit runner (BatchRunner.RunUnit) with content-addressed prefix
-// warm start (SweepConfig.WarmStart, the search evaluator, the simd
-// daemon's warm units).
+// warm start, the only plan of every executor: RunSweep and
+// RunScenarios, the search evaluator and the simd daemon.
 //
 // Cells that differ only in the thermal limit follow bitwise-identical
 // trajectories until the limit-aware governor's first limit-dependent
@@ -87,8 +88,10 @@ type sentinelRun struct {
 	facade *Engine
 	aware  *AppAwareGovernor
 	// limitK is the limit the sentinel's governor enforces.
-	limitK   float64
-	ckpt     []byte
+	limitK float64
+	// ckpt holds the snapshot taken at step ckptStep, in a buffer from
+	// ckptBufs that release returns once the members have joined.
+	ckpt     *snapbin.Writer
 	ckptStep int
 	// ticking marks a sentinel whose last advance was one control tick.
 	ticking bool
@@ -98,16 +101,28 @@ type sentinelRun struct {
 	final bool
 }
 
-// snapshotInto refreshes the sentinel's checkpoint, reusing both the
-// scratch writer and the checkpoint buffer.
-func (s *sentinelRun) snapshotInto(w *snapbin.Writer, step int) error {
-	w.Reset()
-	if err := s.facade.Sim().SnapshotTo(w); err != nil {
-		return err
+// ckptBufs recycles checkpoint buffers across sentinels and units: a
+// checkpoint is a whole engine snapshot, and growing one afresh for
+// every sentinel was most of a warm sweep's allocated bytes.
+var ckptBufs = sync.Pool{New: func() any { return new(snapbin.Writer) }}
+
+// checkpoint refreshes the sentinel's checkpoint in place, reusing its
+// buffer.
+func (s *sentinelRun) checkpoint(step int) error {
+	if s.ckpt == nil {
+		s.ckpt = ckptBufs.Get().(*snapbin.Writer)
 	}
-	s.ckpt = append(s.ckpt[:0], w.Bytes()...)
+	s.ckpt.Reset()
 	s.ckptStep = step
-	return nil
+	return s.facade.Sim().SnapshotTo(s.ckpt)
+}
+
+// release hands the checkpoint buffer back to ckptBufs.
+func (s *sentinelRun) release() {
+	if s.ckpt != nil {
+		ckptBufs.Put(s.ckpt)
+		s.ckpt = nil
+	}
 }
 
 // runUnitGroups executes one unit of facade scenarios split into
@@ -129,6 +144,13 @@ func runUnitGroups(ctx context.Context, pool *sim.BatchPool, specs []Scenario, g
 	// call gathers from the lane engines, so mid-run lane snapshots
 	// and restores stay coherent).
 	sentinels := make([]*sentinelRun, len(groups))
+	defer func() {
+		for _, s := range sentinels {
+			if s != nil {
+				s.release()
+			}
+		}
+	}()
 	lanes := make([]*sim.Engine, len(groups))
 	// facades[i] runs specs[i]: a sentinel, or a member once it joined.
 	facades := make([]*Engine, len(specs))
@@ -188,7 +210,7 @@ func runUnitGroups(ctx context.Context, pool *sim.BatchPool, specs []Scenario, g
 			if err != nil {
 				return err
 			}
-			if err := eng.Restore(s.ckpt); err != nil {
+			if err := eng.Restore(s.ckpt.Bytes()); err != nil {
 				return err
 			}
 			eng.AppAware().ShareTransientCache(shared)
@@ -204,10 +226,10 @@ func runUnitGroups(ctx context.Context, pool *sim.BatchPool, specs []Scenario, g
 			return err
 		}
 		lanes = append(lanes, joined...)
+		s.release()
 		return nil
 	}
 
-	var w snapbin.Writer
 	for done := 0; done < steps; {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -222,7 +244,7 @@ func runUnitGroups(ctx context.Context, pool *sim.BatchPool, specs []Scenario, g
 			}
 			k := s.facade.Sim().StepsToControllerTick()
 			if k == 0 {
-				if err := s.snapshotInto(&w, done); err != nil {
+				if err := s.checkpoint(done); err != nil {
 					return nil, err
 				}
 				s.ticking = true

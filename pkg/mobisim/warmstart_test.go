@@ -1,7 +1,6 @@
 package mobisim
 
 import (
-	"bytes"
 	"context"
 	"reflect"
 	"slices"
@@ -12,10 +11,10 @@ import (
 
 // TestWarmStartByteIdentity is the warm executor's contract test: for
 // matrices covering the fork path (limits the sentinel crosses early),
-// the never-acts full-copy path, and mixed governor arms, every
-// RunSweep configuration — warm start off and on, at every width — must
-// be byte-identical to the per-cell oracle, including raw per-cell
-// metrics.
+// the never-acts full-copy path, and mixed governor arms, RunSweep at
+// every width and worker count must be byte-identical to the per-cell
+// oracle, including raw per-cell metrics. CI runs its fork-early
+// matrix as the lone-run side of the CLI's warm-start step.
 func TestWarmStartByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run simulation")
@@ -70,8 +69,9 @@ func TestWarmStartByteIdentity(t *testing.T) {
 // looks for a cooling crossing and never acts, while the next limit up
 // acts early. Its metrics must not be copied to that group; members
 // fork from the last checkpoint before the tick that read the sensor at
-// or above the sentinel's limit, and the warm output equals the cold
-// output byte for byte.
+// or above the sentinel's limit, and the sweep's output equals the lone
+// runs' byte for byte. CI runs its odroid-50 matrix as the lone-run
+// side of the CLI's prewarm step.
 func TestWarmStartLimitAtPrewarm(t *testing.T) {
 	matrices := map[string]Matrix{
 		"odroid-50": {
@@ -96,22 +96,40 @@ func TestWarmStartLimitAtPrewarm(t *testing.T) {
 	for name, m := range matrices {
 		m := m
 		t.Run(name, func(t *testing.T) {
-			run := func(cfg SweepConfig) []byte {
-				t.Helper()
-				cfg.Workers, cfg.IncludeRaw = 2, true
-				out, err := RunSweep(context.Background(), m, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				j, _ := encodeSweep(t, out)
-				return j
-			}
-			cold := run(SweepConfig{BatchWidth: 1})
-			for _, width := range []int{1, 8} {
-				if warm := run(SweepConfig{BatchWidth: width, WarmStart: true}); !bytes.Equal(warm, cold) {
-					t.Errorf("width %d: warm output differs from cold:\ncold:\n%s\nwarm:\n%s", width, cold, warm)
-				}
-			}
+			assertSweepMatchesOracle(t, m, 2)
+		})
+	}
+}
+
+// TestWarmMatchesLoneRunsBelowPrewarm pins warm start below the
+// prewarm temperature, where the lowest-limit sentinel of a group
+// starts above its limit: on both presets (Odroid prewarms to 50 °C,
+// Nexus to 36 °C) and on every corpus platform, limits from 30 to
+// 58 °C must give RunSweep the lone runs' bytes at widths 0, 1, 3 and
+// 8, on one worker and on two.
+func TestWarmMatchesLoneRunsBelowPrewarm(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-run simulation")
+	}
+	limits := []float64{30, 34, 36, 38, 42, 46, 50, 54, 58}
+	matrices := map[string]Matrix{}
+	for _, p := range []string{PlatformOdroidXU3, PlatformNexus6P} {
+		matrices[p] = Matrix{
+			Platforms: []string{p}, Workloads: []string{"3dmark+bml"}, Governors: []string{GovAppAware},
+			LimitsC: limits, Replicates: 2, DurationS: 3, BaseSeed: 1000904,
+		}
+	}
+	for _, p := range registerCorpus(t, "prewarm-") {
+		matrices[p] = Matrix{
+			Platforms: []string{p}, Workloads: []string{"gen-bursty+bml"}, Governors: []string{GovAppAware},
+			LimitsC: limits, Replicates: 2, DurationS: 3, BaseSeed: 5,
+		}
+	}
+	for name, m := range matrices {
+		m := m
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			assertSweepMatchesOracle(t, m, 1, 2)
 		})
 	}
 }
@@ -202,20 +220,23 @@ func TestPlanMissesWidestFirst(t *testing.T) {
 				if b, ok := built[width][warm]; ok && !reflect.DeepEqual(want, strings.Fields(b)) {
 					t.Errorf("width %d warm %v: PlanBatchUnitsFor %v, want build order %s", width, warm, want, b)
 				}
+				if !warm {
+					continue // planMisses plans warm
+				}
 				slices.SortStableFunc(want, func(a, b string) int {
 					return strings.Count(b, ",") - strings.Count(a, ",")
 				})
-				units, err := planMisses(specs, misses, SweepConfig{Workers: workers, BatchWidth: width, WarmStart: warm})
+				units, err := planMisses(specs, misses, SweepConfig{Workers: workers, BatchWidth: width})
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got := render(units); !reflect.DeepEqual(got, want) {
-					t.Errorf("width %d workers %d warm %v: planMisses %v, want %v", width, workers, warm, got, want)
+					t.Errorf("width %d workers %d: planMisses %v, want %v", width, workers, got, want)
 				}
 				covered := make([]int, len(specs))
 				for ui, u := range units {
 					if ui > 0 && len(u.Idx) > len(units[ui-1].Idx) {
-						t.Errorf("width %d workers %d warm %v: unit %d wider than unit %d", width, workers, warm, ui, ui-1)
+						t.Errorf("width %d workers %d: unit %d wider than unit %d", width, workers, ui, ui-1)
 					}
 					for _, i := range u.Idx {
 						covered[i]++
@@ -223,7 +244,7 @@ func TestPlanMissesWidestFirst(t *testing.T) {
 				}
 				for i, n := range covered {
 					if n != 1 {
-						t.Errorf("width %d workers %d warm %v: cell %d covered %d times", width, workers, warm, i, n)
+						t.Errorf("width %d workers %d: cell %d covered %d times", width, workers, i, n)
 					}
 				}
 			}
@@ -361,7 +382,7 @@ func TestWarmStartCancellation(t *testing.T) {
 		DurationS: 1,
 		BaseSeed:  1,
 	}
-	if _, err := RunSweep(ctx, m, SweepConfig{WarmStart: true}); err == nil {
+	if _, err := RunSweep(ctx, m, SweepConfig{}); err == nil {
 		t.Error("canceled context should abort the warm sweep")
 	}
 }
