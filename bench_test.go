@@ -13,7 +13,9 @@ package repro_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
+	"time"
 
 	"repro/internal/appaware"
 	"repro/internal/benchkit"
@@ -21,6 +23,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/governor"
 	"repro/internal/platform"
+	"repro/internal/platform/frozen"
 	"repro/internal/power"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -302,37 +305,6 @@ func BenchmarkAblationRTRegistration(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationIntegrator compares RK4 against forward Euler for
-// the thermal network at the simulator's 1 ms step: accuracy is
-// indistinguishable at this step size, so the choice is about cost.
-func BenchmarkAblationIntegrator(b *testing.B) {
-	build := func() (*thermal.Network, []float64) {
-		plat := platform.OdroidXU3(benchSeed)
-		powers := make([]float64, plat.Net.NumNodes())
-		powers[plat.Node(platform.DomBig)] = 3
-		powers[plat.Node(platform.DomGPU)] = 1.5
-		return plat.Net, powers
-	}
-	b.Run("rk4", func(b *testing.B) {
-		net, powers := build()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := net.Step(0.001, powers); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("euler", func(b *testing.B) {
-		net, powers := build()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := net.StepEuler(0.001, powers); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkAblationLimitSweep maps the thermal-limit trade-off space
 // of the proposed governor (the extension study `repro -exp sweep`
 // renders): foreground protection vs. background progress across
@@ -591,7 +563,16 @@ var sinkBool bool
 // the stable fixed point T_s: imminent (T + 0.15·(T_s − T), crossed
 // within the 30 s horizon, so the time-to-limit integration runs every
 // tick), distant (T + 0.75·(T_s − T), crossed beyond it) and cool
-// (T_s + 5 K, no violation). CI gates every regime at 0 allocs/op.
+// (T_s + 5 K, no violation).
+//
+// Each tick is a real one: before it, the warmed engine is restored
+// and steps one 0.1 s control interval, so the tick reads power
+// windows that took 100 pushes since the last tick, as in a run. The
+// restore allocates, so it runs outside the timer; the steps, which do
+// not, run inside it, so that b.N, and the wall time of -benchtime=1s,
+// follow the cost of the whole op rather than of the ~1 µs tick
+// alone. ns/op reports the tick alone, timed around Control; allocs/op
+// covers the steps and the tick. CI gates every regime at 0 allocs/op.
 func BenchmarkAppAwareControl(b *testing.B) {
 	for _, regime := range []struct {
 		name string
@@ -600,6 +581,10 @@ func BenchmarkAppAwareControl(b *testing.B) {
 		b.Run(regime.name, func(b *testing.B) {
 			eng, _ := odroidBMLScenarioRec(b, appaware.Config{HorizonS: 30, IntervalS: 0.1}, true, true)
 			if err := eng.Run(20); err != nil {
+				b.Fatal(err)
+			}
+			warm, err := eng.Snapshot()
+			if err != nil {
 				b.Fatal(err)
 			}
 			p, err := eng.Platform().StabilityParams()
@@ -615,15 +600,48 @@ func BenchmarkAppAwareControl(b *testing.B) {
 			if regime.frac != 0 {
 				limitK = tempK + regime.frac*(an.StableTempK-tempK)
 			}
-			if tta, err := p.TimeToThreshold(pd, tempK, limitK, 30); err != nil || (tta <= 30) != (regime.name == "imminent") {
-				b.Fatalf("limit %v K is not in the %s regime: time to limit %v s, %v", limitK, regime.name, tta, err)
+			gov, err := appaware.New(appaware.Config{HorizonS: 30, IntervalS: 0.1, ThermalLimitK: limitK})
+			if err != nil {
+				b.Fatal(err)
 			}
-			gov := appaware.MustNew(appaware.Config{HorizonS: 30, IntervalS: 0.1, ThermalLimitK: limitK})
-			gov.Control(eng.Now(), eng) // takes any action before timing
+			steps := int(math.Round(0.1 / eng.StepS()))
+			interval := func() {
+				b.StopTimer()
+				if err := eng.Restore(warm); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := eng.RunSteps(steps); err != nil {
+					b.Fatal(err)
+				}
+			}
+			// Every tick reads the same state, so one checked tick shows
+			// the regime of all.
+			interval()
+			pd, tempK = eng.DynamicPowerW(), eng.SensorTempK()
+			an, errA := p.Analyze(pd)
+			tta, errT := p.TimeToThreshold(pd, tempK, limitK, 30)
+			got := "cool"
+			if an.StableTempK > limitK {
+				got = "distant"
+				if tta <= 30 {
+					got = "imminent"
+				}
+			}
+			if errA != nil || errT != nil || got != regime.name {
+				b.Fatalf("limit %v K puts the tick in the %s regime, not %s: fixed point %v K, time to limit %v s, %v, %v",
+					limitK, got, regime.name, an.StableTempK, tta, errA, errT)
+			}
+			gov.Control(eng.Now(), eng) // caches the stability params before timing
+			var tickNs int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				interval()
+				start := time.Now()
 				gov.Control(eng.Now(), eng)
+				tickNs += time.Since(start).Nanoseconds()
 			}
+			b.ReportMetric(float64(tickNs)/float64(b.N), "ns/op")
 		})
 	}
 }
@@ -721,7 +739,7 @@ func BenchmarkGovernorDecide(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	d, err := dvfs.NewDomain("big", platform.CortexA15Table(), 0)
+	d, err := dvfs.NewDomain("big", frozen.CortexA15Table(), 0)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -61,17 +61,6 @@ type Config struct {
 	IntervalS float64
 }
 
-// DefaultConfig mirrors the paper's parameters: a 10 s horizon and a
-// 100 ms control period (the 1 s power window is the engine's). A
-// victim stays on the LITTLE cluster once migrated, as in the paper's
-// experiments.
-func DefaultConfig() Config {
-	return Config{
-		HorizonS:  10,
-		IntervalS: 0.1,
-	}
-}
-
 // EventKind labels governor decisions.
 type EventKind int
 
@@ -144,15 +133,6 @@ func New(cfg Config) (*Governor, error) {
 		return nil, fmt.Errorf("appaware: thermal limit must be finite and >= 0 Kelvin, got %v", cfg.ThermalLimitK)
 	}
 	return &Governor{cfg: cfg}, nil
-}
-
-// MustNew is New that panics on error.
-func MustNew(cfg Config) *Governor {
-	g, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return g
 }
 
 // Name implements sim.Controller.

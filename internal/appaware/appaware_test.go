@@ -15,6 +15,25 @@ import (
 	"repro/internal/workload"
 )
 
+// DefaultConfig mirrors the paper's parameters, which New also fills
+// in for zero fields: a 10 s horizon and a 100 ms control period (the
+// 1 s power window is the engine's).
+func DefaultConfig() Config {
+	return Config{
+		HorizonS:  10,
+		IntervalS: 0.1,
+	}
+}
+
+// MustNew is New that panics on error.
+func MustNew(cfg Config) *Governor {
+	g, err := New(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
 func TestNewValidates(t *testing.T) {
 	bad := []Config{
 		{HorizonS: -1, IntervalS: 0.1},
@@ -180,11 +199,11 @@ func TestMigratesPowerHungryBackgroundTask(t *testing.T) {
 			t.Error("real-time app was migrated; registration violated")
 		}
 	}
-	task, ok := e.Scheduler().Task(200)
+	task, ok := e.Scheduler().TaskRef(200)
 	if !ok || task.Cluster != sched.Little {
 		t.Errorf("BML should end on little, got %+v", task)
 	}
-	rt, _ := e.Scheduler().Task(100)
+	rt, _ := e.Scheduler().TaskRef(100)
 	if rt.Cluster != sched.Big {
 		t.Error("real-time app should stay on big")
 	}

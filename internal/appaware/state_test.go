@@ -47,7 +47,10 @@ func v1State(events []Event, victims []int, clock float64, predictions int) []by
 		w.PutF64(ev.PredictedFixedK)
 		w.PutF64(ev.TimeToLimitS)
 	}
-	w.PutInts(victims)
+	w.PutInt(len(victims))
+	for _, pid := range victims {
+		w.PutInt(pid)
+	}
 	w.PutF64(clock)
 	w.PutInt(predictions)
 	return w.Bytes()

@@ -109,8 +109,9 @@ func (c *Channel) Observe(nowS, dt, trueW float64) error {
 // Series returns the recorded sample series (live; do not append).
 func (c *Channel) Series() *trace.Series { return c.series }
 
-// SampleCount reports how many samples were acquired.
-func (c *Channel) SampleCount() int { return c.series.Len() }
+// SampleCount reports how many samples were acquired, including those
+// taken before a snapshot this channel was restored from.
+func (c *Channel) SampleCount() int { return c.agg.Count() }
 
 // MeanW reports the mean of acquired samples (0 when none).
 func (c *Channel) MeanW() float64 { return c.agg.Mean() }
@@ -151,13 +152,18 @@ func (c *Channel) LoadState(r *snapbin.Reader) error {
 	seed := r.I64()
 	draws := r.Draws()
 	n := r.I64()
-	if err := c.agg.LoadState(r); err != nil {
+	var agg stats.Running
+	if err := agg.LoadState(r); err != nil {
 		return err
 	}
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("daq: %w", err)
 	}
+	// Observe advances the sample clock and the aggregate together.
+	if int64(agg.Count()) != n {
+		return fmt.Errorf("daq: aggregate holds %d samples, sample clock is at %d", agg.Count(), n)
+	}
 	c.src.Restore(seed, draws)
-	c.n = n
+	c.n, c.agg = n, agg
 	return nil
 }

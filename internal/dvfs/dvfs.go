@@ -115,15 +115,6 @@ func (t *Table) Ceil(freqHz uint64) OPP {
 	return t.Max()
 }
 
-// Voltage returns the voltage for exactly freqHz, or an error if the
-// frequency is not an OPP of this table.
-func (t *Table) Voltage(freqHz uint64) (float64, error) {
-	if i := t.IndexOf(freqHz); i >= 0 {
-		return t.opps[i].VoltageV, nil
-	}
-	return 0, fmt.Errorf("dvfs: %d Hz is not an OPP of this table", freqHz)
-}
-
 // Domain is one frequency domain (a CPU cluster or a GPU): a table plus
 // the current and capped frequency, transition latency, and residency
 // accounting.
@@ -132,7 +123,6 @@ type Domain struct {
 	table   *Table
 	current uint64
 	capHz   uint64 // thermal cap; 0 means uncapped
-	floorHz uint64 // minimum allowed; 0 means table min
 
 	transitionLatencyS float64
 	pendingFreq        uint64
@@ -211,20 +201,8 @@ func (d *Domain) SetCap(capHz uint64) {
 // Cap returns the active cap (0 when uncapped).
 func (d *Domain) Cap() uint64 { return d.capHz }
 
-// SetFloor imposes a minimum frequency (Hz); 0 removes it. Floors model
-// boost holds (the interactive governor's touch boost).
-func (d *Domain) SetFloor(floorHz uint64) {
-	d.floorHz = floorHz
-}
-
-// Floor returns the active floor (0 when none).
-func (d *Domain) Floor() uint64 { return d.floorHz }
-
-// effectiveTarget clamps a requested frequency to table, cap and floor.
+// effectiveTarget clamps a requested frequency to table and cap.
 func (d *Domain) effectiveTarget(freqHz uint64) uint64 {
-	if d.floorHz != 0 && freqHz < d.floorHz {
-		freqHz = d.floorHz
-	}
 	if d.capHz != 0 && freqHz > d.capHz {
 		freqHz = d.capHz
 	}
@@ -266,17 +244,6 @@ func (d *Domain) Advance(nowS, dt float64) {
 	}
 }
 
-// Residency returns the nonzero per-frequency residency in seconds.
-func (d *Domain) Residency() map[uint64]float64 {
-	out := make(map[uint64]float64, len(d.residency))
-	for i, s := range d.residency {
-		if s != 0 {
-			out[d.table.At(i).FreqHz] = s
-		}
-	}
-	return out
-}
-
 // ResidencyShare returns each OPP frequency's share of total residency,
 // including zero entries for unused OPPs so histograms have stable bins.
 func (d *Domain) ResidencyShare() map[uint64]float64 {
@@ -296,11 +263,13 @@ func (d *Domain) ResidencyShare() map[uint64]float64 {
 }
 
 // SaveState serializes the domain's mutable state: current frequency,
-// cap/floor, pending transition, counters, and per-OPP residency.
+// cap, pending transition, counters, and per-OPP residency. The slot
+// after the cap held a minimum-frequency floor, which no domain sets
+// any more; it stays in the format, always 0.
 func (d *Domain) SaveState(w *snapbin.Writer) {
 	w.PutU64(d.current)
 	w.PutU64(d.capHz)
-	w.PutU64(d.floorHz)
+	w.PutU64(0)
 	w.PutU64(d.pendingFreq)
 	w.PutF64(d.pendingUntil)
 	w.PutInt(d.transitions)
@@ -324,23 +293,18 @@ func (d *Domain) LoadState(r *snapbin.Reader) error {
 	if d.table.IndexOf(current) < 0 {
 		return fmt.Errorf("dvfs: domain %q: restored frequency %d Hz is not a table OPP", d.name, current)
 	}
+	if floorHz != 0 {
+		return fmt.Errorf("dvfs: domain %q: restored frequency floor %d Hz, but domains have none", d.name, floorHz)
+	}
 	if pendingFreq != 0 && d.table.IndexOf(pendingFreq) < 0 {
 		return fmt.Errorf("dvfs: domain %q: restored pending frequency %d Hz is not a table OPP", d.name, pendingFreq)
 	}
 	d.setCurrent(current)
 	d.capHz = capHz
-	d.floorHz = floorHz
 	d.pendingFreq = pendingFreq
 	d.pendingUntil = pendingUntil
 	d.transitions = transitions
 	return nil
-}
-
-// ResetResidency clears residency accounting (e.g. after warmup).
-func (d *Domain) ResetResidency() {
-	for i := range d.residency {
-		d.residency[i] = 0
-	}
 }
 
 // MHz formats a frequency in Hz as a MHz label ("510MHz"); used as the

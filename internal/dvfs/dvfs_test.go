@@ -1,9 +1,12 @@
 package dvfs
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/snapbin"
 )
 
 const mhz = 1_000_000
@@ -112,12 +115,8 @@ func TestIndexOfAndVoltage(t *testing.T) {
 	if i := tbl.IndexOf(391 * mhz); i != -1 {
 		t.Errorf("IndexOf(non-OPP) = %d, want -1", i)
 	}
-	v, err := tbl.Voltage(510 * mhz)
-	if err != nil || v != 1.00 {
-		t.Errorf("Voltage(510MHz) = %v, %v", v, err)
-	}
-	if _, err := tbl.Voltage(123); err == nil {
-		t.Error("expected error for non-OPP voltage lookup")
+	if v := tbl.At(tbl.IndexOf(510 * mhz)).VoltageV; v != 1.00 {
+		t.Errorf("voltage at 510MHz = %v, want 1.00", v)
 	}
 }
 
@@ -237,37 +236,13 @@ func TestUncapRestoresRange(t *testing.T) {
 	}
 }
 
-func TestFloorRaisesRequests(t *testing.T) {
-	d := newTestDomain(t, 0)
-	d.SetFloor(450 * mhz)
-	if got := d.Request(0, 180*mhz); got != 450*mhz {
-		t.Errorf("floored request -> %d, want 450MHz", got)
-	}
-	if d.Floor() != 450*mhz {
-		t.Errorf("floor = %d", d.Floor())
-	}
-	d.SetFloor(0)
-	if got := d.Request(0, 180*mhz); got != 180*mhz {
-		t.Errorf("unfloored request -> %d, want 180MHz", got)
-	}
-}
-
-func TestCapWinsOverFloor(t *testing.T) {
-	d := newTestDomain(t, 0)
-	d.SetFloor(510 * mhz)
-	d.SetCap(305 * mhz)
-	if got := d.Request(0, 600*mhz); got != 305*mhz {
-		t.Errorf("cap-vs-floor -> %d, want cap 305MHz", got)
-	}
-}
-
 func TestResidencyAccounting(t *testing.T) {
 	d := newTestDomain(t, 0)
 	d.Advance(0, 1.0) // 1 s at 180
 	d.Request(1.0, 390*mhz)
 	d.Advance(1.0, 3.0) // 3 s at 390
-	res := d.Residency()
-	if !closeTo(res[180*mhz], 1.0) || !closeTo(res[390*mhz], 3.0) {
+	res := d.residency
+	if !closeTo(res[d.table.IndexOf(180*mhz)], 1.0) || !closeTo(res[d.table.IndexOf(390*mhz)], 3.0) {
 		t.Errorf("residency = %v", res)
 	}
 	share := d.ResidencyShare()
@@ -277,10 +252,6 @@ func TestResidencyAccounting(t *testing.T) {
 	// Unused OPPs still present with zero share.
 	if _, ok := share[600*mhz]; !ok {
 		t.Error("share map should include all OPPs")
-	}
-	d.ResetResidency()
-	if d.ResidencyShare()[180*mhz] != 0 {
-		t.Error("reset should clear residency")
 	}
 }
 
@@ -355,5 +326,21 @@ func TestCurrentFreqAlwaysAnOPPProperty(t *testing.T) {
 func TestMHzLabel(t *testing.T) {
 	if got := MHz(510 * mhz); got != "510MHz" {
 		t.Errorf("MHz = %q", got)
+	}
+}
+
+// TestLoadStateRejectsFloor requires a snapshot whose retired floor slot
+// is not 0 to fail: no domain sets a floor, so no snapshot holds one.
+func TestLoadStateRejectsFloor(t *testing.T) {
+	d := newTestDomain(t, 0)
+	var w snapbin.Writer
+	d.SaveState(&w)
+	blob := bytes.Clone(w.Bytes())
+	if err := newTestDomain(t, 0).LoadState(snapbin.NewReader(blob)); err != nil {
+		t.Fatal(err)
+	}
+	blob[16] = 1 // the floor slot follows the current frequency and the cap
+	if err := newTestDomain(t, 0).LoadState(snapbin.NewReader(blob)); err == nil {
+		t.Error("a snapshot with a frequency floor loaded")
 	}
 }

@@ -2,14 +2,10 @@
 // inside out for application developers — the use the paper's
 // conclusion proposes ("it can be used by application developers to
 // optimize their apps such that they do not experience thermal
-// throttling"):
-//
-//   - SustainablePower: the largest dynamic power whose stable fixed
-//     point stays at or below a thermal limit.
-//   - AppAnalysis: for a frame app's per-frame CPU/GPU costs on a given
-//     platform, the largest frame rate the platform can sustain
-//     indefinitely without tripping the thermal limit, and the OPPs it
-//     runs at there.
+// throttling"): for a frame app's per-frame CPU/GPU costs on a given
+// platform, ForApp finds the largest frame rate the platform can
+// sustain indefinitely without tripping the thermal limit, and the OPPs
+// it runs at there.
 //
 // A developer who keeps the app's demand under the sustainable frame
 // rate never experiences the throttling collapse of the paper's
@@ -22,43 +18,7 @@ import (
 	"math"
 
 	"repro/internal/platform"
-	"repro/internal/stability"
 )
-
-// SustainablePower returns the largest dynamic power (W) whose stable
-// fixed-point temperature does not exceed limitK. It returns 0 when
-// even idle power overshoots the limit.
-func SustainablePower(p stability.Params, limitK float64) (float64, error) {
-	if err := p.Validate(); err != nil {
-		return 0, err
-	}
-	if limitK <= p.AmbientK {
-		return 0, fmt.Errorf("headroom: limit %.1f K at or below ambient %.1f K", limitK, p.AmbientK)
-	}
-	okAt := func(pd float64) bool {
-		t, err := p.SteadyStateTemp(pd)
-		return err == nil && t <= limitK
-	}
-	if !okAt(0) {
-		return 0, nil
-	}
-	lo, hi := 0.0, 1.0
-	for okAt(hi) {
-		hi *= 2
-		if hi > 1e4 {
-			return math.Inf(1), nil // limit unreachable: unlimited headroom
-		}
-	}
-	for i := 0; i < 60; i++ {
-		mid := 0.5 * (lo + hi)
-		if okAt(mid) {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo, nil
-}
 
 // Profile is an application's steady per-frame execution cost.
 type Profile struct {

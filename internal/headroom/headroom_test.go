@@ -3,70 +3,10 @@ package headroom
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/platform"
-	"repro/internal/stability"
 	"repro/internal/thermal"
 )
-
-func TestSustainablePowerMatchesAnalysis(t *testing.T) {
-	p := stability.DefaultOdroidParams()
-	limitK := thermal.ToKelvin(70)
-	pd, err := SustainablePower(p, limitK)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pd <= 0 {
-		t.Fatalf("sustainable power = %v, want positive", pd)
-	}
-	// The fixed point at the returned power must sit at the limit.
-	steady, err := p.SteadyStateTemp(pd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(steady-limitK) > 0.1 {
-		t.Errorf("steady at sustainable power = %.2f K, want ≈ limit %.2f K", steady, limitK)
-	}
-	// Slightly more power must overshoot.
-	over, err := p.SteadyStateTemp(pd * 1.05)
-	if err == nil && over <= limitK {
-		t.Error("5% more power should exceed the limit")
-	}
-}
-
-func TestSustainablePowerErrors(t *testing.T) {
-	p := stability.DefaultOdroidParams()
-	if _, err := SustainablePower(p, p.AmbientK-1); err == nil {
-		t.Error("limit below ambient should fail")
-	}
-	bad := p
-	bad.ResistanceKPerW = -1
-	if _, err := SustainablePower(bad, 340); err == nil {
-		t.Error("invalid params should fail")
-	}
-}
-
-// Property: sustainable power is monotone in the limit.
-func TestSustainablePowerMonotone(t *testing.T) {
-	p := stability.DefaultOdroidParams()
-	f := func(raw float64) bool {
-		if math.IsNaN(raw) || math.IsInf(raw, 0) {
-			return true
-		}
-		l1 := p.AmbientK + 5 + math.Abs(math.Mod(raw, 100))
-		l2 := l1 + 10
-		pd1, err1 := SustainablePower(p, l1)
-		pd2, err2 := SustainablePower(p, l2)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		return pd2 >= pd1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
 
 func TestProfileValidation(t *testing.T) {
 	plat := platform.Nexus6P(1)

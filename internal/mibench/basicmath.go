@@ -167,9 +167,6 @@ func (w *Workload) Iterations() uint64 { return w.iterations }
 // the number of iterations run, making runs verifiable.
 func (w *Workload) Checksum() float64 { return w.checksum }
 
-// Roots reports how many cubic roots were found in total.
-func (w *Workload) Roots() uint64 { return w.rootCount }
-
 // SaveState serializes the workload's progress for engine snapshots.
 func (w *Workload) SaveState(sw *snapbin.Writer) {
 	sw.PutU64(w.iterations)

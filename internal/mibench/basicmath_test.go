@@ -136,7 +136,7 @@ func TestWorkloadDeterministic(t *testing.T) {
 	if w1.Iterations() != 50 {
 		t.Errorf("iterations = %d", w1.Iterations())
 	}
-	if w1.Roots() == 0 {
+	if w1.rootCount == 0 {
 		t.Error("expected some cubic roots")
 	}
 }

@@ -3,7 +3,6 @@ package platform
 import (
 	"embed"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -69,20 +68,6 @@ func BuiltinSpec(name string) (SpecFile, bool) {
 		return SpecFile{}, false
 	}
 	return f.Clone(), true
-}
-
-// BuiltinNames lists the embedded platform names sorted.
-func BuiltinNames() []string {
-	specs, err := loadBuiltinSpecs()
-	if err != nil {
-		return nil
-	}
-	names := make([]string, 0, len(specs))
-	for name := range specs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // mustCompileBuiltin compiles an embedded preset, panicking on any

@@ -12,6 +12,7 @@
 package frozen
 
 import (
+	"repro/internal/dvfs"
 	"repro/internal/platform"
 	"repro/internal/power"
 )
@@ -39,7 +40,7 @@ func Nexus6PSpec(seed int64) platform.Spec {
 		},
 		Domains: []platform.DomainSpec{
 			{
-				ID: platform.DomLittle, Table: platform.CortexA53Table(), Cores: 4,
+				ID: platform.DomLittle, Table: CortexA53Table(), Cores: 4,
 				TransitionLatencyS: 0.001,
 				Model: power.DomainModel{
 					Name: "little", CeffF: 2.0e-10, IdleW: 0.03,
@@ -48,7 +49,7 @@ func Nexus6PSpec(seed int64) platform.Spec {
 				Rail: power.RailLittle, NodeName: "little",
 			},
 			{
-				ID: platform.DomBig, Table: platform.CortexA57Table(), Cores: 4,
+				ID: platform.DomBig, Table: CortexA57Table(), Cores: 4,
 				TransitionLatencyS: 0.001,
 				Model: power.DomainModel{
 					Name: "big", CeffF: 7.0e-10, IdleW: 0.05,
@@ -57,7 +58,7 @@ func Nexus6PSpec(seed int64) platform.Spec {
 				Rail: power.RailBig, NodeName: "big",
 			},
 			{
-				ID: platform.DomGPU, Table: platform.Adreno430Table(), Cores: 1,
+				ID: platform.DomGPU, Table: Adreno430Table(), Cores: 1,
 				TransitionLatencyS: 0.002,
 				Model: power.DomainModel{
 					Name: "gpu", CeffF: 4.2e-9, IdleW: 0.04,
@@ -100,7 +101,7 @@ func OdroidXU3Spec(seed int64) platform.Spec {
 		},
 		Domains: []platform.DomainSpec{
 			{
-				ID: platform.DomLittle, Table: platform.CortexA7Table(), Cores: 4,
+				ID: platform.DomLittle, Table: CortexA7Table(), Cores: 4,
 				TransitionLatencyS: 0.001,
 				Model: power.DomainModel{
 					Name: "little", CeffF: 1.1e-10, IdleW: 0.03,
@@ -109,7 +110,7 @@ func OdroidXU3Spec(seed int64) platform.Spec {
 				Rail: power.RailLittle, NodeName: "little",
 			},
 			{
-				ID: platform.DomBig, Table: platform.CortexA15Table(), Cores: 4,
+				ID: platform.DomBig, Table: CortexA15Table(), Cores: 4,
 				TransitionLatencyS: 0.001,
 				Model: power.DomainModel{
 					Name: "big", CeffF: 6.0e-10, IdleW: 0.06,
@@ -118,7 +119,7 @@ func OdroidXU3Spec(seed int64) platform.Spec {
 				Rail: power.RailBig, NodeName: "big",
 			},
 			{
-				ID: platform.DomGPU, Table: platform.MaliT628Table(), Cores: 1,
+				ID: platform.DomGPU, Table: MaliT628Table(), Cores: 1,
 				TransitionLatencyS: 0.002,
 				Model: power.DomainModel{
 					Name: "gpu", CeffF: 2.2e-9, IdleW: 0.05,
@@ -148,4 +149,80 @@ func Nexus6P(seed int64) *platform.Platform {
 // constructor did.
 func OdroidXU3(seed int64) *platform.Platform {
 	return platform.MustNew(OdroidXU3Spec(seed))
+}
+
+// Adreno430Table is the Nexus 6P GPU OPP ladder; the paper's Figures 2
+// and 4 bin residency over exactly these frequencies.
+func Adreno430Table() *dvfs.Table {
+	return dvfs.MustTable(
+		dvfs.OPP{FreqHz: 180e6, VoltageV: 0.800},
+		dvfs.OPP{FreqHz: 305e6, VoltageV: 0.850},
+		dvfs.OPP{FreqHz: 390e6, VoltageV: 0.900},
+		dvfs.OPP{FreqHz: 450e6, VoltageV: 0.950},
+		dvfs.OPP{FreqHz: 510e6, VoltageV: 1.000},
+		dvfs.OPP{FreqHz: 600e6, VoltageV: 1.075},
+	)
+}
+
+// CortexA57Table is the Nexus 6P big-cluster ladder (subset of the
+// Snapdragon 810 points, keeping the 384 and 960 MHz OPPs the paper's
+// Figure 6 reports).
+func CortexA57Table() *dvfs.Table {
+	return dvfs.MustTable(
+		dvfs.OPP{FreqHz: 384e6, VoltageV: 0.850},
+		dvfs.OPP{FreqHz: 633e6, VoltageV: 0.900},
+		dvfs.OPP{FreqHz: 960e6, VoltageV: 0.975},
+		dvfs.OPP{FreqHz: 1248e6, VoltageV: 1.050},
+		dvfs.OPP{FreqHz: 1555e6, VoltageV: 1.125},
+		dvfs.OPP{FreqHz: 1958e6, VoltageV: 1.225},
+	)
+}
+
+// CortexA53Table is the Nexus 6P little-cluster ladder.
+func CortexA53Table() *dvfs.Table {
+	return dvfs.MustTable(
+		dvfs.OPP{FreqHz: 384e6, VoltageV: 0.800},
+		dvfs.OPP{FreqHz: 600e6, VoltageV: 0.850},
+		dvfs.OPP{FreqHz: 768e6, VoltageV: 0.900},
+		dvfs.OPP{FreqHz: 960e6, VoltageV: 0.950},
+		dvfs.OPP{FreqHz: 1248e6, VoltageV: 1.025},
+		dvfs.OPP{FreqHz: 1555e6, VoltageV: 1.100},
+	)
+}
+
+// MaliT628Table is the Odroid-XU3 GPU ladder.
+func MaliT628Table() *dvfs.Table {
+	return dvfs.MustTable(
+		dvfs.OPP{FreqHz: 177e6, VoltageV: 0.850},
+		dvfs.OPP{FreqHz: 266e6, VoltageV: 0.900},
+		dvfs.OPP{FreqHz: 350e6, VoltageV: 0.950},
+		dvfs.OPP{FreqHz: 420e6, VoltageV: 1.000},
+		dvfs.OPP{FreqHz: 480e6, VoltageV: 1.025},
+		dvfs.OPP{FreqHz: 543e6, VoltageV: 1.050},
+		dvfs.OPP{FreqHz: 600e6, VoltageV: 1.100},
+	)
+}
+
+// CortexA15Table is the Odroid-XU3 big-cluster ladder.
+func CortexA15Table() *dvfs.Table {
+	return dvfs.MustTable(
+		dvfs.OPP{FreqHz: 200e6, VoltageV: 0.900},
+		dvfs.OPP{FreqHz: 500e6, VoltageV: 0.925},
+		dvfs.OPP{FreqHz: 800e6, VoltageV: 0.975},
+		dvfs.OPP{FreqHz: 1100e6, VoltageV: 1.050},
+		dvfs.OPP{FreqHz: 1400e6, VoltageV: 1.125},
+		dvfs.OPP{FreqHz: 1700e6, VoltageV: 1.2375},
+		dvfs.OPP{FreqHz: 2000e6, VoltageV: 1.3625},
+	)
+}
+
+// CortexA7Table is the Odroid-XU3 little-cluster ladder.
+func CortexA7Table() *dvfs.Table {
+	return dvfs.MustTable(
+		dvfs.OPP{FreqHz: 200e6, VoltageV: 0.900},
+		dvfs.OPP{FreqHz: 500e6, VoltageV: 0.925},
+		dvfs.OPP{FreqHz: 800e6, VoltageV: 0.975},
+		dvfs.OPP{FreqHz: 1100e6, VoltageV: 1.075},
+		dvfs.OPP{FreqHz: 1400e6, VoltageV: 1.150},
+	)
 }

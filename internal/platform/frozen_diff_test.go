@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/platform"
 	"repro/internal/platform/frozen"
-	"repro/internal/thermal"
 )
 
 // The presets now compile from embedded JSON spec files. These tests
@@ -84,21 +83,10 @@ func TestSpecCompiledPlatformsMatchFrozenPlatforms(t *testing.T) {
 				t.Errorf("%s: domain %s wiring diverged", tc.name, id)
 			}
 		}
-		// The thermal networks must agree conductance-for-conductance.
-		if got.Net.NumNodes() != want.Net.NumNodes() {
-			t.Fatalf("%s: node count diverged", tc.name)
-		}
-		for a := 0; a < got.Net.NumNodes(); a++ {
-			for b := 0; b < got.Net.NumNodes(); b++ {
-				if a == b {
-					continue
-				}
-				g, err1 := got.Net.Conductance(thermal.NodeID(a), thermal.NodeID(b))
-				w, err2 := want.Net.Conductance(thermal.NodeID(a), thermal.NodeID(b))
-				if err1 != nil || err2 != nil || g != w {
-					t.Errorf("%s: conductance [%d,%d] diverged: %v/%v (%v, %v)", tc.name, a, b, g, w, err1, err2)
-				}
-			}
+		// The thermal networks must agree in every node, coupling and
+		// temperature.
+		if !reflect.DeepEqual(got.Net, want.Net) {
+			t.Errorf("%s: thermal network diverged", tc.name)
 		}
 	}
 }

@@ -134,7 +134,7 @@ func TestOdroidXU3Wiring(t *testing.T) {
 		t.Error("Mali max should be 600 MHz")
 	}
 	// The Odroid senses the big cluster.
-	if p.Sensor.Node() != p.Node(DomBig) {
+	if p.nodes[p.spec.SensorNode] != p.Node(DomBig) {
 		t.Error("Odroid sensor should sit on the big-core node")
 	}
 }
@@ -224,10 +224,14 @@ func TestSteadyStateSanity(t *testing.T) {
 	if memID, ok := p.NodeByName("mem"); ok {
 		powers[memID] = 0.2
 	}
-	temps, err := p.Net.SteadyState(powers)
-	if err != nil {
-		t.Fatal(err)
+	// Integrate to equilibrium: 3000 s is about ten times the slowest
+	// mode's time constant (total capacitance over ambient conductance).
+	for i := 0; i < 30000; i++ {
+		if err := p.Net.Step(0.1, powers); err != nil {
+			t.Fatal(err)
+		}
 	}
+	temps := p.Net.Temperatures()
 	pkgID, _ := p.NodeByName("pkg")
 	pkgC := thermal.ToCelsius(temps[pkgID])
 	if pkgC < 40 || pkgC > 65 {

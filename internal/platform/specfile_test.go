@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -249,7 +250,15 @@ func TestCompiledPlatformSurfaces(t *testing.T) {
 }
 
 func TestBuiltinSpecs(t *testing.T) {
-	names := BuiltinNames()
+	specs, err := loadBuiltinSpecs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for name := range specs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	if !reflect.DeepEqual(names, []string{"nexus6p", "odroid-xu3"}) {
 		t.Fatalf("builtin names = %v", names)
 	}

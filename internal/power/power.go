@@ -198,9 +198,6 @@ func (m *Meter) Record(s Sample, dt float64) error {
 	return nil
 }
 
-// EnergyJ returns the accumulated energy of one rail in joules.
-func (m *Meter) EnergyJ(r Rail) float64 { return m.energyJ[r] }
-
 // TotalEnergyJ returns the total accumulated energy in joules.
 func (m *Meter) TotalEnergyJ() float64 {
 	t := 0.0
@@ -210,24 +207,12 @@ func (m *Meter) TotalEnergyJ() float64 {
 	return t
 }
 
-// Elapsed returns the integrated duration in seconds.
-func (m *Meter) Elapsed() float64 { return m.elapsed }
-
 // AveragePowerW returns total energy / elapsed time (0 when empty).
 func (m *Meter) AveragePowerW() float64 {
 	if m.elapsed == 0 {
 		return 0
 	}
 	return m.TotalEnergyJ() / m.elapsed
-}
-
-// Share returns rail r's fraction of total energy (0 when empty).
-func (m *Meter) Share(r Rail) float64 {
-	t := m.TotalEnergyJ()
-	if t == 0 {
-		return 0
-	}
-	return m.energyJ[r] / t
 }
 
 // SharesInto fills dst — indexed by Rail, len >= NumRails — with every
@@ -261,12 +246,6 @@ func (m *Meter) Shares() map[Rail]float64 {
 	}
 	return out
 }
-
-// Last returns the most recent sample recorded (zero Sample when empty).
-func (m *Meter) Last() Sample { return m.last }
-
-// Reset clears all accumulated energy and elapsed time.
-func (m *Meter) Reset() { *m = Meter{} }
 
 // SaveState serializes the meter: per-rail energy, elapsed time, and
 // the last sample.

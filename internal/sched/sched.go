@@ -110,24 +110,8 @@ func (s *Scheduler) Add(t Task) error {
 	return nil
 }
 
-// Remove deletes a task; removing an unknown PID is an error.
-func (s *Scheduler) Remove(pid int) error {
-	if _, ok := s.tasks[pid]; !ok {
-		return fmt.Errorf("sched: unknown PID %d", pid)
-	}
-	delete(s.tasks, pid)
-	for i, p := range s.order {
-		if p == pid {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
-	s.epoch++
-	return nil
-}
-
 // Epoch returns a counter bumped whenever the task-set layout changes
-// (Add or Remove, not demand/placement updates). Callers caching
+// (Add, not demand/placement updates). Callers caching
 // per-task state, such as the sim layer's task-pointer cache, key their
 // invalidation on it.
 func (s *Scheduler) Epoch() uint64 { return s.epoch }
@@ -148,46 +132,14 @@ func (s *Scheduler) Slot(pid int) int {
 	return -1
 }
 
-// TaskRef returns a live read-only view of the task with the given PID.
-// The pointer stays valid — and tracks demand and cluster changes —
-// until the task-set layout changes (watch Epoch). Callers must not
-// mutate the task through it; use SetDemand/Migrate/SetRealTime. It is
-// the allocation-free counterpart of Task for per-step hot loops.
+// TaskRef returns a live view of the task with the given PID. The
+// pointer stays valid — and tracks demand and cluster changes — until
+// the task-set layout changes (watch Epoch). The engine writes each
+// step's demand through it; placement changes go through Migrate, which
+// counts them.
 func (s *Scheduler) TaskRef(pid int) (*Task, bool) {
 	t, ok := s.tasks[pid]
 	return t, ok
-}
-
-// Task returns a copy of the task with the given PID.
-func (s *Scheduler) Task(pid int) (Task, bool) {
-	t, ok := s.tasks[pid]
-	if !ok {
-		return Task{}, false
-	}
-	return *t, true
-}
-
-// Tasks returns copies of all tasks in ascending PID order.
-func (s *Scheduler) Tasks() []Task {
-	out := make([]Task, 0, len(s.order))
-	for _, pid := range s.order {
-		out = append(out, *s.tasks[pid])
-	}
-	return out
-}
-
-// SetDemand updates a task's demand (the workload layer calls this every
-// step as app phases change).
-func (s *Scheduler) SetDemand(pid int, demandHz float64) error {
-	t, ok := s.tasks[pid]
-	if !ok {
-		return fmt.Errorf("sched: unknown PID %d", pid)
-	}
-	if demandHz < 0 || math.IsNaN(demandHz) {
-		return fmt.Errorf("sched: demand must be >= 0, got %v", demandHz)
-	}
-	t.DemandHz = demandHz
-	return nil
 }
 
 // Migrate moves a task to the given cluster. Migrating to the current
@@ -210,16 +162,6 @@ func (s *Scheduler) Migrate(pid int, to ClusterID) error {
 
 // Migrations reports how many cluster moves occurred.
 func (s *Scheduler) Migrations() int { return s.migrations }
-
-// SetRealTime flags or unflags a process as registered real-time.
-func (s *Scheduler) SetRealTime(pid int, rt bool) error {
-	t, ok := s.tasks[pid]
-	if !ok {
-		return fmt.Errorf("sched: unknown PID %d", pid)
-	}
-	t.RealTime = rt
-	return nil
-}
 
 // SaveState serializes the scheduler's mutable state: each task's
 // demand, placement and real-time flag (in the stable ascending-PID

@@ -3,6 +3,7 @@ package sched
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -63,60 +64,13 @@ func TestAddValidation(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
-	s := New()
-	_ = s.Add(Task{PID: 1, DemandHz: 1, Threads: 1, Cluster: Big})
-	if err := s.Remove(1); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.Task(1); ok {
-		t.Error("task should be gone")
-	}
-	if err := s.Remove(1); err == nil {
-		t.Error("expected error removing unknown PID")
-	}
-}
-
-func TestTaskCopySemantics(t *testing.T) {
-	s := New()
-	_ = s.Add(Task{PID: 1, Name: "a", DemandHz: 1, Threads: 1, Cluster: Big})
-	got, ok := s.Task(1)
-	if !ok {
-		t.Fatal("task missing")
-	}
-	got.DemandHz = 999
-	again, _ := s.Task(1)
-	if again.DemandHz != 1 {
-		t.Error("Task must return a copy")
-	}
-}
-
 func TestTasksOrderedByPID(t *testing.T) {
 	s := New()
 	for _, pid := range []int{30, 10, 20} {
 		_ = s.Add(Task{PID: pid, DemandHz: 1, Threads: 1, Cluster: Big})
 	}
-	ts := s.Tasks()
-	if len(ts) != 3 || ts[0].PID != 10 || ts[1].PID != 20 || ts[2].PID != 30 {
-		t.Errorf("order = %v", ts)
-	}
-}
-
-func TestSetDemand(t *testing.T) {
-	s := New()
-	_ = s.Add(Task{PID: 1, DemandHz: 1, Threads: 1, Cluster: Big})
-	if err := s.SetDemand(1, 5e9); err != nil {
-		t.Fatal(err)
-	}
-	tk, _ := s.Task(1)
-	if tk.DemandHz != 5e9 {
-		t.Errorf("demand = %v", tk.DemandHz)
-	}
-	if err := s.SetDemand(2, 1); err == nil {
-		t.Error("expected error for unknown PID")
-	}
-	if err := s.SetDemand(1, math.NaN()); err == nil {
-		t.Error("expected error for NaN demand")
+	if !slices.Equal(s.order, []int{10, 20, 30}) {
+		t.Errorf("order = %v", s.order)
 	}
 }
 
@@ -229,8 +183,7 @@ func TestMigrate(t *testing.T) {
 	if err := s.Migrate(1, Little); err != nil {
 		t.Fatal(err)
 	}
-	tk, _ := s.Task(1)
-	if tk.Cluster != Little {
+	if tk, _ := s.TaskRef(1); tk.Cluster != Little {
 		t.Errorf("cluster = %v, want little", tk.Cluster)
 	}
 	if s.Migrations() != 1 {
@@ -267,21 +220,6 @@ func TestMigrationChangesWhereWorkRuns(t *testing.T) {
 	if after.achieved(1) > before.achieved(1) {
 		t.Errorf("achieved grew after migrating to slower cluster: %v -> %v",
 			before.achieved(1), after.achieved(1))
-	}
-}
-
-func TestSetRealTime(t *testing.T) {
-	s := New()
-	_ = s.Add(Task{PID: 1, DemandHz: 1, Threads: 1, Cluster: Big})
-	if err := s.SetRealTime(1, true); err != nil {
-		t.Fatal(err)
-	}
-	tk, _ := s.Task(1)
-	if !tk.RealTime {
-		t.Error("real-time flag not set")
-	}
-	if err := s.SetRealTime(2, true); err == nil {
-		t.Error("expected error for unknown PID")
 	}
 }
 
@@ -344,8 +282,9 @@ func TestAssignInvariantsProperty(t *testing.T) {
 			return false
 		}
 		sum := map[ClusterID]float64{}
-		for _, tk := range s.Tasks() {
-			a := res.AchievedHzAt(s.Slot(tk.PID))
+		for _, pid := range s.order {
+			tk := s.tasks[pid]
+			a := res.AchievedHzAt(s.Slot(pid))
 			if a < 0 || a > tk.DemandHz+1e-6 {
 				return false
 			}
@@ -367,7 +306,7 @@ func TestAssignInvariantsProperty(t *testing.T) {
 }
 
 // TestSlotFollowsPIDOrder pins Slot to the ascending-PID layout that
-// Assignment stores its grants in, across Add and Remove, and the
+// Assignment stores its grants in, across Adds, and the
 // accessors' 0 for out-of-range slots.
 func TestSlotFollowsPIDOrder(t *testing.T) {
 	s := New()
@@ -393,14 +332,10 @@ func TestSlotFollowsPIDOrder(t *testing.T) {
 	if res.util(ClusterID(-1)) != 0 || res.util(numClusters) != 0 {
 		t.Error("an unknown cluster reports utilization")
 	}
-	_ = s.Remove(10)
-	if s.Slot(20) != 0 || s.Slot(30) != 1 || s.Slot(10) != -1 {
-		t.Errorf("after removing PID 10: slots %d, %d, %d", s.Slot(20), s.Slot(30), s.Slot(10))
-	}
 }
 
 // TestAssignmentFollowsTaskSetAndScheduler reuses one Assignment while
-// a task joins the scheduler, while one task replaces another, while a
+// a task joins the scheduler, while a
 // task migrates, and then for another scheduler: each step must equal
 // a step into a fresh Assignment, with no grant left over from the
 // previous step.
@@ -434,7 +369,6 @@ func TestAssignmentFollowsTaskSetAndScheduler(t *testing.T) {
 	check(s, &a)
 	_ = s.Add(Task{PID: 1, DemandHz: 6 * ghz, Threads: 4, Cluster: Big, RealTime: true})
 	check(s, &a)
-	_ = s.Remove(5)
 	_ = s.Add(Task{PID: 7, DemandHz: 0.2 * ghz, Threads: 1, Cluster: Big})
 	check(s, &a)
 	_ = s.Migrate(2, Little)
@@ -462,8 +396,8 @@ func TestStateRoundTrip(t *testing.T) {
 		return bytes.Clone(w.Bytes())
 	}
 	src := build()
-	_ = src.SetDemand(2, 3*ghz)
-	_ = src.SetRealTime(3, true)
+	src.tasks[2].DemandHz = 3 * ghz
+	src.tasks[3].RealTime = true
 	_ = src.Migrate(1, Little)
 	saved := save(src)
 
@@ -474,9 +408,9 @@ func TestStateRoundTrip(t *testing.T) {
 	if !bytes.Equal(save(dst), saved) {
 		t.Error("loaded state re-encodes differently")
 	}
-	for _, want := range src.Tasks() {
-		if got, _ := dst.Task(want.PID); got != want {
-			t.Errorf("PID %d: %+v, want %+v", want.PID, got, want)
+	for _, pid := range src.order {
+		if got, want := *dst.tasks[pid], *src.tasks[pid]; got != want {
+			t.Errorf("PID %d: %+v, want %+v", pid, got, want)
 		}
 	}
 	if dst.Migrations() != 1 {

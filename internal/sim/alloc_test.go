@@ -35,7 +35,7 @@ func newSteadyEngine(t *testing.T) *sim.Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ipa, err := thermgov.NewIPA(thermgov.DefaultIPAConfig())
+	ipa, err := thermgov.NewIPA(ipaConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

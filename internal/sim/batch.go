@@ -92,9 +92,6 @@ func (b *BatchEngine) Reset(lanes []*Engine) error {
 	return nil
 }
 
-// Lanes returns the engines the batch is driving, in lane order.
-func (b *BatchEngine) Lanes() []*Engine { return b.lanes }
-
 // RunSteps advances every lane by exactly steps fixed integration
 // steps. Per step, each lane runs stepPre and stages its three leakage
 // exponents, one power.ExpInto exponentiates all 3·B of them, each
@@ -142,12 +139,11 @@ func (b *BatchEngine) RunSteps(steps int) error {
 // BatchPool is a sync.Pool-style free list of reusable BatchEngines:
 // Get pops a shell and rebinds it to the caller's lanes (reusing the
 // fused kernel's buffers when shapes match), Put returns it. Unlike
-// sync.Pool it never drops shells under GC pressure and is safe for
-// deterministic reuse accounting in tests. The zero value is ready.
+// sync.Pool it never drops shells under GC pressure, so reuse is
+// deterministic. The zero value is ready.
 type BatchPool struct {
-	mu     sync.Mutex
-	free   []*BatchEngine
-	reuses int
+	mu   sync.Mutex
+	free []*BatchEngine
 }
 
 // Get returns a batch engine bound to lanes, recycling a pooled shell
@@ -158,7 +154,6 @@ func (p *BatchPool) Get(lanes []*Engine) (*BatchEngine, error) {
 	if n := len(p.free); n > 0 {
 		b = p.free[n-1]
 		p.free = p.free[:n-1]
-		p.reuses++
 	}
 	p.mu.Unlock()
 	if b == nil {
@@ -183,11 +178,4 @@ func (p *BatchPool) Put(b *BatchEngine) {
 	p.mu.Lock()
 	p.free = append(p.free, b)
 	p.mu.Unlock()
-}
-
-// Reuses reports how many Get calls were served from the free list.
-func (p *BatchPool) Reuses() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.reuses
 }

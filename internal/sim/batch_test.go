@@ -31,6 +31,20 @@ const (
 	armNone
 )
 
+// ipaConfig is an IPA configuration sized for the Odroid-class
+// platform models.
+func ipaConfig() thermgov.IPAConfig {
+	return thermgov.IPAConfig{
+		ControlTempK:      273.15 + 70,
+		SustainablePowerW: 2.5,
+		KPo:               0.4,
+		KPu:               0.8,
+		KI:                0.02,
+		IntegralClampW:    1.0,
+		IntervalS:         0.1,
+	}
+}
+
 // buildBatchTestEngine assembles one odroid, nexus or tricluster
 // scenario for the given seed and arm, mirroring the sweeps'
 // constant-memory setup but with recording enabled so traces can be
@@ -101,7 +115,7 @@ func batchTestConfig(t *testing.T, platName string, seed int64, arm batchArm) si
 	}
 	switch arm {
 	case armIPA:
-		tg, err := thermgov.NewIPA(thermgov.DefaultIPAConfig())
+		tg, err := thermgov.NewIPA(ipaConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,8 +279,8 @@ func TestBatchEngineReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pool.Reuses() != 1 {
-		t.Fatalf("expected the pooled shell to be reused, got %d reuses", pool.Reuses())
+	if second != first {
+		t.Fatal("expected the pooled shell to be reused")
 	}
 	run(second)
 	pool.Put(second)
@@ -320,9 +334,6 @@ func TestBatchEngineRunValidates(t *testing.T) {
 	be, err := sim.NewBatchEngine(lanes)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := be.Lanes(); len(got) != 2 || got[0] != lanes[0] || got[1] != lanes[1] {
-		t.Fatalf("Lanes() = %v, want the engines in lane order", got)
 	}
 	if err := be.RunSteps(-1); err == nil {
 		t.Error("negative step count should be rejected")

@@ -19,7 +19,7 @@ type Sample struct {
 	// TimeS is the simulation time of the observation.
 	TimeS float64
 	// NodeTempK holds true node temperatures (K), indexed by
-	// thermal.NodeID; Engine.NodeNames gives the matching names.
+	// thermal.NodeID; Platform.NodeNames gives the matching names.
 	NodeTempK []float64
 	// MaxTempK is the hottest node temperature (K).
 	MaxTempK float64

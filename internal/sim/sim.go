@@ -309,18 +309,8 @@ func (e *Engine) TaskAvgPowerW(pid int) float64 {
 	return m
 }
 
-// TaskAvgPowers returns window-averaged power for every task.
-func (e *Engine) TaskAvgPowers() map[int]float64 {
-	out := make(map[int]float64, len(e.taskPower))
-	for pid := range e.taskPower {
-		out[pid] = e.TaskAvgPowerW(pid)
-	}
-	return out
-}
-
 // NodePowers returns a copy of the most recent per-node power
-// injection (W), indexed by thermal node ID. Skin-aware controllers
-// combine it with Network.SteadyState to predict surface temperatures.
+// injection (W), indexed by thermal node ID.
 func (e *Engine) NodePowers() []float64 {
 	return append([]float64(nil), e.powers...)
 }
@@ -351,16 +341,6 @@ func (e *Engine) SensorTempK() float64 {
 // (series, ok) so formatters can distinguish unknown names from empty
 // traces.
 func (e *Engine) Recording() *RecordingSink { return e.rec }
-
-// NodeNames returns the thermal node names indexed by thermal.NodeID,
-// matching Sample.NodeTempK.
-func (e *Engine) NodeNames() []string {
-	out := make([]string, e.plat.Net.NumNodes())
-	for i := range out {
-		out[i] = e.plat.Net.NodeName(thermal.NodeID(i))
-	}
-	return out
-}
 
 // MaxTempSeenK returns the hottest true node temperature observed.
 func (e *Engine) MaxTempSeenK() float64 { return e.maxTempSeen }

@@ -26,6 +26,27 @@ import (
 	"repro/pkg/simclient"
 )
 
+// Kill simulates a daemon crash for chaos tests: the base context is
+// hard-canceled mid-flight, no terminal journal records are written for
+// interrupted jobs, and the journal handle is dropped without syncing —
+// as close to power loss as a test can get without killing the process
+// (the listener dies with the httptest server; the journal bytes are
+// whatever the WAL had absorbed). The server is unusable afterwards.
+func (s *Server) Kill() {
+	s.killed.Store(true)
+	s.mu.Lock()
+	s.draining = true
+	started := s.started
+	s.mu.Unlock()
+	s.baseCancel()
+	s.queue.Close()
+	if started {
+		s.wg.Wait()
+	}
+	s.cancelQueued()
+	s.journal.Disable()
+}
+
 // chaosMatrix is the crash-window matrix: enough cells that a kill
 // reliably lands mid-job when cell completions are latency-injected.
 func chaosMatrix() mobisim.Matrix {
@@ -276,10 +297,10 @@ func TestServerUnusableCacheDirDegrades(t *testing.T) {
 	if !srv.Degraded() {
 		t.Fatal("unusable cache dir must degrade, not fail")
 	}
-	if srv.Cache().Dir() != "" {
+	if srv.cache.Dir() != "" {
 		t.Error("demoted daemon must run a memory-only cache")
 	}
-	if srv.Journal() != nil {
+	if srv.journal != nil {
 		t.Error("memory-only daemon must run journal-less")
 	}
 	h := serverHealth(t, ts)

@@ -83,7 +83,7 @@ type Server struct {
 	degradedMu  sync.Mutex
 	degradedWhy []string
 
-	// killed marks a simulated crash (test-only Kill): terminal journal
+	// killed marks a simulated crash (Kill, in the tests): terminal journal
 	// records are suppressed so recovery sees the job as interrupted.
 	killed atomic.Bool
 
@@ -229,12 +229,6 @@ func (s *Server) demoteJournal(err error) {
 // Recovered reports how many journaled jobs the last startup re-enqueued.
 func (s *Server) Recovered() int { return s.recoveredJobs }
 
-// Journal exposes the job journal (stats, tests); nil when memory-only.
-func (s *Server) Journal() *Journal { return s.journal }
-
-// Cache exposes the server's result cache (stats, tests).
-func (s *Server) Cache() *Cache { return s.cache }
-
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
@@ -299,27 +293,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		err = cerr
 	}
 	return err
-}
-
-// Kill simulates a daemon crash for chaos tests: the base context is
-// hard-canceled mid-flight, no terminal journal records are written for
-// interrupted jobs, and the journal handle is dropped without syncing —
-// as close to power loss as a test can get without killing the process
-// (the listener dies with the httptest server; the journal bytes are
-// whatever the WAL had absorbed). The server is unusable afterwards.
-func (s *Server) Kill() {
-	s.killed.Store(true)
-	s.mu.Lock()
-	s.draining = true
-	started := s.started
-	s.mu.Unlock()
-	s.baseCancel()
-	s.queue.Close()
-	if started {
-		s.wg.Wait()
-	}
-	s.cancelQueued()
-	s.journal.Disable()
 }
 
 // cancelQueued drains and cancels jobs the workers never picked up.

@@ -129,9 +129,6 @@ func (b *Broker) Close() {
 	b.subs = nil
 }
 
-// Dropped counts sample events skipped for slow subscribers.
-func (b *Broker) Dropped() uint64 { return b.dropped.Load() }
-
 // cellEvent is the "cell" SSE payload: one completed cell.
 type cellEvent struct {
 	Index   int                 `json:"index"`

@@ -55,7 +55,7 @@ func TestBrokerSlowSubscriber(t *testing.T) {
 	}
 	// Buffer is now full: one more sample is dropped, stream survives.
 	b.Publish("sample", []byte(`{}`), false)
-	if got := b.Dropped(); got != 1 {
+	if got := b.dropped.Load(); got != 1 {
 		t.Fatalf("dropped: %d, want 1", got)
 	}
 	// A retained event to a full subscriber disconnects it instead.

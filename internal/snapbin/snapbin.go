@@ -34,9 +34,6 @@ func (w *Writer) Reset() { w.buf = w.buf[:0] }
 // buffer: copy it before the next Reset if it must outlive the writer.
 func (w *Writer) Bytes() []byte { return w.buf }
 
-// Len returns the blob length so far.
-func (w *Writer) Len() int { return len(w.buf) }
-
 // PutU64 appends a little-endian uint64.
 func (w *Writer) PutU64(v uint64) {
 	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
@@ -89,24 +86,6 @@ func (w *Writer) PutF64Run(v float64, n int) {
 	bits := math.Float64bits(v)
 	for i := 0; i < n; i++ {
 		binary.LittleEndian.PutUint64(dst[8*i:], bits)
-	}
-}
-
-// PutI64s appends a length-prefixed int64 slice.
-func (w *Writer) PutI64s(vs []int64) {
-	w.PutU64(uint64(len(vs)))
-	dst := w.grow(8 * len(vs))
-	for i, v := range vs {
-		binary.LittleEndian.PutUint64(dst[8*i:], uint64(v))
-	}
-}
-
-// PutInts appends a length-prefixed int slice (as int64s).
-func (w *Writer) PutInts(vs []int) {
-	w.PutU64(uint64(len(vs)))
-	dst := w.grow(8 * len(vs))
-	for i, v := range vs {
-		binary.LittleEndian.PutUint64(dst[8*i:], uint64(int64(v)))
 	}
 }
 
@@ -230,40 +209,6 @@ func (r *Reader) F64s(dst []float64) []float64 {
 	dst = dst[:0]
 	for i := uint64(0); i < n; i++ {
 		dst = append(dst, r.F64())
-	}
-	return dst
-}
-
-// I64s reads a length-prefixed int64 slice, appending into dst[:0].
-func (r *Reader) I64s(dst []int64) []int64 {
-	n := r.U64()
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(r.Remaining()/8) {
-		r.fail("slice length %d exceeds remaining blob", n)
-		return nil
-	}
-	dst = dst[:0]
-	for i := uint64(0); i < n; i++ {
-		dst = append(dst, r.I64())
-	}
-	return dst
-}
-
-// Ints reads a length-prefixed int slice, appending into dst[:0].
-func (r *Reader) Ints(dst []int) []int {
-	n := r.U64()
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(r.Remaining()/8) {
-		r.fail("slice length %d exceeds remaining blob", n)
-		return nil
-	}
-	dst = dst[:0]
-	for i := uint64(0); i < n; i++ {
-		dst = append(dst, r.Int())
 	}
 	return dst
 }

@@ -19,8 +19,6 @@ func TestRoundTrip(t *testing.T) {
 	w.PutBool(true)
 	w.PutBool(false)
 	w.PutF64s([]float64{1.5, -2.5, 0})
-	w.PutI64s([]int64{-1, 0, 9})
-	w.PutInts([]int{4, 5})
 	w.PutF64s(nil)
 
 	r := NewReader(w.Bytes())
@@ -53,14 +51,6 @@ func TestRoundTrip(t *testing.T) {
 	r.F64sInto(dst)
 	if dst[0] != 1.5 || dst[1] != -2.5 || dst[2] != 0 {
 		t.Fatalf("F64sInto = %v", dst)
-	}
-	is := r.I64s(nil)
-	if len(is) != 3 || is[0] != -1 || is[2] != 9 {
-		t.Fatalf("I64s = %v", is)
-	}
-	ints := r.Ints(nil)
-	if len(ints) != 2 || ints[0] != 4 || ints[1] != 5 {
-		t.Fatalf("Ints = %v", ints)
 	}
 	if got := r.F64s(nil); len(got) != 0 {
 		t.Fatalf("empty F64s = %v", got)
@@ -142,8 +132,8 @@ func TestWriterReset(t *testing.T) {
 	var w Writer
 	w.PutU64(7)
 	w.Reset()
-	if w.Len() != 0 {
-		t.Fatalf("len after reset = %d", w.Len())
+	if len(w.buf) != 0 {
+		t.Fatalf("len after reset = %d", len(w.buf))
 	}
 	w.PutU64(9)
 	r := NewReader(w.Bytes())

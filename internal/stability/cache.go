@@ -27,7 +27,7 @@ type TransientCache struct {
 	trajs    map[trajKey][]float64
 	spare    [][]float64 // retired trajectory slices for reuse
 
-	hits, misses int
+	hits int
 }
 
 // trajKey identifies one recorded trajectory: everything that shapes
@@ -55,9 +55,8 @@ func NewTransientCache() *TransientCache {
 	}
 }
 
-// Hits and Misses report memo effectiveness (for tests and tuning).
-func (c *TransientCache) Hits() int   { return c.hits }
-func (c *TransientCache) Misses() int { return c.misses }
+// Hits reports how many calls the memo answered.
+func (c *TransientCache) Hits() int { return c.hits }
 
 // adopt rebinds the cache to a parameter set, flushing the memos when
 // it actually changed. Lanes of one batch share a platform and thus
@@ -97,7 +96,6 @@ func (c *TransientCache) Analyze(p Params, pdW float64) (Analysis, error) {
 	if err != nil {
 		return an, err
 	}
-	c.misses++
 	if len(c.analyses) >= memoCap {
 		c.flushAnalyses()
 	}
@@ -140,7 +138,6 @@ func (c *TransientCache) TimeToThreshold(p Params, pdW, fromK, thresholdK, horiz
 	if ok {
 		c.hits++
 	} else {
-		c.misses++
 		traj = c.record(p, pdW, fromK, dt, steps)
 		if len(c.trajs) >= memoCap {
 			c.flushTrajs()

@@ -97,11 +97,7 @@ func (p Params) Leakage(tempK float64) float64 {
 	return p.LeakScale * tempK * tempK * math.Exp(-p.ActivationK/tempK)
 }
 
-// Aux converts an absolute temperature (K) to the auxiliary temperature
-// θ = Q/T. Higher θ means lower temperature.
-func (p Params) Aux(tempK float64) float64 { return p.ActivationK / tempK }
-
-// Temp converts an auxiliary temperature back to Kelvin.
+// Temp converts an auxiliary temperature θ = Q/T back to Kelvin.
 func (p Params) Temp(theta float64) float64 { return p.ActivationK / theta }
 
 // coeffs returns a = Ta + R·Pd and b = R·κ·Q² for dynamic power pd.
@@ -406,16 +402,3 @@ func (p Params) TimeToThreshold(pdW, fromK, thresholdK, horizonS float64) (float
 	q.pdForTransient = pdW
 	return q.TimeToTemp(fromK, thresholdK, horizonS)
 }
-
-// Iterate performs one step of the damped fixed-point iteration
-// θ' = θ + λ·ψ(θ). Along the concave ψ, iterates between the two roots
-// move toward the larger (stable) root and iterates left of the unstable
-// root move further left, visualizing the arrows in the paper's
-// Figure 7a.
-func (p Params) Iterate(theta, pdW, lambda float64) float64 {
-	return theta + lambda*p.Psi(theta, pdW)
-}
-
-// DefaultIterationGain is a damping gain that makes Iterate contract
-// near the stable root for the default Odroid parameters.
-const DefaultIterationGain = 1e-3

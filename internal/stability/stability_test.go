@@ -29,13 +29,9 @@ func TestValidate(t *testing.T) {
 func TestAuxInverseOfTemp(t *testing.T) {
 	p := odroid()
 	for _, temp := range []float64{280, 320, 400, 600} {
-		if got := p.Temp(p.Aux(temp)); math.Abs(got-temp) > 1e-9 {
-			t.Errorf("Temp(Aux(%v)) = %v", temp, got)
+		if got := p.Temp(p.ActivationK / temp); math.Abs(got-temp) > 1e-9 {
+			t.Errorf("Temp(Q/%v) = %v", temp, got)
 		}
-	}
-	// Higher temperature -> lower auxiliary temperature.
-	if p.Aux(350) >= p.Aux(300) {
-		t.Error("aux temperature must decrease with actual temperature")
 	}
 }
 
@@ -191,47 +187,6 @@ func TestAnalyzeRejectsNegativePower(t *testing.T) {
 	}
 	if _, err := odroid().Analyze(math.NaN()); err == nil {
 		t.Error("expected error for NaN power")
-	}
-}
-
-// The damped fixed-point iteration must move toward the stable root from
-// between the roots and away from it left of the unstable root — the
-// arrows in Figure 7a.
-func TestIterationArrows(t *testing.T) {
-	p := odroid()
-	an, err := p.Analyze(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mid := 0.5 * (an.StableTheta + an.UnstableTheta)
-	next := p.Iterate(mid, 2, DefaultIterationGain)
-	if !(next > mid) {
-		t.Errorf("between roots iterate should increase θ: %v -> %v", mid, next)
-	}
-	left := an.UnstableTheta * 0.9
-	nextLeft := p.Iterate(left, 2, DefaultIterationGain)
-	if !(nextLeft < left) {
-		t.Errorf("left of unstable root iterate should decrease θ: %v -> %v", left, nextLeft)
-	}
-	right := an.StableTheta * 1.05
-	nextRight := p.Iterate(right, 2, DefaultIterationGain)
-	if !(nextRight < right) {
-		t.Errorf("right of stable root iterate should decrease θ: %v -> %v", right, nextRight)
-	}
-}
-
-func TestIterationConvergesToStableRoot(t *testing.T) {
-	p := odroid()
-	an, err := p.Analyze(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	theta := 0.5 * (an.StableTheta + an.UnstableTheta)
-	for i := 0; i < 10000; i++ {
-		theta = p.Iterate(theta, 2, DefaultIterationGain)
-	}
-	if math.Abs(theta-an.StableTheta) > 1e-6 {
-		t.Errorf("iteration converged to %v, want stable root %v", theta, an.StableTheta)
 	}
 }
 

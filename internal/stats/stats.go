@@ -32,29 +32,6 @@ func Mean(xs []float64) (float64, error) {
 	return sum / float64(len(xs)), nil
 }
 
-// Variance returns the population variance of xs.
-func Variance(xs []float64) (float64, error) {
-	m, err := Mean(xs)
-	if err != nil {
-		return 0, err
-	}
-	ss := 0.0
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(len(xs)), nil
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) (float64, error) {
-	v, err := Variance(xs)
-	if err != nil {
-		return 0, err
-	}
-	return math.Sqrt(v), nil
-}
-
 // Median returns the median of xs without modifying the input.
 func Median(xs []float64) (float64, error) {
 	return Quantile(xs, 0.5)
@@ -113,23 +90,16 @@ func Max(xs []float64) (float64, error) {
 	return m, nil
 }
 
-// Sum returns the sum of xs. An empty slice sums to zero.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // Running tracks a running mean/min/max/count without retaining samples.
 // The zero value is ready to use.
 type Running struct {
 	n    int
 	mean float64
-	m2   float64
-	min  float64
-	max  float64
+	// m2 (Welford's sum of squared deviations) and min have no reader;
+	// they are kept because snapshots carry them.
+	m2  float64
+	min float64
+	max float64
 }
 
 // Add folds x into the running aggregate using Welford's algorithm.
@@ -157,25 +127,8 @@ func (r *Running) Count() int { return r.n }
 // Mean reports the running mean (0 when empty).
 func (r *Running) Mean() float64 { return r.mean }
 
-// Min reports the smallest sample seen (0 when empty).
-func (r *Running) Min() float64 { return r.min }
-
 // Max reports the largest sample seen (0 when empty).
 func (r *Running) Max() float64 { return r.max }
-
-// Variance reports the running population variance (0 when n < 2).
-func (r *Running) Variance() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return r.m2 / float64(r.n)
-}
-
-// StdDev reports the running population standard deviation.
-func (r *Running) StdDev() float64 { return math.Sqrt(r.Variance()) }
-
-// Reset returns the aggregate to its empty state.
-func (r *Running) Reset() { *r = Running{} }
 
 // SaveState serializes the running aggregate.
 func (r *Running) SaveState(w *snapbin.Writer) {
@@ -197,6 +150,9 @@ func (r *Running) LoadState(rd *snapbin.Reader) error {
 	if err := rd.Err(); err != nil {
 		return fmt.Errorf("stats: running: %w", err)
 	}
+	if next.n < 0 {
+		return fmt.Errorf("stats: running: negative sample count %d", next.n)
+	}
 	*r = next
 	return nil
 }
@@ -210,9 +166,4 @@ func Clamp(x, lo, hi float64) float64 {
 		return hi
 	}
 	return x
-}
-
-// ApproxEqual reports whether a and b are within tol of each other.
-func ApproxEqual(a, b, tol float64) bool {
-	return math.Abs(a-b) <= tol
 }

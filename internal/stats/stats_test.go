@@ -26,7 +26,7 @@ func TestMean(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Mean(%v) error: %v", tt.in, err)
 			}
-			if !ApproxEqual(got, tt.want, 1e-12) {
+			if !approxEqual(got, tt.want, 1e-12) {
 				t.Errorf("Mean(%v) = %v, want %v", tt.in, got, tt.want)
 			}
 		})
@@ -76,7 +76,7 @@ func TestQuantileInterpolates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ApproxEqual(got, 2.5, 1e-12) {
+	if !approxEqual(got, 2.5, 1e-12) {
 		t.Errorf("Quantile(0.25) = %v, want 2.5", got)
 	}
 }
@@ -103,21 +103,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestVarianceStdDev(t *testing.T) {
-	in := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	v, err := Variance(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ApproxEqual(v, 4, 1e-12) {
-		t.Errorf("Variance = %v, want 4", v)
-	}
-	s, _ := StdDev(in)
-	if !ApproxEqual(s, 2, 1e-12) {
-		t.Errorf("StdDev = %v, want 2", s)
-	}
-}
-
 func TestRunningMatchesBatch(t *testing.T) {
 	xs := []float64{1.5, -2, 3.25, 9, 0, -7.5}
 	var r Running
@@ -125,29 +110,16 @@ func TestRunningMatchesBatch(t *testing.T) {
 		r.Add(x)
 	}
 	m, _ := Mean(xs)
-	if !ApproxEqual(r.Mean(), m, 1e-12) {
+	if !approxEqual(r.Mean(), m, 1e-12) {
 		t.Errorf("running mean %v != batch %v", r.Mean(), m)
-	}
-	v, _ := Variance(xs)
-	if !ApproxEqual(r.Variance(), v, 1e-9) {
-		t.Errorf("running variance %v != batch %v", r.Variance(), v)
 	}
 	mn, _ := Min(xs)
 	mx, _ := Max(xs)
-	if r.Min() != mn || r.Max() != mx {
-		t.Errorf("running min/max = %v/%v, want %v/%v", r.Min(), r.Max(), mn, mx)
+	if r.min != mn || r.Max() != mx {
+		t.Errorf("running min/max = %v/%v, want %v/%v", r.min, r.Max(), mn, mx)
 	}
 	if r.Count() != len(xs) {
 		t.Errorf("count = %d, want %d", r.Count(), len(xs))
-	}
-}
-
-func TestRunningReset(t *testing.T) {
-	var r Running
-	r.Add(5)
-	r.Reset()
-	if r.Count() != 0 || r.Mean() != 0 {
-		t.Errorf("after reset: count=%d mean=%v", r.Count(), r.Mean())
 	}
 }
 
@@ -162,7 +134,7 @@ func TestRunningPropertyMeanWithinBounds(t *testing.T) {
 			r.Add(x)
 		}
 		if r.Count() > 0 {
-			ok = r.Mean() >= r.Min()-1e-9 && r.Mean() <= r.Max()+1e-9
+			ok = r.Mean() >= r.min-1e-9 && r.Mean() <= r.Max()+1e-9
 		}
 		return ok
 	}
@@ -171,33 +143,77 @@ func TestRunningPropertyMeanWithinBounds(t *testing.T) {
 	}
 }
 
+// TestRunningStateRoundTrip saves a running aggregate, loads it into
+// another, and requires the same bits back and the same aggregate
+// after further samples. A cut-short blob and a negative sample count
+// must fail and leave the target as it was.
+func TestRunningStateRoundTrip(t *testing.T) {
+	save := func(r *Running) []byte {
+		var w snapbin.Writer
+		r.SaveState(&w)
+		return bytes.Clone(w.Bytes())
+	}
+	var src Running
+	for _, x := range []float64{0.1, -3.5, 2.25, math.Copysign(0, -1), 7} {
+		src.Add(x)
+	}
+	blob := save(&src)
+	var dst Running
+	if err := dst.LoadState(snapbin.NewReader(blob)); err != nil {
+		t.Fatal(err)
+	}
+	if dst != src || !bytes.Equal(save(&dst), blob) {
+		t.Fatalf("loaded %+v, saved %+v", dst, src)
+	}
+	src.Add(1.5)
+	dst.Add(1.5)
+	if dst != src {
+		t.Errorf("after one more sample: loaded %+v, saved %+v", dst, src)
+	}
+
+	before := dst
+	for cut := 0; cut < len(blob); cut += 8 {
+		if err := dst.LoadState(snapbin.NewReader(blob[:cut])); err == nil {
+			t.Errorf("blob cut to %d of %d bytes loaded", cut, len(blob))
+		}
+	}
+	var w snapbin.Writer
+	w.PutInt(-1)
+	for _, v := range []float64{src.mean, src.m2, src.min, src.max} {
+		w.PutF64(v)
+	}
+	if err := dst.LoadState(snapbin.NewReader(w.Bytes())); err == nil {
+		t.Error("negative sample count loaded")
+	}
+	if dst != before {
+		t.Errorf("failed loads changed the aggregate: %+v, want %+v", dst, before)
+	}
+}
+
 func TestWindowEviction(t *testing.T) {
 	w := NewWindow(3)
 	for _, x := range []float64{1, 2, 3, 4} {
 		w.Push(x)
 	}
-	if !w.Full() {
+	if !w.full {
 		t.Error("window should be full")
 	}
 	m, err := w.Mean()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ApproxEqual(m, 3, 1e-12) { // holds {4,2,3} -> mean 3
+	if !approxEqual(m, 3, 1e-12) { // holds {4,2,3} -> mean 3
 		t.Errorf("window mean = %v, want 3", m)
 	}
 }
 
-func TestWindowMaxAndReset(t *testing.T) {
+func TestWindowReset(t *testing.T) {
 	w := NewWindow(2)
 	w.Push(5)
 	w.Push(1)
-	if m, _ := w.Max(); m != 5 {
-		t.Errorf("window max = %v, want 5", m)
-	}
 	w.Reset()
-	if w.Len() != 0 {
-		t.Errorf("len after reset = %d", w.Len())
+	if w.n != 0 {
+		t.Errorf("len after reset = %d", w.n)
 	}
 	if _, err := w.Mean(); err != ErrEmpty {
 		t.Errorf("mean of empty window err = %v, want ErrEmpty", err)
@@ -266,11 +282,11 @@ func TestWindowLoadStateValidatesRing(t *testing.T) {
 			for x := 10.0; x < 16; x++ {
 				w.Push(x)
 			}
-			if !w.Full() || w.Len() != capacity {
-				t.Errorf("after 6 pushes: full=%t len=%d", w.Full(), w.Len())
+			if !w.full || w.n != capacity {
+				t.Errorf("after 6 pushes: full=%t len=%d", w.full, w.n)
 			}
-			if m, _ := w.Max(); m != 15 {
-				t.Errorf("max after pushes = %v, want 15", m)
+			if m, _ := w.Mean(); m != 13.5 {
+				t.Errorf("mean after pushes = %v, want 13.5", m)
 			}
 		})
 	}
@@ -290,8 +306,4 @@ func TestClamp(t *testing.T) {
 	}
 }
 
-func TestSumEmpty(t *testing.T) {
-	if s := Sum(nil); s != 0 {
-		t.Errorf("Sum(nil) = %v, want 0", s)
-	}
-}
+func approxEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }

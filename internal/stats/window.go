@@ -17,9 +17,9 @@ import (
 // the slots written in the current lap: cur holds slots [0, pos), and
 // once the window is full, old[oldAt:] holds the previous lap's slots
 // [pos, capacity), whose front each push consumes. When a lap is
-// written, it becomes old. Every query walks cur then old, so Mean, Max
-// and SaveState see exactly the sequence the dense ring holds, and
-// Mean's bits equal Sum over it.
+// written, it becomes old. Every query walks cur then old, so Mean and
+// SaveState see exactly the sequence the dense ring holds, and Mean's
+// bits equal its sum in that order.
 type Window struct {
 	cur, old []run
 	oldAt    int
@@ -93,12 +93,6 @@ func (w *Window) Push(x float64) {
 	w.pos++
 }
 
-// Len reports the number of samples currently held.
-func (w *Window) Len() int { return w.n }
-
-// Full reports whether the window has wrapped at least once.
-func (w *Window) Full() bool { return w.full }
-
 // each calls f with every run's bits and slot count, in storage order.
 func (w *Window) each(f func(bits uint64, n int)) {
 	start := 0
@@ -117,7 +111,7 @@ func (w *Window) each(f func(bits uint64, n int)) {
 }
 
 // Mean returns the mean of the samples currently in the window: their
-// sum in storage order, as Sum over a dense ring, divided by Len.
+// sum in storage order, as over a dense ring, divided by their count.
 func (w *Window) Mean() (float64, error) {
 	if w.n == 0 {
 		return 0, ErrEmpty
@@ -143,23 +137,6 @@ func (w *Window) Mean() (float64, error) {
 		w.sum, w.sumOK = s, true
 	}
 	return w.sum / float64(w.n), nil
-}
-
-// Max returns the maximum sample currently in the window, scanning in
-// storage order like Max: a run's repeats can never replace its first
-// slot's value.
-func (w *Window) Max() (float64, error) {
-	if w.n == 0 {
-		return 0, ErrEmpty
-	}
-	var m float64
-	first := true
-	w.each(func(bits uint64, _ int) {
-		if v := math.Float64frombits(bits); first || v > m {
-			m, first = v, false
-		}
-	})
-	return m, nil
 }
 
 // SaveState serializes the window's contents: ring head, wrap flag and

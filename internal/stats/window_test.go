@@ -40,7 +40,11 @@ func (w *denseWindow) Mean() (float64, error) {
 	if len(w.buf) == 0 {
 		return 0, ErrEmpty
 	}
-	return Sum(w.buf) / float64(len(w.buf)), nil
+	sum := 0.0
+	for _, x := range w.buf {
+		sum += x
+	}
+	return sum / float64(len(w.buf)), nil
 }
 
 func (w *denseWindow) SaveState(sw *snapbin.Writer) {
@@ -97,8 +101,8 @@ func sameSum(a, b float64) bool {
 
 // TestWindowMatchesDenseRing is Window's referee: seeded push sequences
 // drive it and the dense ring side by side, and after every push both
-// must agree on Mean's bits (see sameSum), Max's bits, Len, Full and
-// the SaveState bytes, and a window loaded from those bytes must save
+// must agree on Mean's bits (see sameSum), the sample count, the wrap
+// flag and the SaveState bytes, and a window loaded from those bytes must save
 // them again. Every few pushes the window under test is swapped for its
 // loaded copy, so loaded state keeps evolving too.
 func TestWindowMatchesDenseRing(t *testing.T) {
@@ -119,13 +123,8 @@ func TestWindowMatchesDenseRing(t *testing.T) {
 					if gerr != werr || !sameSum(gm, wm) {
 						t.Fatalf("%s: Mean = %v (%x, %v), dense ring %v (%x, %v)", at, gm, math.Float64bits(gm), gerr, wm, math.Float64bits(wm), werr)
 					}
-					gx, gerr := w.Max()
-					wx, werr := Max(oracle.buf)
-					if gerr != werr || math.Float64bits(gx) != math.Float64bits(wx) {
-						t.Fatalf("%s: Max = %v (%v), dense ring %v (%v)", at, gx, gerr, wx, werr)
-					}
-					if w.Len() != len(oracle.buf) || w.Full() != oracle.full {
-						t.Fatalf("%s: Len %d Full %t, dense ring %d %t", at, w.Len(), w.Full(), len(oracle.buf), oracle.full)
+					if w.n != len(oracle.buf) || w.full != oracle.full {
+						t.Fatalf("%s: len %d full %t, dense ring %d %t", at, w.n, w.full, len(oracle.buf), oracle.full)
 					}
 					got.Reset()
 					want.Reset()
@@ -243,8 +242,8 @@ func TestWindowLoadStateFailureEmpties(t *testing.T) {
 	if err := w.LoadState(snapbin.NewReader(sw.Bytes())); err == nil {
 		t.Fatal("truncated samples loaded")
 	}
-	if w.Len() != 0 || w.Full() {
-		t.Fatalf("after a failed load: len %d full %t", w.Len(), w.Full())
+	if w.n != 0 || w.full {
+		t.Fatalf("after a failed load: len %d full %t", w.n, w.full)
 	}
 	w.Push(9)
 	if m, err := w.Mean(); err != nil || m != 9 {

@@ -155,9 +155,6 @@ func sameTopology(a, b *Network) error {
 	return nil
 }
 
-// Lanes returns the number of member networks.
-func (bn *BatchNetwork) Lanes() int { return bn.lanes }
-
 // NumNodes returns the per-network node count.
 func (bn *BatchNetwork) NumNodes() int { return bn.m }
 
@@ -207,7 +204,7 @@ func (bn *BatchNetwork) Advance(dt float64) error {
 }
 
 // Step advances every lane by dt seconds under the packed per-node
-// power injection (node-major: powers[i*Lanes()+lane], in watts), the
+// power injection (node-major: powers[i*lanes+lane], in watts), the
 // batched counterpart of Network.Step. It is SetLanePowers for every
 // lane followed by Advance. Step performs no allocations.
 func (bn *BatchNetwork) Step(dt float64, powers []float64) error {

@@ -181,8 +181,8 @@ func TestBatchNetworkRebindReuse(t *testing.T) {
 	if err := bn.Rebind(wide); err != nil {
 		t.Fatal(err)
 	}
-	if bn.Lanes() != 3 {
-		t.Fatalf("lanes = %d after rebind, want 3", bn.Lanes())
+	if bn.lanes != 3 {
+		t.Fatalf("lanes = %d after rebind, want 3", bn.lanes)
 	}
 	if err := bn.Step(0.001, make([]float64, m*3)); err != nil {
 		t.Fatal(err)

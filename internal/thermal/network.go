@@ -62,8 +62,8 @@ type Node struct {
 // Network is a lumped RC thermal network. Create one with NewNetwork,
 // add nodes and couplings, then advance it with Step.
 //
-// A Network is not safe for concurrent use: Step and StepEuler share
-// preallocated integration scratch.
+// A Network is not safe for concurrent use: Step integrates in
+// preallocated scratch.
 type Network struct {
 	nodes   []Node
 	temps   []float64 // current temperatures, K
@@ -158,22 +158,6 @@ func (n *Network) index() {
 	}
 }
 
-// Conductance returns the node-to-node conductance between a and b
-// (W/K); distinct unconnected nodes — and a node paired with itself —
-// report 0.
-func (n *Network) Conductance(a, b NodeID) (float64, error) {
-	if err := n.check(a); err != nil {
-		return 0, err
-	}
-	if err := n.check(b); err != nil {
-		return 0, err
-	}
-	if a == b {
-		return 0, nil
-	}
-	return n.g[int(a)*len(n.nodes)+int(b)], nil
-}
-
 func (n *Network) check(id NodeID) error {
 	if id < 0 || int(id) >= len(n.nodes) {
 		return fmt.Errorf("thermal: node id %d out of range [0,%d)", id, len(n.nodes))
@@ -191,9 +175,6 @@ func (n *Network) NodeName(id NodeID) string {
 	}
 	return n.nodes[id].Name
 }
-
-// Ambient returns the ambient temperature in Kelvin.
-func (n *Network) Ambient() float64 { return n.ambient }
 
 // Temperature returns the current temperature of node id in Kelvin.
 func (n *Network) Temperature(id NodeID) (float64, error) {
@@ -242,13 +223,6 @@ func (n *Network) SetTemperature(id NodeID, k float64) error {
 	return nil
 }
 
-// Reset returns every node to ambient temperature.
-func (n *Network) Reset() {
-	for i := range n.temps {
-		n.temps[i] = n.ambient
-	}
-}
-
 // derivs fills dst with dT/dt for the given temperatures and node powers.
 // It walks each node's nonzero couplings in ascending j, the flop order
 // of the historical sparse-row walk that the bitwise differential test
@@ -267,24 +241,16 @@ func (n *Network) derivs(dst, temps, powers []float64) {
 	}
 }
 
-// checkStep validates the shared Step/StepEuler arguments.
-func (n *Network) checkStep(dt float64, powers []float64) error {
-	if len(powers) != len(n.nodes) {
-		return fmt.Errorf("thermal: got %d powers for %d nodes", len(powers), len(n.nodes))
-	}
-	if dt <= 0 || math.IsNaN(dt) {
-		return fmt.Errorf("thermal: step dt must be positive, got %v", dt)
-	}
-	return nil
-}
-
 // Step advances the network by dt seconds with the given per-node power
 // injection (W) using classic fourth-order Runge-Kutta. len(powers) must
 // equal NumNodes. Step performs no allocations: all integration scratch
 // is preallocated by AddNode.
 func (n *Network) Step(dt float64, powers []float64) error {
-	if err := n.checkStep(dt, powers); err != nil {
-		return err
+	if len(powers) != len(n.nodes) {
+		return fmt.Errorf("thermal: got %d powers for %d nodes", len(powers), len(n.nodes))
+	}
+	if dt <= 0 || math.IsNaN(dt) {
+		return fmt.Errorf("thermal: step dt must be positive, got %v", dt)
 	}
 	m := len(n.nodes)
 	temps, k1, k2, k3, k4, stage := n.temps, n.k1, n.k2, n.k3, n.k4, n.stage
@@ -306,97 +272,6 @@ func (n *Network) Step(dt float64, powers []float64) error {
 		temps[i] = temps[i] + dt/6*(k1[i]+2*k2[i]+2*k3[i]+k4[i])
 	}
 	return nil
-}
-
-// StepEuler advances the network by dt seconds using forward Euler. It is
-// retained for the integration-accuracy ablation benchmark.
-func (n *Network) StepEuler(dt float64, powers []float64) error {
-	if err := n.checkStep(dt, powers); err != nil {
-		return err
-	}
-	d := n.k1
-	n.derivs(d, n.temps, powers)
-	for i := range n.temps {
-		n.temps[i] += dt * d[i]
-	}
-	return nil
-}
-
-// SteadyState solves for the equilibrium temperatures (Kelvin) under
-// constant per-node powers by Gaussian elimination on the conductance
-// matrix. It does not modify the network's current temperatures.
-func (n *Network) SteadyState(powers []float64) ([]float64, error) {
-	m := len(n.nodes)
-	if len(powers) != m {
-		return nil, fmt.Errorf("thermal: got %d powers for %d nodes", len(powers), m)
-	}
-	if m == 0 {
-		return nil, errors.New("thermal: empty network")
-	}
-	// Build A*T = b where A[i][i] = GAmb_i + sum_j g_ij, A[i][j] = -g_ij,
-	// b[i] = P_i + GAmb_i * Tamb.
-	a := make([][]float64, m)
-	b := make([]float64, m)
-	for i := 0; i < m; i++ {
-		a[i] = make([]float64, m)
-		diag := n.rows[i].gAmb
-		row := n.g[i*m : i*m+m]
-		for j := 0; j < m; j++ {
-			if i != j {
-				a[i][j] = -row[j]
-				diag += row[j]
-			}
-		}
-		a[i][i] = diag
-		b[i] = powers[i] + n.rows[i].gAmb*n.ambient
-	}
-	return solveLinear(a, b)
-}
-
-// solveLinear performs Gaussian elimination with partial pivoting on a
-// copy of (a, b), returning x with a*x = b.
-func solveLinear(a [][]float64, b []float64) ([]float64, error) {
-	m := len(b)
-	// Work on copies so the caller's slices survive.
-	aa := make([][]float64, m)
-	for i := range a {
-		aa[i] = append([]float64(nil), a[i]...)
-	}
-	bb := append([]float64(nil), b...)
-
-	for col := 0; col < m; col++ {
-		// Partial pivot.
-		pivot := col
-		for r := col + 1; r < m; r++ {
-			if math.Abs(aa[r][col]) > math.Abs(aa[pivot][col]) {
-				pivot = r
-			}
-		}
-		if math.Abs(aa[pivot][col]) < 1e-15 {
-			return nil, errors.New("thermal: singular conductance matrix (node with no path to ambient?)")
-		}
-		aa[col], aa[pivot] = aa[pivot], aa[col]
-		bb[col], bb[pivot] = bb[pivot], bb[col]
-		for r := col + 1; r < m; r++ {
-			f := aa[r][col] / aa[col][col]
-			if f == 0 {
-				continue
-			}
-			for c := col; c < m; c++ {
-				aa[r][c] -= f * aa[col][c]
-			}
-			bb[r] -= f * bb[col]
-		}
-	}
-	x := make([]float64, m)
-	for r := m - 1; r >= 0; r-- {
-		sum := bb[r]
-		for c := r + 1; c < m; c++ {
-			sum -= aa[r][c] * x[c]
-		}
-		x[r] = sum / aa[r][r]
-	}
-	return x, nil
 }
 
 // Lumped reduces the network to a single-node equivalent: the total

@@ -94,37 +94,6 @@ func TestSingleNodeMatchesAnalytic(t *testing.T) {
 	}
 }
 
-func TestEulerLessAccurateThanRK4(t *testing.T) {
-	const (
-		amb = 300.0
-		cap = 5.0
-		g   = 0.5
-		pw  = 4.0
-	)
-	dt := 0.5 // deliberately coarse
-	steps := 60
-	elapsed := dt * float64(steps)
-	want := amb + pw/g*(1-math.Exp(-g*elapsed/cap))
-
-	rk, idRK := singleNode(t, amb, cap, g)
-	eu, idEU := singleNode(t, amb, cap, g)
-	for i := 0; i < steps; i++ {
-		if err := rk.Step(dt, []float64{pw}); err != nil {
-			t.Fatal(err)
-		}
-		if err := eu.StepEuler(dt, []float64{pw}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tRK, _ := rk.Temperature(idRK)
-	tEU, _ := eu.Temperature(idEU)
-	errRK := math.Abs(tRK - want)
-	errEU := math.Abs(tEU - want)
-	if errRK >= errEU {
-		t.Errorf("RK4 error %v should beat Euler error %v at coarse dt", errRK, errEU)
-	}
-}
-
 func TestStepValidation(t *testing.T) {
 	n, _ := singleNode(t, 300, 1, 1)
 	if err := n.Step(0.01, nil); err == nil {
@@ -135,9 +104,6 @@ func TestStepValidation(t *testing.T) {
 	}
 	if err := n.Step(-1, []float64{1}); err == nil {
 		t.Error("expected error for negative dt")
-	}
-	if err := n.StepEuler(0, []float64{1}); err == nil {
-		t.Error("expected euler error for zero dt")
 	}
 }
 
@@ -246,18 +212,6 @@ func TestSetTemperatureValidation(t *testing.T) {
 	}
 	if err := n.SetTemperature(NodeID(7), 300); err == nil {
 		t.Error("expected error for bad node id")
-	}
-}
-
-func TestReset(t *testing.T) {
-	n, id := singleNode(t, 300, 1, 1)
-	if err := n.SetTemperature(id, 350); err != nil {
-		t.Fatal(err)
-	}
-	n.Reset()
-	got, _ := n.Temperature(id)
-	if got != 300 {
-		t.Errorf("after reset temp = %v, want ambient", got)
 	}
 }
 

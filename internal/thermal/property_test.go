@@ -99,7 +99,7 @@ func TestPropertyZeroPowerDecay(t *testing.T) {
 				}
 			}
 		}
-		startK := n.Ambient() + 30
+		startK := n.ambient + 30
 		for _, id := range ids {
 			if err := n.SetTemperature(id, startK); err != nil {
 				t.Fatal(err)
@@ -125,14 +125,14 @@ func TestPropertyZeroPowerDecay(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if k < n.Ambient()-1e-9 || k > startK+1e-9 {
+				if k < n.ambient-1e-9 || k > startK+1e-9 {
 					t.Fatalf("seed %d step %d: node %d left the [ambient, start] envelope: %v", seed, s, id, k)
 				}
 			}
 		}
-		if prevMax > n.Ambient()+0.5 {
+		if prevMax > n.ambient+0.5 {
 			t.Fatalf("seed %d: network failed to approach ambient after %v s: max still %.3f K above",
-				seed, dt*steps, prevMax-n.Ambient())
+				seed, dt*steps, prevMax-n.ambient)
 		}
 	}
 }
@@ -176,16 +176,10 @@ func TestPropertyConnectSymmetryAndReplace(t *testing.T) {
 		}
 		check := func(context string) {
 			t.Helper()
-			for i := 0; i < n.NumNodes(); i++ {
-				for j := 0; j < n.NumNodes(); j++ {
-					gij, err := n.Conductance(NodeID(i), NodeID(j))
-					if err != nil {
-						t.Fatal(err)
-					}
-					gji, err := n.Conductance(NodeID(j), NodeID(i))
-					if err != nil {
-						t.Fatal(err)
-					}
+			m := n.NumNodes()
+			for i := 0; i < m; i++ {
+				for j := 0; j < m; j++ {
+					gij, gji := n.g[i*m+j], n.g[j*m+i]
 					if gij != gji {
 						t.Fatalf("seed %d (%s): conductance asymmetric: g[%d][%d]=%v g[%d][%d]=%v", seed, context, i, j, gij, i, j, gji)
 					}
@@ -250,7 +244,7 @@ func TestPropertyEnergyBalance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				e += caps[i] * (k - n.Ambient())
+				e += caps[i] * (k - n.ambient)
 			}
 			return e
 		}
@@ -261,7 +255,7 @@ func TestPropertyEnergyBalance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				f += gAmbs[i] * (k - n.Ambient())
+				f += gAmbs[i] * (k - n.ambient)
 			}
 			return f
 		}

@@ -89,9 +89,6 @@ func NewSensor(net *Network, cfg SensorConfig) (*Sensor, error) {
 // Name returns the sensor's name.
 func (s *Sensor) Name() string { return s.name }
 
-// Node returns the network node the sensor measures.
-func (s *Sensor) Node() NodeID { return s.node }
-
 // Read returns the sensor value (Kelvin) as of simulation time nowS.
 // New samples are taken when nowS crosses the next sampling instant;
 // between samples the previous reading is held (zero-order hold), which
@@ -129,15 +126,6 @@ func (s *Sensor) Read(nowS float64) (float64, error) {
 // advances the sample clock or the noise stream. It is 0 before the
 // first Read.
 func (s *Sensor) Held() float64 { return s.lastValue }
-
-// ReadCelsius is Read converted to degrees Celsius.
-func (s *Sensor) ReadCelsius(nowS float64) (float64, error) {
-	k, err := s.Read(nowS)
-	if err != nil {
-		return 0, err
-	}
-	return ToCelsius(k), nil
-}
 
 // SaveState serializes the sensor's mutable state — the sample clock,
 // held value, counters, and the RNG stream position.
@@ -190,6 +178,3 @@ func (s *Sensor) CheckClock(nowS float64) error {
 
 // Drops reports how many samples were lost to injected failures.
 func (s *Sensor) Drops() int { return s.drops }
-
-// Samples reports how many sampling instants have fired.
-func (s *Sensor) Samples() int { return s.samples }

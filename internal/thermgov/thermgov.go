@@ -100,17 +100,6 @@ type StepWiseConfig struct {
 	IntervalS float64
 }
 
-// DefaultStepWiseConfig mirrors a typical phone configuration with a
-// passive trip well below the junction limit.
-func DefaultStepWiseConfig() StepWiseConfig {
-	return StepWiseConfig{
-		TripK:       273.15 + 70,
-		HysteresisK: 3,
-		CriticalK:   273.15 + 95,
-		IntervalS:   0.1,
-	}
-}
-
 // StepWise is the Linux step_wise thermal governor: while any sensor is
 // above the passive trip it lowers every domain's frequency cap by one
 // OPP per poll; once the temperature falls below trip minus hysteresis
@@ -231,20 +220,6 @@ type IPAConfig struct {
 	// real boards; GPUs are commonly favored so graphics QoS survives
 	// CPU-driven heat). Missing entries default to 1.
 	Weights map[string]float64
-}
-
-// DefaultIPAConfig returns gains sized for the Odroid-class platform
-// models in this repository.
-func DefaultIPAConfig() IPAConfig {
-	return IPAConfig{
-		ControlTempK:      273.15 + 70,
-		SustainablePowerW: 2.5,
-		KPo:               0.4,
-		KPu:               0.8,
-		KI:                0.02,
-		IntegralClampW:    1.0,
-		IntervalS:         0.1,
-	}
 }
 
 // IPA is a simplified ARM Intelligent Power Allocation governor: a PID

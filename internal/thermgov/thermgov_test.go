@@ -10,6 +10,31 @@ import (
 	"repro/internal/thermal"
 )
 
+// DefaultStepWiseConfig mirrors a typical phone configuration with a
+// passive trip well below the junction limit.
+func DefaultStepWiseConfig() StepWiseConfig {
+	return StepWiseConfig{
+		TripK:       273.15 + 70,
+		HysteresisK: 3,
+		CriticalK:   273.15 + 95,
+		IntervalS:   0.1,
+	}
+}
+
+// DefaultIPAConfig returns gains sized for the Odroid-class platform
+// models in this repository.
+func DefaultIPAConfig() IPAConfig {
+	return IPAConfig{
+		ControlTempK:      273.15 + 70,
+		SustainablePowerW: 2.5,
+		KPo:               0.4,
+		KPu:               0.8,
+		KI:                0.02,
+		IntegralClampW:    1.0,
+		IntervalS:         0.1,
+	}
+}
+
 func gpuTable() *dvfs.Table {
 	return dvfs.MustTable(
 		dvfs.OPP{FreqHz: 180e6, VoltageV: 0.80},

@@ -164,9 +164,6 @@ func MustFrameApp(cfg FrameAppConfig) *FrameApp {
 // Name returns the app name.
 func (a *FrameApp) Name() string { return a.cfg.Name }
 
-// Done reports whether a non-looping script has finished.
-func (a *FrameApp) Done() bool { return a.done }
-
 // phase returns the active phase, advancing the script as time passes.
 func (a *FrameApp) phase(nowS float64) *Phase {
 	if a.done {
@@ -268,9 +265,6 @@ func (a *FrameApp) Advance(nowS, dt float64, r Resources) {
 		a.bucketStart += 1.0
 	}
 }
-
-// Frames returns the total frames rendered.
-func (a *FrameApp) Frames() float64 { return a.frames }
 
 // FPSSamples implements FPSReporter.
 func (a *FrameApp) FPSSamples() []float64 {

@@ -223,9 +223,6 @@ func (n *Nenamark) terminate(nowS float64) {
 	n.score = float64(n.level) + stats.Clamp(frac, 0, 0.999)
 }
 
-// Done reports whether the run has terminated.
-func (n *Nenamark) Done() bool { return n.terminated }
-
 // Score returns the levels sustained; 0.1 granularity matches the
 // paper's "3.5 levels" reporting.
 func (n *Nenamark) Score() float64 {
@@ -235,9 +232,6 @@ func (n *Nenamark) Score() float64 {
 	}
 	return float64(int(n.score*10+0.5)) / 10
 }
-
-// Frames returns total frames rendered.
-func (n *Nenamark) Frames() float64 { return n.frames }
 
 // FPSSamples implements FPSReporter.
 func (n *Nenamark) FPSSamples() []float64 {

@@ -468,9 +468,3 @@ func (g GenSpec) perturbPhases(rng *rand.Rand) []Phase {
 	}
 	return phases
 }
-
-// Phases exposes the synthesized script of a built generator app —
-// what the property tests and trace tooling inspect.
-func (a *FrameApp) Phases() []Phase {
-	return append([]Phase(nil), a.cfg.Phases...)
-}

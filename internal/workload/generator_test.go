@@ -49,7 +49,7 @@ func TestGeneratedPhasesSumToHorizon(t *testing.T) {
 				t.Fatalf("%s seed %d: %v", spec.Kind, seed, err)
 			}
 			sum := 0.0
-			for i, p := range app.Phases() {
+			for i, p := range app.cfg.Phases {
 				if p.DurationS <= 0 {
 					t.Fatalf("%s seed %d: phase %d duration %v not positive", spec.Kind, seed, i, p.DurationS)
 				}
@@ -100,7 +100,7 @@ func TestGeneratedWorkloadSeedDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(a.Phases(), b.Phases()) {
+		if !reflect.DeepEqual(a.cfg.Phases, b.cfg.Phases) {
 			t.Fatalf("%s: same seed produced different phase scripts", spec.Kind)
 		}
 		for i := 0; i < 2000; i++ {
@@ -118,7 +118,7 @@ func TestGeneratedWorkloadSeedDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if reflect.DeepEqual(a.Phases(), c.Phases()) {
+		if reflect.DeepEqual(a.cfg.Phases, c.cfg.Phases) {
 			t.Errorf("%s: seeds 42 and 43 produced identical scripts", spec.Kind)
 		}
 	}

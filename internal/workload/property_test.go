@@ -36,7 +36,7 @@ func TestFrameAppRateBounded(t *testing.T) {
 			now := float64(i) * 0.1
 			app.Demand(now)
 			app.Advance(now, 0.1, Resources{CPUSpeedHz: cpu, GPUSpeedHz: gpu})
-			frames := app.Frames()
+			frames := app.frames
 			// Frames are cumulative and the per-interval rate respects
 			// the 40 FPS target cap.
 			if frames < prevFrames-1e-9 {
@@ -91,7 +91,7 @@ func TestSlotQuantizationProperty(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			app.Advance(float64(i)*0.1, 0.1, Resources{GPUSpeedHz: raw * 1e6})
 		}
-		got := app.Frames()
+		got := app.frames
 		if got > raw+1e-6 {
 			return false // quantization must not create frames
 		}

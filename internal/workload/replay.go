@@ -129,9 +129,3 @@ func (r *ReplayApp) Advance(nowS, dt float64, res Resources) {
 	r.cpuWork += res.CPUSpeedHz * dt
 	r.gpuWork += res.GPUSpeedHz * dt
 }
-
-// AchievedCPUCycles reports the total CPU cycles granted so far.
-func (r *ReplayApp) AchievedCPUCycles() float64 { return r.cpuWork }
-
-// AchievedGPUCycles reports the total GPU cycles granted so far.
-func (r *ReplayApp) AchievedGPUCycles() float64 { return r.gpuWork }

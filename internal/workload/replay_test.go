@@ -75,11 +75,11 @@ func TestReplayAccountsWork(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		app.Advance(float64(i)*0.01, 0.01, Resources{CPUSpeedHz: 1e9, GPUSpeedHz: 1e8})
 	}
-	if math.Abs(app.AchievedCPUCycles()-1e9) > 1e6 {
-		t.Errorf("CPU cycles = %v, want ~1e9", app.AchievedCPUCycles())
+	if math.Abs(app.cpuWork-1e9) > 1e6 {
+		t.Errorf("CPU cycles = %v, want ~1e9", app.cpuWork)
 	}
-	if math.Abs(app.AchievedGPUCycles()-1e8) > 1e5 {
-		t.Errorf("GPU cycles = %v, want ~1e8", app.AchievedGPUCycles())
+	if math.Abs(app.gpuWork-1e8) > 1e5 {
+		t.Errorf("GPU cycles = %v, want ~1e8", app.gpuWork)
 	}
 }
 

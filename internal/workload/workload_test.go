@@ -74,7 +74,7 @@ func TestFrameAppHitsTargetWithFullResources(t *testing.T) {
 	if m := a.MedianFPS(); math.Abs(m-60) > 0.5 {
 		t.Errorf("median FPS = %v, want ~60", m)
 	}
-	if f := a.Frames(); math.Abs(f-600) > 5 {
+	if f := a.frames; math.Abs(f-600) > 5 {
 		t.Errorf("frames = %v, want ~600", f)
 	}
 }
@@ -144,11 +144,11 @@ func TestFrameAppNonLoopingFinishes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Done() {
+	if a.done {
 		t.Fatal("should not be done at start")
 	}
 	d := a.Demand(3)
-	if !a.Done() {
+	if !a.done {
 		t.Error("should be done after script ends")
 	}
 	if d.CPUHz != 0 || d.GPUHz != 0 {
@@ -285,7 +285,7 @@ func TestGamesAreGPUDominated(t *testing.T) {
 func TestThreeDMarkScores(t *testing.T) {
 	m := NewThreeDMark(11)
 	r := Resources{CPUSpeedHz: 2e9, GPUSpeedHz: 600e6}
-	for now := 0.0; now < 220 && !m.Done(); now += 0.01 {
+	for now := 0.0; now < 220 && !m.done; now += 0.01 {
 		m.Demand(now)
 		m.Advance(now, 0.01, r)
 	}
@@ -332,7 +332,7 @@ func runNenamark(t *testing.T, gpuHz float64) *Nenamark {
 		t.Fatal(err)
 	}
 	r := Resources{CPUSpeedHz: 2e9, GPUSpeedHz: gpuHz}
-	for now := 0.0; now < 400 && !n.Done(); now += 0.01 {
+	for now := 0.0; now < 400 && !n.terminated; now += 0.01 {
 		n.Demand(now)
 		n.Advance(now, 0.01, r)
 	}
@@ -354,7 +354,7 @@ func TestNenamarkBaselineScoreNear3p5(t *testing.T) {
 	if s := n.Score(); s < 3.0 || s >= 4.0 {
 		t.Errorf("baseline score = %v, want in [3.0, 4.0) like the paper's 3.5", s)
 	}
-	if !n.Done() {
+	if !n.terminated {
 		t.Error("run should have terminated")
 	}
 }
@@ -378,7 +378,7 @@ func TestNenamarkPerfectRunFullScore(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := Resources{CPUSpeedHz: 2e9, GPUSpeedHz: 10e9} // absurdly fast
-	for now := 0.0; now < 120 && !n.Done(); now += 0.01 {
+	for now := 0.0; now < 120 && !n.terminated; now += 0.01 {
 		n.Demand(now)
 		n.Advance(now, 0.01, r)
 	}

@@ -135,6 +135,45 @@ func TestSnapshotRoundTripWithDAQ(t *testing.T) {
 	roundTripScalar(t, spec, WithDAQ("pxie4081", DefaultDAQConfig()))
 }
 
+// TestDAQResumeCountsWholeRun restores a DAQ-carrying engine mid-run
+// and requires its channel to report the same sample count, mean and
+// max as a channel that ran straight through: the snapshot keeps the
+// aggregate, not the recorded series.
+func TestDAQResumeCountsWholeRun(t *testing.T) {
+	spec := Scenario{Platform: PlatformNexus6P, Workload: "paper.io", DurationS: 2, Seed: 1}
+	build := func() *Engine {
+		e, err := New(spec, WithoutRecording(), WithDAQ("pxie4081", DefaultDAQConfig()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	straight := build()
+	if err := straight.RunSteps(2000); err != nil {
+		t.Fatal(err)
+	}
+	first := build()
+	if err := first.RunSteps(1000); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := first.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed := build()
+	if err := resumed.Restore(blob); err != nil {
+		t.Fatal(err)
+	}
+	if err := resumed.RunSteps(1000); err != nil {
+		t.Fatal(err)
+	}
+	want, got := straight.DAQ(), resumed.DAQ()
+	if got.SampleCount() != want.SampleCount() || got.MeanW() != want.MeanW() || got.MaxW() != want.MaxW() {
+		t.Errorf("resumed channel: %d samples, mean %v W, max %v W; straight run: %d, %v W, %v W",
+			got.SampleCount(), got.MeanW(), got.MaxW(), want.SampleCount(), want.MeanW(), want.MaxW())
+	}
+}
+
 func TestSnapshotRoundTripPlatformCorpus(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "platforms", "*.json"))
 	if err != nil {
